@@ -53,36 +53,31 @@ def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(t) for t in items)
 
 
-def _pattern_limit(args, family: str) -> int | None:
-    if args.cap is not None:
-        if args.cap <= 0:
-            raise CliError("--cap must be positive")
-        return args.cap
-    raw = os.environ.get(_CAP_ENV[family])
+def _env_cap(family: str) -> int | None:
+    name = _CAP_ENV[family]
+    raw = os.environ.get(name)
     if raw is None:
         return None
     try:
         value = int(raw)
     except ValueError:
-        raise CliError(f"{_CAP_ENV[family]} must be an integer") from None
+        raise CliError(f"{name} must be an integer") from None
     if value <= 0:
-        raise CliError(f"{_CAP_ENV[family]} must be positive")
+        raise CliError(f"{name} must be positive")
     return value
 
 
-def _vertex_cap() -> int | None:
-    raw = os.environ.get(_CAP_ENV["vertices"])
-    if raw is None:
-        return None
-    value = int(raw)
-    if value <= 0:
-        raise CliError(f"{_CAP_ENV['vertices']} must be positive")
-    return value
+def _pattern_limit(args, family: str) -> int | None:
+    if args.cap is not None:
+        if args.cap <= 0:
+            raise CliError("--cap must be positive")
+        return args.cap
+    return _env_cap(family)
 
 
 def _analysis_caps(args, family: str) -> dict:
     caps = {"limit": _pattern_limit(args, family)}
-    vcap = _vertex_cap()
+    vcap = _env_cap("vertices")
     if vcap is not None:
         caps["vertex_cap"] = vcap
     return caps
@@ -329,6 +324,7 @@ def cmd_genericity(args) -> int:
     else:
         norm = _build_norm(args, args.cols)
         mode = "penalized"
+    family = "models" if norm is not None and norm.kind == SLOPE else "signs"
     report = genericity_experiment(
         args.rows,
         args.cols,
@@ -336,7 +332,7 @@ def cmd_genericity(args) -> int:
         mode=mode,
         trials=args.trials,
         seed=args.seed,
-        limit=_pattern_limit(args, "models"),
+        limit=_pattern_limit(args, family),
     )
     if fmt == "csv":
         lines = ["trial,unique"]

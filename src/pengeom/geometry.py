@@ -170,10 +170,6 @@ def signed_permutations(p: int) -> Iterator[SignedPermutation]:
             yield SignedPermutation(signs, perm)
 
 
-def apply_signed_permutation(g: SignedPermutation, x: Sequence) -> tuple:
-    return g.apply(x)
-
-
 # ---------------------------------------------------------------------------
 # faces
 

@@ -7,6 +7,8 @@ give floats. Face construction is exact-only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -158,6 +160,25 @@ def dual_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
     return tuple(seen)
 
 
+@functools.lru_cache(maxsize=64)
+def primal_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
+    """Points whose convex hull is the primal unit ball, so the norm is their
+    gauge: ||x|| = min{sum(lam) : x = sum_v lam_v v, lam >= 0}.
+
+    l1: +-e_j / scale, ordered e_1..e_p then -e_1..-e_p. sup: the 2^p full
+    sign vectors. slope: sigma / ||sigma|| over every nonzero sign vector;
+    all of them are vertices for strict weights, and with tied weights the
+    extra points lie on the boundary and still generate the ball.
+    """
+    p = norm.dim
+    if norm.kind == L1:
+        unit = tuple(tuple(Fraction(int(i == j)) / norm.scale for i in range(p)) for j in range(p))
+        return unit + tuple(tuple(-x for x in v) for v in unit)
+    if norm.kind == SUP:
+        return tuple(vec(s) for s in itertools.product((1, -1), repeat=p))
+    return tuple(x for _, x in unit_sphere_sign_points(norm))
+
+
 def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
     """The face of the dual ball where s'x attains ||x||; equivalently the
     subdifferential of the norm at x. At x = 0 this is the whole ball."""
@@ -186,8 +207,6 @@ def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], V
     primal unit sphere whose pairing against dual-ball faces identifies the
     vertex sets dual to a face. Every vertex of the primal ball is among them
     for all three families."""
-    import itertools
-
     out = []
     for sigma in itertools.product((1, 0, -1), repeat=norm.dim):
         if not any(sigma):

@@ -1,6 +1,10 @@
 """Solvers: proximal operators, a FISTA route for penalized least squares,
-an exact LP route for basis pursuit, and exact norm minimization over the
-fiber {b : Xb = X target}.
+and one exact gauge LP that serves both basis pursuit and norm minimization
+over the fiber {b : Xb = X target}.
+
+The gauge LP writes b as a nonnegative combination of the primal unit ball's
+vertices V, so ||b|| = min sum(lam) over b = V lam for every polytope norm;
+only V depends on the norm, and X V is reused across a design's sweep.
 
 The float route never decides anything: it produces a candidate point plus a
 KKT certificate, and only the certificate (exact on rational inputs, with an
@@ -9,6 +13,7 @@ explicit tolerance on float ones) is trusted downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +23,15 @@ import numpy as np
 
 from .exact import RationalMatrix, Vector, dot, vec
 from .lp import OPTIMAL, LinearProgram, lp_feasible, lp_solve, nonneg_lp
-from .norms import L1, SUP, PolytopeNorm, dual_norm_value, norm_value
+from .norms import (
+    L1,
+    SUP,
+    PolytopeNorm,
+    dual_norm_value,
+    l1_norm,
+    norm_value,
+    primal_ball_vertices,
+)
 
 
 def prox_l1(v: Sequence, threshold) -> tuple:
@@ -213,30 +226,45 @@ def solve_penalized(
 # exact LP routes
 
 
+@functools.lru_cache(maxsize=64)
+def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
+    # rows of X V, reused by every pattern of one design's sweep
+    return tuple(zip(*(X.matvec(v) for v in primal_ball_vertices(norm))))
+
+
+def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):
+    """(value, b) for min ||b|| s.t. Xb = rhs, solved as the gauge LP
+    min sum(lam) s.t. (X V) lam = rhs, lam >= 0 with b = V lam; None when rhs
+    is outside the column space of X. Bland's rule makes the vertex
+    deterministic."""
+    verts = primal_ball_vertices(norm)
+    res = lp_solve(nonneg_lp(c=[1] * len(verts), a_eq=_gauge_rows(X, norm), b_eq=rhs))
+    if res.status != OPTIMAL:
+        return None
+    b = tuple(
+        sum((lam * v[i] for lam, v in zip(res.x, verts) if lam), Fraction(0))
+        for i in range(X.ncols)
+    )
+    return res.value, b
+
+
 def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
-    """Exact basis pursuit: min ||b||_1 s.t. Xb = y, solved as an LP over the
-    positive/negative parts. Deterministic vertex, certified before return."""
+    """Exact basis pursuit: min ||b||_1 s.t. Xb = y through the gauge LP of the
+    l1 ball. Deterministic vertex, certified before return."""
     yy = vec(y)
     if len(yy) != X.nrows:
         raise ValueError("dimension mismatch")
-    p = X.ncols
-    res = lp_solve(
-        nonneg_lp(
-            c=[1] * (2 * p),
-            a_eq=[tuple(r) + tuple(-x for x in r) for r in X.rows],
-            b_eq=yy,
-        )
-    )
-    if res.status != OPTIMAL:
+    found = _gauge_lp(X, l1_norm(X.ncols), yy)
+    if found is None:
         raise ValueError("response is outside the column space of the matrix")
-    b = tuple(res.x[j] - res.x[p + j] for j in range(p))
+    value, b = found
     z = bp_dual_certificate(X, b)
     if z is None:
         raise AssertionError("LP optimum failed the basis pursuit certificate")
     s = X.rmatvec(z)
     gap = abs(dot(b, s) - sum(abs(v) for v in b))
     cert = Certificate(s, max(abs(v) for v in s), gap, 0, True)
-    return Solution(b, res.value, "lp", cert)
+    return Solution(b, value, "lp", cert)
 
 
 def bp_dual_certificate(X: RationalMatrix, b: Sequence) -> Vector | None:
@@ -278,101 +306,14 @@ def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> 
 
 
 def norm_min_subject_to(X: RationalMatrix, target: Sequence, norm: PolytopeNorm):
-    """Exact (value, minimizer) of min ||b|| s.t. Xb = X target.
-
-    l1 goes through positive/negative parts, sup through a single bound
-    variable, and the sorted-l1 norm through the partial-sum (CVaR)
-    linearization: ||b||_w = sum_k (w_k - w_{k+1}) S_k(|b|) with each S_k
-    expressed as min over a threshold theta_k and overshoots r_ik.
-    """
+    """Exact (value, minimizer) of min ||b|| s.t. Xb = X target, from the
+    gauge LP over the primal-ball vertices of the norm; the value is the
+    norm's own (l1 scale included) and the minimizer is a vertex combination
+    b = V lam."""
     tt = vec(target)
     p = X.ncols
     if len(tt) != p or norm.dim != p:
         raise ValueError("dimension mismatch")
-    rhs = X.matvec(tt)
-    if norm.kind == L1:
-        res = lp_solve(
-            nonneg_lp(
-                c=[1] * (2 * p),
-                a_eq=[tuple(r) + tuple(-x for x in r) for r in X.rows],
-                b_eq=rhs,
-            )
-        )
-        assert res.status == OPTIMAL
-        b = tuple(res.x[j] - res.x[p + j] for j in range(p))
-        return norm.scale * res.value, b
-    if norm.kind == SUP:
-        # vars: b (free) then s >= 0; minimize s with -s <= b_j <= s
-        zero = Fraction(0)
-        one = Fraction(1)
-        c = tuple([zero] * p + [one])
-        a_eq = tuple(tuple(r) + (zero,) for r in X.rows)
-        a_ub = []
-        for j in range(p):
-            row = [zero] * (p + 1)
-            row[j] = one
-            row[p] = -one
-            a_ub.append(tuple(row))
-            row = [zero] * (p + 1)
-            row[j] = -one
-            row[p] = -one
-            a_ub.append(tuple(row))
-        lp = LinearProgram(
-            c=c,
-            a_eq=a_eq,
-            b_eq=rhs,
-            a_ub=tuple(a_ub),
-            b_ub=tuple(Fraction(0) for _ in a_ub),
-            lower=tuple([None] * p + [zero]),
-        )
-        res = lp_solve(lp)
-        assert res.status == OPTIMAL
-        return res.value, tuple(res.x[:p])
-    w = list(norm.weights)
-    diffs = [w[k] - (w[k + 1] if k + 1 < p else Fraction(0)) for k in range(p)]
-    zero = Fraction(0)
-    one = Fraction(1)
-    # variable layout: b (p, free) | u (p, >=0) | theta (p, free) | r (p*p, >=0)
-    nvars = 3 * p + p * p
-
-    def r_index(i, k):
-        return 3 * p + i * p + k
-
-    c = [zero] * nvars
-    for k in range(p):
-        c[2 * p + k] = diffs[k] * (k + 1)
-        for i in range(p):
-            c[r_index(i, k)] = diffs[k]
-    a_eq = [tuple(r) + tuple([zero] * (nvars - p)) for r in X.rows]
-    a_ub = []
-    b_ub = []
-    for i in range(p):
-        row = [zero] * nvars
-        row[i] = one
-        row[p + i] = -one
-        a_ub.append(tuple(row))  # b_i - u_i <= 0
-        row = [zero] * nvars
-        row[i] = -one
-        row[p + i] = -one
-        a_ub.append(tuple(row))  # -b_i - u_i <= 0
-        b_ub.extend([zero, zero])
-    for i in range(p):
-        for k in range(p):
-            row = [zero] * nvars
-            row[p + i] = one
-            row[2 * p + k] = -one
-            row[r_index(i, k)] = -one
-            a_ub.append(tuple(row))  # u_i - theta_k - r_ik <= 0
-            b_ub.append(zero)
-    lower: list = [None] * p + [zero] * p + [None] * p + [zero] * (p * p)
-    lp = LinearProgram(
-        c=tuple(c),
-        a_eq=tuple(a_eq),
-        b_eq=rhs,
-        a_ub=tuple(a_ub),
-        b_ub=tuple(b_ub),
-        lower=tuple(lower),
-    )
-    res = lp_solve(lp)
-    assert res.status == OPTIMAL
-    return res.value, tuple(res.x[:p])
+    found = _gauge_lp(X, norm, X.matvec(tt))
+    assert found is not None
+    return found

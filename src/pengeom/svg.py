@@ -29,7 +29,7 @@ from .norms import (
     dual_ball_vertices,
     dual_norm_value,
     norm_value,
-    unit_sphere_sign_points,
+    primal_ball_vertices,
 )
 
 Vector = tuple[Fraction, ...]
@@ -202,7 +202,7 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
 
 def _halfspace_rows(X: RationalMatrix, norm: PolytopeNorm) -> list[Vector]:
     rows: list[Vector] = []
-    for _, x in unit_sphere_sign_points(norm):
+    for x in primal_ball_vertices(norm):
         a = X.matvec(x)
         if any(t != 0 for t in a) and a not in rows:
             rows.append(a)

@@ -199,3 +199,18 @@ def test_cap_flag_and_env_override(capsys, matrices, monkeypatch):
     monkeypatch.setenv("PENGEOM_MODEL_LIMIT", "nope")
     code, _, err = run(capsys, "models", "--cols", "3")
     assert code == 2 and "PENGEOM_MODEL_LIMIT" in err
+
+    # genericity caps sign sweeps (bp, l1, sup) by the sign family
+    genericity = ("genericity", "--mode", "bp", "--rows", "2", "--cols", "3", "--trials", "5")
+    monkeypatch.setenv("PENGEOM_MODEL_LIMIT", "2")
+    code, _, _ = run(capsys, *genericity)
+    assert code == 0
+    monkeypatch.delenv("PENGEOM_MODEL_LIMIT")
+    monkeypatch.setenv("PENGEOM_SIGN_LIMIT", "2")
+    code, _, err = run(capsys, *genericity)
+    assert code == 2 and "cap 2" in err
+    monkeypatch.delenv("PENGEOM_SIGN_LIMIT")
+
+    monkeypatch.setenv("PENGEOM_VERTEX_CAP", "abc")
+    code, _, err = run(capsys, "uniqueness", "--matrix", matrices["one_zero"], "--norm", "sup")
+    assert code == 2 and "PENGEOM_VERTEX_CAP must be an integer" in err

@@ -13,6 +13,7 @@ from pengeom.norms import (
     dual_norm_value,
     l1_norm,
     norm_value,
+    primal_ball_vertices,
     slope_norm,
     subdifferential_face,
     sup_norm,
@@ -84,15 +85,30 @@ def test_dual_norm_matches_gauge_lp():
             assert dual_norm_value(norm, x) == gauge_via_lp(x, verts)
 
 
+def test_primal_ball_vertices_layout():
+    # l1 lists e_1..e_p before -e_1..-e_p, so the gauge LP's columns are the
+    # [X | -X] basis pursuit tableau
+    third = Fraction(1, 3)
+    assert primal_ball_vertices(l1_norm(2, scale=3)) == (
+        (third, 0), (0, third), (-third, 0), (0, -third)
+    )
+    assert len(primal_ball_vertices(sup_norm(3))) == 8
+    assert len(primal_ball_vertices(slope_norm([3, 2, 1]))) == 26
+
+
 def test_norm_value_matches_support_function():
     # ||x|| = max over dual ball vertices of s'x, independently of the sorting
-    # formula
+    # formula; it is also the gauge of the primal-ball vertex hull, including
+    # tied weights where some of those points are not vertices
     rng = random.Random(11)
-    for norm in (l1_norm(3, scale=2), sup_norm(3), slope_norm([4, 2, 1]), slope_norm([2, 1, 0])):
+    for norm in (l1_norm(3, scale=2), sup_norm(3), slope_norm([4, 2, 1]), slope_norm([2, 1, 0]),
+                 slope_norm([3, 3, 1])):
         verts = dual_ball_vertices(norm)
+        primal = primal_ball_vertices(norm)
         for _ in range(15):
             x = rand_vec(rng, norm.dim)
             assert norm_value(norm, x) == max(dot(v, x) for v in verts)
+            assert norm_value(norm, x) == gauge_via_lp(x, primal)
 
 
 def test_duality_pairing_inequality():

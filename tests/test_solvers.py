@@ -220,12 +220,24 @@ def test_norm_min_l1():
     # scale multiplies the value
     val, _ = norm_min_subject_to(X, vec([1, 1]), l1_norm(2, scale=3))
     assert val == 6
+    # non-integer scale: value and the unique minimizer b = (0, 1/2)
+    norm = l1_norm(2, scale=Fraction(3, 2))
+    val, b = norm_min_subject_to(RationalMatrix.from_rows([[1, 2]]), vec([1, 0]), norm)
+    assert val == Fraction(3, 4) and b == (0, Fraction(1, 2))
+    assert norm_value(norm, b) == val
 
 
 def test_norm_min_sup():
     X = RationalMatrix.from_rows([[1, 0], [0, 1]])
     val, b = norm_min_subject_to(X, vec([2, -1]), sup_norm(2))
     assert val == 2 and b == (2, -1)
+    # rank-deficient 1x3: min ||b||_inf s.t. a'b = r is |r| / ||a||_1
+    X = RationalMatrix.from_rows([[1, 2, -1]])
+    target = vec([1, 1, 1])
+    val, b = norm_min_subject_to(X, target, sup_norm(3))
+    assert val == Fraction(1, 2)
+    assert X.matvec(b) == X.matvec(target)
+    assert norm_value(sup_norm(3), b) == val
 
 
 def slope_min_bruteforce(X, target, w):
@@ -284,6 +296,15 @@ def test_norm_min_slope_against_bruteforce():
         assert norm_value(norm, b) == val
         assert val == slope_min_bruteforce(X, target, w)
         assert val <= norm_value(norm, target)
+    # tied weights: some sphere points in the gauge LP are not vertices
+    X = RationalMatrix.from_rows([[1, -2, 1], [0, 1, 3]])
+    for w in (vec([3, 3, 1]), vec([3, 1, 1]), vec([2, 2, 2])):
+        for target in (vec([1, 1, 0]), vec([2, -1, 1]), vec([0, 1, -2])):
+            norm = slope_norm(w)
+            val, b = norm_min_subject_to(X, target, norm)
+            assert X.matvec(b) == X.matvec(target)
+            assert norm_value(norm, b) == val
+            assert val == slope_min_bruteforce(X, target, w)
 
 
 def test_norm_min_slope_p4_case():
