@@ -30,6 +30,7 @@ from .geometry import (
     DEFAULT_SIGN_LIMIT,
     DEFAULT_VERTEX_CAP,
     CapExceeded,
+    DesignKernel,
     Face,
     enumerate_exposed_faces,
     enumerate_models,
@@ -265,7 +266,7 @@ def check_uniqueness(
     r = rank(X)
     if r == X.ncols:
         return UniquenessReport(True, r, "penalized", norm)
-    kernel = kernel_basis(X)
+    kernel = DesignKernel(X)
     for face in _faces_beyond_rank(norm, r, limit):
         hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
         if hit is not None:
@@ -309,7 +310,7 @@ def check_uniqueness_bp(
     r = rank(X)
     if r == X.ncols:
         return UniquenessReport(True, r, "bp", None)
-    kernel = kernel_basis(X)
+    kernel = DesignKernel(X)
     for face in _cube_faces_beyond(X.ncols, r, 1, limit or DEFAULT_SIGN_LIMIT):
         hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
         if hit is not None:
@@ -375,7 +376,7 @@ def accessible_sign_vectors(
     if lam <= 0:
         raise ValueError("penalty scale must be positive")
     p = X.ncols
-    kernel = kernel_basis(X)
+    kernel = DesignKernel(X)
     plain = l1_norm(p)
     scaled = l1_norm(p, scale=lam)
     out = []
@@ -439,7 +440,7 @@ def accessible_slope_models(
     if not w.strict:
         raise ValueError("model sweep requires strictly decreasing positive weights")
     p = X.ncols
-    kernel = kernel_basis(X)
+    kernel = DesignKernel(X)
     out = []
     for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT):
         pattern_norm = norm_value(norm, vec(m))
@@ -609,6 +610,7 @@ def genericity_experiment(
     trials: int = 100,
     seed: int = 0,
     limit: int | None = None,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> GenericityReport:
     """Fraction of random Gaussian designs that are unique-for-all-y.
 
@@ -635,8 +637,8 @@ def genericity_experiment(
             [[parse_rational(f"{rng.gauss(0, 1):.12g}") for _ in range(p)] for _ in range(n)]
         )
         if mode == "bp":
-            report = check_uniqueness_bp(X, limit=limit)
+            report = check_uniqueness_bp(X, limit=limit, vertex_cap=vertex_cap)
         else:
-            report = check_uniqueness(X, norm, limit=limit)
+            report = check_uniqueness(X, norm, limit=limit, vertex_cap=vertex_cap)
         outcomes.append(report.unique_for_all_y)
     return GenericityReport(n, p, mode, norm, trials, seed, tuple(outcomes))

@@ -332,7 +332,7 @@ def cmd_genericity(args) -> int:
         mode=mode,
         trials=args.trials,
         seed=args.seed,
-        limit=_pattern_limit(args, family),
+        **_analysis_caps(args, family),
     )
     if fmt == "csv":
         lines = ["trial,unique"]

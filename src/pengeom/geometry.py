@@ -9,6 +9,15 @@ over. Faces of the sign permutohedron of a strictly decreasing positive
 weight vector are in bijection with models; the face of model m is a product
 of plain permutohedra over the level blocks of m (largest level first, taking
 consecutive weight chunks) times a sign permutohedron on the zero block.
+
+Row-space tests work in kernel coordinates: a point s of a face lies in
+row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
+for one design, scaled to primitive integer vectors, and memoizes the image
+of each integer-scaled dual-ball vertex, so a sweep projects every vertex
+once. Faces with one or two vertices are then decided by integer sign and
+cross-product tests on those images (fraction-free, in the spirit of Bareiss
+elimination); larger faces solve a small rational LP. Fractions return only
+on a hit, to form the exact point of the face and its preimage z.
 """
 
 from __future__ import annotations
@@ -227,11 +236,28 @@ class Face:
             return n
         return len(self.hull)
 
+    def _check_cap(self, cap: int | None) -> None:
+        if cap is not None:
+            count = self.vertex_count()
+            if count > cap:
+                raise CapExceeded(f"face has {count} vertices, cap is {cap}")
+
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[Vector, ...]:
-        count = self.vertex_count()
-        if cap is not None and count > cap:
-            raise CapExceeded(f"face has {count} vertices, cap is {cap}")
+        self._check_cap(cap)
         return _materialized_vertices(self)
+
+    def integer_vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[tuple[int, ...], ...]:
+        """vertices(cap) times the lcm of all their denominators, as int
+        tuples in the same order. Memoized on the face instance, so a face
+        kept across sweeps converts once."""
+        self._check_cap(cap)
+        ivs = self.__dict__.get("_integer_vertices")
+        if ivs is None:
+            verts = _materialized_vertices(self)
+            scale = math.lcm(*(x.denominator for v in verts for x in v))
+            ivs = tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts)
+            object.__setattr__(self, "_integer_vertices", ivs)
+        return ivs
 
     def _materialize(self) -> tuple[Vector, ...]:
         p = self.ambient_dim
@@ -414,6 +440,59 @@ def hull_face(vertices: Sequence[Sequence]) -> Face:
 # row-space intersection
 
 
+class DesignKernel:
+    """ker(X) of one design, shared by every face test of a sweep over it.
+
+    basis is the deterministic Fraction basis of kernel_basis(X);
+    integer_basis scales each of its vectors to a primitive integer vector
+    (a positive multiple). image(v) is K'v for an integer vertex v against
+    integer_basis, computed on first use and memoized, so a dual-ball vertex
+    shared by many faces is projected once per design and a sweep that stops
+    early pays only for the vertices it reached.
+    """
+
+    def __init__(self, X: RationalMatrix):
+        self.X = X
+        self.basis: tuple[Vector, ...] = kernel_basis(X)
+        self.integer_basis = tuple(_primitive_integer(k) for k in self.basis)
+        self._images: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        img = self._images.get(v)
+        if img is None:
+            img = tuple(sum(a * b for a, b in zip(k, v)) for k in self.integer_basis)
+            self._images[v] = img
+        return img
+
+
+def _primitive_integer(v: Vector) -> tuple[int, ...]:
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(t // g for t in ints)
+
+
+def _segment_weight(ca: tuple[int, ...], cb: tuple[int, ...]) -> Fraction | None:
+    """alpha in [0, 1] with alpha*ca + (1 - alpha)*cb = 0, or None.
+
+    Let x, y be the entries of ca, cb at the first coordinate where they
+    differ, and d = y - x. Then alpha = y / d, which lies in [0, 1] iff y
+    lies between 0 and d, and every coordinate i vanishes iff
+    y*ca[i] == x*cb[i]. Positive rescaling of the kernel vectors or of the
+    vertices changes neither test nor alpha. Equal images meet 0 only when
+    both are zero, and then alpha = 0.
+    """
+    for x, y in zip(ca, cb):
+        if x != y:
+            d = y - x
+            if not (0 <= y <= d or d <= y <= 0):
+                return None
+            if any(y * u != x * w for u, w in zip(ca, cb)):
+                return None
+            return Fraction(y, d)
+    return None if any(ca) else Fraction(0)
+
+
 @dataclass(frozen=True)
 class RowspaceIntersection:
     point: Vector  # a point of the face inside row(X)
@@ -423,53 +502,54 @@ class RowspaceIntersection:
 def face_intersects_rowspace(
     face: Face,
     X: RationalMatrix,
-    kernel: tuple[Vector, ...] | None = None,
+    kernel: DesignKernel | None = None,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> RowspaceIntersection | None:
     """Exact intersection test between a dual-ball face and row(X).
 
-    Works in kernel coordinates: with K a basis of ker(X), a convex
-    combination s = V alpha lies in row(X) iff K's = 0, which leaves a tiny
-    LP over alpha alone. The z with X'z = s is recovered afterwards.
+    A point s of the face lies in row(X) iff K's = 0 for a basis K of ker(X).
+    Faces with one or two vertices are decided in integers: the face's
+    integer vertices are mapped through `kernel` (build one DesignKernel per
+    design and pass it to every face of the sweep; the images are memoized
+    there). A vertex meets row(X) iff its image is zero, a segment iff the
+    images' line passes through 0 between them (see _segment_weight). Larger
+    faces solve a feasibility LP over the convex weights alpha, with rows
+    K'v in the Fraction basis. The cap is checked before any vertex is
+    built. Fractions enter only on a hit: the point is formed from the
+    face's Fraction vertices, and z with X'z = point by exact elimination.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")
-    zero = tuple(Fraction(0) for _ in range(X.ncols))
     if face.contains_zero():
-        return RowspaceIntersection(zero, tuple(Fraction(0) for _ in range(X.nrows)))
-    K = kernel_basis(X) if kernel is None else kernel
-    verts = face.vertices(cap)
-    if not K:
-        point = verts[0]
-    elif len(verts) == 1:
-        v = verts[0]
-        if any(dot(kb, v) != 0 for kb in K):
-            return None
-        point = v
-    elif len(verts) == 2:
-        # segment: solve a(K'v0) + (1-a)(K'v1) = 0 directly, no simplex
-        a, b = verts
-        da = [dot(kb, a) for kb in K]
-        db = [dot(kb, b) for kb in K]
-        alpha = None
-        for ca, cb in zip(da, db):
-            if ca != cb:
-                alpha = cb / (cb - ca)
-                break
-        if alpha is None:
-            if any(c != 0 for c in da):
+        return RowspaceIntersection(
+            tuple(Fraction(0) for _ in range(X.ncols)),
+            tuple(Fraction(0) for _ in range(X.nrows)),
+        )
+    if kernel is None:
+        kernel = DesignKernel(X)
+    elif kernel.X is not X and kernel.X != X:
+        raise ValueError("kernel belongs to another design")
+    face._check_cap(cap)  # once, before any vertex is built
+    if not kernel.basis:
+        point = face.vertices(None)[0]
+    elif face.vertex_count() <= 2:
+        ivs = face.integer_vertices(None)
+        if len(ivs) == 1:
+            if any(kernel.image(ivs[0])):
                 return None
-            alpha = Fraction(0)
-        if not 0 <= alpha <= 1:
-            return None
-        if any(alpha * ca + (1 - alpha) * cb != 0 for ca, cb in zip(da, db)):
-            return None
-        point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
+            point = face.vertices(None)[0]
+        else:
+            alpha = _segment_weight(kernel.image(ivs[0]), kernel.image(ivs[1]))
+            if alpha is None:
+                return None
+            a, b = face.vertices(None)
+            point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
     else:
+        verts = face.vertices(None)
         k = len(verts)
-        rows = [tuple(dot(kb, v) for v in verts) for kb in K]
+        rows = [tuple(dot(kb, v) for v in verts) for kb in kernel.basis]
         rows.append(tuple(Fraction(1) for _ in range(k)))
-        rhs = [Fraction(0)] * len(K) + [Fraction(1)]
+        rhs = [Fraction(0)] * len(kernel.basis) + [Fraction(1)]
         lp = LinearProgram(
             c=tuple(Fraction(0) for _ in range(k)),
             a_eq=tuple(vec(r) for r in rows),

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pengeom.analysis import (
     ANALYTIC,
@@ -418,3 +420,61 @@ def test_degenerate_slope_cap_refusal():
     X = RationalMatrix.from_rows([[1, 0, 0, 1, 1]])
     with pytest.raises(CapExceeded):
         check_uniqueness(X, slope_norm([2, 2, 1, 1, 1]))
+
+
+def test_vertex_cap_reaches_the_sweeps():
+    # the first face beyond rank 1 of the p=4 slope ball has 8 vertices, and
+    # the first cube face beyond rank 1 in p=3 is an edge: both must refuse
+    # before any vertex is built
+    X = RationalMatrix.from_rows([[1, 2, 3, 4]])
+    with pytest.raises(CapExceeded, match="cap is 1"):
+        check_uniqueness(X, slope_norm([4, 3, 2, 1]), vertex_cap=1)
+    Y = RationalMatrix.from_rows([[1, 2, 5]])
+    with pytest.raises(CapExceeded, match="face has 2 vertices, cap is 1"):
+        check_uniqueness_bp(Y, vertex_cap=1)
+    assert check_uniqueness_bp(Y, vertex_cap=2).unique_for_all_y
+    with pytest.raises(CapExceeded):
+        genericity_experiment(1, 3, mode="bp", trials=2, seed=0, vertex_cap=1)
+    with pytest.raises(CapExceeded):
+        genericity_experiment(2, 4, slope_norm([3, 2, 1, Fraction(1, 2)]), trials=1, vertex_cap=1)
+
+
+_SMALL = st.sampled_from([Fraction(k, d) for k in range(-3, 4) for d in (1, 2)])
+_NONZERO = st.sampled_from([Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2)])
+
+
+@st.composite
+def design_and_row_mix(draw):
+    """(X, A X) with n < p <= 4 and A = L U invertible: L unit lower
+    triangular, U upper triangular with a nonzero diagonal. Tall-as-allowed
+    designs come first, and some repeat a row to lose rank."""
+    p = draw(st.integers(2, 4))
+    n = p - draw(st.integers(1, p - 1))
+    X = draw(st.lists(st.lists(_SMALL, min_size=p, max_size=p), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        X[-1] = [2 * x for x in X[0]]
+    L = [[Fraction(i == j) if j >= i else draw(_SMALL) for j in range(n)] for i in range(n)]
+    U = [[draw(_NONZERO) if j == i else draw(_SMALL) if j > i else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    A = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    AX = [[sum(A[i][k] * X[k][j] for k in range(n)) for j in range(p)] for i in range(n)]
+    return RationalMatrix.from_rows(X), RationalMatrix.from_rows(AX)
+
+
+@given(design_and_row_mix(), st.sampled_from(["l1", "sup", "slope", "bp"]))
+def test_uniqueness_depends_only_on_the_row_space(pair, kind):
+    # A X has the same row space as X but another kernel basis, another
+    # integer scaling of it and other witnesses
+    X, AX = pair
+    p = X.ncols
+    if kind == "bp":
+        a, b = check_uniqueness_bp(X), check_uniqueness_bp(AX)
+    else:
+        norm = {
+            "l1": l1_norm(p, scale=Fraction(3, 2)),
+            "sup": sup_norm(p),
+            "slope": slope_norm([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)][:p]),
+        }[kind]
+        a, b = check_uniqueness(X, norm), check_uniqueness(AX, norm)
+    assert (a.unique_for_all_y, a.rank, a.offending_face) == (
+        b.unique_for_all_y, b.rank, b.offending_face)

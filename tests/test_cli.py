@@ -211,6 +211,16 @@ def test_cap_flag_and_env_override(capsys, matrices, monkeypatch):
     assert code == 2 and "cap 2" in err
     monkeypatch.delenv("PENGEOM_SIGN_LIMIT")
 
+    # the vertex cap reaches genericity sweeps as it reaches uniqueness
+    monkeypatch.setenv("PENGEOM_VERTEX_CAP", "1")
+    slope = ("genericity", "--rows", "2", "--cols", "4", "--norm", "slope",
+             "--weights", "3,2,1,0.5", "--trials", "2")
+    code, _, err = run(capsys, *slope)
+    assert code == 2 and "face has 2 vertices, cap is 1" in err
+    monkeypatch.setenv("PENGEOM_VERTEX_CAP", "2")
+    code, _, _ = run(capsys, *slope)
+    assert code == 0
+
     monkeypatch.setenv("PENGEOM_VERTEX_CAP", "abc")
     code, _, err = run(capsys, "uniqueness", "--matrix", matrices["one_zero"], "--norm", "sup")
     assert code == 2 and "PENGEOM_VERTEX_CAP must be an integer" in err

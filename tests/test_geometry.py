@@ -1,12 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pengeom.exact import RationalMatrix, dot, rat, vec
+from pengeom.analysis import _faces_beyond_rank
+from pengeom.exact import RationalMatrix, dot, kernel_basis, rank, rat, rowspace_preimage, vec
 from pengeom.geometry import (
     CapExceeded,
+    DesignKernel,
+    RowspaceIntersection,
     SignedPermutation,
     enumerate_exposed_faces,
     enumerate_models,
@@ -20,6 +26,8 @@ from pengeom.geometry import (
     sign_vectors,
     signed_permutations,
 )
+from pengeom.lp import LinearProgram, lp_feasible
+from pengeom.norms import l1_norm, slope_norm, sup_norm
 
 W2 = (Fraction(7, 2), Fraction(3, 2))  # 3.5, 1.5
 
@@ -225,6 +233,142 @@ def test_face_intersects_rowspace_full_rank():
     f = model_to_face((2, 1), W2)
     hit = face_intersects_rowspace(f, X)
     assert hit is not None and hit.point == (Fraction(7, 2), Fraction(3, 2))
+
+
+def reference_face_test(face, X, K):
+    """The face test in Fraction arithmetic: K'v by Fraction dot products for
+    one or two vertices, the same alpha LP beyond that. The integer kernel
+    image test must agree with it exactly, point and z included."""
+    p = X.ncols
+    if face.contains_zero():
+        return RowspaceIntersection(tuple(Fraction(0) for _ in range(p)),
+                                    tuple(Fraction(0) for _ in range(X.nrows)))
+    verts = face.vertices()
+    if not K:
+        point = verts[0]
+    elif len(verts) == 1:
+        if any(dot(kb, verts[0]) != 0 for kb in K):
+            return None
+        point = verts[0]
+    elif len(verts) == 2:
+        a, b = verts
+        da = [dot(kb, a) for kb in K]
+        db = [dot(kb, b) for kb in K]
+        alpha = None
+        for ca, cb in zip(da, db):
+            if ca != cb:
+                alpha = cb / (cb - ca)
+                break
+        if alpha is None:
+            if any(c != 0 for c in da):
+                return None
+            alpha = Fraction(0)
+        if not 0 <= alpha <= 1:
+            return None
+        if any(alpha * ca + (1 - alpha) * cb != 0 for ca, cb in zip(da, db)):
+            return None
+        point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
+    else:
+        k = len(verts)
+        rows = [tuple(dot(kb, v) for v in verts) for kb in K]
+        rows.append(tuple(Fraction(1) for _ in range(k)))
+        lp = LinearProgram(
+            c=tuple(Fraction(0) for _ in range(k)),
+            a_eq=tuple(vec(r) for r in rows),
+            b_eq=vec([0] * len(K) + [1]),
+            lower=tuple(Fraction(0) for _ in range(k)),
+        )
+        alpha = lp_feasible(lp)
+        if alpha is None:
+            return None
+        point = tuple(sum((a * v[i] for a, v in zip(alpha, verts)), Fraction(0))
+                      for i in range(p))
+    return RowspaceIntersection(point, rowspace_preimage(X, point))
+
+
+_ENTRIES = st.sampled_from([Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)])
+
+
+@st.composite
+def small_designs(draw):
+    """n < p <= 4, small rational entries, often zero; sometimes a zero
+    column, and repeated rows make rank-deficient designs."""
+    p = draw(st.integers(2, 4))
+    n = draw(st.integers(1, p - 1))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=p, max_size=p), min_size=n, max_size=n))
+    zero_col = draw(st.none() | st.integers(0, p - 1))
+    if zero_col is not None:
+        rows = [[x if j != zero_col else Fraction(0) for j, x in enumerate(r)] for r in rows]
+    return RationalMatrix.from_rows(rows)
+
+
+def _sweep_norms(p):
+    norms = [
+        l1_norm(p, scale=Fraction(3, 2)),
+        sup_norm(p),
+        slope_norm([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)][:p]),
+    ]
+    if p <= 3:
+        # tied weights: brute-force hull faces, which take seconds to list at p = 4
+        norms.append(slope_norm([3, 3, 1][:p]))
+    return norms
+
+
+@given(small_designs())
+def test_integer_face_test_matches_fraction_reference(X):
+    r = rank(X)
+    K = kernel_basis(X)
+    kernel = DesignKernel(X)
+    for norm in _sweep_norms(X.ncols):
+        for face in _faces_beyond_rank(norm, r, None):
+            assert face_intersects_rowspace(face, X, kernel=kernel) == reference_face_test(face, X, K)
+
+
+def test_integer_face_test_edge_cases():
+    # a segment whose images agree and vanish (alpha 0) and one lying in
+    # row(X) along its whole length: the reference picks the second vertex
+    X = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    K = kernel_basis(X)
+    for face in (sign_to_cube_face((1, -1, 0), scale=Fraction(3, 2)),
+                 sign_to_crosspolytope_face((1, 0, 0)),
+                 hull_face([(1, 0, 0), (0, 1, 0)]),
+                 hull_face([(1, 2, 3)])):
+        got = face_intersects_rowspace(face, X)
+        assert got == reference_face_test(face, X, K)
+    assert face_intersects_rowspace(hull_face([(1, 2, 0), (3, 1, 0)]), X).point == (3, 1, 0)
+    # a design with no kernel takes the first vertex
+    full = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    seg = sign_to_cube_face((1, 0), scale=Fraction(1, 3))
+    assert face_intersects_rowspace(seg, full) == reference_face_test(seg, full, ())
+
+
+def test_design_kernel_is_primitive_and_memoized():
+    X = RationalMatrix.from_rows([[2, Fraction(1, 3), 0, 4], [0, 1, Fraction(1, 2), 0]])
+    kernel = DesignKernel(X)
+    assert kernel.basis == kernel_basis(X)
+    for kb, ib in zip(kernel.basis, kernel.integer_basis):
+        assert math.gcd(*ib) == 1
+        ratio = {Fraction(i) / f for i, f in zip(ib, kb) if f}
+        assert len(ratio) == 1 and ratio.pop() > 0
+    v = (3, -1, 2, 0)
+    img = kernel.image(v)
+    assert kernel.image(v) is img
+    assert img == tuple(sum(a * b for a, b in zip(ib, v)) for ib in kernel.integer_basis)
+    other = RationalMatrix.from_rows([[1, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        face_intersects_rowspace(sign_to_cube_face((1, 1, 0, 0)), other, kernel=kernel)
+
+
+def test_integer_vertices_scale_and_cap():
+    f = model_to_face((2, 1, 0), (Fraction(5, 2), Fraction(3, 2), Fraction(1, 3)))
+    verts = f.vertices()
+    ivs = f.integer_vertices()
+    assert len(ivs) == len(verts) == 2
+    assert all(all(isinstance(x, int) for x in v) for v in ivs)
+    assert ivs == tuple(tuple(int(6 * x) for x in v) for v in verts)
+    assert f.integer_vertices() is ivs
+    with pytest.raises(CapExceeded):
+        f.integer_vertices(cap=1)
 
 
 def test_hull_face_codims():
