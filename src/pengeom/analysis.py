@@ -5,13 +5,19 @@ minimizers for all responses, accessibility of sign vectors and of ordered
 sign/cluster models, certified non-uniqueness witnesses, response
 classification, projection onto the null set, and seeded genericity
 experiments over random designs.
+
+Every sweep reads its faces from norms.dual_ball_faces. Uniqueness and its
+basis-pursuit analogue share one sweep over the faces beyond rk(X) (bp
+sweeps the cube faces of the plain l1 norm) and differ only in the witness
+they build; the sign-vector and model accessibility tables share one route
+sweep and differ only in their response witnesses.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exact import (
@@ -25,35 +31,25 @@ from .exact import (
     vec,
 )
 from .geometry import (
-    BRUTE_FORCE_FACE_LIMIT,
-    DEFAULT_MODEL_LIMIT,
-    DEFAULT_SIGN_LIMIT,
     DEFAULT_VERTEX_CAP,
     CapExceeded,
     DesignKernel,
     Face,
-    enumerate_exposed_faces,
-    enumerate_models,
     face_intersects_rowspace,
     model_of,
     model_to_face,
-    sign_to_crosspolytope_face,
-    sign_to_cube_face,
-    sign_vectors,
 )
 from .norms import (
-    L1,
-    SLOPE,
-    SUP,
     PolytopeNorm,
+    dual_ball_faces,
     dual_ball_membership,
-    dual_ball_vertices,
     l1_norm,
     norm_value,
     slope_norm,
     unit_sphere_sign_points,
 )
 from .solvers import (
+    Solution,
     SolverOptions,
     bp_certificate_holds,
     kkt_certify,
@@ -138,58 +134,28 @@ class UniquenessReport:
         }
 
 
-@functools.lru_cache(maxsize=128)
-def _cube_faces_beyond(p, r, scale, limit):
-    buckets = {}
-    for s in sign_vectors(p, limit):
-        c = sum(1 for t in s if t)
-        if c > r:
-            buckets.setdefault(c, []).append(s)
-    out = []
-    for c in sorted(buckets):
-        for s in buckets[c]:
-            out.append(sign_to_cube_face(s, scale))
-    return tuple(out)
-
-
-def _faces_beyond_rank_uncached(norm: PolytopeNorm, r: int, limit: int | None):
-    """Proper dual-ball faces with codimension > r, ascending codimension,
-    deterministic label order within each level."""
-    p = norm.dim
-    if norm.kind == L1:
-        yield from _cube_faces_beyond(p, r, norm.scale, limit or DEFAULT_SIGN_LIMIT)
-    elif norm.kind == SUP:
-        buckets = {}
-        for s in sign_vectors(p, limit or DEFAULT_SIGN_LIMIT):
-            supp = sum(1 for t in s if t)
-            if supp == 0:
-                continue
-            c = p - supp + 1
-            if c > r:
-                buckets.setdefault(c, []).append(s)
-        for c in sorted(buckets):
-            for s in buckets[c]:
-                yield sign_to_crosspolytope_face(s)
-    elif norm.weights.strict:
-        for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT):
-            if max(abs(t) for t in m) > r:
-                yield model_to_face(m, norm.weights)
-    else:
-        # tied or zero weights break the model bijection; fall back to
-        # brute-force exposed-face enumeration of the dual ball
-        if p > BRUTE_FORCE_FACE_LIMIT:
-            raise CapExceeded(
-                f"degenerate weights need brute-force faces, capped at p <= {BRUTE_FORCE_FACE_LIMIT}"
-            )
-        faces = [f for f in enumerate_exposed_faces(dual_ball_vertices(norm)) if f.codim > r]
-        faces.sort(key=lambda f: f.codim)
-        yield from faces
-
-
 @functools.lru_cache(maxsize=64)
 def _faces_beyond_rank(norm: PolytopeNorm, r: int, limit: int | None) -> tuple[Face, ...]:
-    # Monte Carlo sweeps reuse the same face list across hundreds of designs
-    return tuple(_faces_beyond_rank_uncached(norm, r, limit))
+    """Dual-ball faces of codimension > r in ascending codimension, label
+    order within each level. Monte Carlo sweeps reuse the same list across
+    hundreds of designs."""
+    return tuple(sorted(dual_ball_faces(norm, limit, r + 1), key=lambda f: f.codim))
+
+
+def _uniqueness_sweep(X, norm, mode, limit, vertex_cap, witness) -> UniquenessReport:
+    """Sweep the faces of norm's dual ball beyond rk(X) against row(X); the
+    first face that meets it is passed with its hit to witness(face, hit).
+    The report names norm only in penalized mode."""
+    shown = norm if mode == "penalized" else None
+    r = rank(X)
+    if r == X.ncols:
+        return UniquenessReport(True, r, mode, shown)
+    kernel = DesignKernel(X)
+    for face in _faces_beyond_rank(norm, r, limit):
+        hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
+        if hit is not None:
+            return UniquenessReport(False, r, mode, shown, face, witness(face, hit))
+    return UniquenessReport(True, r, mode, shown)
 
 
 def _combine(points, coeffs) -> Vector:
@@ -263,16 +229,10 @@ def check_uniqueness(
     """
     if norm.dim != X.ncols:
         raise ValueError("norm dimension does not match the matrix")
-    r = rank(X)
-    if r == X.ncols:
-        return UniquenessReport(True, r, "penalized", norm)
-    kernel = DesignKernel(X)
-    for face in _faces_beyond_rank(norm, r, limit):
-        hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
-        if hit is not None:
-            witness = _penalized_witness(X, norm, face, hit)
-            return UniquenessReport(False, r, "penalized", norm, face, witness)
-    return UniquenessReport(True, r, "penalized", norm)
+    return _uniqueness_sweep(
+        X, norm, "penalized", limit, vertex_cap,
+        lambda face, hit: _penalized_witness(X, norm, face, hit),
+    )
 
 
 def _bp_witness(X, face, hit) -> NonUniquenessWitness:
@@ -307,16 +267,9 @@ def check_uniqueness_bp(
 ) -> UniquenessReport:
     """Equality-constrained l1 analogue of check_uniqueness: sweeps unit-cube
     faces of codimension above rk(X) against row(X)."""
-    r = rank(X)
-    if r == X.ncols:
-        return UniquenessReport(True, r, "bp", None)
-    kernel = DesignKernel(X)
-    for face in _cube_faces_beyond(X.ncols, r, 1, limit or DEFAULT_SIGN_LIMIT):
-        hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
-        if hit is not None:
-            witness = _bp_witness(X, face, hit)
-            return UniquenessReport(False, r, "bp", None, face, witness)
-    return UniquenessReport(True, r, "bp", None)
+    return _uniqueness_sweep(
+        X, l1_norm(X.ncols), "bp", limit, vertex_cap, lambda face, hit: _bp_witness(X, face, hit)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +309,43 @@ def _check_route(route):
         raise ValueError(f"unknown route {route!r}")
 
 
+def _route_sweep(X, norm, kind, route, limit, vertex_cap):
+    """One AccessibilityReport per labeled dual-ball face of norm, in label
+    order, without response witnesses.
+
+    The geometric route intersects the face with row(X); the analytic route
+    compares the minimum of the norm over the fiber {b : Xb = X pattern}
+    against the pattern's own value. With route both, the two are
+    cross-checked and any disagreement raises.
+    """
+    kernel = DesignKernel(X)
+    for face in dual_ball_faces(norm, limit):
+        pattern = face.pattern
+        point = vec(pattern)
+        pattern_norm = norm_value(norm, point)
+        hit = None
+        geometric_hit = None
+        analytic_value = None
+        if route in (GEOMETRIC, BOTH):
+            hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
+            geometric_hit = hit is not None
+        if route in (ANALYTIC, BOTH):
+            analytic_value = norm_min_subject_to(X, point, norm)[0]
+        if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
+            raise AssertionError(f"route disagreement at {pattern}")
+        accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm
+        yield AccessibilityReport(
+            pattern,
+            kind,
+            bool(accessible),
+            geometric_hit,
+            analytic_value,
+            pattern_norm,
+            hit.z if hit is not None else None,
+            None,
+        )
+
+
 def accessible_sign_vectors(
     X: RationalMatrix,
     route: str = BOTH,
@@ -375,50 +365,22 @@ def accessible_sign_vectors(
     lam = parse_rational(lam) if not isinstance(lam, Fraction) else lam
     if lam <= 0:
         raise ValueError("penalty scale must be positive")
-    p = X.ncols
-    kernel = DesignKernel(X)
-    plain = l1_norm(p)
-    scaled = l1_norm(p, scale=lam)
+    scaled = l1_norm(X.ncols, scale=lam)
     out = []
-    for sigma in sign_vectors(p, limit or DEFAULT_SIGN_LIMIT):
-        pattern_norm = Fraction(sum(1 for t in sigma if t))
-        hit = None
-        geometric_hit = None
-        analytic_value = None
-        if route in (GEOMETRIC, BOTH):
-            face = sign_to_cube_face(sigma, 1)
-            hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
-            geometric_hit = hit is not None
-        if route in (ANALYTIC, BOTH):
-            analytic_value = norm_min_subject_to(X, vec(sigma), plain)[0]
-        if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
-            raise AssertionError(f"route disagreement at {sigma}")
-        accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm
-        z = hit.z if hit is not None else None
-        response = None
-        response_bp = None
-        if accessible:
-            point = vec(sigma)
+    for report in _route_sweep(X, l1_norm(X.ncols), "sign", route, limit, vertex_cap):
+        if report.accessible:
+            point = vec(report.pattern)
             response_bp = X.matvec(point)
+            z = report.dual_witness
+            response = None
             if z is not None:
                 response = tuple(lam * a + b for a, b in zip(z, response_bp))
                 if not kkt_certify(X, response, point, scaled).passed:
                     raise AssertionError("response witness failed certification")
                 if not bp_certificate_holds(X, point, z):
                     raise AssertionError("shared dual vector must certify the pattern")
-        out.append(
-            AccessibilityReport(
-                tuple(sigma),
-                "sign",
-                bool(accessible),
-                geometric_hit,
-                analytic_value,
-                pattern_norm,
-                z,
-                response,
-                response_bp,
-            )
-        )
+            report = replace(report, response_witness=response, response_witness_bp=response_bp)
+        out.append(report)
     return out
 
 
@@ -436,50 +398,32 @@ def accessible_slope_models(
     norm = slope_norm(weights)
     if norm.dim != X.ncols:
         raise ValueError("weight vector length does not match the matrix")
-    w = norm.weights
-    if not w.strict:
+    if not norm.weights.strict:
         raise ValueError("model sweep requires strictly decreasing positive weights")
-    p = X.ncols
-    kernel = DesignKernel(X)
     out = []
-    for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT):
-        pattern_norm = norm_value(norm, vec(m))
-        hit = None
-        geometric_hit = None
-        analytic_value = None
-        if route in (GEOMETRIC, BOTH):
-            face = model_to_face(m, w)
-            hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
-            geometric_hit = hit is not None
-        if route in (ANALYTIC, BOTH):
-            analytic_value = norm_min_subject_to(X, vec(m), norm)[0]
-        if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
-            raise AssertionError(f"route disagreement at {m}")
-        accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm
-        z = hit.z if hit is not None else None
-        response = None
-        if accessible and z is not None:
-            point = vec(m)
+    for report in _route_sweep(X, norm, "model", route, limit, vertex_cap):
+        z = report.dual_witness
+        if report.accessible and z is not None:
+            point = vec(report.pattern)
             response = tuple(a + b for a, b in zip(z, X.matvec(point)))
             if not kkt_certify(X, response, point, norm).passed:
                 raise AssertionError("response witness failed certification")
-        out.append(
-            AccessibilityReport(
-                tuple(m),
-                "model",
-                bool(accessible),
-                geometric_hit,
-                analytic_value,
-                pattern_norm,
-                z,
-                response,
-            )
-        )
+            report = replace(report, response_witness=response)
+        out.append(report)
     return out
 
 
 # ---------------------------------------------------------------------------
 # response classification and null-set projection
+
+
+class UncertifiedSolve(RuntimeError):
+    """The solve stopped without a certificate; `solution` holds the
+    uncertified Solution, so a caller can report it without solving again."""
+
+    def __init__(self, message: str, solution: Solution):
+        super().__init__(message)
+        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -537,8 +481,9 @@ def classify_response(
         return Classification(m, tuple([Fraction(0)] * X.ncols), exact_y, face, obj, amb, cert)
     sol = solve_penalized(X, y, norm, options)
     if not sol.converged:
-        raise RuntimeError(
-            f"solver failed to certify at tol {options.tol} within {options.max_iter} iterations"
+        raise UncertifiedSolve(
+            f"solver failed to certify at tol {options.tol} within {options.max_iter} iterations",
+            sol,
         )
     m = model_of(sol.point, tol=cluster_tol)
     Xf = X.to_float_array() if isinstance(X, RationalMatrix) else X
@@ -565,7 +510,7 @@ def null_set_projection(X, norm: PolytopeNorm, y, options: SolverOptions = Solve
         return exact_y
     sol = solve_penalized(X, y, norm, options)
     if not sol.converged:
-        raise RuntimeError("projection requires a certified solve")
+        raise UncertifiedSolve("projection requires a certified solve", sol)
     Xf = X.to_float_array() if isinstance(X, RationalMatrix) else X
     fitted = Xf @ [float(t) for t in sol.point]
     return tuple(float(t) - f for t, f in zip(y, fitted))

@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 
 from .analysis import (
+    UncertifiedSolve,
     _certificate_dict,
     _json_scalar,
     accessible_sign_vectors,
@@ -29,7 +30,7 @@ from .analysis import (
 from .exact import load_matrix, parse_rational, rank, rat_str, vec
 from .geometry import CapExceeded, enumerate_models, model_of
 from .norms import SLOPE, PolytopeNorm, dual_ball_membership, l1_norm, slope_norm, sup_norm
-from .solvers import SolverOptions, solve_bp, solve_penalized
+from .solvers import solve_bp, solve_penalized
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -75,7 +76,10 @@ def _pattern_limit(args, family: str) -> int | None:
     return _env_cap(family)
 
 
-def _analysis_caps(args, family: str) -> dict:
+def _analysis_caps(args, norm: PolytopeNorm | None) -> dict:
+    """limit and vertex_cap for a sweep over the dual-ball faces of norm
+    (None: basis pursuit, whose faces are labeled by sign vectors)."""
+    family = "models" if norm is not None and norm.kind == SLOPE else "signs"
     caps = {"limit": _pattern_limit(args, family)}
     vcap = _env_cap("vertices")
     if vcap is not None:
@@ -159,12 +163,11 @@ def cmd_uniqueness(args) -> int:
     X = _load_required_matrix(args)
     if args.mode == "bp":
         _forbid_norm_flags(args, "bp mode fixes the l1 norm; drop --norm/--weights/--lambda")
-        report = check_uniqueness_bp(X, **_analysis_caps(args, "signs"))
+        report = check_uniqueness_bp(X, **_analysis_caps(args, None))
         norm = None
     else:
         norm = _build_norm(args, X.ncols)
-        family = "models" if norm.kind == SLOPE else "signs"
-        report = check_uniqueness(X, norm, **_analysis_caps(args, family))
+        report = check_uniqueness(X, norm, **_analysis_caps(args, norm))
     payload = {
         "command": "uniqueness",
         "inputs": _echo_inputs(args, X=X, norm=norm),
@@ -180,12 +183,11 @@ def cmd_accessible(args) -> int:
     if args.norm == "sup":
         raise CliError("accessibility sweeps exist for the l1 and slope norms")
     norm = _build_norm(args, X.ncols)
+    caps = _analysis_caps(args, norm)
     if norm.kind == SLOPE:
-        reports = accessible_slope_models(X, args.weights, **_analysis_caps(args, "models"))
+        reports = accessible_slope_models(X, args.weights, **caps)
     else:
-        reports = accessible_sign_vectors(
-            X, lam=norm.scale, **_analysis_caps(args, "signs")
-        )
+        reports = accessible_sign_vectors(X, lam=norm.scale, **caps)
     payload = {
         "command": "accessible",
         "inputs": _echo_inputs(args, X=X, norm=norm),
@@ -240,9 +242,8 @@ def cmd_solve(args) -> int:
     if norm.kind == SLOPE and norm.weights.strict:
         try:
             cls = classify_response(X, norm.weights.values, y)
-        except RuntimeError:
-            sol = solve_penalized(X, y, norm)  # dump the uncertified iterate
-            payload["result"] = _float_solution_payload(X, y, sol, norm)
+        except UncertifiedSolve as exc:  # dump the uncertified iterate
+            payload["result"] = _float_solution_payload(X, y, exc.solution, norm)
             _emit_json(args, payload)
             return EXIT_NEGATIVE
         payload["result"] = cls.to_json_dict()
@@ -324,7 +325,6 @@ def cmd_genericity(args) -> int:
     else:
         norm = _build_norm(args, args.cols)
         mode = "penalized"
-    family = "models" if norm is not None and norm.kind == SLOPE else "signs"
     report = genericity_experiment(
         args.rows,
         args.cols,
@@ -332,7 +332,7 @@ def cmd_genericity(args) -> int:
         mode=mode,
         trials=args.trials,
         seed=args.seed,
-        **_analysis_caps(args, family),
+        **_analysis_caps(args, norm),
     )
     if fmt == "csv":
         lines = ["trial,unique"]

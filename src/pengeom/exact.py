@@ -224,14 +224,6 @@ def solve_exact(M: RationalMatrix, b: Sequence) -> Vector | None:
     return tuple(x)
 
 
-def rowspace_membership(M: RationalMatrix, v: Sequence) -> bool:
-    """Exact test v in row(M)."""
-    vv = vec(v)
-    if len(vv) != M.ncols:
-        raise ValueError("dimension mismatch")
-    return rank(RationalMatrix(M.rows + (vv,))) == rank(M)
-
-
 def rowspace_preimage(M: RationalMatrix, v: Sequence) -> Vector | None:
     """z with M'z = v, or None when v is outside row(M)."""
     return solve_exact(M.transpose(), v)
@@ -246,13 +238,6 @@ def parse_rational(token: str) -> Fraction:
         return rat(token)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"bad rational literal {token!r}: {e}") from None
-
-
-def parse_vector_text(text: str) -> Vector:
-    toks = [t for t in text.replace(",", " ").split() if t]
-    if not toks:
-        raise ValueError("empty vector")
-    return tuple(parse_rational(t) for t in toks)
 
 
 def parse_matrix_csv(text: str) -> RationalMatrix:

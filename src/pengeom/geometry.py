@@ -147,31 +147,6 @@ class SignedPermutation:
             raise ValueError("dimension mismatch")
         return tuple(s * x[p] for s, p in zip(self.signs, self.perm))
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other: compose(g).apply(x) == self.apply(other.apply(x))."""
-        return SignedPermutation(
-            tuple(self.signs[j] * other.signs[self.perm[j]] for j in range(self.dim)),
-            tuple(other.perm[self.perm[j]] for j in range(self.dim)),
-        )
-
-    def invert(self) -> "SignedPermutation":
-        q = [0] * self.dim
-        for j, pj in enumerate(self.perm):
-            q[pj] = j
-        return SignedPermutation(tuple(self.signs[q[i]] for i in range(self.dim)), tuple(q))
-
-    @classmethod
-    def identity(cls, p: int) -> "SignedPermutation":
-        return cls(tuple([1] * p), tuple(range(p)))
-
-    @classmethod
-    def sorting(cls, x: Sequence) -> "SignedPermutation":
-        """A map taking x to its magnitude-sorted nonnegative rearrangement
-        (descending). Ties break by original index, zeros keep sign +1."""
-        order = sorted(range(len(x)), key=lambda j: (-abs(x[j]), j))
-        signs = tuple(-1 if x[j] < 0 else 1 for j in order)
-        return cls(signs, tuple(order))
-
 
 def signed_permutations(p: int) -> Iterator[SignedPermutation]:
     for perm in itertools.permutations(range(p)):
@@ -211,6 +186,12 @@ class Face:
     blocks: tuple[Block, ...] = ()
     signs: tuple[int, ...] | None = None
     hull: tuple[Vector, ...] = ()
+
+    @property
+    def pattern(self) -> tuple[int, ...] | None:
+        """The label of the face: its sign vector (box, crosspoly) or its
+        model (signperm); None for a hull face."""
+        return self.sign_vector if self.model is None else self.model
 
     def contains_zero(self) -> bool:
         if self.kind == "box":

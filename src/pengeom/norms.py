@@ -1,5 +1,12 @@
 """Polytope norms: scaled l1, supremum, and sorted-l1 (SLOPE), with exact
-dual norms and subdifferential faces of the dual ball.
+dual norms, subdifferential faces of the dual ball, and the face table of
+the dual ball.
+
+dual_ball_faces is the one list of dual-ball faces: the uniqueness,
+basis-pursuit, accessibility and SVG sweeps all read it. Cube and
+cross-polytope faces are labeled by sign vectors, sign-permutohedron faces of
+strict weights by models; tied or zero slope weights fall back to the
+brute-force exposed faces, which carry no label.
 
 Values are duck-typed: Fraction inputs give exact rationals, float inputs
 give floats. Face construction is exact-only.
@@ -15,12 +22,19 @@ from typing import Sequence
 
 from .exact import Vector, rat, vec
 from .geometry import (
+    BRUTE_FORCE_FACE_LIMIT,
+    DEFAULT_MODEL_LIMIT,
+    DEFAULT_SIGN_LIMIT,
+    CapExceeded,
     Face,
+    enumerate_exposed_faces,
+    enumerate_models,
     hull_face,
     model_of,
     model_to_face,
     sign_to_crosspolytope_face,
     sign_to_cube_face,
+    sign_vectors,
     signed_permutations,
 )
 
@@ -158,6 +172,63 @@ def dual_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
     for g in signed_permutations(p):
         seen.setdefault(g.apply(norm.weights.values))
     return tuple(seen)
+
+
+def dual_ball_faces(
+    norm: PolytopeNorm, limit: int | None = None, min_codim: int = 0
+) -> tuple[Face, ...]:
+    """The faces of the dual unit ball with codimension >= min_codim, in
+    label order (face.pattern is the label).
+
+    l1 cube and sup cross-polytope faces: one per sign vector of
+    sign_vectors(p, limit or DEFAULT_SIGN_LIMIT). Strict slope weights: one
+    sign-permutohedron face per model of enumerate_models(p, limit or
+    DEFAULT_MODEL_LIMIT). A label whose codimension is below min_codim is
+    skipped before its face is built. Tied or zero slope weights break the
+    model bijection: their faces are the brute-force exposed faces in
+    enumerate_exposed_faces order, listed once per norm, and limit does not
+    apply to them.
+    """
+    p = norm.dim
+    if norm.kind == SLOPE:
+        if not norm.weights.strict:
+            return tuple(f for f in _exposed_faces(norm) if f.codim >= min_codim)
+        w = norm.weights.values
+        return tuple(
+            model_to_face(m, w)
+            for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
+            if max(abs(t) for t in m) >= min_codim
+        )
+    signs = sign_vectors(p, limit or DEFAULT_SIGN_LIMIT)
+    if norm.kind == L1:
+        return tuple(
+            sign_to_cube_face(s, norm.scale) for s in signs if _support(s) >= min_codim
+        )
+    return tuple(
+        sign_to_crosspolytope_face(s) for s in signs if _crosspolytope_codim(s) >= min_codim
+    )
+
+
+def _support(sigma) -> int:
+    return sum(1 for t in sigma if t)
+
+
+def _crosspolytope_codim(sigma) -> int:
+    # the face of sigma != 0 is the simplex on its supp(sigma) signed unit
+    # vectors; sigma = 0 labels the whole cross-polytope
+    k = _support(sigma)
+    return len(sigma) - k + 1 if k else 0
+
+
+@functools.lru_cache(maxsize=8)
+def _exposed_faces(norm: PolytopeNorm) -> tuple[Face, ...]:
+    # the grid search takes about 2 s at p = 4, and a uniqueness question
+    # asks for the faces of one norm at each rank
+    if norm.dim > BRUTE_FORCE_FACE_LIMIT:
+        raise CapExceeded(
+            f"degenerate weights need brute-force faces, capped at p <= {BRUTE_FORCE_FACE_LIMIT}"
+        )
+    return tuple(enumerate_exposed_faces(dual_ball_vertices(norm)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,6 +1,10 @@
 """Static SVG diagrams: 2-D dual balls with row-space lines, and the
 response-space region whose penalized minimizer is zero.
 
+Face labels come from the face table norms.dual_ball_faces: each proper face
+is labeled by its sign vector or model, and a boundary point by the smallest
+labeled face containing it. Tied or zero slope weights have no labels.
+
 Everything is drawn from exact rational geometry and formatted with fixed
 precision, so a given input always produces byte-identical output.
 """
@@ -13,19 +17,13 @@ from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .exact import RationalMatrix, dot, rank, rat_str, vec
-from .geometry import (
-    Face,
-    enumerate_models,
-    model_to_face,
-    sign_to_cube_face,
-    sign_to_crosspolytope_face,
-    sign_vectors,
-)
+from .geometry import Face
 from .norms import (
     L1,
     SLOPE,
     SUP,
     PolytopeNorm,
+    dual_ball_faces,
     dual_ball_vertices,
     dual_norm_value,
     norm_value,
@@ -54,22 +52,14 @@ def _ccw(points: Sequence[Vector]) -> list[Vector]:
 
 def _pattern_faces(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], Face, Vector]]:
     """Proper dual-ball faces keyed by their sign/model pattern, with the
-    primal unit-sphere point exposing each."""
+    primal unit-sphere point exposing each. The faces of tied or zero slope
+    weights carry no pattern and are left out."""
     out = []
-    if norm.kind == SLOPE and not norm.weights.strict:
-        return out
-    if norm.kind == SLOPE:
-        patterns = [m for m in enumerate_models(norm.dim) if any(m)]
-        faces = [model_to_face(m, norm.weights.values) for m in patterns]
-    elif norm.kind == L1:
-        patterns = [s for s in sign_vectors(norm.dim) if any(s)]
-        faces = [sign_to_cube_face(s, scale=norm.scale) for s in patterns]
-    else:
-        patterns = [s for s in sign_vectors(norm.dim) if any(s)]
-        faces = [sign_to_crosspolytope_face(s) for s in patterns]
-    for pattern, face in zip(patterns, faces):
-        nv = norm_value(norm, vec(pattern))
-        out.append((pattern, face, tuple(Fraction(t) / nv for t in pattern)))
+    for face in dual_ball_faces(norm, min_codim=1):
+        pattern = face.pattern
+        if pattern is not None:
+            nv = norm_value(norm, vec(pattern))
+            out.append((pattern, face, tuple(Fraction(t) / nv for t in pattern)))
     return out
 
 

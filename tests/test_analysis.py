@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pengeom.analysis as analysis_module
+import pengeom.norms as norms_module
 from pengeom.analysis import (
     ANALYTIC,
     GEOMETRIC,
     AccessibilityReport,
+    UncertifiedSolve,
     accessible_sign_vectors,
     accessible_slope_models,
     check_uniqueness,
@@ -29,7 +32,7 @@ from pengeom.norms import (
     sup_norm,
     unit_sphere_sign_points,
 )
-from pengeom.solvers import bp_certificate_holds, kkt_certify
+from pengeom.solvers import SolverOptions, bp_certificate_holds, kkt_certify
 
 DEMO_X = RationalMatrix.from_rows([[8, 5, 8], [10, Fraction(5, 4), -6]])
 DEMO_W = (Fraction(11, 2), Fraction(7, 2), Fraction(3, 2))
@@ -337,6 +340,19 @@ def test_null_set_projection_inside_is_identity():
     assert null_set_projection(DEMO_X, norm, y) == y
 
 
+def test_uncertified_solves_carry_their_solution():
+    y = (Fraction(20), Fraction(5))
+    short = SolverOptions(max_iter=3)
+    with pytest.raises(UncertifiedSolve, match="failed to certify") as exc:
+        classify_response(DEMO_X, DEMO_W, y, options=short)
+    with pytest.raises(UncertifiedSolve, match="requires a certified solve") as exc2:
+        null_set_projection(DEMO_X, slope_norm(DEMO_W), y, options=short)
+    for e in (exc, exc2):
+        sol = e.value.solution
+        assert not sol.converged and sol.iterations == 3
+        assert isinstance(e.value, RuntimeError)
+
+
 def test_null_set_projection_against_active_set_oracle():
     rng = random.Random(71)
     for _ in range(8):
@@ -478,3 +494,50 @@ def test_uniqueness_depends_only_on_the_row_space(pair, kind):
         a, b = check_uniqueness(X, norm), check_uniqueness(AX, norm)
     assert (a.unique_for_all_y, a.rank, a.offending_face) == (
         b.unique_for_all_y, b.rank, b.offending_face)
+
+
+@st.composite
+def small_designs(draw):
+    """n < p <= 4 with entries k/d, |k| <= 3; about half repeat a column up
+    to sign, which makes the l1 minimizer non-unique for some response."""
+    p = draw(st.integers(2, 4))
+    n = draw(st.integers(1, p - 1))
+    rows = draw(st.lists(st.lists(_SMALL, min_size=p, max_size=p), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(p)))[:2]
+        sign = draw(st.sampled_from((1, -1)))
+        for row in rows:
+            row[j] = sign * row[i]
+    return RationalMatrix.from_rows(rows)
+
+
+@given(small_designs())
+def test_bp_uniqueness_is_the_l1_cube_sweep(X):
+    # basis pursuit and the l1 penalty share the uniqueness condition: no
+    # cube face beyond rk(X) meets row(X)
+    bp = check_uniqueness_bp(X)
+    pen = check_uniqueness(X, l1_norm(X.ncols))
+    assert (bp.unique_for_all_y, bp.rank, bp.offending_face) == (
+        pen.unique_for_all_y, pen.rank, pen.offending_face)
+
+
+def test_tied_weight_faces_are_listed_once_per_norm(monkeypatch):
+    listed = []
+    real = norms_module.enumerate_exposed_faces
+    monkeypatch.setattr(norms_module, "enumerate_exposed_faces",
+                        lambda verts: listed.append(1) or real(verts))
+    norms_module._exposed_faces.cache_clear()
+    analysis_module._faces_beyond_rank.cache_clear()
+    norm = slope_norm([3, 3, 1, Fraction(1, 2)])
+    designs = (
+        [[1, 2, 3, 4]],
+        [[1, 0, 2, 1], [0, 1, 1, 3]],
+        [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]],
+    )
+    for r, rows in enumerate(designs, start=1):
+        X = RationalMatrix.from_rows(rows)
+        assert rank(X) == r
+        report = check_uniqueness(X, norm)
+        if not report.unique_for_all_y:
+            assert_valid_penalized_witness(X, norm, report)
+    assert len(listed) == 1

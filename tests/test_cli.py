@@ -1,10 +1,13 @@
 import json
 import re
+from dataclasses import replace
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from pengeom import analysis, cli
 from pengeom.cli import main
+from pengeom.solvers import SolverOptions, solve_penalized
 
 
 @pytest.fixture()
@@ -87,6 +90,26 @@ def test_solve_bp_and_outside_column_space(capsys, matrices, tmp_path):
                        "--response", "1,0")
     assert code == 2
     assert "error:" in err
+
+
+def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
+    # twenty iterations cannot certify at tol 1e-9: the report dumps the
+    # iterate of the one failed solve instead of solving again
+    calls = []
+
+    def capped(X, y, norm, options=SolverOptions()):
+        calls.append(y)
+        return solve_penalized(X, y, norm, replace(options, max_iter=20))
+
+    monkeypatch.setattr(analysis, "solve_penalized", capped)
+    monkeypatch.setattr(cli, "solve_penalized", capped)
+    code, out, _ = run(capsys, "solve", "--matrix", matrices["demo"], "--norm", "slope",
+                       "--weights", "5.5,3.5,1.5", "--response", "20,5")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["converged"] is False and result["iterations"] == 20
+    assert result["certificate"]["passed"] is False
+    assert len(calls) == 1
 
 
 def test_decompose_pattern_and_projection(capsys, matrices):

@@ -101,17 +101,9 @@ def test_signed_permutation_roundtrips():
         g = SignedPermutation(tuple(rng.choice((1, -1)) for _ in range(p)), tuple(perm))
         x = vec([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p)])
         y = vec([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p)])
-        assert g.invert().apply(g.apply(x)) == x
-        assert g.compose(g.invert()).apply(x) == x
         # orthogonality
         assert dot(g.apply(x), g.apply(y)) == dot(x, y)
         assert sorted(abs(v) for v in g.apply(x)) == sorted(abs(v) for v in x)
-
-
-def test_sorting_map():
-    x = vec(["3.1", "-1.2", "0", "-3.1"])
-    g = SignedPermutation.sorting(x)
-    assert g.apply(x) == vec(["3.1", "3.1", "1.2", "0"])
 
 
 def test_model_equivariance():

@@ -3,11 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+import pengeom.norms as norms_module
 from pengeom.exact import dot, vec
+from pengeom.geometry import (
+    CapExceeded,
+    enumerate_exposed_faces,
+    enumerate_models,
+    model_to_face,
+    sign_to_crosspolytope_face,
+    sign_to_cube_face,
+    sign_vectors,
+)
 from pengeom.lp import OPTIMAL, lp_solve, nonneg_lp
 from pengeom.norms import (
     PolytopeNorm,
     SlopeWeights,
+    dual_ball_faces,
     dual_ball_membership,
     dual_ball_vertices,
     dual_norm_value,
@@ -205,3 +216,46 @@ def test_float_paths():
     assert norm_value(W2, [1.0, -2.0]) == pytest.approx(8.5)
     assert dual_norm_value(sup_norm(2), [0.5, -0.25]) == pytest.approx(0.75)
     assert dual_norm_value(l1_norm(2, scale=2), [3.0, 1.0]) == pytest.approx(1.5)
+
+
+def _labeled_norms(p):
+    """(norm, labels, face of a label) for the three labeled families."""
+    strict = slope_norm([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)][:p])
+    return [
+        (l1_norm(p, scale=Fraction(3, 2)), list(sign_vectors(p)),
+         lambda s: sign_to_cube_face(s, scale=Fraction(3, 2))),
+        (sup_norm(p), list(sign_vectors(p)), sign_to_crosspolytope_face),
+        (strict, enumerate_models(p), lambda m: model_to_face(m, strict.weights.values)),
+    ]
+
+
+def test_dual_ball_faces_follow_the_labels():
+    for p in (1, 2, 3, 4):
+        for norm, labels, face_of in _labeled_norms(p):
+            faces = dual_ball_faces(norm)
+            assert [f.pattern for f in faces] == labels
+            assert faces == tuple(face_of(t) for t in labels)
+    assert dual_ball_faces(l1_norm(2), limit=2) == dual_ball_faces(l1_norm(2))
+    with pytest.raises(CapExceeded):
+        dual_ball_faces(sup_norm(3), limit=2)
+    with pytest.raises(CapExceeded):
+        dual_ball_faces(slope_norm([3, 2, 1]), limit=2)
+
+
+def test_dual_ball_faces_min_codim_matches_filtering(monkeypatch):
+    tied = [slope_norm([3, 3, 1]), slope_norm([2, 2]), slope_norm([2, 1, 0])]
+    for norm in tied:
+        full = dual_ball_faces(norm)
+        assert full == tuple(enumerate_exposed_faces(dual_ball_vertices(norm)))
+        assert all(f.pattern is None for f in full)
+    norms = [n for p in (1, 2, 3, 4) for n, _, _ in _labeled_norms(p)] + tied
+    for norm in norms:
+        full = dual_ball_faces(norm)
+        for c in range(norm.dim + 2):
+            assert dual_ball_faces(norm, min_codim=c) == tuple(f for f in full if f.codim >= c)
+    # labels below min_codim never become faces
+    built = []
+    real = norms_module.model_to_face
+    monkeypatch.setattr(norms_module, "model_to_face", lambda m, w: built.append(m) or real(m, w))
+    top = dual_ball_faces(slope_norm([4, 3, 2, 1]), min_codim=4)
+    assert len(top) == 2 ** 4 * 24 and len(built) == len(top)
