@@ -40,6 +40,7 @@ from .geometry import (
     model_to_face,
 )
 from .norms import (
+    SLOPE,
     PolytopeNorm,
     dual_ball_faces,
     dual_ball_membership,
@@ -448,50 +449,69 @@ class Classification:
         }
 
 
-def _exact_input(X, y):
-    if not isinstance(X, RationalMatrix):
-        return None
-    try:
-        return vec(y)
-    except TypeError:
-        return None
+# patterns read off a float iterate: magnitudes within this of each other
+# form one cluster, and within this of zero count as zero
+_PATTERN_TOL = 1e-6
 
 
-def classify_response(
-    X,
-    weights,
-    y,
-    options: SolverOptions = SolverOptions(),
-    cluster_tol: float = 1e-6,
-) -> Classification:
+@dataclass(frozen=True)
+class _Fit:
+    """One solve at y read as the paper reads it: the minimizer's pattern
+    (model for slope, sign vector otherwise) and the split y = fitted +
+    residual. Exact when solution.route is "exact", floats otherwise."""
+
+    solution: Solution
+    pattern: tuple[int, ...]
+    fitted: tuple
+    residual: tuple
+
+
+def _read_solve(X, y, norm: PolytopeNorm, sol: Solution) -> _Fit:
+    """The float read of a FISTA solution, certified or not."""
+    if norm.kind == SLOPE:
+        pattern = model_of(sol.point, tol=_PATTERN_TOL)
+    else:
+        pattern = tuple(0 if abs(v) <= _PATTERN_TOL else (1 if v > 0 else -1) for v in sol.point)
+    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else X
+    fitted = Xf @ [float(t) for t in sol.point]
+    residual = tuple(float(t) - f for t, f in zip(y, fitted))
+    return _Fit(sol, pattern, tuple(fitted), residual)
+
+
+def _fit(X, y, norm: PolytopeNorm, options: SolverOptions = SolverOptions()) -> _Fit:
+    """Solve at y and read the solution. A rational response whose X'y lies
+    in the dual ball has the zero minimizer, so it is fitted exactly and its
+    residual is y itself; any other response goes through FISTA."""
+    if isinstance(X, RationalMatrix):
+        try:
+            exact_y = vec(y)
+        except TypeError:  # float response
+            exact_y = None
+        if exact_y is not None and dual_ball_membership(norm, X.rmatvec(exact_y)):
+            zero = vec([0] * X.ncols)
+            cert = kkt_certify(X, exact_y, zero, norm)
+            sol = Solution(zero, dot(exact_y, exact_y) / 2, "exact", cert)
+            return _Fit(sol, (0,) * X.ncols, vec([0] * X.nrows), exact_y)
+    return _read_solve(X, y, norm, solve_penalized(X, y, norm, options))
+
+
+def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -> Classification:
     """Solve at y, read off the solution's model, and decompose y into fit
     plus residual. The ambiguity flag records whether the design admits
     non-unique minimizers at all (None when that check is out of reach)."""
     norm = slope_norm(weights)
-    w = norm.weights
-    exact_y = _exact_input(X, y)
-    if exact_y is not None and dual_ball_membership(norm, X.rmatvec(exact_y)):
-        # response inside the null set: zero is optimal and the residual is
-        # the response itself, exactly
-        m = tuple([0] * X.ncols)
-        cert = kkt_certify(X, exact_y, vec([0] * X.ncols), norm)
-        face = model_to_face(m, w)
-        amb = _ambiguity_flag(X, norm)
-        obj = dot(exact_y, exact_y) / 2
-        return Classification(m, tuple([Fraction(0)] * X.ncols), exact_y, face, obj, amb, cert)
-    sol = solve_penalized(X, y, norm, options)
+    fit = _fit(X, y, norm, options)
+    sol = fit.solution
     if not sol.converged:
         raise UncertifiedSolve(
             f"solver failed to certify at tol {options.tol} within {options.max_iter} iterations",
             sol,
         )
-    m = model_of(sol.point, tol=cluster_tol)
-    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else X
-    fitted = Xf @ [float(t) for t in sol.point]
-    residual = tuple(float(t) - f for t, f in zip(y, fitted))
-    face = model_to_face(m, w)
+    face = model_to_face(fit.pattern, norm.weights)
     amb = _ambiguity_flag(X, norm) if isinstance(X, RationalMatrix) else None
-    return Classification(m, sol.point, residual, face, sol.objective, amb, sol.certificate)
+    return Classification(
+        fit.pattern, sol.point, fit.residual, face, sol.objective, amb, sol.certificate
+    )
 
 
 def _ambiguity_flag(X, norm):
@@ -505,15 +525,10 @@ def null_set_projection(X, norm: PolytopeNorm, y, options: SolverOptions = Solve
     """Residual of the certified solve, which is the Euclidean projection of
     the response onto {u : the dual norm of X'u is at most 1}. Responses
     already inside that set come back unchanged."""
-    exact_y = _exact_input(X, y)
-    if exact_y is not None and dual_ball_membership(norm, X.rmatvec(exact_y)):
-        return exact_y
-    sol = solve_penalized(X, y, norm, options)
-    if not sol.converged:
-        raise UncertifiedSolve("projection requires a certified solve", sol)
-    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else X
-    fitted = Xf @ [float(t) for t in sol.point]
-    return tuple(float(t) - f for t, f in zip(y, fitted))
+    fit = _fit(X, y, norm, options)
+    if not fit.solution.converged:
+        raise UncertifiedSolve("projection requires a certified solve", fit.solution)
+    return fit.residual
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from fractions import Fraction
 from .analysis import (
     UncertifiedSolve,
     _certificate_dict,
+    _fit,
     _json_scalar,
+    _read_solve,
     accessible_sign_vectors,
     accessible_slope_models,
     check_uniqueness,
@@ -28,8 +30,8 @@ from .analysis import (
     genericity_experiment,
 )
 from .exact import load_matrix, parse_rational, rank, rat_str, vec
-from .geometry import CapExceeded, enumerate_models, model_of
-from .norms import SLOPE, PolytopeNorm, dual_ball_membership, l1_norm, slope_norm, sup_norm
+from .geometry import CapExceeded, enumerate_models
+from .norms import SLOPE, PolytopeNorm, l1_norm, slope_norm, sup_norm
 from .solvers import solve_bp, solve_penalized
 
 EXIT_OK = 0
@@ -199,18 +201,13 @@ def cmd_accessible(args) -> int:
     return EXIT_OK
 
 
-def _float_solution_payload(X, y, sol, norm) -> dict:
-    fitted = X.to_float_array() @ [float(v) for v in sol.point]
-    residual = [float(t) - f for t, f in zip(y, fitted)]
-    if norm.kind == SLOPE:
-        pattern = model_of(sol.point, tol=1e-6)
-    else:
-        pattern = tuple(0 if abs(v) <= 1e-6 else (1 if v > 0 else -1) for v in sol.point)
+def _solve_payload(fit) -> dict:
+    sol = fit.solution
     return {
         "solution": [float(v) for v in sol.point],
         "objective": float(sol.objective),
-        "pattern": list(pattern),
-        "residual": [float(v) for v in residual],
+        "pattern": list(fit.pattern),
+        "residual": [float(v) for v in fit.residual],
         "route": sol.route,
         "iterations": sol.iterations,
         "converged": sol.converged,
@@ -243,16 +240,17 @@ def cmd_solve(args) -> int:
         try:
             cls = classify_response(X, norm.weights.values, y)
         except UncertifiedSolve as exc:  # dump the uncertified iterate
-            payload["result"] = _float_solution_payload(X, y, exc.solution, norm)
+            payload["result"] = _solve_payload(_read_solve(X, y, norm, exc.solution))
             _emit_json(args, payload)
             return EXIT_NEGATIVE
         payload["result"] = cls.to_json_dict()
         _emit_json(args, payload)
         return EXIT_OK
-    sol = solve_penalized(X, y, norm)
-    payload["result"] = _float_solution_payload(X, y, sol, norm)
+    # l1, sup and tied slope: always the float solve, even at a zero fit
+    fit = _read_solve(X, y, norm, solve_penalized(X, y, norm))
+    payload["result"] = _solve_payload(fit)
     _emit_json(args, payload)
-    return EXIT_OK if sol.converged else EXIT_NEGATIVE
+    return EXIT_OK if fit.solution.converged else EXIT_NEGATIVE
 
 
 def cmd_decompose(args) -> int:
@@ -265,33 +263,20 @@ def cmd_decompose(args) -> int:
         raise CliError(f"response has {len(y)} entries for {X.nrows} rows")
     norm = _build_norm(args, X.ncols)
     payload: dict = {"command": "decompose", "inputs": _echo_inputs(args, X=X, norm=norm, y=y)}
-    if dual_ball_membership(norm, X.rmatvec(y)):
-        # response already inside the zero-solution region: nothing to fit
-        result = {
-            "projection": [rat_str(t) for t in y],
-            "fitted": [rat_str(Fraction(0)) for _ in y],
-            "pattern": [0] * X.ncols,
-            "exact": True,
-        }
-        payload["result"] = result
-        _emit_json(args, payload)
-        return EXIT_OK
-    sol = solve_penalized(X, y, norm)
-    fitted = X.to_float_array() @ [float(v) for v in sol.point]
-    projection = [float(t) - f for t, f in zip(y, fitted)]
-    if norm.kind == SLOPE:
-        pattern = model_of(sol.point, tol=1e-6)
-    else:
-        pattern = tuple(0 if abs(v) <= 1e-6 else (1 if v > 0 else -1) for v in sol.point)
-    payload["result"] = {
-        "projection": [float(v) for v in projection],
-        "fitted": [float(v) for v in fitted],
-        "pattern": list(pattern),
-        "exact": False,
-        "certificate": _certificate_dict(sol.certificate),
+    fit = _fit(X, y, norm)
+    exact = fit.solution.route == "exact"  # y inside the zero-solution region
+    show = rat_str if exact else float
+    result = {
+        "projection": [show(t) for t in fit.residual],
+        "fitted": [show(t) for t in fit.fitted],
+        "pattern": list(fit.pattern),
+        "exact": exact,
     }
+    if not exact:
+        result["certificate"] = _certificate_dict(fit.solution.certificate)
+    payload["result"] = result
     _emit_json(args, payload)
-    return EXIT_OK if sol.converged else EXIT_NEGATIVE
+    return EXIT_OK if fit.solution.converged else EXIT_NEGATIVE
 
 
 def cmd_models(args) -> int:

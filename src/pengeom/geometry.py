@@ -200,7 +200,7 @@ class Face:
             return all(s == 0 for s in self.sign_vector)
         if self.kind == "signperm":
             return all(v == 0 for v in self.model)
-        return _hull_contains_zero(self.hull)
+        return _convex_zero_weights(self.hull) is not None
 
     def vertex_count(self) -> int:
         if self.kind == "box":
@@ -321,19 +321,21 @@ def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     return face._materialize()
 
 
-def _hull_contains_zero(verts: tuple[Vector, ...]) -> bool:
-    k = len(verts)
-    p = len(verts[0])
-    rows = [tuple(v[i] for v in verts) for i in range(p)]
+def _convex_zero_weights(columns: Sequence[Vector]) -> Vector | None:
+    """Convex weights alpha >= 0, sum(alpha) = 1, with sum_i alpha_i columns[i]
+    = 0, or None when 0 is outside the hull of the columns. The LP rows are
+    the coordinates in order, then the sum row, so Bland's rule returns the
+    same alpha on every call."""
+    k = len(columns)
+    rows = [vec(r) for r in zip(*columns)]
     rows.append(tuple(Fraction(1) for _ in range(k)))
-    rhs = [Fraction(0)] * p + [Fraction(1)]
     lp = LinearProgram(
         c=tuple(Fraction(0) for _ in range(k)),
-        a_eq=tuple(vec(r) for r in rows),
-        b_eq=vec(rhs),
+        a_eq=tuple(rows),
+        b_eq=vec([0] * (len(rows) - 1) + [1]),
         lower=tuple(Fraction(0) for _ in range(k)),
     )
-    return lp_feasible(lp) is not None
+    return lp_feasible(lp)
 
 
 def _validate_weights_strict(w: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -527,17 +529,7 @@ def face_intersects_rowspace(
             point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
     else:
         verts = face.vertices(None)
-        k = len(verts)
-        rows = [tuple(dot(kb, v) for v in verts) for kb in kernel.basis]
-        rows.append(tuple(Fraction(1) for _ in range(k)))
-        rhs = [Fraction(0)] * len(kernel.basis) + [Fraction(1)]
-        lp = LinearProgram(
-            c=tuple(Fraction(0) for _ in range(k)),
-            a_eq=tuple(vec(r) for r in rows),
-            b_eq=vec(rhs),
-            lower=tuple(Fraction(0) for _ in range(k)),
-        )
-        alpha = lp_feasible(lp)
+        alpha = _convex_zero_weights([tuple(dot(kb, v) for kb in kernel.basis) for v in verts])
         if alpha is None:
             return None
         point = tuple(

@@ -128,9 +128,11 @@ class Solution:
 class SolverOptions:
     max_iter: int = 100_000
     tol: float = 1e-9
-    check_every: int = 25
-    restart: bool = True
     x0: tuple | None = None
+
+
+# FISTA iterations between two certificate checks
+_CERTIFY_EVERY = 25
 
 
 def _prox_for(norm: PolytopeNorm, step: float):
@@ -202,7 +204,7 @@ def solve_penalized(
         grad = Xf.T @ (Xf @ z - yf)
         cand = prox(z - step * grad)
         f_cand = objective(cand)
-        if options.restart and f_cand > f_prev:
+        if f_cand > f_prev:
             # overshoot: kill the momentum and take the plain descent step
             # from the last accepted iterate, which cannot increase the
             # objective, so accepted objectives stay nonincreasing
@@ -214,7 +216,7 @@ def solve_penalized(
         z = cand + ((t_mom - 1.0) / t_new) * (cand - x)
         x, t_mom = cand, t_new
         f_prev = f_cand
-        if it % options.check_every == 0:
+        if it % _CERTIFY_EVERY == 0:
             cert = kkt_certify(Xf, yf, x, norm, tol=options.tol)
             if cert.passed:
                 return Solution(tuple(float(v) for v in x), objective(x), "fista", cert, it, True)

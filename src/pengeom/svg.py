@@ -3,7 +3,8 @@ response-space region whose penalized minimizer is zero.
 
 Face labels come from the face table norms.dual_ball_faces: each proper face
 is labeled by its sign vector or model, and a boundary point by the smallest
-labeled face containing it. Tied or zero slope weights have no labels.
+face containing it, the subdifferential face at the sum of the primal-ball
+vertices exposing it. Tied or zero slope weights have no labels.
 
 Everything is drawn from exact rational geometry and formatted with fixed
 precision, so a given input always produces byte-identical output.
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 from xml.sax.saxutils import escape
 
-from .exact import RationalMatrix, dot, rank, rat_str, vec
+from .exact import RationalMatrix, dot, rank, rat_str
 from .geometry import Face
 from .norms import (
     L1,
@@ -26,8 +27,8 @@ from .norms import (
     dual_ball_faces,
     dual_ball_vertices,
     dual_norm_value,
-    norm_value,
     primal_ball_vertices,
+    subdifferential_face,
 )
 
 Vector = tuple[Fraction, ...]
@@ -50,27 +51,14 @@ def _ccw(points: Sequence[Vector]) -> list[Vector]:
     return sorted(points, key=lambda v: math.atan2(float(v[1]), float(v[0])))
 
 
-def _pattern_faces(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], Face, Vector]]:
-    """Proper dual-ball faces keyed by their sign/model pattern, with the
-    primal unit-sphere point exposing each. The faces of tied or zero slope
-    weights carry no pattern and are left out."""
-    out = []
-    for face in dual_ball_faces(norm, min_codim=1):
-        pattern = face.pattern
-        if pattern is not None:
-            nv = norm_value(norm, vec(pattern))
-            out.append((pattern, face, tuple(Fraction(t) / nv for t in pattern)))
-    return out
-
-
-def _minimal_boundary_face(norm: PolytopeNorm, s: Vector):
-    """(pattern, face) of the smallest dual-ball face containing boundary
-    point s, or None when the norm has no pattern indexing (tied weights)."""
-    best = None
-    for pattern, face, x in _pattern_faces(norm):
-        if dot(x, s) == 1 and (best is None or face.codim > best[1].codim):
-            best = (pattern, face)
-    return best
+def _minimal_boundary_face(norm: PolytopeNorm, s: Vector) -> Face | None:
+    """The smallest dual-ball face containing boundary point s, or None when
+    it carries no pattern (tied weights). The sum of the primal-ball vertices
+    that pair to 1 with s lies in the relative interior of the normal cone at
+    s, so its subdifferential face is that smallest face."""
+    tight = [x for x in primal_ball_vertices(norm) if dot(x, s) == 1]
+    face = subdifferential_face(norm, [sum(col) for col in zip(*tight)])
+    return face if face.pattern is not None else None
 
 
 class _Canvas:
@@ -140,14 +128,14 @@ def _label_point(face: Face, push: float) -> Vector:
     return tuple(c * Fraction(push).limit_denominator(100) for c in centroid)
 
 
-def _highlight(canvas: _Canvas, face: Face, pattern, color: str):
+def _highlight(canvas: _Canvas, face: Face, color: str):
     verts = face.vertices()
     if len(verts) == 1:
         canvas.circle(verts[0], 5, color)
     else:
         for a, b in zip(verts, verts[1:]):
             canvas.line(a, b, color, width="4")
-    canvas.text(_label_point(face, 1.22), str(tuple(pattern)), fill="#9c3c00")
+    canvas.text(_label_point(face, 1.22), str(face.pattern), fill="#9c3c00")
 
 
 def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: int = 420) -> str:
@@ -164,9 +152,10 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
 
     caption = [_norm_caption(norm)]
     if X is None:
-        for pattern, face, _ in _pattern_faces(norm):
-            push = 1.18 if face.codim >= 2 else 1.3
-            canvas.text(_label_point(face, push), str(tuple(pattern)))
+        for face in dual_ball_faces(norm, min_codim=1):
+            if face.pattern is not None:  # tied weights leave faces unlabeled
+                push = 1.18 if face.codim >= 2 else 1.3
+                canvas.text(_label_point(face, push), str(face.pattern))
     else:
         if X.ncols != 2:
             raise ValueError("design matrix must have two columns")
@@ -185,7 +174,7 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
                 hit = _minimal_boundary_face(norm, s)
                 canvas.circle(s, 3, "#701010")
                 if hit is not None:
-                    _highlight(canvas, hit[1], hit[0], "#e8850c")
+                    _highlight(canvas, hit, "#e8850c")
     canvas.caption(caption)
     return canvas.render()
 
@@ -239,10 +228,10 @@ def response_region_figure(X: RationalMatrix, norm: PolytopeNorm, size: int = 42
         if labeled:
             hit = _minimal_boundary_face(norm, X.rmatvec(v))
             if hit is not None:
-                canvas.text(tuple(c * Fraction(118, 100) for c in v), str(tuple(hit[0])), size=10)
+                canvas.text(tuple(c * Fraction(118, 100) for c in v), str(hit.pattern), size=10)
             mid = tuple((a + b) / 2 for a, b in zip(v, nxt))
             hit = _minimal_boundary_face(norm, X.rmatvec(mid))
             if hit is not None:
-                canvas.text(tuple(c * Fraction(13, 10) for c in mid), str(tuple(hit[0])), size=10)
+                canvas.text(tuple(c * Fraction(13, 10) for c in mid), str(hit.pattern), size=10)
     canvas.caption(["responses with zero minimizer", _norm_caption(norm)])
     return canvas.render()

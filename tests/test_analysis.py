@@ -460,11 +460,11 @@ _NONZERO = st.sampled_from([Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d 
 
 
 @st.composite
-def design_and_row_mix(draw):
-    """(X, A X) with n < p <= 4 and A = L U invertible: L unit lower
+def design_and_row_mix(draw, max_p=4):
+    """(X, A X) with n < p <= max_p and A = L U invertible: L unit lower
     triangular, U upper triangular with a nonzero diagonal. Tall-as-allowed
     designs come first, and some repeat a row to lose rank."""
-    p = draw(st.integers(2, 4))
+    p = draw(st.integers(2, max_p))
     n = p - draw(st.integers(1, p - 1))
     X = draw(st.lists(st.lists(_SMALL, min_size=p, max_size=p), min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
@@ -494,6 +494,21 @@ def test_uniqueness_depends_only_on_the_row_space(pair, kind):
         a, b = check_uniqueness(X, norm), check_uniqueness(AX, norm)
     assert (a.unique_for_all_y, a.rank, a.offending_face) == (
         b.unique_for_all_y, b.rank, b.offending_face)
+
+
+@given(design_and_row_mix(max_p=3), st.sampled_from(["sign", "model"]))
+def test_accessible_sets_depend_only_on_the_row_space(pair, kind):
+    # accessibility asks whether row(X) meets a face, so A X gives the same
+    # table; only the dual and response witnesses may differ
+    tables = []
+    for M in pair:
+        if kind == "sign":
+            reports = accessible_sign_vectors(M, route=GEOMETRIC)
+        else:
+            w = [Fraction(7, 2), 2, Fraction(1, 2)][: M.ncols]
+            reports = accessible_slope_models(M, w, route=GEOMETRIC)
+        tables.append([(r.pattern, r.accessible) for r in reports])
+    assert tables[0] == tables[1]
 
 
 @st.composite

@@ -5,8 +5,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from fractions import Fraction
+
 from pengeom import analysis, cli
+from pengeom.analysis import classify_response, null_set_projection
 from pengeom.cli import main
+from pengeom.exact import RationalMatrix, rat_str
+from pengeom.norms import dual_norm_value, l1_norm, slope_norm, sup_norm
 from pengeom.solvers import SolverOptions, solve_penalized
 
 
@@ -110,6 +115,61 @@ def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
     assert result["converged"] is False and result["iterations"] == 20
     assert result["certificate"]["passed"] is False
     assert len(calls) == 1
+
+
+def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch):
+    # rational designs, responses inside and outside the zero-solution
+    # region: every path reports the same pattern and projection, and no CLI
+    # call runs FISTA twice
+    calls = []
+
+    def counted(X, y, norm, options=SolverOptions()):
+        calls.append(y)
+        return solve_penalized(X, y, norm, options)
+
+    monkeypatch.setattr(analysis, "solve_penalized", counted)
+    monkeypatch.setattr(cli, "solve_penalized", counted)
+    designs = {
+        "demo": [[8, 5, 8], [10, Fraction(5, 4), -6]],
+        "wide": [[1, 2, Fraction(-1, 2)]],
+        "square": [[2, 1], [-1, 3]],
+    }
+    for name, rows in designs.items():
+        X = RationalMatrix.from_rows(rows)
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join(",".join(rat_str(t) for t in row) + "\n" for row in X.rows))
+        p = X.ncols
+        w = (Fraction(11, 2), Fraction(7, 2), Fraction(3, 2))[:p]
+        norms = {
+            "l1": (l1_norm(p), ["--norm", "l1"]),
+            "sup": (sup_norm(p), ["--norm", "sup"]),
+            "slope": (slope_norm(w), ["--norm", "slope", "--weights", ",".join(map(rat_str, w))]),
+        }
+        y0 = tuple(Fraction(3 - 2 * i) for i in range(X.nrows))
+        for kind, (norm, flags) in norms.items():
+            gauge = dual_norm_value(norm, X.rmatvec(y0))
+            for scale in (Fraction(1, 2), Fraction(3)):
+                y = tuple(t * scale / gauge for t in y0)
+                argv = ["--matrix", str(path), *flags, "--response=" + ",".join(map(rat_str, y))]
+                del calls[:]
+                code, out, _ = run(capsys, "solve", *argv)
+                assert code == 0 and len(calls) <= 1
+                solved = json.loads(out)["result"]
+                del calls[:]
+                code, out, _ = run(capsys, "decompose", *argv)
+                assert code == 0 and len(calls) <= 1
+                split = json.loads(out)["result"]
+                assert split["exact"] == (scale < 1)
+
+                pattern = solved["model"] if kind == "slope" else solved["pattern"]
+                assert split["pattern"] == pattern
+                projection = null_set_projection(X, norm, y)
+                if split["exact"]:
+                    assert split["projection"] == [rat_str(t) for t in projection]
+                else:
+                    assert split["projection"] == list(projection)
+                if kind == "slope":
+                    assert list(classify_response(X, w, y).model) == pattern
 
 
 def test_decompose_pattern_and_projection(capsys, matrices):

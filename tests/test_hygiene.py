@@ -20,6 +20,45 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _defined_names(node) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _read_names(node) -> set[str]:
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """"module.name" for every module-level _private function, class or
+    constant that no statement of any module reads, other than the one that
+    defines it (so recursion does not keep a dead helper alive). A read is a
+    loaded name or an attribute, the way cli reads analysis helpers."""
+    statements = [
+        (module, node) for module, text in sorted(sources.items())
+        for node in ast.parse(text).body
+    ]
+    reads = [_read_names(node) for _, node in statements]
+    dead = []
+    for i, (module, node) in enumerate(statements):
+        for name in _defined_names(node):
+            if name.startswith("_") and not name.startswith("__"):
+                if not any(name in r for j, r in enumerate(reads) if j != i):
+                    dead.append(f"{module}.{name}")
+    return dead
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -32,9 +71,31 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["os", "v"]
 
 
+def test_checker_flags_an_unread_private():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_unused: int = 0\n"
+            "def _walk(n):\n"
+            "    return _walk(n - 1) if n else 0\n"
+            "class _Box:\n"
+            "    pass\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+        ),
+        "b": "from a import _helper\nimport a\nx = _helper() + a._Box.size\n",
+    }
+    assert unread_privates(sources) == ["a._unused", "a._walk"]
+
+
 def test_modules_use_every_name_they_import():
     # __init__ imports names to re-export them
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_private_name_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_privates(sources) == []
