@@ -392,15 +392,13 @@ def accessible_slope_models(
     limit: int | None = None,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> list[AccessibilityReport]:
-    """Same sweep over all ordered sign/cluster models; the face of a model
-    comes from the bijection with the signed-permutation polytope, so the
-    weights must be strictly decreasing and positive."""
+    """Same sweep over all ordered sign/cluster models, one report per model,
+    for any slope weights; under ties or zeros, models sharing a face share
+    its verdict."""
     _check_route(route)
     norm = slope_norm(weights)
     if norm.dim != X.ncols:
         raise ValueError("weight vector length does not match the matrix")
-    if not norm.weights.strict:
-        raise ValueError("model sweep requires strictly decreasing positive weights")
     out = []
     for report in _route_sweep(X, norm, "model", route, limit, vertex_cap):
         z = report.dual_witness

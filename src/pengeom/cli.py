@@ -32,7 +32,7 @@ from .analysis import (
 from .exact import load_matrix, parse_rational, rank, rat_str, vec
 from .geometry import CapExceeded, enumerate_models
 from .norms import SLOPE, PolytopeNorm, l1_norm, slope_norm, sup_norm
-from .solvers import solve_bp, solve_penalized
+from .solvers import solve_bp
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -203,11 +203,12 @@ def cmd_accessible(args) -> int:
 
 def _solve_payload(fit) -> dict:
     sol = fit.solution
+    show = rat_str if sol.route == "exact" else float  # y inside the zero-solution region
     return {
-        "solution": [float(v) for v in sol.point],
-        "objective": float(sol.objective),
+        "solution": [show(v) for v in sol.point],
+        "objective": show(sol.objective),
         "pattern": list(fit.pattern),
-        "residual": [float(v) for v in fit.residual],
+        "residual": [show(v) for v in fit.residual],
         "route": sol.route,
         "iterations": sol.iterations,
         "converged": sol.converged,
@@ -236,7 +237,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     norm = _build_norm(args, X.ncols)
     payload["inputs"] = _echo_inputs(args, X=X, norm=norm, y=y)
-    if norm.kind == SLOPE and norm.weights.strict:
+    if norm.kind == SLOPE:
         try:
             cls = classify_response(X, norm.weights.values, y)
         except UncertifiedSolve as exc:  # dump the uncertified iterate
@@ -246,8 +247,7 @@ def cmd_solve(args) -> int:
         payload["result"] = cls.to_json_dict()
         _emit_json(args, payload)
         return EXIT_OK
-    # l1, sup and tied slope: always the float solve, even at a zero fit
-    fit = _read_solve(X, y, norm, solve_penalized(X, y, norm))
+    fit = _fit(X, y, norm)
     payload["result"] = _solve_payload(fit)
     _emit_json(args, payload)
     return EXIT_OK if fit.solution.converged else EXIT_NEGATIVE

@@ -5,10 +5,11 @@ A model is an integer vector m encoding a sign and clustering pattern: the
 entries of |m| are exactly {0, 1, ..., max|m|} minus nothing, i.e. every level
 up to the top one is attained. model_of(x) is the pattern of x itself: equal
 magnitudes share a level, larger magnitudes get larger levels, signs carry
-over. Faces of the sign permutohedron of a strictly decreasing positive
-weight vector are in bijection with models; the face of model m is a product
-of plain permutohedra over the level blocks of m (largest level first, taking
-consecutive weight chunks) times a sign permutohedron on the zero block.
+over. Every face of the sign permutohedron of a slope weight vector w is the
+face of some model m: a product of plain permutohedra over the level blocks of
+m (largest level first, taking consecutive weight chunks) times a sign
+permutohedron on the zero block. Strictly decreasing positive weights make
+this a bijection; tied or zero weights let several models share one face.
 
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
@@ -174,7 +175,7 @@ class Face:
                       whole cross-polytope.
     kind "signperm":  sign permutohedron face of a model; blocks hold the
                       weight chunks, signs the per-coordinate orientation.
-    kind "hull":      explicit vertex list (brute-force fallback).
+    kind "hull":      explicit vertex list (brute-force test oracle).
     """
 
     ambient_dim: int
@@ -203,17 +204,27 @@ class Face:
         return _convex_zero_weights(self.hull) is not None
 
     def vertex_count(self) -> int:
+        return self._vertex_count
+
+    @functools.cached_property
+    def _vertex_count(self) -> int:
+        # once per face: every face test reads it, and sweeps reuse faces
         if self.kind == "box":
             return 2 ** sum(1 for s in self.sign_vector if s == 0)
         if self.kind == "crosspoly":
             k = sum(1 for s in self.sign_vector if s != 0)
             return k if k else 2 * self.ambient_dim
         if self.kind == "signperm":
+            # distinct arrangements of each chunk (equal weights are adjacent),
+            # times free signs on the zero block's nonzero weights
             n = 1
             for b in self.blocks:
-                n *= math.factorial(len(b.coords))
-                if b.signed:
-                    n *= 2 ** len(b.coords)
+                n *= math.factorial(len(b.weights))
+                for w, run in itertools.groupby(b.weights):
+                    k = len(list(run))
+                    n //= math.factorial(k)
+                    if b.signed and w:
+                        n *= 2 ** k
             return n
         return len(self.hull)
 
@@ -338,42 +349,62 @@ def _convex_zero_weights(columns: Sequence[Vector]) -> Vector | None:
     return lp_feasible(lp)
 
 
-def _validate_weights_strict(w: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def check_weights(w: Sequence) -> tuple[Fraction, ...]:
+    """w as exact rationals, if it is a slope weight vector: nonempty,
+    nonincreasing and nonnegative with w1 > 0."""
     ww = vec(w)
-    if any(a <= b for a, b in zip(ww, ww[1:])) or any(x <= 0 for x in ww):
-        raise ValueError("model-level operations need strictly decreasing positive weights")
+    if not ww:
+        raise ValueError("empty weight vector")
+    if ww[0] <= 0 or any(x < 0 for x in ww):
+        raise ValueError("weights need w1 > 0 and all entries >= 0")
+    if any(a < b for a, b in zip(ww, ww[1:])):
+        raise ValueError("weights must be nonincreasing")
     return ww
+
+
+def model_codim(m: Sequence[int], w: Sequence[Fraction]) -> int:
+    """Codimension of the face of model m under nonincreasing weights w: p
+    minus the dimensions of its blocks. A level block of k coordinates has
+    dimension k - 1, or 0 when its weight chunk is constant; the zero block
+    has dimension k, or 0 when its chunk is all zero. For strictly decreasing
+    positive weights this is the top level of m."""
+    counts = [0] * (max(map(abs, m)) + 1)
+    for v in m:
+        counts[abs(v)] += 1
+    dim = start = 0
+    for level in range(len(counts) - 1, -1, -1):
+        k = counts[level]
+        if level and k > 1 and w[start] != w[start + k - 1]:
+            dim += k - 1
+        elif not level and k and w[start]:
+            dim += k
+        start += k
+    return len(m) - dim
 
 
 def model_to_face(m: Sequence[int], w: Sequence) -> Face:
     """The sign-permutohedron face attached to model m: level blocks take
     consecutive weight chunks from the top, the zero block keeps free signs.
-    Its codimension equals the top level of m."""
+    Its codimension is model_codim(m, w)."""
     mm = tuple(int(v) for v in m)
     if not is_model(mm):
         raise ValueError(f"{mm} is not a model: levels must cover 1..max")
-    ww = _validate_weights_strict(w)
+    ww = check_weights(w)
     p = len(ww)
     if len(mm) != p:
         raise ValueError("model and weights dimension mismatch")
-    top = max(abs(v) for v in mm) if any(mm) else 0
-    blocks = []
-    start = 0
-    for level in range(top, 0, -1):
-        coords = tuple(j for j in range(p) if abs(mm[j]) == level)
-        blocks.append(Block(coords, ww[start : start + len(coords)], signed=False))
+    blocks, start = [], 0
+    for level in sorted({abs(v) for v in mm}, reverse=True):
+        coords = tuple(j for j, v in enumerate(mm) if abs(v) == level)
+        blocks.append(Block(coords, ww[start : start + len(coords)], signed=not level))
         start += len(coords)
-    zero_coords = tuple(j for j in range(p) if mm[j] == 0)
-    if zero_coords:
-        blocks.append(Block(zero_coords, ww[start:], signed=True))
-    signs = tuple(-1 if v < 0 else 1 for v in mm)
     return Face(
         ambient_dim=p,
         kind="signperm",
-        codim=top,
+        codim=model_codim(mm, ww),
         model=mm,
         blocks=tuple(blocks),
-        signs=signs,
+        signs=tuple(-1 if v < 0 else 1 for v in mm),
     )
 
 
@@ -543,7 +574,7 @@ def face_intersects_rowspace(
 
 
 # ---------------------------------------------------------------------------
-# brute-force exposed faces (degenerate weights and test oracles)
+# brute-force exposed faces (test oracle)
 
 
 def enumerate_exposed_faces(vertices: Sequence[Sequence]) -> list[Face]:

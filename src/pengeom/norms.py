@@ -4,9 +4,9 @@ the dual ball.
 
 dual_ball_faces is the one list of dual-ball faces: the uniqueness,
 basis-pursuit, accessibility and SVG sweeps all read it. Cube and
-cross-polytope faces are labeled by sign vectors, sign-permutohedron faces of
-strict weights by models; tied or zero slope weights fall back to the
-brute-force exposed faces, which carry no label.
+cross-polytope faces are labeled by sign vectors, sign-permutohedron faces by
+models, for every slope weight vector; under tied or zero weights several
+models label the same face.
 
 Values are duck-typed: Fraction inputs give exact rationals, float inputs
 give floats. Face construction is exact-only.
@@ -22,14 +22,12 @@ from typing import Sequence
 
 from .exact import Vector, rat, vec
 from .geometry import (
-    BRUTE_FORCE_FACE_LIMIT,
     DEFAULT_MODEL_LIMIT,
     DEFAULT_SIGN_LIMIT,
-    CapExceeded,
     Face,
-    enumerate_exposed_faces,
+    check_weights,
     enumerate_models,
-    hull_face,
+    model_codim,
     model_of,
     model_to_face,
     sign_to_crosspolytope_face,
@@ -45,27 +43,17 @@ SLOPE = "slope"
 
 @dataclass(frozen=True)
 class SlopeWeights:
-    """Nonincreasing nonnegative weights with w1 > 0. Strictly decreasing
-    positive weights unlock the model/face machinery; the relaxed form is
-    good for norm evaluation and uniqueness analysis only."""
+    """Nonincreasing nonnegative weights with w1 > 0. Models label the
+    dual-ball faces of every such vector; ties and zeros make some share one."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("empty weight vector")
-        if self.values[0] <= 0 or any(x < 0 for x in self.values):
-            raise ValueError("weights need w1 > 0 and all entries >= 0")
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("weights must be nonincreasing")
+        check_weights(self.values)
 
     @classmethod
     def of(cls, entries: Sequence) -> "SlopeWeights":
         return cls(vec(entries))
-
-    @property
-    def strict(self) -> bool:
-        return all(a > b for a, b in zip(self.values, self.values[1:])) and self.values[-1] > 0
 
     def __len__(self):
         return len(self.values)
@@ -181,23 +169,20 @@ def dual_ball_faces(
     label order (face.pattern is the label).
 
     l1 cube and sup cross-polytope faces: one per sign vector of
-    sign_vectors(p, limit or DEFAULT_SIGN_LIMIT). Strict slope weights: one
-    sign-permutohedron face per model of enumerate_models(p, limit or
-    DEFAULT_MODEL_LIMIT). A label whose codimension is below min_codim is
-    skipped before its face is built. Tied or zero slope weights break the
-    model bijection: their faces are the brute-force exposed faces in
-    enumerate_exposed_faces order, listed once per norm, and limit does not
-    apply to them.
+    sign_vectors(p, limit or DEFAULT_SIGN_LIMIT). Slope: one face per model
+    of enumerate_models(p, limit or DEFAULT_MODEL_LIMIT), for any weights;
+    tied or zero weights repeat a face for each model labeling it, with one
+    codimension, so a stable codimension sort keeps the first. A label whose
+    codimension (model_codim) is below min_codim is never built into a face.
     """
     p = norm.dim
     if norm.kind == SLOPE:
-        if not norm.weights.strict:
-            return tuple(f for f in _exposed_faces(norm) if f.codim >= min_codim)
         w = norm.weights.values
         return tuple(
             model_to_face(m, w)
             for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
-            if max(abs(t) for t in m) >= min_codim
+            # the codim is at least the top level, and equals it for strict weights
+            if max(map(abs, m)) >= min_codim or model_codim(m, w) >= min_codim
         )
     signs = sign_vectors(p, limit or DEFAULT_SIGN_LIMIT)
     if norm.kind == L1:
@@ -218,17 +203,6 @@ def _crosspolytope_codim(sigma) -> int:
     # vectors; sigma = 0 labels the whole cross-polytope
     k = _support(sigma)
     return len(sigma) - k + 1 if k else 0
-
-
-@functools.lru_cache(maxsize=8)
-def _exposed_faces(norm: PolytopeNorm) -> tuple[Face, ...]:
-    # the grid search takes about 2 s at p = 4, and a uniqueness question
-    # asks for the faces of one norm at each rank
-    if norm.dim > BRUTE_FORCE_FACE_LIMIT:
-        raise CapExceeded(
-            f"degenerate weights need brute-force faces, capped at p <= {BRUTE_FORCE_FACE_LIMIT}"
-        )
-    return tuple(enumerate_exposed_faces(dual_ball_vertices(norm)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -265,12 +239,7 @@ def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
         top = max(abs(v) for v in xx)
         sigma = tuple(((v > 0) - (v < 0)) if abs(v) == top else 0 for v in xx)
         return sign_to_crosspolytope_face(sigma)
-    if norm.weights.strict:
-        return model_to_face(model_of(xx), norm.weights.values)
-    # degenerate weights: fall back to the explicit achieving-vertex hull
-    value = norm_value(norm, xx)
-    achieving = [v for v in dual_ball_vertices(norm) if sum(a * b for a, b in zip(v, xx)) == value]
-    return hull_face(achieving)
+    return model_to_face(model_of(xx), norm.weights.values)
 
 
 def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], Vector]]:

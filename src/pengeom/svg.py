@@ -4,7 +4,8 @@ response-space region whose penalized minimizer is zero.
 Face labels come from the face table norms.dual_ball_faces: each proper face
 is labeled by its sign vector or model, and a boundary point by the smallest
 face containing it, the subdifferential face at the sum of the primal-ball
-vertices exposing it. Tied or zero slope weights have no labels.
+vertices exposing it. Under tied or zero slope weights several models share a
+face, and the dual-ball figure labels it once, by its first model.
 
 Everything is drawn from exact rational geometry and formatted with fixed
 precision, so a given input always produces byte-identical output.
@@ -21,7 +22,6 @@ from .exact import RationalMatrix, dot, rank, rat_str
 from .geometry import Face
 from .norms import (
     L1,
-    SLOPE,
     SUP,
     PolytopeNorm,
     dual_ball_faces,
@@ -51,14 +51,13 @@ def _ccw(points: Sequence[Vector]) -> list[Vector]:
     return sorted(points, key=lambda v: math.atan2(float(v[1]), float(v[0])))
 
 
-def _minimal_boundary_face(norm: PolytopeNorm, s: Vector) -> Face | None:
-    """The smallest dual-ball face containing boundary point s, or None when
-    it carries no pattern (tied weights). The sum of the primal-ball vertices
-    that pair to 1 with s lies in the relative interior of the normal cone at
-    s, so its subdifferential face is that smallest face."""
+def _minimal_boundary_face(norm: PolytopeNorm, s: Vector) -> Face:
+    """The smallest dual-ball face containing boundary point s. The sum of
+    the primal-ball vertices that pair to 1 with s lies in the relative
+    interior of the normal cone at s, so its subdifferential face is that
+    smallest face."""
     tight = [x for x in primal_ball_vertices(norm) if dot(x, s) == 1]
-    face = subdifferential_face(norm, [sum(col) for col in zip(*tight)])
-    return face if face.pattern is not None else None
+    return subdifferential_face(norm, [sum(col) for col in zip(*tight)])
 
 
 class _Canvas:
@@ -152,8 +151,11 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
 
     caption = [_norm_caption(norm)]
     if X is None:
+        seen = set()
         for face in dual_ball_faces(norm, min_codim=1):
-            if face.pattern is not None:  # tied weights leave faces unlabeled
+            verts = frozenset(face.vertices())
+            if verts not in seen:  # tied models share a face: label it once
+                seen.add(verts)
                 push = 1.18 if face.codim >= 2 else 1.3
                 canvas.text(_label_point(face, push), str(face.pattern))
     else:
@@ -171,10 +173,8 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
             gauge = dual_norm_value(norm, d)
             for side in (1, -1):
                 s = tuple(side * c / gauge for c in d)
-                hit = _minimal_boundary_face(norm, s)
                 canvas.circle(s, 3, "#701010")
-                if hit is not None:
-                    _highlight(canvas, hit, "#e8850c")
+                _highlight(canvas, _minimal_boundary_face(norm, s), "#e8850c")
     canvas.caption(caption)
     return canvas.render()
 
@@ -221,17 +221,13 @@ def response_region_figure(X: RationalMatrix, norm: PolytopeNorm, size: int = 42
     _axes(canvas, reach)
     canvas.polygon(poly, "#e7f3e7", "#2f6d2f")
 
-    labeled = norm.kind != SLOPE or norm.weights.strict
     for i, v in enumerate(poly):
         canvas.circle(v, 2.5, "#2f6d2f")
         nxt = poly[(i + 1) % len(poly)]
-        if labeled:
-            hit = _minimal_boundary_face(norm, X.rmatvec(v))
-            if hit is not None:
-                canvas.text(tuple(c * Fraction(118, 100) for c in v), str(hit.pattern), size=10)
-            mid = tuple((a + b) / 2 for a, b in zip(v, nxt))
-            hit = _minimal_boundary_face(norm, X.rmatvec(mid))
-            if hit is not None:
-                canvas.text(tuple(c * Fraction(13, 10) for c in mid), str(hit.pattern), size=10)
+        hit = _minimal_boundary_face(norm, X.rmatvec(v))
+        canvas.text(tuple(c * Fraction(118, 100) for c in v), str(hit.pattern), size=10)
+        mid = tuple((a + b) / 2 for a, b in zip(v, nxt))
+        hit = _minimal_boundary_face(norm, X.rmatvec(mid))
+        canvas.text(tuple(c * Fraction(13, 10) for c in mid), str(hit.pattern), size=10)
     canvas.caption(["responses with zero minimizer", _norm_caption(norm)])
     return canvas.render()

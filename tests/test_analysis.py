@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pengeom.analysis as analysis_module
-import pengeom.norms as norms_module
+import pengeom.geometry as geometry_module
 from pengeom.analysis import (
     ANALYTIC,
     GEOMETRIC,
@@ -23,7 +23,7 @@ from pengeom.analysis import (
     null_set_projection,
 )
 from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
-from pengeom.geometry import CapExceeded, model_of, model_to_face
+from pengeom.geometry import CapExceeded, enumerate_models, model_codim, model_of, model_to_face
 from pengeom.norms import (
     dual_norm_value,
     l1_norm,
@@ -113,19 +113,26 @@ def test_full_column_rank_is_unique():
 
 def test_degenerate_weights_match_equivalent_norms():
     # tied weights (c, c, ...) give c times the l1 norm; (1, 0, ...) gives the
-    # sup norm; the brute-force face route must agree with the closed forms
+    # sup norm; the model faces of degenerate weights must agree with the
+    # closed forms, for uniqueness and, through sign(m), for accessibility
     rng = random.Random(53)
     for _ in range(12):
         n, p = rng.randint(1, 2), rng.randint(2, 3)
         X = RationalMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3)) for _ in range(p)] for _ in range(n)]
         )
-        tied = check_uniqueness(X, slope_norm([2] * p))
-        plain = check_uniqueness(X, l1_norm(p, scale=2))
+        c = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+        tied = check_uniqueness(X, slope_norm([c] * p))
+        plain = check_uniqueness(X, l1_norm(p, scale=c))
         assert tied.unique_for_all_y == plain.unique_for_all_y
+        if not tied.unique_for_all_y:
+            assert_valid_penalized_witness(X, slope_norm([c] * p), tied)
         spine = check_uniqueness(X, slope_norm([1] + [0] * (p - 1)))
         supn = check_uniqueness(X, sup_norm(p))
         assert spine.unique_for_all_y == supn.unique_for_all_y
+        signs = {r.pattern: r.accessible for r in accessible_sign_vectors(X, lam=c)}
+        for r in accessible_slope_models(X, [c] * p, route=GEOMETRIC):
+            assert r.accessible == signs[tuple((t > 0) - (t < 0) for t in r.pattern)]
 
 
 def test_demo_design_is_unique():
@@ -427,15 +434,36 @@ def test_uniqueness_norm_dimension_mismatch():
         check_uniqueness(RationalMatrix.from_rows([[1, 0]]), sup_norm(3))
 
 
-def test_model_sweep_requires_strict_weights():
+def test_model_sweep_accepts_tied_weights():
+    # one report per model; the two routes agree (route both raises on any
+    # disagreement) and models sharing a face share its verdict
+    X = RationalMatrix.from_rows([[2, 1, -1], [0, 1, 3]])
+    for w in ((3, 3, 1), (2, 1, 0)):
+        norm = slope_norm(w)
+        reports = accessible_slope_models(X, w)
+        assert [r.pattern for r in reports] == enumerate_models(3)
+        verdict = {}
+        for r in reports:
+            vertices = frozenset(model_to_face(r.pattern, norm.weights).vertices())
+            assert verdict.setdefault(vertices, r.accessible) == r.accessible
+            if r.accessible and any(r.pattern):
+                cert = kkt_certify(X, r.response_witness, vec(r.pattern), norm)
+                assert cert.passed and cert.tol == 0
+        assert 0 < sum(r.accessible for r in reports) < len(reports)
     with pytest.raises(ValueError):
-        accessible_slope_models(RationalMatrix.from_rows([[1, 0]]), (2, 2))
+        accessible_slope_models(X, (1, 2, 3))
 
 
 def test_degenerate_slope_cap_refusal():
-    X = RationalMatrix.from_rows([[1, 0, 0, 1, 1]])
-    with pytest.raises(CapExceeded):
-        check_uniqueness(X, slope_norm([2, 2, 1, 1, 1]))
+    # tied weights answer up to the model cap and refuse beyond it
+    X = RationalMatrix.from_rows([[1, 2, 0, 1, 1], [0, 1, 1, 3, -1]])
+    norm = slope_norm([2, 2, 1, 1, 1])
+    report = check_uniqueness(X, norm)
+    assert not report.unique_for_all_y
+    assert_valid_penalized_witness(X, norm, report)
+    wide = RationalMatrix.from_rows([[1, 0, 0, 1, 1, 2, 3]])
+    with pytest.raises(CapExceeded, match="exceeds cap 6"):
+        check_uniqueness(wide, slope_norm([2, 2, 1, 1, 1, 1, 1]))
 
 
 def test_vertex_cap_reaches_the_sweeps():
@@ -536,12 +564,12 @@ def test_bp_uniqueness_is_the_l1_cube_sweep(X):
         pen.unique_for_all_y, pen.rank, pen.offending_face)
 
 
-def test_tied_weight_faces_are_listed_once_per_norm(monkeypatch):
-    listed = []
-    real = norms_module.enumerate_exposed_faces
-    monkeypatch.setattr(norms_module, "enumerate_exposed_faces",
-                        lambda verts: listed.append(1) or real(verts))
-    norms_module._exposed_faces.cache_clear()
+def test_tied_weight_faces_never_reach_the_brute_force_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("brute-force faces on a product path")
+
+    monkeypatch.setattr(geometry_module, "enumerate_exposed_faces", refuse)
+    monkeypatch.setattr(geometry_module, "hull_face", refuse)
     analysis_module._faces_beyond_rank.cache_clear()
     norm = slope_norm([3, 3, 1, Fraction(1, 2)])
     designs = (
@@ -549,10 +577,14 @@ def test_tied_weight_faces_are_listed_once_per_norm(monkeypatch):
         [[1, 0, 2, 1], [0, 1, 1, 3]],
         [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]],
     )
+    verdicts = []
     for r, rows in enumerate(designs, start=1):
         X = RationalMatrix.from_rows(rows)
         assert rank(X) == r
         report = check_uniqueness(X, norm)
+        verdicts.append(report.unique_for_all_y)
         if not report.unique_for_all_y:
+            face = report.offending_face
+            assert face.kind == "signperm" and face.codim == model_codim(face.model, norm.weights)
             assert_valid_penalized_witness(X, norm, report)
-    assert len(listed) == 1
+    assert verdicts == [False, False, True]

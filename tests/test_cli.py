@@ -7,7 +7,7 @@ import pytest
 
 from fractions import Fraction
 
-from pengeom import analysis, cli
+from pengeom import analysis
 from pengeom.analysis import classify_response, null_set_projection
 from pengeom.cli import main
 from pengeom.exact import RationalMatrix, rat_str
@@ -107,7 +107,6 @@ def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
         return solve_penalized(X, y, norm, replace(options, max_iter=20))
 
     monkeypatch.setattr(analysis, "solve_penalized", capped)
-    monkeypatch.setattr(cli, "solve_penalized", capped)
     code, out, _ = run(capsys, "solve", "--matrix", matrices["demo"], "--norm", "slope",
                        "--weights", "5.5,3.5,1.5", "--response", "20,5")
     assert code == 1
@@ -119,8 +118,8 @@ def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
 
 def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch):
     # rational designs, responses inside and outside the zero-solution
-    # region: every path reports the same pattern and projection, and no CLI
-    # call runs FISTA twice
+    # region: every path reports the same pattern and projection, no CLI call
+    # runs FISTA twice, and inside the region none runs it at all
     calls = []
 
     def counted(X, y, norm, options=SolverOptions()):
@@ -128,7 +127,6 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
         return solve_penalized(X, y, norm, options)
 
     monkeypatch.setattr(analysis, "solve_penalized", counted)
-    monkeypatch.setattr(cli, "solve_penalized", counted)
     designs = {
         "demo": [[8, 5, 8], [10, Fraction(5, 4), -6]],
         "wide": [[1, 2, Fraction(-1, 2)]],
@@ -151,15 +149,20 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
             for scale in (Fraction(1, 2), Fraction(3)):
                 y = tuple(t * scale / gauge for t in y0)
                 argv = ["--matrix", str(path), *flags, "--response=" + ",".join(map(rat_str, y))]
+                inside = scale < 1
                 del calls[:]
                 code, out, _ = run(capsys, "solve", *argv)
-                assert code == 0 and len(calls) <= 1
+                assert code == 0 and len(calls) == (0 if inside else 1)
                 solved = json.loads(out)["result"]
+                if kind != "slope":
+                    assert (solved["route"] == "exact") == inside
+                    if inside:
+                        assert solved["residual"] == [rat_str(t) for t in y]
                 del calls[:]
                 code, out, _ = run(capsys, "decompose", *argv)
-                assert code == 0 and len(calls) <= 1
+                assert code == 0 and len(calls) == (0 if inside else 1)
                 split = json.loads(out)["result"]
-                assert split["exact"] == (scale < 1)
+                assert split["exact"] == inside
 
                 pattern = solved["model"] if kind == "slope" else solved["pattern"]
                 assert split["pattern"] == pattern
@@ -282,6 +285,13 @@ def test_cap_flag_and_env_override(capsys, matrices, monkeypatch):
     monkeypatch.setenv("PENGEOM_MODEL_LIMIT", "nope")
     code, _, err = run(capsys, "models", "--cols", "3")
     assert code == 2 and "PENGEOM_MODEL_LIMIT" in err
+
+    # tied slope weights sweep models, so the model cap reaches them too
+    monkeypatch.setenv("PENGEOM_MODEL_LIMIT", "2")
+    code, _, err = run(capsys, "uniqueness", "--matrix", matrices["demo"], "--norm", "slope",
+                       "--weights", "2,2,1")
+    assert code == 2 and "exceeds cap 2" in err
+    monkeypatch.delenv("PENGEOM_MODEL_LIMIT")
 
     # genericity caps sign sweeps (bp, l1, sup) by the sign family
     genericity = ("genericity", "--mode", "bp", "--rows", "2", "--cols", "3", "--trials", "5")

@@ -135,11 +135,16 @@ def test_model_to_face_validation():
     with pytest.raises(ValueError):
         model_to_face((2, 0), W2)
     with pytest.raises(ValueError):
-        model_to_face((1, 0), (Fraction(1), Fraction(1)))  # tied weights
+        model_to_face((1, 0), (Fraction(1), Fraction(2)))  # increasing weights
     with pytest.raises(ValueError):
-        model_to_face((1, 0), (Fraction(2), Fraction(0)))  # zero weight
+        model_to_face((1, 0), (Fraction(0), Fraction(0)))  # w1 = 0
+    with pytest.raises(ValueError):
+        model_to_face((1, 0), (Fraction(1), Fraction(-1)))  # negative weight
     with pytest.raises(ValueError):
         model_to_face((1, 0, 1), W2)
+    # tied and zero weights are slope weights too
+    assert model_to_face((1, 0), (Fraction(1), Fraction(1))).codim == 1
+    assert model_to_face((1, 0), (Fraction(2), Fraction(0))).codim == 2
 
 
 def test_codim_law():
@@ -300,9 +305,8 @@ def _sweep_norms(p):
         sup_norm(p),
         slope_norm([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)][:p]),
     ]
-    if p <= 3:
-        # tied weights: brute-force hull faces, which take seconds to list at p = 4
-        norms.append(slope_norm([3, 3, 1][:p]))
+    # tied and zero weights: faces shared by several models
+    norms.append(slope_norm([3, 3, 1, 0][:p]))
     return norms
 
 

@@ -59,6 +59,23 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
     return dead
 
 
+# the brute-force face grid and its hull faces are the test oracle for the
+# model faces; only geometry (which defines them) and __init__ (which
+# re-exports them) may name them
+ORACLE_NAMES = frozenset({"enumerate_exposed_faces", "hull_face"})
+
+
+def oracle_references(source: str) -> list[str]:
+    """Oracle names the module imports or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in ORACLE_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in ORACLE_NAMES:
+            found.append(node.attr)
+    return found
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -99,3 +116,21 @@ def test_modules_use_every_name_they_import():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unread_privates(sources) == []
+
+
+def test_checker_flags_an_oracle_reference():
+    source = (
+        "from .geometry import Face, hull_face as hull\n"
+        "from . import geometry\n"
+        "faces = geometry.enumerate_exposed_faces(())\n"
+        "def enumerate_exposed_faces():\n"
+        "    return Face\n"
+    )
+    assert oracle_references(source) == ["hull_face", "enumerate_exposed_faces"]
+
+
+def test_product_paths_never_reach_the_brute_force_faces():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name not in ("geometry.py", "__init__.py"))
+    assert modules
+    found = {p.name: oracle_references(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -160,10 +160,17 @@ def test_subdifferential_face_examples():
 def test_subdifferential_face_degenerate_weights():
     norm = slope_norm([2, 2])  # dual ball degenerates to the square [-2,2]^2
     f = subdifferential_face(norm, vec([1, 0]))
-    assert f.kind == "hull" and f.codim == 1
-    assert set(f.hull) == {(2, 2), (2, -2)}
+    assert f.kind == "signperm" and f.model == (1, 0) and f.codim == 1
+    assert set(f.vertices()) == {(2, 2), (2, -2)}
+    # equal magnitudes: a corner of the square, although the top level is 1
+    f = subdifferential_face(norm, vec([3, -3]))
+    assert f.model == (1, -1) and f.codim == 2 and f.vertices() == ((2, -2),)
     f0 = subdifferential_face(norm, vec([0, 0]))
-    assert f0.codim == 0 and len(f0.hull) == 4
+    assert f0.codim == 0 and f0.vertex_count() == len(f0.vertices()) == 4
+    # zero weights: under (1, 0, 0) the level-1 block and the zero block of
+    # (2, 1, 0) carry all-zero chunks, leaving the cross-polytope vertex
+    f = subdifferential_face(slope_norm([1, 0, 0]), vec([5, 2, 0]))
+    assert f.model == (2, 1, 0) and f.codim == 3 and f.vertices() == ((1, 0, 0),)
 
 
 def test_dual_ball_vertices_dedup():
@@ -183,9 +190,6 @@ def test_weights_validation():
         SlopeWeights.of([0, 0])
     with pytest.raises(ValueError):
         SlopeWeights.of([])
-    assert SlopeWeights.of([2, 1]).strict
-    assert not SlopeWeights.of([2, 2]).strict
-    assert not SlopeWeights.of([2, 0]).strict
 
 
 def test_norm_validation():
@@ -243,16 +247,28 @@ def test_dual_ball_faces_follow_the_labels():
 
 
 def test_dual_ball_faces_min_codim_matches_filtering(monkeypatch):
-    tied = [slope_norm([3, 3, 1]), slope_norm([2, 2]), slope_norm([2, 1, 0])]
+    # tied or zero weights: one face per model, which as vertex sets with
+    # their codimensions are exactly the brute-force exposed faces
+    tied = [slope_norm([3, 3, 1]), slope_norm([2, 2]), slope_norm([2, 1, 0]),
+            slope_norm([1, 1, 1, 0])]
     for norm in tied:
         full = dual_ball_faces(norm)
-        assert full == tuple(enumerate_exposed_faces(dual_ball_vertices(norm)))
-        assert all(f.pattern is None for f in full)
+        assert [f.pattern for f in full] == enumerate_models(norm.dim)
+        by_vertices = {frozenset(f.vertices()): f.codim for f in full}
+        assert all(by_vertices[frozenset(f.vertices())] == f.codim for f in full)
+        brute = enumerate_exposed_faces(dual_ball_vertices(norm))
+        assert by_vertices == {frozenset(f.hull): f.codim for f in brute}
+        assert len(by_vertices) < len(full)
     norms = [n for p in (1, 2, 3, 4) for n, _, _ in _labeled_norms(p)] + tied
     for norm in norms:
         full = dual_ball_faces(norm)
         for c in range(norm.dim + 2):
             assert dual_ball_faces(norm, min_codim=c) == tuple(f for f in full if f.codim >= c)
+    # min_codim reads the codimension, not the top level: under (2, 2) the
+    # model (1, 1) is a corner of the square
+    corners = dual_ball_faces(slope_norm([2, 2]), min_codim=2)
+    assert len(corners) == 12 and (1, 1) in [f.model for f in corners]
+    assert {f.vertices() for f in corners} == {((a, b),) for a in (2, -2) for b in (2, -2)}
     # labels below min_codim never become faces
     built = []
     real = norms_module.model_to_face
