@@ -16,6 +16,8 @@ sweep and differ only in their response witnesses.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -48,13 +50,13 @@ from .norms import (
     norm_value,
     slope_norm,
     unit_sphere_sign_points,
+    zero_region,
 )
 from .solvers import (
     Solution,
     SolverOptions,
     bp_certificate_holds,
     kkt_certify,
-    norm_min_subject_to,
     solve_penalized,
 )
 
@@ -315,12 +317,20 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     order, without response witnesses.
 
     The geometric route intersects the face with row(X); the analytic route
-    compares the minimum of the norm over the fiber {b : Xb = X pattern}
-    against the pattern's own value. With route both, the two are
-    cross-checked and any disagreement raises.
+    compares the minimum of the norm over the fiber {b : Xb = X pattern},
+    the support function max <X pattern, u> of the zero-solution region read
+    off its vertices, against the pattern's own value. With route both, the
+    two are cross-checked and any disagreement raises.
     """
     kernel = DesignKernel(X)
-    for face in dual_ball_faces(norm, limit):
+    faces = dual_ball_faces(norm, limit)  # the model or sign cap refuses here, before any work
+    if route in (ANALYTIC, BOTH):
+        # X'u over the region's vertices u, over one common denominator, so
+        # each pattern's support value is integer dot products and one Fraction
+        duals = [X.rmatvec(u) for u in zero_region(X, norm)]
+        den = math.lcm(*(x.denominator for s in duals for x in s))
+        duals = [tuple(x.numerator * (den // x.denominator) for x in s) for s in duals]
+    for face in faces:
         pattern = face.pattern
         point = vec(pattern)
         pattern_norm = norm_value(norm, point)
@@ -331,7 +341,7 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
             hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
             geometric_hit = hit is not None
         if route in (ANALYTIC, BOTH):
-            analytic_value = norm_min_subject_to(X, point, norm)[0]
+            analytic_value = Fraction(max(sum(map(operator.mul, pattern, s)) for s in duals), den)
         if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
             raise AssertionError(f"route disagreement at {pattern}")
         accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import RationalMatrix, Vector, dot, kernel_basis, rat, rowspace_preimage, vec
-from .lp import LinearProgram, lp_feasible
+from .lp import lp_feasible, nonneg_lp
 
 DEFAULT_MODEL_LIMIT = 6
 DEFAULT_SIGN_LIMIT = 10
@@ -275,28 +275,28 @@ class Face:
                 out.append(tuple(e))
             return tuple(out)
         if self.kind == "signperm":
+            # a level block carries its coordinates' signs; the zero block's
+            # are free (its model signs are all +1)
             per_block = []
             for b in self.blocks:
-                assignments = []
-                for wperm in itertools.permutations(b.weights):
-                    if b.signed:
-                        for flips in itertools.product((1, -1), repeat=len(b.coords)):
-                            assignments.append(tuple(f * w for f, w in zip(flips, wperm)))
-                    else:
-                        assignments.append(wperm)
-                # duplicated assignments appear when weights tie; keep unique
-                seen = []
-                for a in assignments:
-                    if a not in seen:
-                        seen.append(a)
-                per_block.append(seen)
+                perms = itertools.permutations(b.weights)
+                if b.signed:
+                    flips = (itertools.product(*((w, -w) for w in wp)) for wp in perms)
+                    assignments = [a for f in flips for a in f]
+                else:
+                    signs = [self.signs[j] for j in b.coords]
+                    assignments = [tuple(s * w for s, w in zip(signs, wp)) for wp in perms]
+                if len(set(b.weights)) < len(b.weights) or 0 in b.weights:
+                    # tied or zero weights repeat assignments; keep the first
+                    assignments = list(dict.fromkeys(assignments))
+                per_block.append(assignments)
+            # the blocks list coordinates level by level; put them back in order
+            order = [j for b in self.blocks for j in b.coords]
+            where = [order.index(j) for j in range(p)]
             out = []
             for combo in itertools.product(*per_block):
-                v = [Fraction(0)] * p
-                for b, assigned in zip(self.blocks, combo):
-                    for j, w in zip(b.coords, assigned):
-                        v[j] = self.signs[j] * w
-                out.append(tuple(v))
+                flat = sum(combo, ())
+                out.append(tuple(flat[k] for k in where))
             return tuple(out)
         return self.hull
 
@@ -338,15 +338,8 @@ def _convex_zero_weights(columns: Sequence[Vector]) -> Vector | None:
     the coordinates in order, then the sum row, so Bland's rule returns the
     same alpha on every call."""
     k = len(columns)
-    rows = [vec(r) for r in zip(*columns)]
-    rows.append(tuple(Fraction(1) for _ in range(k)))
-    lp = LinearProgram(
-        c=tuple(Fraction(0) for _ in range(k)),
-        a_eq=tuple(rows),
-        b_eq=vec([0] * (len(rows) - 1) + [1]),
-        lower=tuple(Fraction(0) for _ in range(k)),
-    )
-    return lp_feasible(lp)
+    rows = [*zip(*columns), [1] * k]
+    return lp_feasible(nonneg_lp(c=[0] * k, a_eq=rows, b_eq=[0] * (len(rows) - 1) + [1]))
 
 
 def check_weights(w: Sequence) -> tuple[Fraction, ...]:
@@ -360,6 +353,31 @@ def check_weights(w: Sequence) -> tuple[Fraction, ...]:
     if any(a < b for a, b in zip(ww, ww[1:])):
         raise ValueError("weights must be nonincreasing")
     return ww
+
+
+@dataclass(frozen=True)
+class SlopeWeights:
+    """Nonincreasing nonnegative weights with w1 > 0, checked once at
+    construction. Models label the dual-ball faces of every such vector;
+    ties and zeros make some share one."""
+
+    values: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        check_weights(self.values)
+
+    @classmethod
+    def of(cls, entries: Sequence) -> "SlopeWeights":
+        return cls(vec(entries))
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
 
 
 def model_codim(m: Sequence[int], w: Sequence[Fraction]) -> int:
@@ -385,11 +403,13 @@ def model_codim(m: Sequence[int], w: Sequence[Fraction]) -> int:
 def model_to_face(m: Sequence[int], w: Sequence) -> Face:
     """The sign-permutohedron face attached to model m: level blocks take
     consecutive weight chunks from the top, the zero block keeps free signs.
-    Its codimension is model_codim(m, w)."""
+    Its codimension is model_codim(m, w). w is checked unless it is a
+    SlopeWeights, which was checked when it was built, so a face table that
+    passes one checks its weights once."""
     mm = tuple(int(v) for v in m)
     if not is_model(mm):
         raise ValueError(f"{mm} is not a model: levels must cover 1..max")
-    ww = check_weights(w)
+    ww = w.values if isinstance(w, SlopeWeights) else check_weights(w)
     p = len(ww)
     if len(mm) != p:
         raise ValueError("model and weights dimension mismatch")

@@ -1,15 +1,21 @@
-"""Dense exact simplex over the rationals.
+"""Dense exact simplex over the rationals, for programs in nonnegative
+variables.
 
 Two-phase tableau method with Bland's anticycling rule throughout, so every
 solve is deterministic and terminates. Problem sizes here are desk scale
 (tens of variables); no factorization or sparsity is attempted on purpose.
+The package builds two programs, both over nonnegative weights: the gauge LP
+of a polytope norm (solvers) and the convex weights of a point of a face
+(geometry). Each optimum carries an optimal dual, read off the final
+tableau: for the gauge LP it is a point of the zero-solution region, which is
+how basis pursuit gets its dual certificate. The accessibility sweeps and the
+region figure read that region's vertices (norms.zero_region) instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import Vector, vec
 
@@ -23,19 +29,13 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize c'x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  bounds.
-
-    lower[j] may be 0, a finite rational, or None (free). upper[j] may be a
-    finite rational or None. Defaults: all variables free.
-    """
+    """minimize c'x  s.t.  A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0."""
 
     c: Vector
     a_eq: tuple[Vector, ...] = ()
     b_eq: Vector = ()
     a_ub: tuple[Vector, ...] = ()
     b_ub: Vector = ()
-    lower: tuple[Fraction | None, ...] | None = None
-    upper: tuple[Fraction | None, ...] | None = None
 
     def __post_init__(self):
         n = len(self.c)
@@ -45,28 +45,28 @@ class LinearProgram:
             for r in rows:
                 if len(r) != n:
                     raise ValueError(f"a_{name} row width != number of variables")
-        for bnd in (self.lower, self.upper):
-            if bnd is not None and len(bnd) != n:
-                raise ValueError("bounds length mismatch")
 
 
 @dataclass(frozen=True)
 class LPResult:
+    """x and value at the optimum; dual is an optimal y of max b'y s.t.
+    A'y <= c, one entry per row (the equality rows, then the inequality
+    rows), so b'y = value."""
+
     status: str
     x: Vector | None = None
     value: Fraction | None = None
+    dual: Vector | None = None
 
 
 def nonneg_lp(c, a_eq=(), b_eq=(), a_ub=(), b_ub=()) -> LinearProgram:
-    """All variables >= 0."""
-    cc = vec(c)
+    """A LinearProgram from any rational entries."""
     return LinearProgram(
-        c=cc,
+        c=vec(c),
         a_eq=tuple(vec(r) for r in a_eq),
-        b_eq=vec(b_eq) if b_eq else (),
+        b_eq=vec(b_eq),
         a_ub=tuple(vec(r) for r in a_ub),
-        b_ub=vec(b_ub) if b_ub else (),
-        lower=tuple(_ZERO for _ in cc),
+        b_ub=vec(b_ub),
     )
 
 
@@ -167,8 +167,9 @@ def _solve_standard(a, b, c) -> LPResult:
     consumed."""
     m = len(a)
     n = len(c)
+    flipped = [bi < 0 for bi in b]
     for i in range(m):
-        if b[i] < 0:
+        if flipped[i]:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
     t = _Tableau(a, b)
@@ -202,107 +203,29 @@ def _solve_standard(a, b, c) -> LPResult:
         return LPResult(UNBOUNDED)
     x = t.solution()[:n]
     value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
-    return LPResult(OPTIMAL, tuple(x), value)
-
-
-@dataclass
-class _Compiled:
-    cols: list[tuple[int, int]] = field(default_factory=list)  # (plus_col, minus_col or -1)
-    shifts: list[Fraction] = field(default_factory=list)
-
-
-def _compile(lp: LinearProgram):
-    n = len(lp.c)
-    lower = lp.lower if lp.lower is not None else tuple(None for _ in range(n))
-    upper = lp.upper if lp.upper is not None else tuple(None for _ in range(n))
-    comp = _Compiled()
-    ncols = 0
-    for j in range(n):
-        lo = lower[j]
-        comp.shifts.append(lo if lo is not None else _ZERO)
-        if lo is None:
-            comp.cols.append((ncols, ncols + 1))
-            ncols += 2
-        else:
-            comp.cols.append((ncols, -1))
-            ncols += 1
-
-    a_rows: list[list[Fraction]] = []
-    b_vals: list[Fraction] = []
-    row_kinds: list[str] = []  # "eq" or "ub"
-
-    def expand(row: Sequence[Fraction], rhs: Fraction, kind: str):
-        out = [_ZERO] * ncols
-        shift = _ZERO
-        for j, coef in enumerate(row):
-            if not coef:
-                continue
-            pc, mc = comp.cols[j]
-            out[pc] += coef
-            if mc >= 0:
-                out[mc] -= coef
-            shift += coef * comp.shifts[j]
-        a_rows.append(out)
-        b_vals.append(rhs - shift)
-        row_kinds.append(kind)
-
-    for row, rhs in zip(lp.a_eq, lp.b_eq):
-        expand(row, rhs, "eq")
-    for row, rhs in zip(lp.a_ub, lp.b_ub):
-        expand(row, rhs, "ub")
-    for j in range(n):
-        up = upper[j]
-        if up is not None:
-            unit = [_ZERO] * n
-            unit[j] = _ONE
-            expand(unit, up, "ub")
-
-    # slack columns for ub rows
-    n_slack = sum(1 for k in row_kinds if k == "ub")
-    for i, kind in enumerate(row_kinds):
-        if kind == "ub":
-            for k, r in enumerate(a_rows):
-                r.append(_ONE if k == i else _ZERO)
-    ncols_total = ncols + n_slack
-
-    cost = [_ZERO] * ncols_total
-    const = _ZERO
-    for j, cj in enumerate(lp.c):
-        if not cj:
-            continue
-        pc, mc = comp.cols[j]
-        cost[pc] += cj
-        if mc >= 0:
-            cost[mc] -= cj
-        const += cj * comp.shifts[j]
-    return a_rows, b_vals, cost, const, comp, ncols_total
+    # the artificial columns hold B^-1 (dropped rows included), so c_B B^-1
+    # is an optimal dual; a row negated above negates its entry back
+    dual = tuple(
+        sum((cost2[k] * row[n + i] for k, row in zip(t.basis, t.a)), _ZERO) * (-1 if f else 1)
+        for i, f in enumerate(flipped)
+    )
+    return LPResult(OPTIMAL, tuple(x), value, dual)
 
 
 def lp_solve(lp: LinearProgram) -> LPResult:
-    """Exact optimum of a general-form LP. Deterministic: identical input
-    produces the identical optimal vertex."""
-    a_rows, b_vals, cost, const, comp, _ = _compile(lp)
-    res = _solve_standard(a_rows, b_vals, cost)
+    """Exact optimum. Each inequality row gets a slack column after the
+    variables. Deterministic: identical input produces the identical optimal
+    vertex."""
+    n, k = len(lp.c), len(lp.a_ub)
+    a = [list(r) + [_ZERO] * k for r in lp.a_eq]
+    a += [list(r) + [_ONE if j == i else _ZERO for j in range(k)] for i, r in enumerate(lp.a_ub)]
+    res = _solve_standard(a, list(lp.b_eq) + list(lp.b_ub), list(lp.c) + [_ZERO] * k)
     if res.status != OPTIMAL:
         return res
-    x = []
-    for (pc, mc), shift in zip(comp.cols, comp.shifts):
-        v = res.x[pc] - (res.x[mc] if mc >= 0 else _ZERO) + shift
-        x.append(v)
-    value = res.value + const
-    return LPResult(OPTIMAL, tuple(x), value)
+    return replace(res, x=res.x[:n])
 
 
 def lp_feasible(lp: LinearProgram) -> Vector | None:
     """Phase-1 only: a feasible point, or None."""
-    zero = LinearProgram(
-        c=tuple(_ZERO for _ in lp.c),
-        a_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        a_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        lower=lp.lower,
-        upper=lp.upper,
-    )
-    res = lp_solve(zero)
+    res = lp_solve(replace(lp, c=tuple(_ZERO for _ in lp.c)))
     return res.x if res.status == OPTIMAL else None

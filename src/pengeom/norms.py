@@ -8,6 +8,10 @@ cross-polytope faces are labeled by sign vectors, sign-permutohedron faces by
 models, for every slope weight vector; under tied or zero weights several
 models label the same face.
 
+zero_region is the one description of the zero-solution region
+{u : ||X'u||_* <= 1}: its vertices give the analytic accessibility route and
+the region figure.
+
 Values are duck-typed: Fraction inputs give exact rationals, float inputs
 give floats. Face construction is exact-only.
 """
@@ -16,16 +20,18 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Vector, rat, vec
+from .exact import RationalMatrix, Vector, dot, rat, rref, solve_exact, vec
 from .geometry import (
     DEFAULT_MODEL_LIMIT,
     DEFAULT_SIGN_LIMIT,
     Face,
-    check_weights,
+    SlopeWeights,
     enumerate_models,
     model_codim,
     model_of,
@@ -33,36 +39,11 @@ from .geometry import (
     sign_to_crosspolytope_face,
     sign_to_cube_face,
     sign_vectors,
-    signed_permutations,
 )
 
 L1 = "l1"
 SUP = "sup"
 SLOPE = "slope"
-
-
-@dataclass(frozen=True)
-class SlopeWeights:
-    """Nonincreasing nonnegative weights with w1 > 0. Models label the
-    dual-ball faces of every such vector; ties and zeros make some share one."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        check_weights(self.values)
-
-    @classmethod
-    def of(cls, entries: Sequence) -> "SlopeWeights":
-        return cls(vec(entries))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -148,18 +129,11 @@ def dual_ball_membership(norm: PolytopeNorm, s: Sequence) -> bool:
 
 
 def dual_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
-    """Vertex set of the dual unit ball, deduplicated (ties or zeros in slope
-    weights make signed permutations collide)."""
-    p = norm.dim
-    if norm.kind == L1:
-        face = sign_to_cube_face(tuple([0] * p), scale=norm.scale)
-        return face.vertices()
-    if norm.kind == SUP:
-        return sign_to_crosspolytope_face(tuple([0] * p)).vertices()
-    seen: dict[Vector, None] = {}
-    for g in signed_permutations(p):
-        seen.setdefault(g.apply(norm.weights.values))
-    return tuple(seen)
+    """Vertex set of the dual unit ball: the vertices of its subdifferential
+    face at 0, the whole ball, listed uncapped. Ties or zeros in slope
+    weights make signed permutations of w collide, and each vertex is listed
+    once."""
+    return subdifferential_face(norm, [0] * norm.dim).vertices(cap=None)
 
 
 def dual_ball_faces(
@@ -179,7 +153,7 @@ def dual_ball_faces(
     if norm.kind == SLOPE:
         w = norm.weights.values
         return tuple(
-            model_to_face(m, w)
+            model_to_face(m, norm.weights)
             for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
             # the codim is at least the top level, and equals it for strict weights
             if max(map(abs, m)) >= min_codim or model_codim(m, w) >= min_codim
@@ -239,7 +213,7 @@ def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
         top = max(abs(v) for v in xx)
         sigma = tuple(((v > 0) - (v < 0)) if abs(v) == top else 0 for v in xx)
         return sign_to_crosspolytope_face(sigma)
-    return model_to_face(model_of(xx), norm.weights.values)
+    return model_to_face(model_of(xx), norm.weights)
 
 
 def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], Vector]]:
@@ -254,3 +228,85 @@ def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], V
         nv = norm_value(norm, vec(sigma))
         out.append((sigma, tuple(Fraction(s) / nv for s in sigma)))
     return out
+
+
+def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
+    """Vertices of the zero-solution region D = {u : ||X'u||_* <= 1}, the
+    responses whose penalized minimizer is zero, by exact double description.
+
+    D is cut out by the halfspaces <Xv, u> <= 1 for v in
+    primal_ball_vertices(norm), a set closed under negation. Each vertex is
+    supported on R, the first maximal independent set of X's rows (all rows
+    at full row rank); D is the polytope of those vertices plus the lines of
+    ker(X'). Either way X'u ranges over the section of the dual ball by
+    row(X), so by LP duality max <Xm, u> over the vertices is the least norm
+    over {b : Xb = Xm}, and a vertex attaining it is a dual certificate.
+
+    The start is the parallelotope |<a, u>| <= 1 of the first rk(X)
+    independent constraint normals a. Each further halfspace drops the
+    vertices beyond it and adds the point where it crosses each edge from a
+    dropped vertex to a kept one. Two vertices span an edge iff no third
+    vertex is tight on every constraint both are tight on (Motzkin et al.
+    1953; Fukuda & Prodon 1996), a test on tight-set bitmasks. The work is in
+    integers, each vertex an integer vector over a positive denominator.
+    """
+    if norm.dim != X.ncols:
+        raise ValueError("norm dimension does not match the matrix")
+    _, support = rref(X.transpose())  # pivot columns of X' are independent rows of X
+    if not support:  # X = 0: D is the whole space, and u = 0 stands for it
+        return (tuple(Fraction(0) for _ in range(X.nrows)),)
+    r = len(support)
+    images = (tuple(dot(X.rows[i], v) for i in support) for v in primal_ball_vertices(norm))
+    normals = list(dict.fromkeys(a for a in images if any(a)))
+    index = {a: k for k, a in enumerate(normals)}
+    _, first = rref(RationalMatrix(tuple(normals)).transpose())  # the first r independent
+    basis = RationalMatrix(tuple(normals[k] for k in first))
+    start = basis.rows + tuple(tuple(-x for x in a) for a in basis.rows)
+    # in integers: u = U / d with d > 0, and <a, u> <= 1 reads <A, U> <= e d for a = A / e
+    scales = [math.lcm(*(x.denominator for x in a)) for a in normals]
+    ints = [tuple(int(x * e) for x in a) for a, e in zip(normals, scales)]
+
+    def slacks(k):
+        return [sum(map(operator.mul, ints[k], U)) - scales[k] * d for U, d in verts]
+
+    verts = []  # (U, d)
+    for t in itertools.product((1, -1), repeat=r):
+        u = solve_exact(basis, t)
+        d = math.lcm(*(x.denominator for x in u))
+        verts.append((tuple(int(x * d) for x in u), d))
+    masks = [0] * len(verts)  # per vertex, the halfspaces so far that are tight at it
+    done = {index[a] for a in start}
+    for k in done:
+        masks = [m | (1 << k) if not s else m for m, s in zip(masks, slacks(k))]
+    for k in range(len(normals)):
+        if k in done:
+            continue
+        bit = 1 << k
+        vals = slacks(k)
+        below = [j for j, s in enumerate(vals) if s < 0]
+        cut, cut_masks = [], []
+        for i, s_i in enumerate(vals):
+            if s_i <= 0:
+                continue
+            U_i, d_i = verts[i]
+            for j in below:
+                common = masks[i] & masks[j]
+                # i and j are tight on common; an edge has no third vertex that is
+                if common.bit_count() < r - 1 or sum(m & common == common for m in masks) > 2:
+                    continue
+                # the crossing s_i u_j - s_j u_i, a positive combination
+                (U_j, d_j), s_j = verts[j], vals[j]
+                W = [s_i * y - s_j * x for x, y in zip(U_i, U_j)] + [s_i * d_j - s_j * d_i]
+                g = math.gcd(*W)
+                cut.append((tuple(x // g for x in W[:-1]), W[-1] // g))
+                cut_masks.append(common | bit)
+        kept = [i for i, s in enumerate(vals) if s <= 0]
+        masks = [masks[i] | bit if not vals[i] else masks[i] for i in kept] + cut_masks
+        verts = [verts[i] for i in kept] + cut
+    out = []
+    for U, d in verts:
+        full = [Fraction(0)] * X.nrows
+        for i, x in zip(support, U):
+            full[i] = Fraction(x, d)
+        out.append(tuple(full))
+    return tuple(out)

@@ -4,7 +4,11 @@ over the fiber {b : Xb = X target}.
 
 The gauge LP writes b as a nonnegative combination of the primal unit ball's
 vertices V, so ||b|| = min sum(lam) over b = V lam for every polytope norm;
-only V depends on the norm, and X V is reused across a design's sweep.
+only V depends on the norm. Its dual feasible set is the zero-solution region
+D = {u : ||X'u||_* <= 1}, so the least norm is max <X target, u> over the
+vertices of D (norms.zero_region), which is how the accessibility sweeps read
+it without an LP; and for l1 the LP's optimal dual u at y = Xb is a basis
+pursuit dual certificate for b whenever ||b||_1 attains the least norm.
 
 The float route never decides anything: it produces a candidate point plus a
 KKT certificate, and only the certificate (exact on rational inputs, with an
@@ -13,7 +17,6 @@ explicit tolerance on float ones) is trusted downstream.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import RationalMatrix, Vector, dot, vec
-from .lp import OPTIMAL, LinearProgram, lp_feasible, lp_solve, nonneg_lp
+from .lp import OPTIMAL, lp_solve, nonneg_lp
 from .norms import (
     L1,
     SUP,
@@ -228,75 +231,50 @@ def solve_penalized(
 # exact LP routes
 
 
-@functools.lru_cache(maxsize=64)
-def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
-    # rows of X V, reused by every pattern of one design's sweep
-    return tuple(zip(*(X.matvec(v) for v in primal_ball_vertices(norm))))
-
-
 def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):
-    """(value, b) for min ||b|| s.t. Xb = rhs, solved as the gauge LP
+    """(value, b, u) for min ||b|| s.t. Xb = rhs, solved as the gauge LP
     min sum(lam) s.t. (X V) lam = rhs, lam >= 0 with b = V lam; None when rhs
-    is outside the column space of X. Bland's rule makes the vertex
-    deterministic."""
+    is outside the column space of X. u is the LP's optimal dual, a point of
+    the zero-solution region with <rhs, u> = value. Bland's rule makes the
+    vertex deterministic."""
     verts = primal_ball_vertices(norm)
-    res = lp_solve(nonneg_lp(c=[1] * len(verts), a_eq=_gauge_rows(X, norm), b_eq=rhs))
+    rows = tuple(zip(*(X.matvec(v) for v in verts)))
+    res = lp_solve(nonneg_lp(c=[1] * len(verts), a_eq=rows, b_eq=rhs))
     if res.status != OPTIMAL:
         return None
     b = tuple(
         sum((lam * v[i] for lam, v in zip(res.x, verts) if lam), Fraction(0))
         for i in range(X.ncols)
     )
-    return res.value, b
+    return res.value, b, res.dual
 
 
 def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
     """Exact basis pursuit: min ||b||_1 s.t. Xb = y through the gauge LP of the
-    l1 ball. Deterministic vertex, certified before return."""
+    l1 ball. Deterministic vertex, certified before return by the LP's own
+    optimal dual."""
     yy = vec(y)
     if len(yy) != X.nrows:
         raise ValueError("dimension mismatch")
     found = _gauge_lp(X, l1_norm(X.ncols), yy)
     if found is None:
         raise ValueError("response is outside the column space of the matrix")
-    value, b = found
-    z = bp_dual_certificate(X, b)
-    if z is None:
-        raise AssertionError("LP optimum failed the basis pursuit certificate")
+    value, b, z = found
     s = X.rmatvec(z)
     gap = abs(dot(b, s) - sum(abs(v) for v in b))
-    cert = Certificate(s, max(abs(v) for v in s), gap, 0, True)
+    cert = Certificate(s, max(abs(v) for v in s), gap, 0, bp_certificate_holds(X, b, z))
     return Solution(b, value, "lp", cert)
 
 
 def bp_dual_certificate(X: RationalMatrix, b: Sequence) -> Vector | None:
     """z with ||X'z||_inf <= 1 and X_j'z = sign(b_j) on the support of b;
-    exists iff b solves basis pursuit for y = Xb."""
+    exists iff b solves basis pursuit for y = Xb. It is the optimal dual of
+    the l1 gauge LP at y, which pairs with y to the least l1 norm over the
+    fiber, so it certifies b exactly when ||b||_1 is that least norm; None
+    otherwise."""
     bb = vec(b)
-    p = X.ncols
-    n = X.nrows
-    a_eq = []
-    b_eq = []
-    a_ub = []
-    b_ub = []
-    for j in range(p):
-        col = X.column(j)
-        if bb[j] != 0:
-            a_eq.append(col)
-            b_eq.append(Fraction(1 if bb[j] > 0 else -1))
-        else:
-            a_ub.append(col)
-            b_ub.append(Fraction(1))
-            a_ub.append(tuple(-x for x in col))
-            b_ub.append(Fraction(1))
-    lp = LinearProgram(
-        c=tuple(Fraction(0) for _ in range(n)),
-        a_eq=tuple(a_eq),
-        b_eq=tuple(b_eq),
-        a_ub=tuple(a_ub),
-        b_ub=tuple(b_ub),
-    )
-    return lp_feasible(lp)
+    value, _, z = _gauge_lp(X, l1_norm(X.ncols), X.matvec(bb))
+    return z if value == sum(abs(v) for v in bb) else None
 
 
 def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> bool:
@@ -318,4 +296,4 @@ def norm_min_subject_to(X: RationalMatrix, target: Sequence, norm: PolytopeNorm)
         raise ValueError("dimension mismatch")
     found = _gauge_lp(X, norm, X.matvec(tt))
     assert found is not None
-    return found
+    return found[:2]

@@ -1,5 +1,6 @@
 """Static SVG diagrams: 2-D dual balls with row-space lines, and the
-response-space region whose penalized minimizer is zero.
+response-space region whose penalized minimizer is zero. The region's polygon
+is the vertex list of norms.zero_region.
 
 Face labels come from the face table norms.dual_ball_faces: each proper face
 is labeled by its sign vector or model, and a boundary point by the smallest
@@ -29,6 +30,7 @@ from .norms import (
     dual_norm_value,
     primal_ball_vertices,
     subdifferential_face,
+    zero_region,
 )
 
 Vector = tuple[Fraction, ...]
@@ -179,42 +181,18 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
     return canvas.render()
 
 
-def _halfspace_rows(X: RationalMatrix, norm: PolytopeNorm) -> list[Vector]:
-    rows: list[Vector] = []
-    for x in primal_ball_vertices(norm):
-        a = X.matvec(x)
-        if any(t != 0 for t in a) and a not in rows:
-            rows.append(a)
-    return rows
-
-
-def _polygon_vertices(rows: list[Vector]) -> list[Vector]:
-    verts: list[Vector] = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            (a1, a2), (b1, b2) = rows[i], rows[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            u = ((b2 - a2) / det, (a1 - b1) / det)
-            if u not in verts and all(dot(r, u) <= 1 for r in rows):
-                verts.append(u)
-    return _ccw(verts)
-
-
 def response_region_figure(X: RationalMatrix, norm: PolytopeNorm, size: int = 420) -> str:
     """Region of responses whose penalized minimizer is exactly zero, drawn in
-    the plane. Needs two rows and full row rank so the region is a polygon;
-    its faces are then preimages under X' of the dual-ball faces met by
-    row(X), labeled accordingly."""
+    the plane. Needs two rows and full row rank so the region is a polygon,
+    the one norms.zero_region lists; its faces are then preimages under X' of
+    the dual-ball faces met by row(X), labeled accordingly."""
     if X.nrows != 2:
         raise ValueError("response-region figures need exactly two rows")
     if norm.dim != X.ncols:
         raise ValueError("norm dimension must match column count")
     if rank(X) != 2:
         raise ValueError("rows must be linearly independent, else the region is unbounded")
-    rows = _halfspace_rows(X, norm)
-    poly = _polygon_vertices(rows)
+    poly = _ccw(zero_region(X, norm))
     radius = max(max(abs(c) for c in v) for v in poly)
     reach = radius * Fraction(3, 2)
     canvas = _Canvas(reach, size)

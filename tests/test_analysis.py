@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import pengeom.analysis as analysis_module
 import pengeom.geometry as geometry_module
+import pengeom.solvers as solvers_module
 from pengeom.analysis import (
     ANALYTIC,
+    BOTH,
     GEOMETRIC,
     AccessibilityReport,
     UncertifiedSolve,
@@ -32,7 +34,12 @@ from pengeom.norms import (
     sup_norm,
     unit_sphere_sign_points,
 )
-from pengeom.solvers import SolverOptions, bp_certificate_holds, kkt_certify
+from pengeom.solvers import (
+    SolverOptions,
+    bp_certificate_holds,
+    bp_dual_certificate,
+    kkt_certify,
+)
 
 DEMO_X = RationalMatrix.from_rows([[8, 5, 8], [10, Fraction(5, 4), -6]])
 DEMO_W = (Fraction(11, 2), Fraction(7, 2), Fraction(3, 2))
@@ -588,3 +595,42 @@ def test_tied_weight_faces_never_reach_the_brute_force_grid(monkeypatch):
             assert face.kind == "signperm" and face.codim == model_codim(face.model, norm.weights)
             assert_valid_penalized_witness(X, norm, report)
     assert verdicts == [False, False, True]
+
+
+def test_analytic_route_never_solves_a_gauge_lp(monkeypatch):
+    # the sweeps read the vertices of the zero-solution region instead
+    def refuse(*args):
+        raise AssertionError("gauge LP on a zero-region path")
+
+    monkeypatch.setattr(solvers_module, "_gauge_lp", refuse)
+    X = RationalMatrix.from_rows([[1, 2, 0, -1], [0, 1, 1, 2], [1, 3, 1, 1]])  # rank 2
+    for route in (ANALYTIC, BOTH):
+        models = accessible_slope_models(DEMO_X, DEMO_W, route=route)
+        assert {r.pattern for r in models if r.accessible} == KNOWN_ACCESSIBLE
+        flat = RationalMatrix.from_rows([[1, 2, -1], [2, 4, -2]])
+        tied = accessible_slope_models(flat, [3, 3, 1], route=route)
+        assert all(r.analytic_value <= r.pattern_norm for r in tied)
+        assert any(r.accessible for r in tied) and not all(r.accessible for r in tied)
+        signs = accessible_sign_vectors(X, route=route)
+        assert all(r.analytic_value <= r.pattern_norm for r in signs)
+    monkeypatch.undo()
+    # the basis-pursuit certificate is the gauge LP's dual, and exists
+    # exactly where the region's support function calls a pattern accessible
+    for r in signs:
+        z = bp_dual_certificate(X, vec(r.pattern))
+        assert (z is not None) == r.accessible
+        if z is not None:
+            assert bp_certificate_holds(X, vec(r.pattern), z)
+
+
+def test_capped_sweeps_refuse_before_building_the_region(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("zero region built for a refused sweep")
+
+    monkeypatch.setattr(analysis_module, "zero_region", refuse)
+    X = RationalMatrix.from_rows([[1, 2, 0, -1, 1, 1, 0], [0, 1, 1, 2, -1, 0, 1]])
+    for route in (ANALYTIC, BOTH):
+        with pytest.raises(CapExceeded, match="exceeds cap 6"):
+            accessible_slope_models(X, [7, 6, 5, 4, 3, 2, 1], route=route)
+        with pytest.raises(CapExceeded):
+            accessible_sign_vectors(X, route=route, limit=6)

@@ -273,7 +273,6 @@ def reference_face_test(face, X, K):
             c=tuple(Fraction(0) for _ in range(k)),
             a_eq=tuple(vec(r) for r in rows),
             b_eq=vec([0] * len(K) + [1]),
-            lower=tuple(Fraction(0) for _ in range(k)),
         )
         alpha = lp_feasible(lp)
         if alpha is None:

@@ -76,6 +76,28 @@ def oracle_references(source: str) -> list[str]:
     return found
 
 
+# the two linear programs left in the package, both over nonnegative
+# weights; the accessibility sweeps and the region figure read the zero
+# region's vertices, and the basis-pursuit certificate is the gauge LP's dual
+LP_BUILDERS = frozenset({"solvers._gauge_lp", "geometry._convex_zero_weights", "lp.nonneg_lp"})
+
+
+def lp_constructions(module: str, source: str) -> list[str]:
+    """"module.function" for every call of LinearProgram or nonneg_lp, named
+    by the top-level function or class around it ("module.<module>" at top
+    level); lp.nonneg_lp is the constructor's own wrapper."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("LinearProgram", "nonneg_lp"):
+                    found.append(f"{module}.{owner}")
+    return found
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -134,3 +156,27 @@ def test_product_paths_never_reach_the_brute_force_faces():
     assert modules
     found = {p.name: oracle_references(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_checker_flags_an_lp_construction():
+    source = (
+        "from .lp import LinearProgram, nonneg_lp\n"
+        "from . import lp\n"
+        "ZERO = nonneg_lp(c=[0])\n"
+        "def _gauge_lp(X):\n"
+        "    return nonneg_lp(c=[1])\n"
+        "def region(X):\n"
+        "    def inner():\n"
+        "        return lp.LinearProgram(c=())\n"
+        "    return inner, LinearProgram\n"
+        "class Cert:\n"
+        "    def build(self):\n"
+        "        return LinearProgram(c=())\n"
+    )
+    assert lp_constructions("solvers", source) == [
+        "solvers.<module>", "solvers._gauge_lp", "solvers.region", "solvers.Cert"]
+
+
+def test_linear_programs_are_built_in_two_places():
+    built = {c for p in SRC.glob("*.py") for c in lp_constructions(p.stem, p.read_text())}
+    assert built == LP_BUILDERS

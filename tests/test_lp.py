@@ -36,29 +36,6 @@ def test_unbounded():
     assert lp_solve(lp).status == UNBOUNDED
 
 
-def test_free_variables_and_equalities():
-    # min x + y s.t. x - y = 3, both free -> unbounded
-    lp = LinearProgram(c=(Fraction(1), Fraction(1)), a_eq=((Fraction(1), Fraction(-1)),),
-                       b_eq=(Fraction(3),))
-    assert lp_solve(lp).status == UNBOUNDED
-    # min x^+ style: x free, y >= 0, x = y - 5 -> min x at y = 0
-    lp = LinearProgram(
-        c=(Fraction(1), Fraction(0)),
-        a_eq=((Fraction(1), Fraction(-1)),),
-        b_eq=(Fraction(-5),),
-        lower=(None, Fraction(0)),
-    )
-    res = lp_solve(lp)
-    assert res.status == OPTIMAL and res.x == (-5, 0) and res.value == -5
-
-
-def test_general_bounds():
-    # min -x s.t. 2 <= x <= 7 via lower/upper
-    lp = LinearProgram(c=(Fraction(-1),), lower=(Fraction(2),), upper=(Fraction(7),))
-    res = lp_solve(lp)
-    assert res.status == OPTIMAL and res.x == (7,) and res.value == -7
-
-
 def test_beale_cycling_instance_terminates():
     # Classic instance that cycles under the most-negative rule; Bland must
     # terminate at value -1/20.
@@ -146,10 +123,36 @@ def test_primal_dual_agreement():
     assert agreed >= 10
 
 
+def test_optimal_dual_pairs_with_the_value():
+    # y is feasible for max b'y, A'y <= c with y <= 0 on the inequality rows,
+    # and b'y equals the optimum; equality rows with negative right-hand
+    # sides and a redundant row (the sum of the first two) are included
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        x0 = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+        a_eq = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        if len(a_eq) > 1 and rng.random() < 0.5:
+            a_eq.append([x + y for x, y in zip(a_eq[0], a_eq[1])])
+        ub, _ = _random_lp(rng, n, rng.randint(0, 2))
+        lp = nonneg_lp(
+            c=ub.c, a_eq=a_eq, b_eq=[dot(r, x0) for r in a_eq], a_ub=ub.a_ub, b_ub=ub.b_ub
+        )
+        res = lp_solve(lp)
+        if res.status != OPTIMAL:
+            continue
+        rows, rhs = lp.a_eq + lp.a_ub, lp.b_eq + lp.b_ub
+        assert len(res.dual) == len(rows)
+        assert dot(rhs, res.dual) == res.value
+        assert all(dot(col, res.dual) <= cj for col, cj in zip(zip(*rows), lp.c))
+        assert all(y <= 0 for y in res.dual[len(lp.a_eq):])
+        checked += 1
+    assert checked >= 20
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         LinearProgram(c=(Fraction(1),), a_eq=((Fraction(1), Fraction(2)),), b_eq=(Fraction(0),))
     with pytest.raises(ValueError):
         LinearProgram(c=(Fraction(1),), a_eq=((Fraction(1),),), b_eq=())
-    with pytest.raises(ValueError):
-        LinearProgram(c=(Fraction(1),), lower=(None, None))

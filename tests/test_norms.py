@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import pengeom.norms as norms_module
-from pengeom.exact import dot, vec
+from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
 from pengeom.geometry import (
+    DEFAULT_VERTEX_CAP,
     CapExceeded,
+    _materialized_vertices,
     enumerate_exposed_faces,
     enumerate_models,
     model_to_face,
@@ -29,7 +33,9 @@ from pengeom.norms import (
     subdifferential_face,
     sup_norm,
     unit_sphere_sign_points,
+    zero_region,
 )
+from pengeom.solvers import bp_certificate_holds, bp_dual_certificate, norm_min_subject_to
 
 W2 = slope_norm(["3.5", "1.5"])
 
@@ -181,6 +187,18 @@ def test_dual_ball_vertices_dedup():
     assert len(dual_ball_vertices(l1_norm(2, scale=2))) == 4
 
 
+def test_dual_ball_vertices_are_listed_uncapped():
+    # strict weights at p = 7 give 2^p p! = 645120 vertices, beyond the
+    # default face vertex cap; the whole ball is still listed
+    norm = slope_norm(range(7, 0, -1))
+    try:
+        verts = dual_ball_vertices(norm)
+        assert len(verts) == 2**7 * math.factorial(7) > DEFAULT_VERTEX_CAP
+        assert verts[0] == tuple(Fraction(w) for w in range(7, 0, -1))
+    finally:
+        _materialized_vertices.cache_clear()  # do not hold the list for later tests
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         SlopeWeights.of([1, 2])
@@ -275,3 +293,102 @@ def test_dual_ball_faces_min_codim_matches_filtering(monkeypatch):
     monkeypatch.setattr(norms_module, "model_to_face", lambda m, w: built.append(m) or real(m, w))
     top = dual_ball_faces(slope_norm([4, 3, 2, 1]), min_codim=4)
     assert len(top) == 2 ** 4 * 24 and len(built) == len(top)
+
+
+def region_by_row_subsets(X, norm):
+    """Vertices of {u : ||X'u||_* <= 1} supported on R, the first maximal
+    independent set of X's rows: the feasible solutions of <a, u> = 1 over
+    every independent r-subset of the constraint rows a = X_R v, v in
+    primal_ball_vertices(norm)."""
+    R = []
+    for i, row in enumerate(X.rows):
+        if rank(RationalMatrix.from_rows([X.rows[k] for k in R] + [row])) > len(R):
+            R.append(i)
+    normals = sorted({tuple(dot(X.rows[i], v) for i in R) for v in primal_ball_vertices(norm)})
+    found = set()
+    for rows in itertools.combinations(normals, len(R)):
+        if R and rank(RationalMatrix(rows)) < len(R):
+            continue
+        u = solve_exact(RationalMatrix(rows), [1] * len(R)) if R else ()
+        if all(dot(a, u) <= 1 for a in normals):
+            full = [Fraction(0)] * X.nrows
+            for i, x in zip(R, u):
+                full[i] = x
+            found.add(tuple(full))
+    return found
+
+
+def region_cases():
+    """(X, norm) for every n <= 3 and p <= 4, under l1 (scale 1 and 3/2) and
+    sup, and for p <= 3 (the p = 4 slope gauge LPs are slow) under slope with
+    strict, tied and zero weights. Each (norm, n) gives three designs: seeded
+    entries k/d with |k| <= 2 and d <= 2; the same with its last row replaced
+    by twice its first (rank-deficient, n > 1 only); and all zero."""
+    rng = random.Random(7)
+    norms = [(p, l1_norm(p, scale=c)) for p in range(1, 5) for c in (1, Fraction(3, 2))]
+    norms += [(p, sup_norm(p)) for p in range(1, 5)]
+    weights = ([Fraction(7, 2), 2, Fraction(1, 2)], [3, 3, 1], [2, 1, 0])
+    norms += [(p, slope_norm(w[:p])) for w in weights for p in range(1, 4)]
+    for p, norm in norms:
+        for n in (1, 2, 3):
+            rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(p)]
+                    for _ in range(n)]
+            yield RationalMatrix.from_rows(rows), norm
+            if n > 1:
+                yield RationalMatrix.from_rows(rows[:-1] + [[2 * x for x in rows[0]]]), norm
+            yield RationalMatrix.from_rows([[0] * p] * n), norm
+
+
+def test_zero_region_small_cases():
+    X = RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]])
+    assert set(zero_region(X, l1_norm(3))) == {(1, -1), (-1, 1), (0, 1), (0, -1)}
+    # rank one: vertices sit on the first row, the second row is its double
+    X = RationalMatrix.from_rows([[1, 2, 0], [2, 4, 0]])
+    assert set(zero_region(X, l1_norm(3))) == {(Fraction(1, 2), 0), (Fraction(-1, 2), 0)}
+    assert zero_region(RationalMatrix.from_rows([[0, 0]]), sup_norm(2)) == ((0,),)
+    with pytest.raises(ValueError):
+        zero_region(X, l1_norm(2))
+
+
+def test_zero_region_of_the_identity_is_the_dual_ball():
+    # at n = 4 the sphere points of tied or zero weights lie on the boundary
+    # of the primal ball, so two vertices can share three tight constraints
+    # without spanning an edge, and only the third-vertex test rejects them
+    for p in (1, 2, 3, 4):
+        eye = RationalMatrix.from_rows([[int(i == j) for j in range(p)] for i in range(p)])
+        for norm in (l1_norm(p, scale=2), sup_norm(p), slope_norm([1] * p),
+                     slope_norm([1] + [0] * (p - 1)), slope_norm([3, 3, 1, 0][:p]),
+                     slope_norm([4, 3, 2, 1][:p])):
+            verts = zero_region(eye, norm)
+            assert len(set(verts)) == len(verts)
+            assert set(verts) == set(dual_ball_vertices(norm))
+
+
+def test_zero_region_is_the_row_subset_enumeration():
+    for X, norm in region_cases():
+        verts = zero_region(X, norm)
+        assert len(set(verts)) == len(verts)
+        assert set(verts) == region_by_row_subsets(X, norm)
+
+
+def test_zero_region_support_function_is_the_least_norm():
+    # LP duality: max <Xm, u> over D is min ||b|| over the fiber of m
+    for X, norm in region_cases():
+        duals = [X.rmatvec(u) for u in zero_region(X, norm)]
+        for face in dual_ball_faces(norm):
+            m = vec(face.pattern)
+            assert max(dot(m, s) for s in duals) == norm_min_subject_to(X, m, norm)[0]
+
+
+def test_bp_dual_certificate_exists_iff_b_is_l1_minimal():
+    rng = random.Random(11)
+    for X, _ in region_cases():
+        for _ in range(3):
+            b = vec([rng.randint(-2, 2) for _ in range(X.ncols)])
+            z = bp_dual_certificate(X, b)
+            # the least l1 norm over the fiber, read off the region's vertices
+            y = X.matvec(b)
+            value = max(dot(y, u) for u in zero_region(X, l1_norm(X.ncols)))
+            assert (z is not None) == (value == sum(abs(t) for t in b))
+            if z is not None:
+                assert bp_certificate_holds(X, b, z)

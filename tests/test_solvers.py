@@ -242,35 +242,32 @@ def test_norm_min_sup():
 
 def slope_min_bruteforce(X, target, w):
     """Minimum of the sorted-l1 norm over the fiber, by exhausting every
-    sign/order region and solving the linear piece on each."""
+    sign/order region and solving the linear piece on each. On the region of
+    signs t and order perm the variables are the magnitudes a_j = t_j b_j,
+    which are nonnegative there."""
     p = X.ncols
     rhs = X.matvec(target)
     zero = Fraction(0)
     best = None
     for signs in itertools.product((1, -1), repeat=p):
+        a_eq = tuple(tuple(x * t for x, t in zip(row, signs)) for row in X.rows)
         for perm in itertools.permutations(range(p)):
             c = [zero] * p
             for pos, j in enumerate(perm):
-                c[j] = w[pos] * signs[j]
+                c[j] = w[pos]
             a_ub = []
-            b_ub = []
             for pos in range(1, p):
                 row = [zero] * p
-                row[perm[pos]] = Fraction(signs[perm[pos]])
-                row[perm[pos - 1]] -= Fraction(signs[perm[pos - 1]])
+                row[perm[pos]] = Fraction(1)
+                row[perm[pos - 1]] = Fraction(-1)
                 a_ub.append(tuple(row))
-                b_ub.append(zero)
-            row = [zero] * p
-            row[perm[p - 1]] = Fraction(-signs[perm[p - 1]])
-            a_ub.append(tuple(row))
-            b_ub.append(zero)
             res = lp_solve(
                 LinearProgram(
                     c=tuple(c),
-                    a_eq=tuple(X.rows),
+                    a_eq=a_eq,
                     b_eq=rhs,
                     a_ub=tuple(a_ub),
-                    b_ub=tuple(b_ub),
+                    b_ub=tuple(zero for _ in a_ub),
                 )
             )
             if res.status == OPTIMAL and (best is None or res.value < best):
