@@ -1,5 +1,5 @@
-"""Combinatorial geometry of the dual balls: cube faces, cross-polytope
-faces, and faces of the sign permutohedron labeled by integer models.
+"""Combinatorial geometry of the dual balls: faces of the sign
+permutohedron, labeled by integer models.
 
 A model is an integer vector m encoding a sign and clustering pattern: the
 entries of |m| are exactly {0, 1, ..., max|m|} minus nothing, i.e. every level
@@ -11,14 +11,19 @@ m (largest level first, taking consecutive weight chunks) times a sign
 permutohedron on the zero block. Strictly decreasing positive weights make
 this a bijection; tied or zero weights let several models share one face.
 
+The l1 cube [-s, s]^p and the sup cross-polytope are the sign permutohedra
+of (s, ..., s) and (1, 0, ..., 0), so their faces are the model faces of sign
+vectors under those weights; the kinds "box" and "crosspoly" only tag them.
+
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
 for one design, scaled to primitive integer vectors, and memoizes the image
 of each integer-scaled dual-ball vertex, so a sweep projects every vertex
 once. Faces with one or two vertices are then decided by integer sign and
 cross-product tests on those images (fraction-free, in the spirit of Bareiss
-elimination); larger faces solve a small rational LP. Fractions return only
-on a hit, to form the exact point of the face and its preimage z.
+elimination); larger faces solve a small rational LP whose rows are the
+same images over the Fraction basis. Fractions return only on a hit, to form
+the exact point of the face and its preimage z.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .exact import RationalMatrix, Vector, dot, kernel_basis, rat, rowspace_preimage, vec
+from .exact import RationalMatrix, Vector, kernel_basis, rank, rat, rat_str, rowspace_preimage, vec
 from .lp import lp_feasible, nonneg_lp
 
 DEFAULT_MODEL_LIMIT = 6
@@ -159,8 +165,7 @@ def signed_permutations(p: int) -> Iterator[SignedPermutation]:
 # faces
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     coords: tuple[int, ...]
     weights: tuple[Fraction, ...]
     signed: bool  # sign permutohedron factor (zero-level block)
@@ -168,14 +173,14 @@ class Block:
 
 @dataclass(frozen=True)
 class Face:
-    """A face of one of the three dual-ball families.
+    """A dual-ball face: the sign-permutohedron face of a model under a
+    weight vector (blocks hold the weight chunks, signs the per-coordinate
+    orientation), or kind "hull", an explicit vertex list (test oracle).
 
-    kind "box":       cube [-scale, scale]^p face; sign_vector fixes coords.
-    kind "crosspoly": conv{sign_vector[j] * e_j}; all-zero sign_vector is the
-                      whole cross-polytope.
-    kind "signperm":  sign permutohedron face of a model; blocks hold the
-                      weight chunks, signs the per-coordinate orientation.
-    kind "hull":      explicit vertex list (brute-force test oracle).
+    l1 and sup faces are model faces of their sign vector under (scale, ...,
+    scale) and (1, 0, ..., 0); kind "box" or "crosspoly" only tags them for
+    the JSON form, which shows sign_vector (and the cube's scale) in place of
+    the model and blocks of kind "signperm".
     """
 
     ambient_dim: int
@@ -188,19 +193,20 @@ class Face:
     signs: tuple[int, ...] | None = None
     hull: tuple[Vector, ...] = ()
 
+    def __hash__(self):
+        # the vertex cache keys on faces; hashing the label instead of every
+        # Fraction weight keeps a lookup cheap, and equal faces share a label
+        return hash((self.kind, self.model, self.hull))
+
     @property
     def pattern(self) -> tuple[int, ...] | None:
-        """The label of the face: its sign vector (box, crosspoly) or its
-        model (signperm); None for a hull face."""
-        return self.sign_vector if self.model is None else self.model
+        """The label of the face: a sign vector (l1, sup) or a model (slope);
+        None for a hull face."""
+        return self.model
 
     def contains_zero(self) -> bool:
-        if self.kind == "box":
-            return all(s == 0 for s in self.sign_vector)
-        if self.kind == "crosspoly":
-            return all(s == 0 for s in self.sign_vector)
-        if self.kind == "signperm":
-            return all(v == 0 for v in self.model)
+        if self.model is not None:
+            return not any(self.model)
         return _convex_zero_weights(self.hull) is not None
 
     def vertex_count(self) -> int:
@@ -209,24 +215,19 @@ class Face:
     @functools.cached_property
     def _vertex_count(self) -> int:
         # once per face: every face test reads it, and sweeps reuse faces
-        if self.kind == "box":
-            return 2 ** sum(1 for s in self.sign_vector if s == 0)
-        if self.kind == "crosspoly":
-            k = sum(1 for s in self.sign_vector if s != 0)
-            return k if k else 2 * self.ambient_dim
-        if self.kind == "signperm":
-            # distinct arrangements of each chunk (equal weights are adjacent),
-            # times free signs on the zero block's nonzero weights
-            n = 1
-            for b in self.blocks:
-                n *= math.factorial(len(b.weights))
-                for w, run in itertools.groupby(b.weights):
-                    k = len(list(run))
-                    n //= math.factorial(k)
-                    if b.signed and w:
-                        n *= 2 ** k
-            return n
-        return len(self.hull)
+        if self.model is None:
+            return len(self.hull)
+        # distinct arrangements of each chunk (equal weights are adjacent),
+        # times free signs on the zero block's nonzero weights
+        n = 1
+        for b in self.blocks:
+            n *= math.factorial(len(b.weights))
+            for w, run in itertools.groupby(b.weights):
+                k = len(list(run))
+                n //= math.factorial(k)
+                if b.signed and w:
+                    n *= 2 ** k
+        return n
 
     def _check_cap(self, cap: int | None) -> None:
         if cap is not None:
@@ -243,73 +244,54 @@ class Face:
         tuples in the same order. Memoized on the face instance, so a face
         kept across sweeps converts once."""
         self._check_cap(cap)
-        ivs = self.__dict__.get("_integer_vertices")
-        if ivs is None:
-            verts = _materialized_vertices(self)
-            scale = math.lcm(*(x.denominator for v in verts for x in v))
-            ivs = tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts)
-            object.__setattr__(self, "_integer_vertices", ivs)
-        return ivs
+        return self._integer_form[1]
+
+    @functools.cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        # (L, the vertices times L) for L the lcm of their denominators
+        verts = _materialized_vertices(self)
+        scale = math.lcm(*(x.denominator for v in verts for x in v))
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts)
 
     def _materialize(self) -> tuple[Vector, ...]:
-        p = self.ambient_dim
-        if self.kind == "box":
-            choices = [
-                ((self.scale * s,) if s else (-self.scale, self.scale))
-                for s in self.sign_vector
-            ]
-            return tuple(itertools.product(*choices))
-        if self.kind == "crosspoly":
-            out = []
-            supp = [j for j, s in enumerate(self.sign_vector) if s != 0]
-            if not supp:
-                for j in range(p):
-                    for s in (1, -1):
-                        e = [Fraction(0)] * p
-                        e[j] = Fraction(s)
-                        out.append(tuple(e))
-                return tuple(out)
-            for j in supp:
-                e = [Fraction(0)] * p
-                e[j] = Fraction(self.sign_vector[j])
-                out.append(tuple(e))
-            return tuple(out)
-        if self.kind == "signperm":
-            # a level block carries its coordinates' signs; the zero block's
-            # are free (its model signs are all +1)
-            per_block = []
-            for b in self.blocks:
-                perms = itertools.permutations(b.weights)
-                if b.signed:
-                    flips = (itertools.product(*((w, -w) for w in wp)) for wp in perms)
-                    assignments = [a for f in flips for a in f]
-                else:
-                    signs = [self.signs[j] for j in b.coords]
-                    assignments = [tuple(s * w for s, w in zip(signs, wp)) for wp in perms]
-                if len(set(b.weights)) < len(b.weights) or 0 in b.weights:
-                    # tied or zero weights repeat assignments; keep the first
-                    assignments = list(dict.fromkeys(assignments))
-                per_block.append(assignments)
-            # the blocks list coordinates level by level; put them back in order
-            order = [j for b in self.blocks for j in b.coords]
-            where = [order.index(j) for j in range(p)]
-            out = []
-            for combo in itertools.product(*per_block):
-                flat = sum(combo, ())
-                out.append(tuple(flat[k] for k in where))
-            return tuple(out)
-        return self.hull
+        if self.model is None:
+            return self.hull
+        # per coordinate, its choices for each distinct weight of its block's
+        # chunk, by rank (largest first): a level block fixes the
+        # coordinate's sign, the zero block's are free, +w before -w
+        choices: list = [None] * self.ambient_dim
+        arrangements = []
+        for b in self.blocks:
+            levels, ranks = [], []
+            for w in b.weights:  # nonincreasing, so equal weights are adjacent
+                # (and often one object, which skips the Fraction comparison)
+                if not levels or (w is not levels[-1] and w != levels[-1]):
+                    levels.append(w)
+                ranks.append(len(levels) - 1)
+            pairs = [(w, -w) if w else (w,) for w in levels]
+            fixed = ([pair[:1] for pair in pairs], [pair[-1:] for pair in pairs])
+            for j in b.coords:
+                choices[j] = pairs if b.signed else fixed[self.signs[j] < 0]
+            arrangements.append(_rank_arrangements(tuple(ranks)))
+        # blocks multiply, the zero block (last) fastest; each block takes
+        # every distinct arrangement of its ranks once, in lexicographic
+        # order, and the zero block's free signs multiply within one
+        order = [j for b in self.blocks for j in b.coords]
+        where = sorted(range(len(order)), key=order.__getitem__)  # coordinate -> block position
+        out: list = []
+        for combo in itertools.product(*arrangements):
+            flat = tuple(itertools.chain.from_iterable(combo))
+            out += itertools.product(*map(operator.getitem, choices, map(flat.__getitem__, where)))
+        return tuple(out)
 
     def to_json_dict(self, include_vertices: bool = False) -> dict:
-        from .exact import rat_str
-
         d: dict = {"kind": self.kind, "ambient_dim": self.ambient_dim, "codim": self.codim}
         if self.kind == "box":
             d["scale"] = rat_str(self.scale)
             d["sign_vector"] = list(self.sign_vector)
         elif self.kind == "crosspoly":
             d["sign_vector"] = list(self.sign_vector)
-        elif self.kind == "signperm":
+        elif self.model is not None:
             d["model"] = list(self.model)
             d["signs"] = list(self.signs)
             d["blocks"] = [
@@ -320,9 +302,21 @@ class Face:
                 }
                 for b in self.blocks
             ]
-        if include_vertices or self.kind == "hull":
+        if include_vertices or self.model is None:
             d["vertices"] = [[rat_str(x) for x in v] for v in self.vertices()]
         return d
+
+
+@functools.lru_cache(maxsize=4096)
+def _rank_arrangements(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # the distinct permutations of a nondecreasing tuple, in lexicographic order
+    if not ranks:
+        return ((),)
+    return tuple(
+        (r,) + rest
+        for r in sorted(set(ranks))
+        for rest in _rank_arrangements(ranks[: ranks.index(r)] + ranks[ranks.index(r) + 1 :])
+    )
 
 
 @functools.lru_cache(maxsize=8192)
@@ -380,23 +374,26 @@ class SlopeWeights:
         return self.values[i]
 
 
+def _block_dim(chunk: Sequence[Fraction], signed: bool) -> int:
+    # see model_codim; the weights of one tuple are often one object, which
+    # skips the Fraction comparison
+    if signed:
+        return len(chunk) if chunk[0] else 0
+    return len(chunk) - 1 if chunk[0] is not chunk[-1] and chunk[0] != chunk[-1] else 0
+
+
 def model_codim(m: Sequence[int], w: Sequence[Fraction]) -> int:
     """Codimension of the face of model m under nonincreasing weights w: p
     minus the dimensions of its blocks. A level block of k coordinates has
     dimension k - 1, or 0 when its weight chunk is constant; the zero block
     has dimension k, or 0 when its chunk is all zero. For strictly decreasing
     positive weights this is the top level of m."""
-    counts = [0] * (max(map(abs, m)) + 1)
-    for v in m:
-        counts[abs(v)] += 1
+    mags = sorted(map(abs, m), reverse=True)
     dim = start = 0
-    for level in range(len(counts) - 1, -1, -1):
-        k = counts[level]
-        if level and k > 1 and w[start] != w[start + k - 1]:
-            dim += k - 1
-        elif not level and k and w[start]:
-            dim += k
-        start += k
+    while start < len(mags):
+        end = start + mags.count(mags[start])
+        dim += _block_dim(w[start:end], not mags[start])
+        start = end
     return len(m) - dim
 
 
@@ -410,49 +407,52 @@ def model_to_face(m: Sequence[int], w: Sequence) -> Face:
     if not is_model(mm):
         raise ValueError(f"{mm} is not a model: levels must cover 1..max")
     ww = w.values if isinstance(w, SlopeWeights) else check_weights(w)
-    p = len(ww)
-    if len(mm) != p:
+    if len(mm) != len(ww):
         raise ValueError("model and weights dimension mismatch")
-    blocks, start = [], 0
-    for level in sorted({abs(v) for v in mm}, reverse=True):
-        coords = tuple(j for j, v in enumerate(mm) if abs(v) == level)
-        blocks.append(Block(coords, ww[start : start + len(coords)], signed=not level))
-        start += len(coords)
-    return Face(
-        ambient_dim=p,
-        kind="signperm",
-        codim=model_codim(mm, ww),
-        model=mm,
-        blocks=tuple(blocks),
-        signs=tuple(-1 if v < 0 else 1 for v in mm),
-    )
+    return _model_face(mm, ww, "signperm")
+
+
+def _model_face(m, w, kind, scale=Fraction(1), sign_vector=None) -> Face:
+    # m and w are checked; a cube or cross-polytope face gets its sign vector
+    mags = list(map(abs, m))
+    order = sorted(range(len(m)), key=mags.__getitem__, reverse=True)  # stable
+    blocks, start, dim = [], 0, 0
+    while start < len(m):  # one block per level, largest first, as in model_codim
+        level = mags[order[start]]
+        end = start + mags.count(level)
+        dim += _block_dim(w[start:end], not level)
+        blocks.append(Block(tuple(order[start:end]), w[start:end], not level))
+        start = end
+    signs = tuple([-1 if v < 0 else 1 for v in m])
+    return Face(len(m), kind, len(m) - dim, scale, sign_vector, m, tuple(blocks), signs)
+
+
+def _sign_label(sigma: Sequence[int]) -> tuple[int, ...]:
+    s = tuple(map(int, sigma))
+    if not {-1, 0, 1}.issuperset(s):
+        raise ValueError("sign vector entries must be -1, 0 or 1")
+    return s
+
+
+@functools.lru_cache(maxsize=64)
+def _crosspolytope_weights(p: int) -> tuple[Fraction, ...]:
+    # the sign permutohedron of (1, 0, ..., 0) is the cross-polytope
+    return (Fraction(1),) + (Fraction(0),) * (p - 1)
 
 
 def sign_to_cube_face(sigma: Sequence[int], scale=1) -> Face:
-    s = tuple(int(v) for v in sigma)
-    if any(v not in (-1, 0, 1) for v in s):
-        raise ValueError("sign vector entries must be -1, 0 or 1")
-    return Face(
-        ambient_dim=len(s),
-        kind="box",
-        codim=sum(1 for v in s if v != 0),
-        scale=rat(scale),
-        sign_vector=s,
-    )
+    """The face of the cube [-scale, scale]^p where sigma fixes coordinates:
+    the model face of sigma under (scale, ..., scale), of codim |supp sigma|."""
+    s = _sign_label(sigma)
+    scale = rat(scale)
+    return _model_face(s, (scale,) * len(s), "box", scale, s)
 
 
 def sign_to_crosspolytope_face(sigma: Sequence[int]) -> Face:
-    s = tuple(int(v) for v in sigma)
-    if any(v not in (-1, 0, 1) for v in s):
-        raise ValueError("sign vector entries must be -1, 0 or 1")
-    p = len(s)
-    supp = sum(1 for v in s if v != 0)
-    return Face(
-        ambient_dim=p,
-        kind="crosspoly",
-        codim=(p - supp + 1) if supp else 0,
-        sign_vector=s,
-    )
+    """conv{sigma_j e_j : sigma_j != 0}, the whole cross-polytope for sigma =
+    0: the model face of sigma under (1, 0, ..., 0)."""
+    s = _sign_label(sigma)
+    return _model_face(s, _crosspolytope_weights(len(s)), "crosspoly", sign_vector=s)
 
 
 def hull_face(vertices: Sequence[Sequence]) -> Face:
@@ -461,8 +461,6 @@ def hull_face(vertices: Sequence[Sequence]) -> Face:
     if len(verts) == 1:
         dim = 0
     else:
-        from .exact import rank
-
         diffs = RationalMatrix(tuple(
             tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]
         ))
@@ -489,6 +487,9 @@ class DesignKernel:
         self.X = X
         self.basis: tuple[Vector, ...] = kernel_basis(X)
         self.integer_basis = tuple(_primitive_integer(k) for k in self.basis)
+        # basis[k] = integer_basis[k] * ratios[k]
+        self._ratios = [next(x / i for x, i in zip(k, ik) if i)
+                        for k, ik in zip(self.basis, self.integer_basis)]
         self._images: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -497,6 +498,14 @@ class DesignKernel:
             img = tuple(sum(a * b for a, b in zip(k, v)) for k in self.integer_basis)
             self._images[v] = img
         return img
+
+    def _fraction_image(self, v: tuple[int, ...], scale: int) -> tuple[Fraction, ...]:
+        """K'(v / scale) against the Fraction basis: the same rationals as
+        the Fraction dot products, read off the memoized integer image."""
+        return tuple(
+            Fraction(x * r.numerator, r.denominator * scale)
+            for x, r in zip(self.image(v), self._ratios)
+        )
 
 
 def _primitive_integer(v: Vector) -> tuple[int, ...]:
@@ -548,9 +557,10 @@ def face_intersects_rowspace(
     there). A vertex meets row(X) iff its image is zero, a segment iff the
     images' line passes through 0 between them (see _segment_weight). Larger
     faces solve a feasibility LP over the convex weights alpha, with rows
-    K'v in the Fraction basis. The cap is checked before any vertex is
-    built. Fractions enter only on a hit: the point is formed from the
-    face's Fraction vertices, and z with X'z = point by exact elimination.
+    K'v in the Fraction basis, read off the memoized integer images. The cap
+    is checked before any vertex is built. Fractions enter the point only on
+    a hit: it is formed from the face's Fraction vertices, and z with
+    X'z = point by exact elimination.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")
@@ -579,10 +589,11 @@ def face_intersects_rowspace(
             a, b = face.vertices(None)
             point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
     else:
-        verts = face.vertices(None)
-        alpha = _convex_zero_weights([tuple(dot(kb, v) for kb in kernel.basis) for v in verts])
+        scale, ivs = face._integer_form
+        alpha = _convex_zero_weights([kernel._fraction_image(v, scale) for v in ivs])
         if alpha is None:
             return None
+        verts = face.vertices(None)
         point = tuple(
             sum((a * v[i] for a, v in zip(alpha, verts)), Fraction(0))
             for i in range(face.ambient_dim)

@@ -73,11 +73,11 @@ def nonneg_lp(c, a_eq=(), b_eq=(), a_ub=(), b_ub=()) -> LinearProgram:
 class _Tableau:
     """Simplex tableau for min c'x, Ax = b, x >= 0, with b >= 0 assumed."""
 
-    def __init__(self, a: list[list[Fraction]], b: list[Fraction]):
+    def __init__(self, a: list[list[Fraction]], b: list[Fraction], n: int):
         self.a = a
         self.b = b
         self.m = len(a)
-        self.n = len(a[0]) if a else 0
+        self.n = n  # from the cost vector: a program may have no rows
         self.basis: list[int] = [-1] * self.m
 
     def add_artificials(self) -> list[int]:
@@ -172,7 +172,7 @@ def _solve_standard(a, b, c) -> LPResult:
         if flipped[i]:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
-    t = _Tableau(a, b)
+    t = _Tableau(a, b, n)
     arts = t.add_artificials()
     phase1 = [_ZERO] * n + [_ONE] * len(arts)
     t.run(phase1)

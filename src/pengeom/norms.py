@@ -3,9 +3,11 @@ dual norms, subdifferential faces of the dual ball, and the face table of
 the dual ball.
 
 dual_ball_faces is the one list of dual-ball faces: the uniqueness,
-basis-pursuit, accessibility and SVG sweeps all read it. Cube and
-cross-polytope faces are labeled by sign vectors, sign-permutohedron faces by
-models, for every slope weight vector; under tied or zero weights several
+basis-pursuit, accessibility and SVG sweeps all read it. Every face is a
+model face of the sign permutohedron of a weight vector: the slope weights,
+(scale, ..., scale) for the l1 cube and (1, 0, ..., 0) for the sup
+cross-polytope, whose faces are labeled by sign vectors. One codimension
+formula (model_codim) filters all three; under tied or zero weights several
 models label the same face.
 
 zero_region is the one description of the zero-solution region
@@ -26,12 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import RationalMatrix, Vector, dot, rat, rref, solve_exact, vec
+from .exact import RationalMatrix, Vector, dot, rat, rat_str, rref, solve_exact, vec
 from .geometry import (
     DEFAULT_MODEL_LIMIT,
     DEFAULT_SIGN_LIMIT,
     Face,
     SlopeWeights,
+    _crosspolytope_weights,
     enumerate_models,
     model_codim,
     model_of,
@@ -67,8 +70,6 @@ class PolytopeNorm:
             raise ValueError("weights only apply to the slope norm")
 
     def describe(self) -> dict:
-        from .exact import rat_str
-
         d: dict = {"kind": self.kind, "dim": self.dim}
         if self.kind == L1:
             d["scale"] = rat_str(self.scale)
@@ -151,32 +152,17 @@ def dual_ball_faces(
     """
     p = norm.dim
     if norm.kind == SLOPE:
-        w = norm.weights.values
-        return tuple(
-            model_to_face(m, norm.weights)
-            for m in enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
-            # the codim is at least the top level, and equals it for strict weights
-            if max(map(abs, m)) >= min_codim or model_codim(m, w) >= min_codim
-        )
-    signs = sign_vectors(p, limit or DEFAULT_SIGN_LIMIT)
-    if norm.kind == L1:
-        return tuple(
-            sign_to_cube_face(s, norm.scale) for s in signs if _support(s) >= min_codim
-        )
-    return tuple(
-        sign_to_crosspolytope_face(s) for s in signs if _crosspolytope_codim(s) >= min_codim
-    )
-
-
-def _support(sigma) -> int:
-    return sum(1 for t in sigma if t)
-
-
-def _crosspolytope_codim(sigma) -> int:
-    # the face of sigma != 0 is the simplex on its supp(sigma) signed unit
-    # vectors; sigma = 0 labels the whole cross-polytope
-    k = _support(sigma)
-    return len(sigma) - k + 1 if k else 0
+        labels = enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
+        w, face_of = norm.weights.values, functools.partial(model_to_face, w=norm.weights)
+    else:
+        labels = sign_vectors(p, limit or DEFAULT_SIGN_LIMIT)
+        if norm.kind == L1:
+            w, face_of = (norm.scale,) * p, functools.partial(sign_to_cube_face, scale=norm.scale)
+        else:
+            w, face_of = _crosspolytope_weights(p), sign_to_crosspolytope_face
+    # the codim is at least the top level, and equals it for strict weights
+    return tuple(face_of(t) for t in labels
+                 if max(map(abs, t)) >= min_codim or model_codim(t, w) >= min_codim)
 
 
 @functools.lru_cache(maxsize=64)
@@ -207,9 +193,7 @@ def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
     if norm.kind == L1:
         sigma = tuple((v > 0) - (v < 0) for v in xx)
         return sign_to_cube_face(sigma, scale=norm.scale)
-    if norm.kind == SUP:
-        if not any(xx):
-            return sign_to_crosspolytope_face(tuple([0] * norm.dim))
+    if norm.kind == SUP:  # x = 0 gives sigma = 0, the whole cross-polytope
         top = max(abs(v) for v in xx)
         sigma = tuple(((v > 0) - (v < 0)) if abs(v) == top else 0 for v in xx)
         return sign_to_crosspolytope_face(sigma)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pengeom.analysis as analysis_module
@@ -25,7 +25,14 @@ from pengeom.analysis import (
     null_set_projection,
 )
 from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
-from pengeom.geometry import CapExceeded, enumerate_models, model_codim, model_of, model_to_face
+from pengeom.geometry import (
+    CapExceeded,
+    SignedPermutation,
+    enumerate_models,
+    model_codim,
+    model_of,
+    model_to_face,
+)
 from pengeom.norms import (
     dual_norm_value,
     l1_norm,
@@ -93,12 +100,7 @@ def test_bp_uniqueness_pair():
     X = RationalMatrix.from_rows([[1, 1]])
     rep = check_uniqueness_bp(X)
     assert not rep.unique_for_all_y
-    w = rep.witness
-    assert w.first != w.second
-    assert X.matvec(w.first) == X.matvec(w.second) == w.response
-    assert sum(abs(t) for t in w.first) == sum(abs(t) for t in w.second) == w.objective
-    for b in (w.first, w.second):
-        assert bp_certificate_holds(X, b, w.dual_vector)
+    assert_valid_bp_witness(X, rep)
 
     assert check_uniqueness_bp(RationalMatrix.from_rows([[1, 2]])).unique_for_all_y
 
@@ -547,10 +549,10 @@ def test_accessible_sets_depend_only_on_the_row_space(pair, kind):
 
 
 @st.composite
-def small_designs(draw):
-    """n < p <= 4 with entries k/d, |k| <= 3; about half repeat a column up
-    to sign, which makes the l1 minimizer non-unique for some response."""
-    p = draw(st.integers(2, 4))
+def small_designs(draw, max_p=4):
+    """n < p <= max_p with entries k/d, |k| <= 3; about half repeat a column
+    up to sign, which makes the l1 minimizer non-unique for some response."""
+    p = draw(st.integers(2, max_p))
     n = draw(st.integers(1, p - 1))
     rows = draw(st.lists(st.lists(_SMALL, min_size=p, max_size=p), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -569,6 +571,76 @@ def test_bp_uniqueness_is_the_l1_cube_sweep(X):
     pen = check_uniqueness(X, l1_norm(X.ncols))
     assert (bp.unique_for_all_y, bp.rank, bp.offending_face) == (
         pen.unique_for_all_y, pen.rank, pen.offending_face)
+
+
+FAMILIES = ("l1", "sup", "strict", "tied", "zero", "bp")
+_SLOPE_WEIGHTS = {
+    "strict": [3, 2, 1, Fraction(1, 2)],
+    "tied": [3, 3, 1, 1],
+    "zero": [2, 1, 0, 0],
+}
+
+
+def family_norm(kind, p):
+    if kind == "l1":
+        return l1_norm(p, scale=Fraction(3, 2))
+    if kind == "sup":
+        return sup_norm(p)
+    return slope_norm(_SLOPE_WEIGHTS[kind][:p])
+
+
+def family_uniqueness(X, kind):
+    return check_uniqueness_bp(X) if kind == "bp" else check_uniqueness(X, family_norm(kind, X.ncols))
+
+
+def assert_valid_bp_witness(X, report):
+    w = report.witness
+    assert w is not None and report.offending_face.codim > report.rank
+    assert w.first != w.second
+    assert X.matvec(w.first) == X.matvec(w.second) == w.response
+    assert sum(map(abs, w.first)) == sum(map(abs, w.second)) == w.objective
+    for b in (w.first, w.second):
+        assert bp_certificate_holds(X, b, w.dual_vector)
+
+
+@settings(max_examples=25)  # two model sweeps per example keep it near 1.5 s
+@given(small_designs(max_p=3), st.data())
+def test_signed_column_permutations_permute_faces_and_patterns(X, data):
+    # column j of X G is signs[j] times column perm[j] of X, so b minimizes
+    # for X iff g(b) does for X G, with the same norm and fit
+    p = X.ncols
+    g = SignedPermutation(
+        tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=p, max_size=p))),
+        tuple(data.draw(st.permutations(range(p)))),
+    )
+    XG = RationalMatrix.from_rows([g.apply(row) for row in X.rows])
+    for kind in FAMILIES:
+        a, b = family_uniqueness(X, kind), family_uniqueness(XG, kind)
+        assert (a.unique_for_all_y, a.rank) == (b.unique_for_all_y, b.rank)
+        if not a.unique_for_all_y:
+            assert a.offending_face.codim == b.offending_face.codim
+    w = _SLOPE_WEIGHTS[data.draw(st.sampled_from(sorted(_SLOPE_WEIGHTS)))][:p]
+    for table in (lambda M: accessible_sign_vectors(M, route=GEOMETRIC),
+                  lambda M: accessible_slope_models(M, w, route=GEOMETRIC)):
+        accessible = {r.pattern for r in table(X) if r.accessible}
+        assert {r.pattern for r in table(XG) if r.accessible} == {g.apply(m) for m in accessible}
+
+
+@given(small_designs())
+# row(X) passes through a vertex of the strict and of the zero-weight ball
+@example(RationalMatrix.from_rows([[3, 2, 1]]))
+@example(RationalMatrix.from_rows([[2, 1, 0]]))
+def test_witnesses_certify_on_arbitrary_designs(X):
+    for kind in FAMILIES:
+        if kind in _SLOPE_WEIGHTS and X.ncols > 3:
+            continue  # a unique p = 4 slope design sweeps about 1700 faces
+        report = family_uniqueness(X, kind)
+        if report.unique_for_all_y:
+            continue
+        if kind == "bp":
+            assert_valid_bp_witness(X, report)
+        else:
+            assert_valid_penalized_witness(X, family_norm(kind, X.ncols), report)
 
 
 def test_tied_weight_faces_never_reach_the_brute_force_grid(monkeypatch):

@@ -189,6 +189,39 @@ def test_cube_and_crosspolytope_faces():
         sign_to_cube_face((2, 0))
 
 
+def test_sign_faces_are_model_faces_with_closed_forms():
+    # the cube [-s, s]^p and the cross-polytope are the sign permutohedra of
+    # (s, ..., s) and (1, 0, ..., 0); their faces keep the closed forms
+    for p in range(1, 5):
+        for sigma in sign_vectors(p):
+            supp = [j for j in range(p) if sigma[j]]
+            zeros = p - len(supp)
+            for scale in (Fraction(1), Fraction(3, 2)):
+                cube = sign_to_cube_face(sigma, scale)
+                corners = {tuple(scale * (s or t) for s, t in zip(sigma, free))
+                           for free in itertools.product((1, -1), repeat=p)}
+                assert len(cube.vertices()) == len(corners) == 2 ** zeros
+                assert set(cube.vertices()) == corners
+                assert (cube.codim, cube.vertex_count()) == (len(supp), 2 ** zeros)
+                assert cube.contains_zero() == (not supp)
+                assert (cube.pattern, cube.sign_vector, cube.scale) == (sigma, sigma, scale)
+                assert cube.vertices() == model_to_face(sigma, (scale,) * p).vertices()
+            cross = sign_to_crosspolytope_face(sigma)
+            unit = [tuple(Fraction(int(i == j)) for i in range(p)) for j in range(p)]
+            if supp:
+                simplex = [tuple(sigma[j] * x for x in unit[j]) for j in supp]
+                codim = p - len(supp) + 1
+            else:
+                simplex = [tuple(s * x for x in u) for u in unit for s in (1, -1)]
+                codim = 0
+            assert cross.vertices() == tuple(simplex)
+            assert (cross.codim, cross.vertex_count()) == (codim, len(simplex))
+            assert cross.contains_zero() == (not supp)
+            assert (cross.pattern, cross.sign_vector) == (sigma, sigma)
+            spine = (Fraction(1),) + (Fraction(0),) * (p - 1)
+            assert cross.vertices() == model_to_face(sigma, spine).vertices()
+
+
 def test_vertex_cap():
     f = model_to_face((0, 0, 0), (Fraction(5), Fraction(3), Fraction(1)))
     assert f.vertex_count() == 48

@@ -98,6 +98,33 @@ def lp_constructions(module: str, source: str) -> list[str]:
     return found
 
 
+# the l1 and sup faces are model faces of (s, ..., s) and (1, 0, ..., 0);
+# "box" and "crosspoly" only tag them for the JSON form, so no code may
+# branch on the tags to list vertices a second way
+FACE_TAGS = frozenset({"box", "crosspoly"})
+FACE_TAG_OWNERS = frozenset({
+    "geometry.sign_to_cube_face", "geometry.sign_to_crosspolytope_face",
+    "geometry.Face.to_json_dict"})
+
+
+def face_tag_literals(module: str, source: str) -> list[str]:
+    """"module.function" (or "module.Class.method") around every string
+    literal "box" or "crosspoly", "module" at top level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and child.value in FACE_TAGS:
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -180,3 +207,22 @@ def test_checker_flags_an_lp_construction():
 def test_linear_programs_are_built_in_two_places():
     built = {c for p in SRC.glob("*.py") for c in lp_constructions(p.stem, p.read_text())}
     assert built == LP_BUILDERS
+
+
+def test_checker_flags_a_face_tag_literal():
+    source = (
+        'KIND = "box"\n'
+        'def vertices(face):\n'
+        '    """Cube ("box") faces."""\n'
+        '    if face.kind == "crosspoly":\n'
+        '        return ()\n'
+        'class Face:\n'
+        '    def to_json_dict(self):\n'
+        '        return {"kind": "box", "label": "a box"}\n'
+    )
+    assert face_tag_literals("m", source) == ["m", "m.vertices", "m.Face.to_json_dict"]
+
+
+def test_face_tags_stay_in_the_sign_face_constructors():
+    found = {site for p in SRC.glob("*.py") for site in face_tag_literals(p.stem, p.read_text())}
+    assert found == FACE_TAG_OWNERS

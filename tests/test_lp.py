@@ -10,6 +10,7 @@ from pengeom.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LPResult,
     lp_feasible,
     lp_solve,
     nonneg_lp,
@@ -34,6 +35,14 @@ def test_infeasible_example():
 def test_unbounded():
     lp = nonneg_lp(c=[-1], a_ub=[[-1]], b_ub=[0])
     assert lp_solve(lp).status == UNBOUNDED
+
+
+def test_program_without_rows():
+    # the width comes from the cost vector: x = 0 is optimal for c >= 0,
+    # and a negative cost is unbounded when nothing constrains its variable
+    assert lp_solve(nonneg_lp(c=[1, 2])) == LPResult(OPTIMAL, (0, 0), 0, ())
+    assert lp_solve(nonneg_lp(c=[-1, 2])).status == UNBOUNDED
+    assert lp_feasible(nonneg_lp(c=[-1, 2])) == (0, 0)
 
 
 def test_beale_cycling_instance_terminates():
