@@ -30,6 +30,7 @@ from .exact import (
     parse_rational,
     rank,
     rat_str,
+    rref,
     vec,
 )
 from .geometry import (
@@ -46,10 +47,10 @@ from .norms import (
     PolytopeNorm,
     dual_ball_faces,
     dual_ball_membership,
+    exposed_primal_vertices,
     l1_norm,
     norm_value,
     slope_norm,
-    unit_sphere_sign_points,
     zero_region,
 )
 from .solvers import (
@@ -63,11 +64,6 @@ from .solvers import (
 GEOMETRIC = "geometric"
 ANALYTIC = "analytic"
 BOTH = "both"
-
-# beyond this many sphere points the witness builder thins them to a
-# spanning subset before the exact kernel solve
-_WITNESS_POINT_BUDGET = 64
-
 
 def _json_scalar(v):
     if isinstance(v, bool) or isinstance(v, (int, float)):
@@ -168,46 +164,24 @@ def _combine(points, coeffs) -> Vector:
     )
 
 
-def _spanning_subset(points, target_rank):
-    chosen, r = [], 0
-    for x in points:
-        trial = chosen + [x]
-        rr = rank(RationalMatrix.from_rows(trial))
-        if rr > r:
-            chosen, r = trial, rr
-            if r == target_rank:
-                break
-    return chosen
-
-
 def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
-    """Two certified minimizers from an intersected face of codim > rk(X).
+    """Two certified minimizers from an intersected face F of codim > rk(X).
 
-    The sphere points pairing to 1 against every vertex of the face span the
-    same space as the corresponding primal face, so their span meets ker(X)
-    nontrivially; summing them and perturbing along that kernel direction
-    (coefficients scaled below 1) keeps the norm and the fit unchanged.
+    The primal-ball vertices F exposes span codim F dimensions, so codim F
+    independent ones P have dependent images X P, and a kernel vector c of
+    X P moves along ker(X). hit.z pairs to 1 with every X P_i, so c sums to
+    zero: first = sum P_i and second = sum (1 + c_i / (2 max|c|)) P_i are
+    positive combinations of one primal face with the same norm and fit.
     """
-    verts = face.vertices()
-    points = [x for _, x in unit_sphere_sign_points(norm) if all(dot(x, s) == 1 for s in verts)]
-    if len(points) > _WITNESS_POINT_BUDGET:
-        points = _spanning_subset(points, face.codim)
-    cols = [X.matvec(x) for x in points]
-    compressed = RationalMatrix.from_rows(
-        [tuple(col[i] for col in cols) for i in range(X.nrows)]
-    )
-    coeffs = None
-    for c in kernel_basis(compressed):
-        if any(t != 0 for t in _combine(points, c)):
-            coeffs = c
-            break
-    if coeffs is None:
-        raise AssertionError("face span does not meet the kernel")
-    scale = 2 * max(abs(t) for t in coeffs)
-    coeffs = tuple(t / scale for t in coeffs)
-    h = _combine(points, coeffs)
-    first = tuple(sum(col, Fraction(0)) for col in zip(*points))
-    second = tuple(a + b for a, b in zip(first, h))
+    verts = face.vertices(None)  # the sweep has checked the cap
+    centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
+    points = exposed_primal_vertices(norm, centroid)
+    if len(points) > face.codim:  # keep the first independent ones
+        points = [points[k] for k in rref(RationalMatrix.from_rows(zip(*points)))[1]]
+    c = kernel_basis(RationalMatrix.from_rows(zip(*map(X.matvec, points))))[0]
+    top = 2 * max(abs(t) for t in c)
+    first = _combine(points, [1] * len(points))
+    second = _combine(points, [1 + t / top for t in c])
     y = tuple(a + b for a, b in zip(X.matvec(first), hit.z))
     if norm_value(norm, second) != norm_value(norm, first) or first == second:
         raise AssertionError("perturbation must preserve the norm and move the point")
@@ -523,8 +497,10 @@ def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -
 
 
 def _ambiguity_flag(X, norm):
+    # only the verdict is read, so the sweep builds no witness
     try:
-        return not check_uniqueness(X, norm).unique_for_all_y
+        sweep = _uniqueness_sweep(X, norm, "penalized", None, DEFAULT_VERTEX_CAP, lambda *_: None)
+        return not sweep.unique_for_all_y
     except CapExceeded:
         return None
 

@@ -257,15 +257,18 @@ def parse_matrix_json(obj) -> RationalMatrix:
     if not isinstance(obj, list):
         raise ValueError("JSON matrix must be an array of arrays")
     rows = []
-    for r in obj:
+    for i, r in enumerate(obj, 1):
         if not isinstance(r, list):
             raise ValueError("JSON matrix must be an array of arrays")
         cells = []
-        for c in r:
+        for j, c in enumerate(r, 1):
             if isinstance(c, float):
                 raise ValueError(
                     "float entries are not exact; encode rationals as strings like \"5/4\" or \"1.25\""
                 )
+            if isinstance(c, bool) or not isinstance(c, (int, str, Fraction)):
+                raise ValueError(f"matrix entry {json.dumps(c, default=repr)} at row {i}, column {j} "
+                                 "is not a rational; use an integer or a string like \"5/4\"")
             cells.append(parse_rational(c) if isinstance(c, str) else rat(c))
         rows.append(cells)
     return RationalMatrix.from_rows(rows)

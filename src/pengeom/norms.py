@@ -184,6 +184,15 @@ def primal_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
     return tuple(x for _, x in unit_sphere_sign_points(norm))
 
 
+@functools.lru_cache(maxsize=256)
+def exposed_primal_vertices(norm: PolytopeNorm, s: Vector) -> tuple[Vector, ...]:
+    """The primal_ball_vertices of norm that pair to 1 with the dual-ball
+    point s, none when s is interior. Each pairs to at most 1 with every
+    dual-ball point, so the centroid of a face F exposes the vertices of the
+    primal face dual to F, which span codim F dimensions."""
+    return tuple(x for x in primal_ball_vertices(norm) if dot(x, s) == 1)
+
+
 def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
     """The face of the dual ball where s'x attains ||x||; equivalently the
     subdifferential of the norm at x. At x = 0 this is the whole ball."""

@@ -18,7 +18,7 @@ explicit tolerance on float ones) is trusted downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -192,10 +192,14 @@ def solve_penalized(
     L = _lipschitz(Xf) * (1 + 1e-6)
     step = 1.0 / L if L > 0 else 1.0
     prox = _prox_for(norm, step)
+    # the norm with float numbers: Fraction * float computes float(w) * m, so
+    # the penalty keeps its value and no product goes through Fraction
+    fnorm = replace(norm, scale=float(norm.scale),
+                    weights=None if norm.weights is None else tuple(map(float, norm.weights)))
 
     def objective(b):
         r = yf - Xf @ b
-        return 0.5 * float(r @ r) + float(norm_value(norm, [float(t) for t in b]))
+        return 0.5 * float(r @ r) + float(norm_value(fnorm, [float(t) for t in b]))
 
     x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
     z = x.copy()

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 from xml.sax.saxutils import escape
 
-from .exact import RationalMatrix, dot, rank, rat_str
+from .exact import RationalMatrix, rank, rat_str
 from .geometry import Face
 from .norms import (
     L1,
@@ -28,7 +28,7 @@ from .norms import (
     dual_ball_faces,
     dual_ball_vertices,
     dual_norm_value,
-    primal_ball_vertices,
+    exposed_primal_vertices,
     subdifferential_face,
     zero_region,
 )
@@ -58,7 +58,7 @@ def _minimal_boundary_face(norm: PolytopeNorm, s: Vector) -> Face:
     the primal-ball vertices that pair to 1 with s lies in the relative
     interior of the normal cone at s, so its subdifferential face is that
     smallest face."""
-    tight = [x for x in primal_ball_vertices(norm) if dot(x, s) == 1]
+    tight = exposed_primal_vertices(norm, s)
     return subdifferential_face(norm, [sum(col) for col in zip(*tight)])
 
 

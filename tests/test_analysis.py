@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pengeom.analysis as analysis_module
 import pengeom.geometry as geometry_module
+import pengeom.norms as norms_module
 import pengeom.solvers as solvers_module
 from pengeom.analysis import (
     ANALYTIC,
@@ -37,6 +38,7 @@ from pengeom.norms import (
     dual_norm_value,
     l1_norm,
     norm_value,
+    primal_ball_vertices,
     slope_norm,
     sup_norm,
     unit_sphere_sign_points,
@@ -69,6 +71,8 @@ def assert_valid_penalized_witness(X, norm, report):
     assert w.first != w.second
     assert X.matvec(w.first) == X.matvec(w.second)
     assert norm_value(norm, w.first) == norm_value(norm, w.second)
+    # first sums codim F unit-norm primal-ball vertices exposed by the face
+    assert norm_value(norm, w.first) == report.offending_face.codim
     for b in (w.first, w.second):
         cert = kkt_certify(X, w.response, b, norm)
         assert cert.passed and cert.tol == 0
@@ -706,3 +710,52 @@ def test_capped_sweeps_refuse_before_building_the_region(monkeypatch):
             accessible_slope_models(X, [7, 6, 5, 4, 3, 2, 1], route=route)
         with pytest.raises(CapExceeded):
             accessible_sign_vectors(X, route=route, limit=6)
+
+
+def test_sup_witness_on_a_wide_design():
+    # row(X) meets a codim 3 cross-polytope face at rank 2; the witness is
+    # read off the three sign vectors that face exposes
+    X = RationalMatrix.from_rows(
+        [[-1, 2, 2, -1, 0, 2, 1, 2, -2], [2, -2, 1, 0, 2, -1, -1, 1, 2]])
+    report = check_uniqueness(X, sup_norm(9))
+    assert not report.unique_for_all_y and report.rank == 2
+    assert report.offending_face.codim == 3
+    assert_valid_penalized_witness(X, sup_norm(9), report)
+
+
+def test_l1_witness_first_is_the_scaled_sign_vector():
+    X = RationalMatrix.from_rows([[1, -1, 2, 1], [0, 1, 1, -1]])
+    norm = l1_norm(4, scale=Fraction(3, 2))
+    report = check_uniqueness(X, norm)
+    sigma = report.offending_face.sign_vector
+    assert sigma == (0, 1, 1, -1)
+    assert report.witness.first == tuple(Fraction(s) / Fraction(3, 2) for s in sigma)
+    assert_valid_penalized_witness(X, norm, report)
+
+
+def test_uniqueness_never_enumerates_sign_points(monkeypatch):
+    calls = []
+
+    def counted(norm):
+        calls.append(norm)
+        return unit_sphere_sign_points(norm)
+
+    cases = [([[1, 1, 0]], l1_norm(3)), ([[1, 1, 0]], l1_norm(3, scale=Fraction(3, 2))),
+             ([[1, 0, 0]], sup_norm(3)), ([[3, 2, 1]], slope_norm([3, 2, 1])),
+             ([[1, 1, 0]], slope_norm([2, 2, 1])), ([[2, 1, 0]], slope_norm([2, 1, 0]))]
+    for _, norm in cases:  # the primal-ball vertices are cached once per norm
+        primal_ball_vertices(norm)
+    monkeypatch.setattr(norms_module, "unit_sphere_sign_points", counted)
+    monkeypatch.setattr(analysis_module, "unit_sphere_sign_points", counted, raising=False)
+    for rows, norm in cases:
+        assert check_uniqueness(RationalMatrix.from_rows(rows), norm).witness is not None
+    assert calls == []
+
+
+def test_ambiguity_flag_builds_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("witness built for a verdict")
+
+    monkeypatch.setattr(analysis_module, "_penalized_witness", refuse)
+    out = classify_response(RationalMatrix.from_rows([[2, 1]]), (2, 1), (Fraction(5),))
+    assert out.ambiguous is True

@@ -259,9 +259,16 @@ def test_plot_response_region(capsys, matrices, tmp_path):
     assert "1, 1, 1" in labels and "2, 1, 1" in labels
 
 
-def test_error_exits(capsys, matrices):
+def test_error_exits(capsys, matrices, tmp_path):
     code, _, err = run(capsys, "uniqueness", "--matrix", matrices["bad"], "--norm", "l1")
     assert code == 2 and "error:" in err
+
+    # JSON cells that are not rationals are input errors, not non-unique verdicts
+    for name, text, cell in (("bool", "[[true, 1], [0, 1]]", "true"), ("null", "[[null, 1]]", "null")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "uniqueness", "--matrix", str(path), "--norm", "l1")
+        assert code == 2 and f"matrix entry {cell} at row 1, column 1" in err
 
     code, _, err = run(capsys, "uniqueness", "--matrix", matrices["one_zero"],
                        "--norm", "sup", "--format", "csv")

@@ -107,9 +107,9 @@ FACE_TAG_OWNERS = frozenset({
     "geometry.Face.to_json_dict"})
 
 
-def face_tag_literals(module: str, source: str) -> list[str]:
-    """"module.function" (or "module.Class.method") around every string
-    literal "box" or "crosspoly", "module" at top level."""
+def _owners(module: str, source: str, match) -> list[str]:
+    """"module.function" (or "module.Class.method") around every node that
+    match accepts, "module" at top level."""
     found = []
 
     def visit(node, owner):
@@ -117,12 +117,31 @@ def face_tag_literals(module: str, source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
                 continue
-            if isinstance(child, ast.Constant) and child.value in FACE_TAGS:
+            if match(child):
                 found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(source), module)
     return found
+
+
+def face_tag_literals(module: str, source: str) -> list[str]:
+    """"module.function" (or "module.Class.method") around every string
+    literal "box" or "crosspoly", "module" at top level."""
+    return _owners(module, source, lambda n: isinstance(n, ast.Constant) and n.value in FACE_TAGS)
+
+
+# the 3^p sign points are the slope branch of the cached primal-ball vertex
+# list; no per-question path may enumerate them again
+SIGN_POINT_READERS = frozenset({"norms.primal_ball_vertices"})
+
+
+def name_readers(module: str, source: str, name: str) -> list[str]:
+    """"module.function" (or "module.Class.method") around every load of
+    name or attribute access to it, "module" at top level."""
+    return _owners(module, source, lambda n: (
+        isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name
+        or isinstance(n, ast.Attribute) and n.attr == name))
 
 
 def test_checker_flags_an_unused_import():
@@ -226,3 +245,24 @@ def test_checker_flags_a_face_tag_literal():
 def test_face_tags_stay_in_the_sign_face_constructors():
     found = {site for p in SRC.glob("*.py") for site in face_tag_literals(p.stem, p.read_text())}
     assert found == FACE_TAG_OWNERS
+
+
+def test_checker_flags_a_name_reader():
+    source = (
+        "from .norms import points\n"
+        "ALL = points\n"
+        "def points(norm):\n"
+        "    return ()\n"
+        "def witness(norm):\n"
+        "    return [x for _, x in norms.points(norm)]\n"
+        "class Figure:\n"
+        "    def draw(self, points=None):\n"
+        "        return points()\n"
+    )
+    assert name_readers("m", source, "points") == ["m", "m.witness", "m.Figure.draw"]
+
+
+def test_only_the_primal_ball_vertices_read_the_sign_points():
+    found = {site for p in SRC.glob("*.py")
+             for site in name_readers(p.stem, p.read_text(), "unit_sphere_sign_points")}
+    assert found == SIGN_POINT_READERS
