@@ -7,10 +7,11 @@ classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
 Every sweep reads its faces from norms.dual_ball_faces. Uniqueness and its
-basis-pursuit analogue share one sweep over the faces beyond rk(X) (bp
-sweeps the cube faces of the plain l1 norm) and differ only in the witness
-they build; the sign-vector and model accessibility tables share one route
-sweep and differ only in their response witnesses.
+basis-pursuit analogue share one sweep over the faces of codimension
+rk(X) + 1 (bp sweeps the cube faces of the plain l1 norm) and differ only in
+the witness they build; a polytope's face lattice is graded, so each deeper
+face lies in one of those. The sign-vector and model accessibility tables
+share one route sweep and differ only in their response witnesses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .exact import (
     dot,
     kernel_basis,
     parse_rational,
-    rank,
     rat_str,
     rref,
     vec,
@@ -134,23 +134,22 @@ class UniquenessReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _faces_beyond_rank(norm: PolytopeNorm, r: int, limit: int | None) -> tuple[Face, ...]:
-    """Dual-ball faces of codimension > r in ascending codimension, label
-    order within each level. Monte Carlo sweeps reuse the same list across
-    hundreds of designs."""
-    return tuple(sorted(dual_ball_faces(norm, limit, r + 1), key=lambda f: f.codim))
+def _faces_at_codim(norm: PolytopeNorm, codim: int, limit: int | None) -> tuple[Face, ...]:
+    """Dual-ball faces of one codimension in label order. Monte Carlo sweeps
+    reuse the same list across hundreds of designs."""
+    return dual_ball_faces(norm, limit, codim)
 
 
 def _uniqueness_sweep(X, norm, mode, limit, vertex_cap, witness) -> UniquenessReport:
-    """Sweep the faces of norm's dual ball beyond rk(X) against row(X); the
-    first face that meets it is passed with its hit to witness(face, hit).
-    The report names norm only in penalized mode."""
+    """Sweep the faces of norm's dual ball of codimension rk(X) + 1 against
+    row(X); the first face that meets it is passed with its hit to
+    witness(face, hit). The report names norm only in penalized mode."""
     shown = norm if mode == "penalized" else None
-    r = rank(X)
+    kernel = DesignKernel(X)
+    r = X.ncols - len(kernel.basis)
     if r == X.ncols:
         return UniquenessReport(True, r, mode, shown)
-    kernel = DesignKernel(X)
-    for face in _faces_beyond_rank(norm, r, limit):
+    for face in _faces_at_codim(norm, r + 1, limit):
         hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
         if hit is not None:
             return UniquenessReport(False, r, mode, shown, face, witness(face, hit))
@@ -165,7 +164,7 @@ def _combine(points, coeffs) -> Vector:
 
 
 def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
-    """Two certified minimizers from an intersected face F of codim > rk(X).
+    """Two certified minimizers from an intersected face F of codim rk(X) + 1.
 
     The primal-ball vertices F exposes span codim F dimensions, so codim F
     independent ones P have dependent images X P, and a kernel vector c of
@@ -200,9 +199,10 @@ def check_uniqueness(
 ) -> UniquenessReport:
     """Is the penalized minimizer unique for every response?
 
-    Sweeps the dual-ball faces of codimension above rk(X), ascending; the
-    first face meeting row(X) settles the question and is turned into an
-    explicit two-minimizer witness. No face hit means uniqueness for all y.
+    Sweeps the dual-ball faces of codimension rk(X) + 1, which row(X)
+    meets iff it meets some face beyond rk(X); the first face meeting row(X)
+    settles the question and is turned into an explicit two-minimizer
+    witness. No face hit means uniqueness for all y.
     """
     if norm.dim != X.ncols:
         raise ValueError("norm dimension does not match the matrix")
@@ -243,7 +243,7 @@ def check_uniqueness_bp(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> UniquenessReport:
     """Equality-constrained l1 analogue of check_uniqueness: sweeps unit-cube
-    faces of codimension above rk(X) against row(X)."""
+    faces of codimension rk(X) + 1 against row(X)."""
     return _uniqueness_sweep(
         X, l1_norm(X.ncols), "bp", limit, vertex_cap, lambda face, hit: _bp_witness(X, face, hit)
     )

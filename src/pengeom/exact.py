@@ -77,12 +77,6 @@ class RationalMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.rows)))
 

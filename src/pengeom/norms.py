@@ -7,8 +7,9 @@ basis-pursuit, accessibility and SVG sweeps all read it. Every face is a
 model face of the sign permutohedron of a weight vector: the slope weights,
 (scale, ..., scale) for the l1 cube and (1, 0, ..., 0) for the sup
 cross-polytope, whose faces are labeled by sign vectors. One codimension
-formula (model_codim) filters all three; under tied or zero weights several
-models label the same face.
+formula (model_codim) picks one level of the face lattice in all three, so the
+uniqueness sweep builds only the faces of codimension rk(X) + 1; under tied or
+zero weights several models label the same face.
 
 zero_region is the one description of the zero-solution region
 {u : ||X'u||_* <= 1}: its vertices give the analytic accessibility route and
@@ -138,17 +139,17 @@ def dual_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
 
 
 def dual_ball_faces(
-    norm: PolytopeNorm, limit: int | None = None, min_codim: int = 0
+    norm: PolytopeNorm, limit: int | None = None, codim: int | None = None
 ) -> tuple[Face, ...]:
-    """The faces of the dual unit ball with codimension >= min_codim, in
-    label order (face.pattern is the label).
+    """The faces of the dual unit ball, or only those of codimension codim,
+    in label order (face.pattern is the label).
 
     l1 cube and sup cross-polytope faces: one per sign vector of
     sign_vectors(p, limit or DEFAULT_SIGN_LIMIT). Slope: one face per model
     of enumerate_models(p, limit or DEFAULT_MODEL_LIMIT), for any weights;
     tied or zero weights repeat a face for each model labeling it, with one
-    codimension, so a stable codimension sort keeps the first. A label whose
-    codimension (model_codim) is below min_codim is never built into a face.
+    codimension. With codim given, a label whose codimension (model_codim)
+    is not codim is never built into a face.
     """
     p = norm.dim
     if norm.kind == SLOPE:
@@ -160,9 +161,9 @@ def dual_ball_faces(
             w, face_of = (norm.scale,) * p, functools.partial(sign_to_cube_face, scale=norm.scale)
         else:
             w, face_of = _crosspolytope_weights(p), sign_to_crosspolytope_face
-    # the codim is at least the top level, and equals it for strict weights
+    # the codim is at least the top level
     return tuple(face_of(t) for t in labels
-                 if max(map(abs, t)) >= min_codim or model_codim(t, w) >= min_codim)
+                 if codim is None or max(map(abs, t)) <= codim and model_codim(t, w) == codim)
 
 
 @functools.lru_cache(maxsize=64)

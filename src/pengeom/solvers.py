@@ -101,6 +101,8 @@ class Certificate:
 
 def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certificate:
     """Exact when X, y, b are rational and tol = 0; float otherwise."""
+    if (len(y), len(b)) != (X.shape if isinstance(X, RationalMatrix) else np.shape(X)):
+        raise ValueError("dimension mismatch")
     if isinstance(X, RationalMatrix) and tol == 0:
         yy, bb = vec(y), vec(b)
         residual = tuple(a - c for a, c in zip(yy, X.matvec(bb)))
@@ -283,6 +285,8 @@ def bp_dual_certificate(X: RationalMatrix, b: Sequence) -> Vector | None:
 
 def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> bool:
     bb, zz = vec(b), vec(z)
+    if len(bb) != X.ncols:
+        raise ValueError("dimension mismatch")
     s = X.rmatvec(zz)
     if any(abs(v) > 1 + tol for v in s):
         return False

@@ -153,8 +153,8 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
 
     caption = [_norm_caption(norm)]
     if X is None:
-        seen = set()
-        for face in dual_ball_faces(norm, min_codim=1):
+        seen = {frozenset(poly)}  # the whole ball is not labeled
+        for face in dual_ball_faces(norm):
             verts = frozenset(face.vertices())
             if verts not in seen:  # tied models share a face: label it once
                 seen.add(verts)

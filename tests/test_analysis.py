@@ -67,7 +67,7 @@ KNOWN_ACCESSIBLE = (
 def assert_valid_penalized_witness(X, norm, report):
     w = report.witness
     assert w is not None and report.offending_face is not None
-    assert report.offending_face.codim > report.rank
+    assert report.offending_face.codim == report.rank + 1
     assert w.first != w.second
     assert X.matvec(w.first) == X.matvec(w.second)
     assert norm_value(norm, w.first) == norm_value(norm, w.second)
@@ -599,7 +599,7 @@ def family_uniqueness(X, kind):
 
 def assert_valid_bp_witness(X, report):
     w = report.witness
-    assert w is not None and report.offending_face.codim > report.rank
+    assert w is not None and report.offending_face.codim == report.rank + 1
     assert w.first != w.second
     assert X.matvec(w.first) == X.matvec(w.second) == w.response
     assert sum(map(abs, w.first)) == sum(map(abs, w.second)) == w.objective
@@ -647,13 +647,29 @@ def test_witnesses_certify_on_arbitrary_designs(X):
             assert_valid_penalized_witness(X, family_norm(kind, X.ncols), report)
 
 
+def test_unique_designs_sweep_one_level(monkeypatch):
+    # every face beyond rk(X) lies in a face of codim rk(X) + 1, so a unique
+    # design is settled by that level alone
+    seen = []
+    real = analysis_module.face_intersects_rowspace
+    monkeypatch.setattr(analysis_module, "face_intersects_rowspace",
+                        lambda face, X, **kw: seen.append(face.codim) or real(face, X, **kw))
+    for rows in ([[1, 3, 7, 15]], [[2, -3, 5, 7], [1, 4, -2, 9]]):
+        X = RationalMatrix.from_rows(rows)
+        for kind in ("l1", "sup", "strict", "tied", "bp"):
+            seen.clear()
+            report = family_uniqueness(X, kind)
+            assert report.unique_for_all_y and report.rank == len(rows)
+            assert seen and set(seen) == {report.rank + 1}
+
+
 def test_tied_weight_faces_never_reach_the_brute_force_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("brute-force faces on a product path")
 
     monkeypatch.setattr(geometry_module, "enumerate_exposed_faces", refuse)
     monkeypatch.setattr(geometry_module, "hull_face", refuse)
-    analysis_module._faces_beyond_rank.cache_clear()
+    analysis_module._faces_at_codim.cache_clear()
     norm = slope_norm([3, 3, 1, Fraction(1, 2)])
     designs = (
         [[1, 2, 3, 4]],

@@ -1,13 +1,14 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pengeom.analysis import _faces_beyond_rank
+from pengeom.analysis import _bp_witness, _penalized_witness, check_uniqueness, check_uniqueness_bp
 from pengeom.exact import RationalMatrix, dot, kernel_basis, rank, rat, rowspace_preimage, vec
 from pengeom.geometry import (
     CapExceeded,
@@ -27,7 +28,15 @@ from pengeom.geometry import (
     signed_permutations,
 )
 from pengeom.lp import LinearProgram, lp_feasible
-from pengeom.norms import l1_norm, slope_norm, sup_norm
+from pengeom.norms import (
+    dual_ball_faces,
+    exposed_primal_vertices,
+    l1_norm,
+    slope_norm,
+    subdifferential_face,
+    sup_norm,
+    zero_region,
+)
 
 W2 = (Fraction(7, 2), Fraction(3, 2))  # 3.5, 1.5
 
@@ -342,6 +351,14 @@ def _sweep_norms(p):
     return norms
 
 
+@functools.lru_cache(maxsize=None)
+def _faces_beyond_rank(norm, r, limit):
+    """Every dual-ball face of codimension > r, ascending, in label order
+    within each codimension."""
+    faces = dual_ball_faces(norm, limit)
+    return tuple(sorted((f for f in faces if f.codim > r), key=lambda f: f.codim))
+
+
 @given(small_designs())
 def test_integer_face_test_matches_fraction_reference(X):
     r = rank(X)
@@ -350,6 +367,37 @@ def test_integer_face_test_matches_fraction_reference(X):
     for norm in _sweep_norms(X.ncols):
         for face in _faces_beyond_rank(norm, r, None):
             assert face_intersects_rowspace(face, X, kernel=kernel) == reference_face_test(face, X, K)
+
+
+def region_vertex_codims(X, norm):
+    """Codim of the minimal dual-ball face G(u) containing X'u, for each
+    vertex u of the zero region: the subdifferential face at the sum of the
+    primal-ball vertices X'u exposes (x = 0 when it exposes none)."""
+    for u in zero_region(X, norm):
+        exposed = exposed_primal_vertices(norm, X.rmatvec(u))
+        x = [sum(col) for col in zip(*exposed)] if exposed else [0] * X.ncols
+        yield subdifferential_face(norm, x).codim
+
+
+@settings(max_examples=20)  # a unique p = 4 slope design sweeps twice through the LP path
+@given(small_designs())
+def test_three_uniqueness_deciders_agree(X):
+    # the sweep of level rk(X) + 1; a sweep of every face beyond rk(X) in
+    # ascending codim, which finds the same face and witness; and D's vertex
+    # labels: unique iff every G(u) has codim exactly rk(X)
+    r = rank(X)
+    kernel = DesignKernel(X)
+    cases = [(norm, check_uniqueness(X, norm), functools.partial(_penalized_witness, X, norm))
+             for norm in _sweep_norms(X.ncols)]
+    cases.append((l1_norm(X.ncols), check_uniqueness_bp(X), functools.partial(_bp_witness, X)))
+    for norm, report, witness in cases:
+        hits = ((face, face_intersects_rowspace(face, X, kernel=kernel))
+                for face in _faces_beyond_rank(norm, r, None))
+        face, hit = next(((f, h) for f, h in hits if h is not None), (None, None))
+        assert report.rank == r and report.offending_face == face
+        assert report.witness == (witness(face, hit) if face is not None else None)
+        assert report.unique_for_all_y == (face is None)
+        assert report.unique_for_all_y == all(c == r for c in region_vertex_codims(X, norm))
 
 
 def test_integer_face_test_edge_cases():

@@ -264,7 +264,7 @@ def test_dual_ball_faces_follow_the_labels():
         dual_ball_faces(slope_norm([3, 2, 1]), limit=2)
 
 
-def test_dual_ball_faces_min_codim_matches_filtering(monkeypatch):
+def test_dual_ball_faces_codim_matches_filtering(monkeypatch):
     # tied or zero weights: one face per model, which as vertex sets with
     # their codimensions are exactly the brute-force exposed faces
     tied = [slope_norm([3, 3, 1]), slope_norm([2, 2]), slope_norm([2, 1, 0]),
@@ -280,19 +280,23 @@ def test_dual_ball_faces_min_codim_matches_filtering(monkeypatch):
     norms = [n for p in (1, 2, 3, 4) for n, _, _ in _labeled_norms(p)] + tied
     for norm in norms:
         full = dual_ball_faces(norm)
+        assert dual_ball_faces(norm, codim=None) == full
         for c in range(norm.dim + 2):
-            assert dual_ball_faces(norm, min_codim=c) == tuple(f for f in full if f.codim >= c)
-    # min_codim reads the codimension, not the top level: under (2, 2) the
+            assert dual_ball_faces(norm, codim=c) == tuple(f for f in full if f.codim == c)
+    # codim reads the codimension, not the top level: under (2, 2) the
     # model (1, 1) is a corner of the square
-    corners = dual_ball_faces(slope_norm([2, 2]), min_codim=2)
+    corners = dual_ball_faces(slope_norm([2, 2]), codim=2)
     assert len(corners) == 12 and (1, 1) in [f.model for f in corners]
     assert {f.vertices() for f in corners} == {((a, b),) for a in (2, -2) for b in (2, -2)}
-    # labels below min_codim never become faces
+    # labels off the level, above or below it, never become faces
     built = []
     real = norms_module.model_to_face
     monkeypatch.setattr(norms_module, "model_to_face", lambda m, w: built.append(m) or real(m, w))
-    top = dual_ball_faces(slope_norm([4, 3, 2, 1]), min_codim=4)
+    top = dual_ball_faces(slope_norm([4, 3, 2, 1]), codim=4)
     assert len(top) == 2 ** 4 * 24 and len(built) == len(top)
+    built.clear()
+    middle = dual_ball_faces(slope_norm([4, 3, 2, 1]), codim=2)
+    assert {f.codim for f in middle} == {2} and len(built) == len(middle)
 
 
 def region_by_row_subsets(X, norm):

@@ -132,6 +132,15 @@ def test_kkt_certify_exact_zero_solution():
     assert not cert.passed
 
 
+def test_kkt_certify_rejects_wrong_lengths():
+    # a longer response is not cut to X's rows, on the exact or the float path
+    X = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    for y, b in (([0, 0, 99], [0, 0]), ([0], [0, 0]), ([0, 0], [0, 0, 0])):
+        for tol in (0, 1e-9):
+            with pytest.raises(ValueError):
+                kkt_certify(X, vec(y), vec(b), l1_norm(2), tol=tol)
+
+
 def test_fista_certifies_small_slope():
     rng = np.random.default_rng(41)
     X = RationalMatrix.from_rows([[2, 1, 0], [1, -1, 1]])
@@ -209,6 +218,14 @@ def test_bp_dual_certificate_detects_suboptimal():
     # b = (1, 0) satisfies Xb = 1 but is not l1-minimal
     assert bp_dual_certificate(X, vec([1, 0])) is None
     assert bp_dual_certificate(X, vec([0, "0.5"])) is not None
+
+
+def test_bp_certificate_rejects_wrong_lengths():
+    X = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    assert bp_certificate_holds(X, vec([1, 0]), vec([1, 0]))
+    for b in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError):
+            bp_certificate_holds(X, vec(b), vec([1, 0]))
 
 
 def test_norm_min_l1():
