@@ -1,9 +1,23 @@
-"""Dense exact simplex over the rationals, for programs in nonnegative
-variables.
+"""Dense exact simplex for programs in nonnegative variables, pivoting in
+integers.
 
 Two-phase tableau method with Bland's anticycling rule throughout, so every
 solve is deterministic and terminates. Problem sizes here are desk scale
 (tens of variables); no factorization or sparsity is attempted on purpose.
+
+The tableau is integer-preserving (Edmonds 1967; Bareiss 1968): the rows
+and right-hand side are scaled by one common denominator d0, the costs by
+another, c0, and the rational tableau is kept as integers over one positive
+common denominator that each pivot replaces by the pivot element, dividing
+exactly by the previous one. Only uniform scales are used: one scale for
+every row is a positive rescaling of the artificial variables, and one for
+the costs a positive rescaling of the objective, so every reduced cost keeps
+its sign and every ratio test its order and its ties. Bland's rule therefore
+takes the same pivots as on the rational tableau, and x, the value and the
+dual, read off as Fractions at the end, are the same rationals. Scaling each
+row by its own factor would not do: it changes the phase-1 reduced costs,
+and with them the column Bland's rule enters.
+
 The package builds two programs, both over nonnegative weights: the gauge LP
 of a polytope norm (solvers) and the convex weights of a point of a face
 (geometry). Each optimum carries an optimal dual, read off the final
@@ -14,6 +28,7 @@ region figure read that region's vertices (norms.zero_region) instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -22,9 +37,6 @@ from .exact import Vector, vec
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,13 +83,24 @@ def nonneg_lp(c, a_eq=(), b_eq=(), a_ub=(), b_ub=()) -> LinearProgram:
 
 
 class _Tableau:
-    """Simplex tableau for min c'x, Ax = b, x >= 0, with b >= 0 assumed."""
+    """Integer-preserving simplex tableau for min c'x, Ax = b, x >= 0, with
+    b >= 0 assumed and A, b integer.
 
-    def __init__(self, a: list[list[Fraction]], b: list[Fraction], n: int):
+    The rational tableau is a / d and b / d, with one positive common
+    denominator d (1 at the start). Reduced costs are kept over the same d.
+    A pivot on p = a[r][c] updates every other row as (x*p - f*y) // d, with
+    f its entry in column c and y the pivot row, and d becomes p; when p < 0
+    the pivot row is negated first, so d stays positive. Each entry is a
+    minor of the starting integer matrix, up to sign, and d is |det B| for
+    the basis B, so every division is exact.
+    """
+
+    def __init__(self, a: list[list[int]], b: list[int], n: int):
         self.a = a
         self.b = b
         self.m = len(a)
         self.n = n  # from the cost vector: a program may have no rows
+        self.d = 1
         self.basis: list[int] = [-1] * self.m
 
     def add_artificials(self) -> list[int]:
@@ -85,16 +108,17 @@ class _Tableau:
         for i in range(self.m):
             col = self.n + len(arts)
             for k, row in enumerate(self.a):
-                row.append(_ONE if k == i else _ZERO)
+                row.append(1 if k == i else 0)
             self.basis[i] = col
             arts.append(col)
         self.n += len(arts)
         return arts
 
-    def _reduced_costs(self, cost: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-        # r_j = c_j - c_B B^{-1} A_j; tableau rows are already B^{-1} A
-        red = list(cost)
-        obj = _ZERO
+    def _reduced_costs(self, cost: list[int]) -> tuple[list[int], int]:
+        # d * (c_j - c_B B^{-1} A_j) and d * c_B B^{-1} b; tableau rows are
+        # already d B^{-1} A
+        red = [self.d * cj for cj in cost]
+        obj = 0
         for i in range(self.m):
             cb = cost[self.basis[i]]
             if cb:
@@ -105,31 +129,36 @@ class _Tableau:
                 obj += cb * self.b[i]
         return red, obj
 
-    def _pivot(self, r: int, c: int, red: list[Fraction]):
-        row = self.a[r]
-        piv = row[c]
-        if piv != 1:
-            inv = 1 / piv
-            self.a[r] = row = [x * inv for x in row]
-            self.b[r] *= inv
+    def _pivot(self, r: int, c: int, red: list[int] | None):
+        row, br, d = self.a[r], self.b[r], self.d
+        p = row[c]
+        if p < 0:
+            p = -p
+            self.a[r] = row = [-y for y in row]
+            self.b[r] = br = -br
         for i in range(self.m):
             if i == r:
                 continue
-            f = self.a[i][c]
+            ai = self.a[i]
+            f = ai[c]
             if f:
-                ai = self.a[i]
-                self.a[i] = [x - f * y for x, y in zip(ai, row)]
-                self.b[i] -= f * self.b[r]
-        f = red[c]
-        if f:
-            for j in range(self.n):
-                if row[j]:
-                    red[j] -= f * row[j]
+                self.a[i] = [(x * p - f * y) // d for x, y in zip(ai, row)]
+                self.b[i] = (self.b[i] * p - f * br) // d
+            elif p != d:
+                self.a[i] = [x * p // d for x in ai]
+                self.b[i] = self.b[i] * p // d
+        if red is not None:
+            f = red[c]
+            red[:] = [(x * p - f * y) // d for x, y in zip(red, row)]
+        self.d = p
         self.basis[r] = c
 
-    def run(self, cost: list[Fraction], frozen: set[int] | None = None) -> str:
+    def run(self, cost: list[int], frozen: set[int] | None = None) -> str:
         """Bland-rule simplex on the current basis. frozen columns are never
-        entered (used to keep artificials out during phase 2)."""
+        entered (used to keep artificials out during phase 2). The common
+        denominator is positive, so the reduced costs keep their signs, and
+        the ratio b_i / a_ic is compared with the best b_l / a_lc as
+        b_i * a_lc against b_l * a_ic."""
         red, _ = self._reduced_costs(cost)
         frozen = frozen or set()
         while True:
@@ -141,30 +170,32 @@ class _Tableau:
             if enter < 0:
                 return OPTIMAL
             leave = -1
-            best = None
             for i in range(self.m):
                 aic = self.a[i][enter]
                 if aic > 0:
-                    ratio = self.b[i] / aic
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = self.b[i] * self.a[leave][enter]
+                    rhs = self.b[leave] * aic
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave < 0:
                 return UNBOUNDED
             self._pivot(leave, enter, red)
 
-    def solution(self) -> list[Fraction]:
-        x = [_ZERO] * self.n
-        for i, bi in enumerate(self.basis):
-            x[bi] = self.b[i]
-        return x
+
+def _integers(values) -> tuple[int, list[int]]:
+    """(s, s * values) with s the least common denominator of the values."""
+    s = math.lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def _solve_standard(a, b, c) -> LPResult:
-    """min c'x, Ax = b, x >= 0. a, b, c are lists of Fractions; rows of a are
-    consumed."""
+    """min c'x, Ax = b, x >= 0. a, b, c hold rationals; rows of a are
+    consumed. The rows and b are scaled by their common denominator d0, the
+    costs by theirs, c0; the module docstring says why only uniform scales
+    keep Bland's pivots."""
     m = len(a)
     n = len(c)
     flipped = [bi < 0 for bi in b]
@@ -172,9 +203,12 @@ def _solve_standard(a, b, c) -> LPResult:
         if flipped[i]:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
-    t = _Tableau(a, b, n)
+    d0, flat = _integers([x for row in a for x in row] + b)
+    ia = [flat[i * n:(i + 1) * n] for i in range(m)]
+    c0, cost = _integers(c)
+    t = _Tableau(ia, flat[m * n:], n)
     arts = t.add_artificials()
-    phase1 = [_ZERO] * n + [_ONE] * len(arts)
+    phase1 = [0] * n + [1] * len(arts)
     t.run(phase1)
     _, obj = t._reduced_costs(phase1)
     if obj != 0:
@@ -192,21 +226,32 @@ def _solve_standard(a, b, c) -> LPResult:
             if piv_col < 0:
                 drop.append(i)
             else:
-                red = [_ZERO] * t.n
-                t._pivot(i, piv_col, red)
+                t._pivot(i, piv_col, None)
     for i in reversed(drop):
         del t.a[i], t.b[i], t.basis[i]
         t.m -= 1
-    cost2 = list(c) + [_ZERO] * len(arts)
+    cost2 = cost + [0] * len(arts)
     status = t.run(cost2, frozen=art_set)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    x = t.solution()[:n]
-    value = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
-    # the artificial columns hold B^-1 (dropped rows included), so c_B B^-1
-    # is an optimal dual; a row negated above negates its entry back
+    return _optimum(t, cost2, c0, d0, flipped, n)
+
+
+def _optimum(t: _Tableau, cost: list[int], c0: int, d0: int, flipped: list[bool], n: int):
+    """The LPResult of an optimal tableau, the one place Fractions are made.
+    x is b / d on the basic columns. The artificial columns hold
+    B^-1 * d / d0 (dropped rows included), because the rows were scaled by
+    d0 and the artificials were not, so c_B B^-1 = d0 * sum C_k M[k][n+i] /
+    (c0 * d) is an optimal dual; a row negated above negates its entry
+    back."""
+    d = t.d
+    x = [Fraction(0)] * n
+    for k, bk in zip(t.basis, t.b):
+        x[k] = Fraction(bk, d)
+    value = Fraction(sum(cost[k] * bk for k, bk in zip(t.basis, t.b)), c0 * d)
     dual = tuple(
-        sum((cost2[k] * row[n + i] for k, row in zip(t.basis, t.a)), _ZERO) * (-1 if f else 1)
+        Fraction(d0 * sum(cost[k] * row[n + i] for k, row in zip(t.basis, t.a)), c0 * d)
+        * (-1 if f else 1)
         for i, f in enumerate(flipped)
     )
     return LPResult(OPTIMAL, tuple(x), value, dual)
@@ -217,9 +262,9 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     variables. Deterministic: identical input produces the identical optimal
     vertex."""
     n, k = len(lp.c), len(lp.a_ub)
-    a = [list(r) + [_ZERO] * k for r in lp.a_eq]
-    a += [list(r) + [_ONE if j == i else _ZERO for j in range(k)] for i, r in enumerate(lp.a_ub)]
-    res = _solve_standard(a, list(lp.b_eq) + list(lp.b_ub), list(lp.c) + [_ZERO] * k)
+    a = [list(r) + [0] * k for r in lp.a_eq]
+    a += [list(r) + [1 if j == i else 0 for j in range(k)] for i, r in enumerate(lp.a_ub)]
+    res = _solve_standard(a, list(lp.b_eq) + list(lp.b_ub), list(lp.c) + [0] * k)
     if res.status != OPTIMAL:
         return res
     return replace(res, x=res.x[:n])
@@ -227,5 +272,5 @@ def lp_solve(lp: LinearProgram) -> LPResult:
 
 def lp_feasible(lp: LinearProgram) -> Vector | None:
     """Phase-1 only: a feasible point, or None."""
-    res = lp_solve(replace(lp, c=tuple(_ZERO for _ in lp.c)))
+    res = lp_solve(replace(lp, c=(0,) * len(lp.c)))
     return res.x if res.status == OPTIMAL else None

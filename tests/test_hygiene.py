@@ -144,6 +144,26 @@ def name_readers(module: str, source: str, name: str) -> list[str]:
         or isinstance(n, ast.Attribute) and n.attr == name))
 
 
+def runtime_readers(module: str, source: str, name: str) -> list[str]:
+    """name_readers with every annotation removed first: the functions that
+    build or test values through name, not those that only declare a type."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+        elif isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+    return name_readers(module, ast.unparse(tree), name)
+
+
+# lp.py pivots on one integer tableau; Fractions are made only where an
+# optimal tableau is read off into an LPResult (x, value, dual)
+LP_CLASSES = ("LinearProgram", "LPResult", "_Tableau")
+LP_FRACTION_READERS = frozenset({"lp._optimum"})
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -266,3 +286,23 @@ def test_only_the_primal_ball_vertices_read_the_sign_points():
     found = {site for p in SRC.glob("*.py")
              for site in name_readers(p.stem, p.read_text(), "unit_sphere_sign_points")}
     assert found == SIGN_POINT_READERS
+
+
+def test_checker_flags_a_runtime_reader():
+    source = (
+        "from fractions import Fraction\n"
+        "class Result:\n"
+        "    value: Fraction | None = None\n"
+        "def pivot(a: list[Fraction]) -> Fraction:\n"
+        "    return a[0]\n"
+        "def read(b):\n"
+        "    return Fraction(b, 2)\n"
+    )
+    assert runtime_readers("m", source, "Fraction") == ["m.read"]
+
+
+def test_lp_pivots_on_one_integer_tableau():
+    source = (SRC / "lp.py").read_text()
+    classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
+    assert classes == LP_CLASSES
+    assert set(runtime_readers("lp", source, "Fraction")) == LP_FRACTION_READERS

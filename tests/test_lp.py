@@ -45,19 +45,21 @@ def test_program_without_rows():
     assert lp_feasible(nonneg_lp(c=[-1, 2])) == (0, 0)
 
 
+# Classic degenerate instance that cycles under the most-negative rule
+BEALE = nonneg_lp(
+    c=[Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+    a_ub=[
+        [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+        [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+        [0, 0, 1, 0],
+    ],
+    b_ub=[0, 0, 1],
+)
+
+
 def test_beale_cycling_instance_terminates():
-    # Classic instance that cycles under the most-negative rule; Bland must
-    # terminate at value -1/20.
-    lp = nonneg_lp(
-        c=[Fraction(-3, 4), 150, Fraction(-1, 50), 6],
-        a_ub=[
-            [Fraction(1, 4), -60, Fraction(-1, 25), 9],
-            [Fraction(1, 2), -90, Fraction(-1, 50), 3],
-            [0, 0, 1, 0],
-        ],
-        b_ub=[0, 0, 1],
-    )
-    res = lp_solve(lp)
+    # Bland must terminate at value -1/20
+    res = lp_solve(BEALE)
     assert res.status == OPTIMAL
     assert res.value == Fraction(-1, 20)
 
@@ -165,3 +167,190 @@ def test_input_validation():
         LinearProgram(c=(Fraction(1),), a_eq=((Fraction(1), Fraction(2)),), b_eq=(Fraction(0),))
     with pytest.raises(ValueError):
         LinearProgram(c=(Fraction(1),), a_eq=((Fraction(1),),), b_eq=())
+
+
+# ---------------------------------------------------------------------------
+# the integer tableau against the rational one
+
+
+class _FractionTableau:
+    """The reference for the integer tableau: the same two-phase method and
+    Bland rule on Fraction rows. pivots records every (row, column) pivot in
+    order, dropped the redundant rows removed after phase 1."""
+
+    def __init__(self, a, b, n):
+        self.a, self.b, self.m, self.n = a, b, len(a), n
+        self.basis = [-1] * self.m
+        self.pivots = []
+        self.dropped = 0
+
+    def add_artificials(self):
+        arts = []
+        for i in range(self.m):
+            col = self.n + len(arts)
+            for k, row in enumerate(self.a):
+                row.append(Fraction(1) if k == i else Fraction(0))
+            self.basis[i] = col
+            arts.append(col)
+        self.n += len(arts)
+        return arts
+
+    def reduced_costs(self, cost):
+        red = list(cost)
+        obj = Fraction(0)
+        for i in range(self.m):
+            cb = cost[self.basis[i]]
+            if cb:
+                row = self.a[i]
+                for j in range(self.n):
+                    if row[j]:
+                        red[j] -= cb * row[j]
+                obj += cb * self.b[i]
+        return red, obj
+
+    def pivot(self, r, c, red):
+        self.pivots.append((r, c))
+        row = self.a[r]
+        piv = row[c]
+        if piv != 1:
+            inv = 1 / piv
+            self.a[r] = row = [x * inv for x in row]
+            self.b[r] *= inv
+        for i in range(self.m):
+            f = self.a[i][c]
+            if i != r and f:
+                self.a[i] = [x - f * y for x, y in zip(self.a[i], row)]
+                self.b[i] -= f * self.b[r]
+        f = red[c]
+        if f:
+            for j in range(self.n):
+                if row[j]:
+                    red[j] -= f * row[j]
+        self.basis[r] = c
+
+    def run(self, cost, frozen=frozenset()):
+        red, _ = self.reduced_costs(cost)
+        while True:
+            enter = next((j for j in range(self.n) if j not in frozen and red[j] < 0), -1)
+            if enter < 0:
+                return OPTIMAL
+            leave, best = -1, None
+            for i in range(self.m):
+                aic = self.a[i][enter]
+                if aic > 0:
+                    ratio = self.b[i] / aic
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best, leave = ratio, i
+            if leave < 0:
+                return UNBOUNDED
+            self.pivot(leave, enter, red)
+
+
+def _fraction_lp_solve(lp):
+    """(LPResult, tableau) of the rational two-phase method, with lp_solve's
+    slack columns and row flips."""
+    n, k = len(lp.c), len(lp.a_ub)
+    a = [list(r) + [Fraction(0)] * k for r in lp.a_eq]
+    a += [list(r) + [Fraction(j == i) for j in range(k)] for i, r in enumerate(lp.a_ub)]
+    b = list(lp.b_eq) + list(lp.b_ub)
+    c = list(lp.c) + [Fraction(0)] * k
+    flipped = [bi < 0 for bi in b]
+    a = [[-x for x in row] if f else row for row, f in zip(a, flipped)]
+    b = [-bi if f else bi for bi, f in zip(b, flipped)]
+    t = _FractionTableau(a, b, len(c))
+    arts = t.add_artificials()
+    phase1 = [Fraction(0)] * len(c) + [Fraction(1)] * len(arts)
+    t.run(phase1)
+    if t.reduced_costs(phase1)[1] != 0:
+        return LPResult(INFEASIBLE), t
+    drop = []
+    for i in range(t.m):
+        if t.basis[i] in arts:
+            col = next((j for j in range(len(c)) if t.a[i][j] != 0), -1)
+            if col < 0:
+                drop.append(i)
+            else:
+                t.pivot(i, col, [Fraction(0)] * t.n)
+    for i in reversed(drop):
+        del t.a[i], t.b[i], t.basis[i]
+        t.m -= 1
+    t.dropped = len(drop)
+    cost2 = c + [Fraction(0)] * len(arts)
+    if t.run(cost2, frozenset(arts)) == UNBOUNDED:
+        return LPResult(UNBOUNDED), t
+    x = [Fraction(0)] * t.n
+    for i, bi in enumerate(t.basis):
+        x[bi] = t.b[i]
+    x = x[: len(c)]
+    value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    dual = tuple(
+        sum((cost2[kk] * row[len(c) + i] for kk, row in zip(t.basis, t.a)), Fraction(0))
+        * (-1 if f else 1)
+        for i, f in enumerate(flipped)
+    )
+    return LPResult(OPTIMAL, tuple(x[:n]), value, dual), t
+
+
+def _entry(rng):
+    # mostly small integers, some proper fractions, some zeros
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-5, 5), rng.randint(2, 4))
+    return Fraction(rng.randint(-3, 3))
+
+
+def _corpus_program(rng):
+    n = rng.randint(1, 5)
+    a_eq = [[_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    if len(a_eq) >= 2 and rng.random() < 0.3:
+        a_eq.append([x + y for x, y in zip(a_eq[0], a_eq[1])])  # redundant row
+    a_ub = [[_entry(rng) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    x0 = [Fraction(rng.randint(0, 2)) for _ in range(n)]
+    if rng.random() < 0.7:
+        # feasible at x0; the right-hand sides may be negative (row flips)
+        b_eq = [dot(r, x0) for r in a_eq]
+        b_ub = [dot(r, x0) + rng.randint(0, 2) for r in a_ub]
+    else:
+        b_eq = [_entry(rng) for _ in a_eq]
+        b_ub = [_entry(rng) for _ in a_ub]
+    c = [_entry(rng) for _ in range(n)]
+    if rng.random() < 0.2:
+        c = [abs(x) for x in c]  # bounded below by 0
+    return nonneg_lp(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
+
+
+def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
+    # same pivots in the same order and the same LPResult, field by field,
+    # on a seeded corpus of eq and ub rows, negative right-hand sides,
+    # redundant equality rows, degenerate and row-free programs
+    from pengeom import lp as lp_module
+
+    pivots = []
+    pivot = lp_module._Tableau._pivot
+
+    def recording_pivot(self, r, c, red):
+        pivots.append((r, c))
+        pivot(self, r, c, red)
+
+    monkeypatch.setattr(lp_module._Tableau, "_pivot", recording_pivot)
+    rng = random.Random(2027)
+    programs = [BEALE, nonneg_lp(c=[1, 2]), nonneg_lp(c=[-1, 2])]
+    programs += [_corpus_program(rng) for _ in range(2100)]
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    dropped = flipped = rowless = 0
+    for lp in programs:
+        pivots.clear()
+        want, reference = _fraction_lp_solve(lp)
+        got = lp_solve(lp)
+        assert got.status == want.status
+        assert got.x == want.x and got.value == want.value and got.dual == want.dual
+        assert all(type(v) is Fraction for v in (got.x or ()) + (got.dual or ()))
+        assert got.value is None or type(got.value) is Fraction
+        assert pivots == reference.pivots
+        statuses[got.status] += 1
+        dropped += reference.dropped > 0
+        flipped += any(v < 0 for v in lp.b_eq + lp.b_ub)
+        rowless += not (lp.a_eq or lp.a_ub)
+    assert min(statuses.values()) >= 300
+    assert dropped >= 200 and flipped >= 1000 and rowless >= 100

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pengeom.exact import RationalMatrix, dot, vec
 from pengeom.lp import OPTIMAL, LinearProgram, lp_solve
@@ -63,6 +65,33 @@ def test_prox_slope_grid_oracle():
         span = np.linspace(-5, 5, 201)
         vals = [obj(a, b) for a in span for b in span]
         assert base <= min(vals) + 1e-6
+
+
+_BOUNDED = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def prox_inputs(draw):
+    """(v, w): v of bounded rationals, w nonincreasing and nonnegative."""
+    p = draw(st.integers(1, 7))
+    v = draw(st.lists(_BOUNDED, min_size=p, max_size=p))
+    w = draw(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=12),
+                      min_size=p, max_size=p))
+    return tuple(v), tuple(sorted(w, reverse=True))
+
+
+@given(prox_inputs())
+@example(((Fraction(3), Fraction(-3), Fraction(1, 3)), (Fraction(2), Fraction(2), Fraction(0))))
+def test_prox_slope_on_floats_matches_fractions(inputs):
+    # the same pool-adjacent-violators code runs on both; rounding may break
+    # a tie or merge a pool differently, but the prox is 1-Lipschitz, so the
+    # float answer stays within rounding distance of the exact one
+    v, w = inputs
+    exact = prox_slope(v, w)
+    approx = prox_slope(tuple(float(x) for x in v), tuple(float(x) for x in w))
+    assert all(type(x) is Fraction for x in exact)
+    assert all(isinstance(x, float) for x in approx)
+    assert max(abs(float(a) - b) for a, b in zip(exact, approx)) <= 1e-12
 
 
 def test_prox_slope_random_membership():
