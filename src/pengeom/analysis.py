@@ -17,7 +17,6 @@ share one route sweep and differ only in their response witnesses.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -26,6 +25,7 @@ from fractions import Fraction
 from .exact import (
     RationalMatrix,
     Vector,
+    clear_denominators,
     dot,
     kernel_basis,
     parse_rational,
@@ -301,9 +301,7 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     if route in (ANALYTIC, BOTH):
         # X'u over the region's vertices u, over one common denominator, so
         # each pattern's support value is integer dot products and one Fraction
-        duals = [X.rmatvec(u) for u in zero_region(X, norm)]
-        den = math.lcm(*(x.denominator for s in duals for x in s))
-        duals = [tuple(x.numerator * (den // x.denominator) for x in s) for s in duals]
+        den, duals = clear_denominators(X.rmatvec(u) for u in zero_region(X, norm))
     for face in faces:
         pattern = face.pattern
         point = vec(pattern)

@@ -110,23 +110,21 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _integer_rows(M: RationalMatrix) -> list[list[int]]:
-    # Row scaling by the lcm of denominators preserves rank and row space.
-    out = []
-    for r in M.rows:
-        scale = 1
-        for x in r:
-            d = x.denominator
-            scale = scale * d // math.gcd(scale, d)
-        out.append([int(x * scale) for x in r])
-    return out
+def clear_denominators(vectors: Iterable[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, the vectors times d) for d the least common denominator of all
+    their entries (ints count as denominator 1; d = 1 for no entries). One
+    positive scale for the whole list is the one way this package turns
+    rationals into integers: every sign, ratio and row space survives it."""
+    vectors = tuple(vectors)
+    d = math.lcm(*(x.denominator for v in vectors for x in v))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors)
 
 
 def rank(M: RationalMatrix) -> int:
-    """Exact rank by Bareiss fraction-free elimination on the row-cleared
-    integer matrix; the interior division is exact, so growth stays polynomial
-    in the entry size instead of doubling per step."""
-    A = _integer_rows(M)
+    """Exact rank by Bareiss fraction-free elimination on M times its
+    common denominator; the interior division is exact, so growth stays
+    polynomial in the entry size instead of doubling per step."""
+    A = [list(r) for r in clear_denominators(M.rows)[1]]
     m, n = len(A), len(A[0])
     prev = 1
     r = 0

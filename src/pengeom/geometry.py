@@ -17,13 +17,14 @@ vectors under those weights; the kinds "box" and "crosspoly" only tag them.
 
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
-for one design, scaled to primitive integer vectors, and memoizes the image
-of each integer-scaled dual-ball vertex, so a sweep projects every vertex
-once. Faces with one or two vertices are then decided by integer sign and
+for one design times one common denominator, and memoizes the image of each
+integer-scaled dual-ball vertex, so a sweep projects every vertex once.
+Faces with one or two vertices are then decided by integer sign and
 cross-product tests on those images (fraction-free, in the spirit of Bareiss
-elimination); larger faces solve a small rational LP whose rows are the
-same images over the Fraction basis. Fractions return only on a hit, to form
-the exact point of the face and its preimage z.
+elimination); larger faces solve a small LP whose integer columns are those
+same images, every row carrying the same positive factor, so the simplex
+pivots as it would on the rational program. Fractions return only on a hit,
+to form the exact point of the face and its preimage z.
 """
 
 from __future__ import annotations
@@ -36,8 +37,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .exact import RationalMatrix, Vector, kernel_basis, rank, rat, rat_str, rowspace_preimage, vec
-from .lp import lp_feasible, nonneg_lp
+from .exact import (
+    RationalMatrix,
+    Vector,
+    clear_denominators,
+    kernel_basis,
+    rank,
+    rat,
+    rat_str,
+    rowspace_preimage,
+    vec,
+)
+from .lp import LinearProgram, lp_feasible
 
 DEFAULT_MODEL_LIMIT = 6
 DEFAULT_SIGN_LIMIT = 10
@@ -207,7 +218,8 @@ class Face:
     def contains_zero(self) -> bool:
         if self.model is not None:
             return not any(self.model)
-        return _convex_zero_weights(self.hull) is not None
+        scale, ivs = self._integer_form
+        return _convex_zero_weights(ivs, scale) is not None
 
     def vertex_count(self) -> int:
         return self._vertex_count
@@ -249,9 +261,7 @@ class Face:
     @functools.cached_property
     def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # (L, the vertices times L) for L the lcm of their denominators
-        verts = _materialized_vertices(self)
-        scale = math.lcm(*(x.denominator for v in verts for x in v))
-        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in v) for v in verts)
+        return clear_denominators(_materialized_vertices(self))
 
     def _materialize(self) -> tuple[Vector, ...]:
         if self.model is None:
@@ -326,14 +336,16 @@ def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     return face._materialize()
 
 
-def _convex_zero_weights(columns: Sequence[Vector]) -> Vector | None:
-    """Convex weights alpha >= 0, sum(alpha) = 1, with sum_i alpha_i columns[i]
-    = 0, or None when 0 is outside the hull of the columns. The LP rows are
-    the coordinates in order, then the sum row, so Bland's rule returns the
-    same alpha on every call."""
+def _convex_zero_weights(columns: Sequence[tuple[int, ...]], total: int) -> Vector | None:
+    """Convex weights alpha >= 0, sum(alpha) = 1, with sum_i alpha_i
+    columns[i] = 0, or None when 0 is outside the hull of the columns.
+    columns are integer points times total > 0, so the LP rows are the
+    coordinates in order, then the sum row, total in every column, with
+    b = (0, ..., 0, total): the rational program with every row times total,
+    on which Bland's rule takes the same pivots and returns the same alpha."""
     k = len(columns)
-    rows = [*zip(*columns), [1] * k]
-    return lp_feasible(nonneg_lp(c=[0] * k, a_eq=rows, b_eq=[0] * (len(rows) - 1) + [1]))
+    rows = (*zip(*columns), (total,) * k)
+    return lp_feasible(LinearProgram(c=(0,) * k, a_eq=rows, b_eq=(0,) * (len(rows) - 1) + (total,)))
 
 
 def check_weights(w: Sequence) -> tuple[Fraction, ...]:
@@ -476,20 +488,20 @@ class DesignKernel:
     """ker(X) of one design, shared by every face test of a sweep over it.
 
     basis is the deterministic Fraction basis of kernel_basis(X);
-    integer_basis scales each of its vectors to a primitive integer vector
-    (a positive multiple). image(v) is K'v for an integer vertex v against
-    integer_basis, computed on first use and memoized, so a dual-ball vertex
-    shared by many faces is projected once per design and a sweep that stops
-    early pays only for the vertices it reached.
+    integer_basis is that basis times scale > 0, the least common
+    denominator of all its entries. image(v) is K'v for an integer vertex v
+    against integer_basis, computed on first use and memoized, so a
+    dual-ball vertex shared by many faces is projected once per design and a
+    sweep that stops early pays only for the vertices it reached. One scale
+    for the whole basis keeps the face LP's rows a uniform multiple of the
+    rational program's, so its pivots and its alpha stay those of the
+    Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
         self.X = X
         self.basis: tuple[Vector, ...] = kernel_basis(X)
-        self.integer_basis = tuple(_primitive_integer(k) for k in self.basis)
-        # basis[k] = integer_basis[k] * ratios[k]
-        self._ratios = [next(x / i for x, i in zip(k, ik) if i)
-                        for k, ik in zip(self.basis, self.integer_basis)]
+        self.scale, self.integer_basis = clear_denominators(self.basis)
         self._images: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -498,21 +510,6 @@ class DesignKernel:
             img = tuple(sum(a * b for a, b in zip(k, v)) for k in self.integer_basis)
             self._images[v] = img
         return img
-
-    def _fraction_image(self, v: tuple[int, ...], scale: int) -> tuple[Fraction, ...]:
-        """K'(v / scale) against the Fraction basis: the same rationals as
-        the Fraction dot products, read off the memoized integer image."""
-        return tuple(
-            Fraction(x * r.numerator, r.denominator * scale)
-            for x, r in zip(self.image(v), self._ratios)
-        )
-
-
-def _primitive_integer(v: Vector) -> tuple[int, ...]:
-    scale = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (scale // x.denominator) for x in v]
-    g = math.gcd(*ints)
-    return tuple(t // g for t in ints)
 
 
 def _segment_weight(ca: tuple[int, ...], cb: tuple[int, ...]) -> Fraction | None:
@@ -556,8 +553,9 @@ def face_intersects_rowspace(
     design and pass it to every face of the sweep; the images are memoized
     there). A vertex meets row(X) iff its image is zero, a segment iff the
     images' line passes through 0 between them (see _segment_weight). Larger
-    faces solve a feasibility LP over the convex weights alpha, with rows
-    K'v in the Fraction basis, read off the memoized integer images. The cap
+    faces solve a feasibility LP over the convex weights alpha whose columns
+    are the memoized integer images themselves, each K'v times the product
+    of the kernel's and the face's scales (see _convex_zero_weights). The cap
     is checked before any vertex is built. Fractions enter the point only on
     a hit: it is formed from the face's Fraction vertices, and z with
     X'z = point by exact elimination.
@@ -590,7 +588,7 @@ def face_intersects_rowspace(
             point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
     else:
         scale, ivs = face._integer_form
-        alpha = _convex_zero_weights([kernel._fraction_image(v, scale) for v in ivs])
+        alpha = _convex_zero_weights([kernel.image(v) for v in ivs], kernel.scale * scale)
         if alpha is None:
             return None
         verts = face.vertices(None)
@@ -624,11 +622,7 @@ def enumerate_exposed_faces(vertices: Sequence[Sequence]) -> list[Face]:
     ref = sorted(abs(x) for x in verts[0])
     if any(sorted(abs(x) for x in v) != ref for v in verts):
         raise ValueError("vertex set must be one signed-permutation orbit")
-    scale = 1
-    for v in verts:
-        for x in v:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-    iverts = [tuple(int(x * scale) for x in v) for v in verts]
+    _, iverts = clear_denominators(verts)
     found: set[frozenset[int]] = set()
     for a in itertools.product(range(-p, p + 1), repeat=p):
         best = None

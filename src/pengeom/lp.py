@@ -28,11 +28,10 @@ region figure read that region's vertices (norms.zero_region) instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact import Vector, vec
+from .exact import Vector, clear_denominators, vec
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -185,12 +184,6 @@ class _Tableau:
             self._pivot(leave, enter, red)
 
 
-def _integers(values) -> tuple[int, list[int]]:
-    """(s, s * values) with s the least common denominator of the values."""
-    s = math.lcm(*(v.denominator for v in values))
-    return s, [v.numerator * (s // v.denominator) for v in values]
-
-
 def _solve_standard(a, b, c) -> LPResult:
     """min c'x, Ax = b, x >= 0. a, b, c hold rationals; rows of a are
     consumed. The rows and b are scaled by their common denominator d0, the
@@ -203,10 +196,9 @@ def _solve_standard(a, b, c) -> LPResult:
         if flipped[i]:
             a[i] = [-x for x in a[i]]
             b[i] = -b[i]
-    d0, flat = _integers([x for row in a for x in row] + b)
-    ia = [flat[i * n:(i + 1) * n] for i in range(m)]
-    c0, cost = _integers(c)
-    t = _Tableau(ia, flat[m * n:], n)
+    d0, rows = clear_denominators(a + [b])
+    c0, (cost,) = clear_denominators([c])
+    t = _Tableau([list(r) for r in rows[:m]], list(rows[m]), n)
     arts = t.add_artificials()
     phase1 = [0] * n + [1] * len(arts)
     t.run(phase1)
@@ -230,7 +222,7 @@ def _solve_standard(a, b, c) -> LPResult:
     for i in reversed(drop):
         del t.a[i], t.b[i], t.basis[i]
         t.m -= 1
-    cost2 = cost + [0] * len(arts)
+    cost2 = list(cost) + [0] * len(arts)
     status = t.run(cost2, frozen=art_set)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)

@@ -29,7 +29,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import RationalMatrix, Vector, dot, rat, rat_str, rref, solve_exact, vec
+from .exact import (
+    RationalMatrix,
+    Vector,
+    clear_denominators,
+    dot,
+    rat,
+    rat_str,
+    rref,
+    solve_exact,
+    vec,
+)
 from .geometry import (
     DEFAULT_MODEL_LIMIT,
     DEFAULT_SIGN_LIMIT,
@@ -257,17 +267,15 @@ def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
     basis = RationalMatrix(tuple(normals[k] for k in first))
     start = basis.rows + tuple(tuple(-x for x in a) for a in basis.rows)
     # in integers: u = U / d with d > 0, and <a, u> <= 1 reads <A, U> <= e d for a = A / e
-    scales = [math.lcm(*(x.denominator for x in a)) for a in normals]
-    ints = [tuple(int(x * e) for x in a) for a, e in zip(normals, scales)]
+    e, ints = clear_denominators(normals)
 
     def slacks(k):
-        return [sum(map(operator.mul, ints[k], U)) - scales[k] * d for U, d in verts]
+        return [sum(map(operator.mul, ints[k], U)) - e * d for U, d in verts]
 
     verts = []  # (U, d)
     for t in itertools.product((1, -1), repeat=r):
-        u = solve_exact(basis, t)
-        d = math.lcm(*(x.denominator for x in u))
-        verts.append((tuple(int(x * d) for x in u), d))
+        d, (U,) = clear_denominators([solve_exact(basis, t)])
+        verts.append((U, d))
     masks = [0] * len(verts)  # per vertex, the halfspaces so far that are tight at it
     done = {index[a] for a in start}
     for k in done:

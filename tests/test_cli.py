@@ -280,6 +280,39 @@ def test_error_exits(capsys, matrices, tmp_path):
     code, _, err = run(capsys, "solve", "--matrix", matrices["one_zero"], "--norm", "sup")
     assert code == 2 and "--response" in err
 
+    # malformed input, subcommand by subcommand: one error line, no traceback
+    bad = {"ragged.csv": "1,2\n3\n", "abc.csv": "1,abc\n2,3\n", "float.json": "[[1.5, 1], [0, 1]]"}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    rest = {
+        "uniqueness": ("--norm", "l1"),
+        "accessible": ("--norm", "l1"),
+        "solve": ("--norm", "l1", "--response", "1,1"),
+        "decompose": ("--norm", "l1", "--response", "1,1"),
+        "models": (),
+        "plot": ("--norm", "l1"),
+    }
+    probes = [(cmd, "--matrix", str(tmp_path / name), *args)
+              for name in bad for cmd, args in rest.items()]
+    demo = ("--matrix", matrices["demo"])
+    sized = {"uniqueness": demo, "accessible": demo,
+             "solve": (*demo, "--response", "1,1"), "decompose": (*demo, "--response", "1,1"),
+             "genericity": ("--rows", "2", "--cols", "3"), "plot": demo}
+    probes += [(cmd, *args, "--norm", "l1", "--response", "1,1,1")
+               for cmd, args in (("solve", demo), ("decompose", demo))]
+    probes += [(cmd, *args, "--norm", "slope", "--weights", w)
+               for w in ("1,2,3", "3,2,-1") for cmd, args in sized.items()]
+    probes += [(cmd, *args, "--norm", "l1", "--lambda", "0") for cmd, args in sized.items()]
+    probes += [(cmd, *args, "--cap", "0") for cmd, args in (
+        ("uniqueness", (*demo, "--norm", "l1")), ("accessible", (*demo, "--norm", "l1")),
+        ("models", ("--cols", "3")),
+        ("genericity", ("--rows", "2", "--cols", "3", "--mode", "bp")))]
+    for argv in probes:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1, argv
+        assert "Traceback" not in err and out == "", argv
+
 
 def test_cap_flag_and_env_override(capsys, matrices, monkeypatch):
     code, _, err = run(capsys, "models", "--cols", "3", "--cap", "1")

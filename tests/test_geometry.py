@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pengeom import geometry
 from pengeom.analysis import _bp_witness, _penalized_witness, check_uniqueness, check_uniqueness_bp
 from pengeom.exact import RationalMatrix, dot, kernel_basis, rank, rat, rowspace_preimage, vec
 from pengeom.geometry import (
@@ -416,16 +416,25 @@ def test_integer_face_test_edge_cases():
     full = RationalMatrix.from_rows([[1, 0], [0, 1]])
     seg = sign_to_cube_face((1, 0), scale=Fraction(1, 3))
     assert face_intersects_rowspace(seg, full) == reference_face_test(seg, full, ())
+    # an LP face whose sum row must carry the kernel rows' factor: the same
+    # integer images under a sum row of ones make Bland's rule stop at
+    # (-4/13, 0, 3/13, 6/13), not at the reference's alpha
+    X = RationalMatrix.from_rows([[Fraction(2, 3), 1, Fraction(-1, 5), Fraction(-2, 5)],
+                                  [Fraction(2, 5), 1, 0, 0]])
+    face = sign_to_crosspolytope_face((-1, 1, 1, 1))
+    got = face_intersects_rowspace(face, X)
+    assert got == reference_face_test(face, X, kernel_basis(X))
+    assert got.point == vec([0, "10/19", "3/19", "6/19"])
+    assert got.z == vec(["-15/19", "25/19"])
 
 
-def test_design_kernel_is_primitive_and_memoized():
+def test_design_kernel_has_one_scale_and_memoizes():
     X = RationalMatrix.from_rows([[2, Fraction(1, 3), 0, 4], [0, 1, Fraction(1, 2), 0]])
     kernel = DesignKernel(X)
     assert kernel.basis == kernel_basis(X)
+    assert isinstance(kernel.scale, int) and kernel.scale > 0
     for kb, ib in zip(kernel.basis, kernel.integer_basis):
-        assert math.gcd(*ib) == 1
-        ratio = {Fraction(i) / f for i, f in zip(ib, kb) if f}
-        assert len(ratio) == 1 and ratio.pop() > 0
+        assert all(type(i) is int and i == kernel.scale * f for i, f in zip(ib, kb))
     v = (3, -1, 2, 0)
     img = kernel.image(v)
     assert kernel.image(v) is img
@@ -433,6 +442,31 @@ def test_design_kernel_is_primitive_and_memoized():
     other = RationalMatrix.from_rows([[1, 0, 0, 0]])
     with pytest.raises(ValueError):
         face_intersects_rowspace(sign_to_cube_face((1, 1, 0, 0)), other, kernel=kernel)
+
+
+def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
+    # model faces pass their kernel images, hull faces their integer
+    # vertices, each with one positive total; no Fraction reaches the LP
+    seen = []
+
+    def recording(lp):
+        seen.append(lp)
+        return lp_feasible(lp)
+
+    monkeypatch.setattr(geometry, "lp_feasible", recording)
+    X = RationalMatrix.from_rows([[Fraction(2, 3), 1, Fraction(-1, 5)]])
+    kernel = DesignKernel(X)
+    for norm in _sweep_norms(3):
+        for face in dual_ball_faces(norm, None):
+            face_intersects_rowspace(face, X, kernel=kernel)
+    model_lps = len(seen)
+    ball = model_to_face((0, 0, 0), (Fraction(7, 2), 2, Fraction(1, 2)))
+    for face in enumerate_exposed_faces(ball.vertices()):
+        face_intersects_rowspace(face, X, kernel=kernel)
+    assert 0 < model_lps < len(seen)
+    for lp in seen:
+        entries = (*lp.c, *lp.b_eq, *lp.b_ub, *(x for r in lp.a_eq + lp.a_ub for x in r))
+        assert all(type(x) is int for x in entries)
 
 
 def test_integer_vertices_scale_and_cap():

@@ -158,6 +158,10 @@ def runtime_readers(module: str, source: str, name: str) -> list[str]:
     return name_readers(module, ast.unparse(tree), name)
 
 
+# exact.clear_denominators is the one place a list of rationals becomes
+# integers over its least common denominator
+LCM_READERS = frozenset({"exact.clear_denominators"})
+
 # lp.py pivots on one integer tableau; Fractions are made only where an
 # optimal tableau is read off into an LPResult (x, value, dual)
 LP_CLASSES = ("LinearProgram", "LPResult", "_Tableau")
@@ -306,3 +310,8 @@ def test_lp_pivots_on_one_integer_tableau():
     classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
     assert classes == LP_CLASSES
     assert set(runtime_readers("lp", source, "Fraction")) == LP_FRACTION_READERS
+
+
+def test_one_helper_clears_denominators():
+    found = {site for p in SRC.glob("*.py") for site in name_readers(p.stem, p.read_text(), "lcm")}
+    assert found == LCM_READERS
