@@ -6,7 +6,9 @@ sign/cluster models, certified non-uniqueness witnesses, response
 classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
-Every sweep reads its faces from norms.dual_ball_faces. Uniqueness and its
+Every sweep reads its faces from norms.dual_ball_faces, through one
+per-process cache of 64 tables, so a table and its faces' integer vertices
+are built once per norm however many designs ask about it. Uniqueness and its
 basis-pursuit analogue share one sweep over the faces of codimension
 rk(X) + 1 (bp sweeps the cube faces of the plain l1 norm) and differ only in
 the witness they build; a polytope's face lattice is graded, so each deeper
@@ -134,9 +136,10 @@ class UniquenessReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _faces_at_codim(norm: PolytopeNorm, codim: int, limit: int | None) -> tuple[Face, ...]:
-    """Dual-ball faces of one codimension in label order. Monte Carlo sweeps
-    reuse the same list across hundreds of designs."""
+def _faces_at_codim(norm: PolytopeNorm, codim: int | None, limit: int | None) -> tuple[Face, ...]:
+    """Dual-ball faces of one codimension (all of them for None) in label
+    order. Monte Carlo sweeps and accessibility tables reuse the same list
+    across many designs."""
     return dual_ball_faces(norm, limit, codim)
 
 
@@ -297,7 +300,10 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     two are cross-checked and any disagreement raises.
     """
     kernel = DesignKernel(X)
-    faces = dual_ball_faces(norm, limit)  # the model or sign cap refuses here, before any work
+    # the whole table, built once per norm and kept with its faces' integer
+    # vertices; the model or sign cap refuses here, before any work, and on
+    # every call, since the cache does not store exceptions
+    faces = _faces_at_codim(norm, None, limit)
     if route in (ANALYTIC, BOTH):
         # X'u over the region's vertices u, over one common denominator, so
         # each pattern's support value is integer dot products and one Fraction

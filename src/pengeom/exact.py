@@ -1,17 +1,23 @@
-"""Exact rational linear algebra on top of fractions.Fraction.
+"""Exact rational linear algebra: Fractions outside, integers inside.
 
-Everything in this module is deterministic and allocation-light: matrices are
-immutable tuples of tuples of Fractions, elimination is fraction-free where
-intermediate growth matters (rank), plain rational RREF where we need the
-reduced system itself (kernels, solving).
+Matrices are immutable tuples of tuples of Fractions, and every result is a
+normalized Fraction. The work underneath is in integers. One fraction-free
+Gauss-Jordan loop (Bareiss 1968) on rows cleared of their denominators gives
+the reduced row echelon form, and from it the rank, the kernel basis and
+the solutions of linear systems; each row is scaled by a positive factor, so
+the pivots and the reduced form are those of the rational matrix. Matrix
+products run against one integer form of the matrix over a common
+denominator, memoized on the instance, and form one Fraction per entry.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -80,20 +86,30 @@ class RationalMatrix:
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(tuple(zip(*self.rows)))
 
+    @functools.cached_property
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        # (d, the rows times d, the columns times d) for d the least common
+        # denominator of every entry, built once per matrix
+        d, rows = clear_denominators(self.rows)
+        return d, rows, tuple(zip(*rows))
+
     def matvec(self, v: Sequence) -> Vector:
+        """Mv in integer dot products against the rows times their common
+        denominator, with one Fraction per entry."""
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        vv = vec(v)
-        return tuple(sum(a * b for a, b in zip(r, vv)) for r in self.rows)
+        d, rows, _ = self._integer_form
+        e, (vv,) = clear_denominators((vec(v),))
+        return tuple(Fraction(sum(map(operator.mul, r, vv)), d * e) for r in rows)
 
     def rmatvec(self, u: Sequence) -> Vector:
-        """Transpose-apply: returns M'u without materializing the transpose."""
+        """Transpose-apply: returns M'u without materializing the transpose,
+        in integer dot products as in matvec."""
         if len(u) != self.nrows:
             raise ValueError("dimension mismatch")
-        uu = vec(u)
-        return tuple(
-            sum(self.rows[i][j] * uu[i] for i in range(self.nrows)) for j in range(self.ncols)
-        )
+        d, _, cols = self._integer_form
+        e, (uu,) = clear_denominators((vec(u),))
+        return tuple(Fraction(sum(map(operator.mul, c, uu)), d * e) for c in cols)
 
     def to_float_array(self):
         import numpy as np
@@ -120,71 +136,61 @@ def clear_denominators(vectors: Iterable[Sequence]) -> tuple[int, tuple[tuple[in
     return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors)
 
 
-def rank(M: RationalMatrix) -> int:
-    """Exact rank by Bareiss fraction-free elimination on M times its
-    common denominator; the interior division is exact, so growth stays
-    polynomial in the entry size instead of doubling per step."""
-    A = [list(r) for r in clear_denominators(M.rows)[1]]
-    m, n = len(A), len(A[0])
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                A[i][j] = (A[r][c] * A[i][j] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
-    return r
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination: (A, pivots, d).
 
-
-def rref(M: RationalMatrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form over Fractions.
-
-    Returns (rows, pivot_columns). Pivot choice is the first nonzero entry in
-    column order, so the result is deterministic.
+    Each row is cleared of its denominators on its own, which scales it by a
+    positive factor and so moves neither the pivots nor the reduced form.
+    The pivot is the first nonzero entry in column order. Every other row,
+    above and below, becomes (pivot * row - entry * pivot row) // d for d
+    the previous pivot, a division that is exact because each entry is then
+    a minor of the integer matrix, so sizes grow polynomially. When the loop
+    ends, the pivot rows come first, each with d at its own pivot, and the
+    other rows are zero: A / d is the reduced row echelon form.
     """
-    A = [list(r) for r in M.rows]
+    A = [list(clear_denominators((r,))[1][0]) for r in rows]
     m, n = len(A), len(A[0])
     pivots = []
-    r = 0
+    d = 1
     for c in range(n):
+        r = len(pivots)
         if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if A[i][c]), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        top = A[r]
+        t = top[c]
+        for i, row in enumerate(A):
+            if i != r:
+                f = row[c]
+                A[i] = [(t * x - f * y) // d for x, y in zip(row, top)]
+        d = t
         pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in A), tuple(pivots)
+    return A, tuple(pivots), d
+
+
+def rank(M: RationalMatrix) -> int:
+    """Exact rank: the number of pivots of the fraction-free elimination."""
+    return len(_eliminate(M.rows)[1])
+
+
+def rref(M: RationalMatrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form, exact, from the fraction-free elimination.
+
+    Returns (rows, pivot_columns). Pivot choice is the first nonzero entry in
+    column order, so the result is deterministic (and the reduced form of a
+    matrix is unique anyway).
+    """
+    A, pivots, d = _eliminate(M.rows)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in A), pivots
 
 
 def kernel_basis(M: RationalMatrix) -> tuple[Vector, ...]:
     """Deterministic basis of ker(M): one vector per free column of the RREF,
     with a 1 in the free coordinate."""
-    R, pivots = rref(M)
+    A, pivots, d = _eliminate(M.rows)
     n = M.ncols
     pivot_set = set(pivots)
     basis = []
@@ -194,7 +200,7 @@ def kernel_basis(M: RationalMatrix) -> tuple[Vector, ...]:
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -R[i][f]
+            v[pc] = Fraction(-A[i][f], d)
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -205,14 +211,13 @@ def solve_exact(M: RationalMatrix, b: Sequence) -> Vector | None:
     bb = vec(b)
     if len(bb) != M.nrows:
         raise ValueError("dimension mismatch")
-    aug = RationalMatrix(tuple(r + (bi,) for r, bi in zip(M.rows, bb)))
-    R, pivots = rref(aug)
+    A, pivots, d = _eliminate([r + (bi,) for r, bi in zip(M.rows, bb)])
     n = M.ncols
     if n in pivots:
         return None
     x = [Fraction(0)] * n
     for i, pc in enumerate(pivots):
-        x[pc] = R[i][n]
+        x[pc] = Fraction(A[i][n], d)
     return tuple(x)
 
 

@@ -205,9 +205,14 @@ class Face:
     hull: tuple[Vector, ...] = ()
 
     def __hash__(self):
-        # the vertex cache keys on faces; hashing the label instead of every
-        # Fraction weight keeps a lookup cheap, and equal faces share a label
-        return hash((self.kind, self.model, self.hull))
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the vertex cache keys on faces, and one label under many weights
+        # (or l1 scales) must not share a hash, or every lookup compares the
+        # Fraction weights of each colliding face; computed once per face
+        return hash((self.kind, self.model, self.blocks, self.hull))
 
     @property
     def pattern(self) -> tuple[int, ...] | None:
@@ -557,8 +562,9 @@ def face_intersects_rowspace(
     are the memoized integer images themselves, each K'v times the product
     of the kernel's and the face's scales (see _convex_zero_weights). The cap
     is checked before any vertex is built. Fractions enter the point only on
-    a hit: it is formed from the face's Fraction vertices, and z with
-    X'z = point by exact elimination.
+    a hit: it is formed from the face's vertices and the weights (for the LP
+    in integer sums, one Fraction per coordinate), and z with X'z = point by
+    exact elimination.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")
@@ -591,11 +597,10 @@ def face_intersects_rowspace(
         alpha = _convex_zero_weights([kernel.image(v) for v in ivs], kernel.scale * scale)
         if alpha is None:
             return None
-        verts = face.vertices(None)
-        point = tuple(
-            sum((a * v[i] for a, v in zip(alpha, verts)), Fraction(0))
-            for i in range(face.ambient_dim)
-        )
+        # sum alpha_k v_k in integers: the weights and the vertices each over
+        # one common denominator, one Fraction per coordinate
+        d, (weights,) = clear_denominators((alpha,))
+        point = tuple(Fraction(sum(map(operator.mul, weights, col)), d * scale) for col in zip(*ivs))
     z = rowspace_preimage(X, point)
     if z is None:
         raise AssertionError("kernel-orthogonal point must lie in the row space")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -27,6 +28,7 @@ from pengeom.analysis import (
 )
 from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
 from pengeom.geometry import (
+    DEFAULT_VERTEX_CAP,
     CapExceeded,
     SignedPermutation,
     enumerate_models,
@@ -48,6 +50,7 @@ from pengeom.solvers import (
     bp_certificate_holds,
     bp_dual_certificate,
     kkt_certify,
+    norm_min_subject_to,
 )
 
 DEMO_X = RationalMatrix.from_rows([[8, 5, 8], [10, Fraction(5, 4), -6]])
@@ -775,3 +778,41 @@ def test_ambiguity_flag_builds_no_witness(monkeypatch):
     monkeypatch.setattr(analysis_module, "_penalized_witness", refuse)
     out = classify_response(RationalMatrix.from_rows([[2, 1]]), (2, 1), (Fraction(5),))
     assert out.ambiguous is True
+
+
+def test_accessibility_tables_share_one_face_table(monkeypatch):
+    # the sign table of l1 at p = 5 is built once for both designs and kept
+    # with its faces' integer vertices; a refusal is not cached and raises
+    # on every call
+    built = []
+    real = analysis_module.dual_ball_faces
+    monkeypatch.setattr(analysis_module, "dual_ball_faces",
+                        lambda *args: built.append(args) or real(*args))
+    analysis_module._faces_at_codim.cache_clear()
+    X = RationalMatrix.from_rows([[1, 2, 0, -1, 3], [0, 1, 1, 2, -1], [2, 0, 1, 1, 1]])
+    Y = RationalMatrix.from_rows([[1, 1, 0, 0, 2], [0, 1, -1, 3, 1], [1, 0, 2, Fraction(1, 2), 0]])
+    tables = [accessible_sign_vectors(M, route=GEOMETRIC) for M in (X, Y)]
+    assert len(built) == 1
+    assert [r.pattern for r in tables[0]] == [r.pattern for r in tables[1]]
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="exceeds cap 4"):
+            accessible_sign_vectors(X, limit=4)
+
+
+@settings(max_examples=20)  # about 1 s: the gauge LP runs once per label
+@given(small_designs(max_p=3))
+@example(RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))
+def test_three_accessibility_deciders_agree(X):
+    # a label t is accessible iff row(X) meets its face, iff the support
+    # value max <X t, u> over D's vertices is ||t||, iff the gauge LP's least
+    # norm over {b : Xb = Xt}, which never reads D, is ||t||
+    for family in FAMILIES[:-1]:  # l1 at scale 3/2, sup, strict, tied and zero slope weights
+        norm = family_norm(family, X.ncols)
+        kind = "model" if norm.kind == "slope" else "sign"
+        sweep = functools.partial(analysis_module._route_sweep, X, norm, kind,
+                                  limit=None, vertex_cap=DEFAULT_VERTEX_CAP)
+        geometric = {r.pattern for r in sweep(route=GEOMETRIC) if r.accessible}
+        analytic = {r.pattern: r.analytic_value == r.pattern_norm for r in sweep(route=ANALYTIC)}
+        gauge = {t for t in analytic if norm_min_subject_to(X, t, norm)[0] == norm_value(norm, vec(t))}
+        assert geometric == {t for t, hit in analytic.items() if hit} == gauge, family
+        assert (0,) * X.ncols in geometric

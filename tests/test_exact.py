@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pengeom.exact import (
     RationalMatrix,
@@ -13,6 +16,7 @@ from pengeom.exact import (
     rank,
     rat,
     rowspace_preimage,
+    rref,
     solve_exact,
 )
 
@@ -151,3 +155,138 @@ def test_dot_and_matvec_dimension_checks():
     with pytest.raises(ValueError):
         dot((1,), (1, 2))
     assert dot((), ()) == 0
+
+
+# ---------------------------------------------------------------------------
+# the elimination and the products against plain Fraction arithmetic: a
+# reference copy of the rational Gauss-Jordan loop, the separate Bareiss rank
+# and the Fraction dot products that the integer forms replace
+
+
+def _ref_rank(rows):
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    A = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+    m, n = len(A), len(A[0])
+    prev, r = 1, 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        for i in range(r + 1, m):
+            for j in range(c + 1, n):
+                A[i][j] = (A[r][c] * A[i][j] - A[i][c] * A[r][j]) // prev
+            A[i][c] = 0
+        prev = A[r][c]
+        r += 1
+    return r
+
+
+def _ref_rref(rows):
+    A = [list(r) for r in rows]
+    m, n = len(A), len(A[0])
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = A[r][c]
+        A[r] = [x / inv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in A), tuple(pivots)
+
+
+def _ref_kernel_basis(rows):
+    R, pivots = _ref_rref(rows)
+    n = len(rows[0])
+    basis = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _ref_solve_exact(rows, b):
+    R, pivots = _ref_rref([r + (bi,) for r, bi in zip(rows, b)])
+    n = len(rows[0])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i][n]
+    return tuple(x)
+
+
+def _ref_matvec(rows, v):
+    return tuple(sum(a * b for a, b in zip(r, v)) for r in rows)
+
+
+# small numerators over small and 12-digit denominators
+_ENTRY = st.builds(
+    Fraction,
+    st.integers(-9, 9) | st.integers(-10**12, 10**12),
+    st.sampled_from([1, 1, 2, 3, 7, 10**12 - 11, 999_999_999_989]),
+)
+
+
+@st.composite
+def _systems(draw):
+    """(rows, b, x): a matrix with zero rows and columns, repeated and
+    scaled rows mixed in, a right-hand side that is consistent or not, and a
+    vector to multiply."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        edit = draw(st.sampled_from(["zero row", "zero column", "scaled row"]))
+        if edit == "zero row":
+            rows[i] = [Fraction(0)] * n
+        elif edit == "zero column":
+            for r in rows:
+                r[j % n] = Fraction(0)
+        else:
+            rows[i] = [draw(_ENTRY) * x for x in rows[j]]
+    rows = tuple(tuple(r) for r in rows)
+    if draw(st.booleans()):  # consistent: b = M x
+        b = _ref_matvec(rows, draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+    else:
+        b = tuple(draw(st.lists(_ENTRY, min_size=m, max_size=m)))
+    return rows, b, tuple(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+
+
+def _same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=150)
+@given(_systems())
+@example((((Fraction(0),),), (Fraction(1),), (Fraction(2),)))
+@example((((Fraction(5, 3),),), (Fraction(-1, 10**12 - 11),), (Fraction(0),)))
+@example((((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))), (Fraction(0), Fraction(1)),
+          (Fraction(1), Fraction(-1))))
+def test_integer_elimination_and_products_match_fraction_arithmetic(system):
+    rows, b, x = system
+    M = RationalMatrix(rows)
+    Mt = tuple(zip(*rows))
+    _same(rref(M), _ref_rref(rows))
+    _same(rank(M), _ref_rank(rows))
+    _same(rank(M.transpose()), _ref_rank(Mt))
+    _same(kernel_basis(M), _ref_kernel_basis(rows))
+    _same(solve_exact(M, b), _ref_solve_exact(rows, b))
+    _same(rowspace_preimage(M, x), _ref_solve_exact(Mt, x))
+    _same(M.matvec(x), _ref_matvec(rows, x))
+    _same(M.rmatvec(b), _ref_matvec(Mt, b))

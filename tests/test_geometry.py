@@ -532,3 +532,19 @@ def test_face_json_dict():
     assert d["blocks"][0]["weights"] == ["7/2"]
     d2 = f.to_json_dict(include_vertices=True)
     assert ["7/2", "3/2"] in d2["vertices"]
+
+
+def test_vertex_cache_tells_weight_vectors_apart(monkeypatch):
+    # one model under many weights (and one sign vector under many l1
+    # scales) is many faces; their hashes differ, so the shared vertex cache
+    # never has to compare two of them weight by weight
+    calls = []
+    real = geometry.Face.__eq__
+    monkeypatch.setattr(geometry.Face, "__eq__", lambda a, b: calls.append(1) or real(a, b))
+    geometry._materialized_vertices.cache_clear()
+    faces = [model_to_face((2, -1, 0, 1), [k + 3, k + 2, 1, Fraction(1, k + 1)]) for k in range(40)]
+    faces += [sign_to_cube_face((1, 0, -1), scale=Fraction(k + 1, 7)) for k in range(40)]
+    for face in faces + faces:
+        assert face.vertices()
+    assert calls == []
+    assert len({hash(face) for face in faces}) == len(faces)

@@ -168,6 +168,20 @@ LP_CLASSES = ("LinearProgram", "LPResult", "_Tableau")
 LP_FRACTION_READERS = frozenset({"lp._optimum"})
 
 
+def row_swaps(module: str, source: str) -> list[str]:
+    """"module.function" around every swap of two entries of one list,
+    A[i], A[j] = A[j], A[i]: the step every elimination loop takes."""
+    def swap(n):
+        if not (isinstance(n, ast.Assign) and len(n.targets) == 1):
+            return False
+        left, right = n.targets[0], n.value
+        return (isinstance(left, ast.Tuple) and isinstance(right, ast.Tuple)
+                and len(left.elts) == len(right.elts) == 2
+                and all(isinstance(e, ast.Subscript) for e in left.elts + right.elts)
+                and [ast.unparse(e) for e in left.elts] == [ast.unparse(e) for e in right.elts[::-1]])
+    return _owners(module, source, swap)
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -315,3 +329,23 @@ def test_lp_pivots_on_one_integer_tableau():
 def test_one_helper_clears_denominators():
     found = {site for p in SRC.glob("*.py") for site in name_readers(p.stem, p.read_text(), "lcm")}
     assert found == LCM_READERS
+
+
+def test_checker_flags_a_row_swap():
+    source = (
+        "def rank(A, r, piv):\n"
+        "    A[r], A[piv] = A[piv], A[r]\n"
+        "    a, b = b, a\n"
+        "    A[r], A[piv] = A[r], A[piv]\n"
+        "class M:\n"
+        "    def rref(self, A, i):\n"
+        "        for c in range(3):\n"
+        "            A[i], A[c] = A[c], A[i]\n"
+    )
+    assert row_swaps("exact", source) == ["exact.rank", "exact.M.rref"]
+
+
+def test_exact_linear_algebra_has_one_elimination_loop():
+    # rank, rref, kernel_basis, solve_exact and rowspace_preimage all read
+    # the one fraction-free Gauss-Jordan loop
+    assert row_swaps("exact", (SRC / "exact.py").read_text()) == ["exact._eliminate"]
