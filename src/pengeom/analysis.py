@@ -47,6 +47,7 @@ from .geometry import (
 from .norms import (
     SLOPE,
     PolytopeNorm,
+    _permutohedron_weights,
     dual_ball_faces,
     dual_ball_membership,
     exposed_primal_vertices,
@@ -308,10 +309,14 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
         # X'u over the region's vertices u, over one common denominator, so
         # each pattern's support value is integer dot products and one Fraction
         den, duals = clear_denominators(X.rmatvec(u) for u in zero_region(X, norm))
+    # every label is an integer vector, so its norm, the permutohedron weights
+    # paired with its sorted magnitudes, is one integer sum over their common
+    # denominator
+    wden, (wints,) = clear_denominators([_permutohedron_weights(norm)])
     for face in faces:
         pattern = face.pattern
-        point = vec(pattern)
-        pattern_norm = norm_value(norm, point)
+        pattern_norm = Fraction(
+            sum(map(operator.mul, wints, sorted(map(abs, pattern), reverse=True))), wden)
         hit = None
         geometric_hit = None
         analytic_value = None

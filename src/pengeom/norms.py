@@ -113,6 +113,17 @@ def norm_value(norm: PolytopeNorm, x: Sequence):
     return sum(w * m for w, m in zip(norm.weights, mags))
 
 
+def _permutohedron_weights(norm: PolytopeNorm) -> tuple[Fraction, ...]:
+    """The weights whose sign permutohedron is the dual unit ball: the slope
+    weights, (scale, ..., scale) for l1 and (1, 0, ..., 0) for sup. The norm
+    of x is these weights paired with the sorted |x|."""
+    if norm.kind == SLOPE:
+        return norm.weights.values
+    if norm.kind == L1:
+        return (norm.scale,) * norm.dim
+    return _crosspolytope_weights(norm.dim)
+
+
 def dual_norm_value(norm: PolytopeNorm, x: Sequence):
     """Support function of the unit ball: max/scale for l1, plain l1 sum for
     sup, and the best prefix ratio sum_{j<=k}|x|_(j) / sum_{j<=k} w_j for
@@ -164,13 +175,14 @@ def dual_ball_faces(
     p = norm.dim
     if norm.kind == SLOPE:
         labels = enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
-        w, face_of = norm.weights.values, functools.partial(model_to_face, w=norm.weights)
+        face_of = functools.partial(model_to_face, w=norm.weights)
     else:
         labels = sign_vectors(p, limit or DEFAULT_SIGN_LIMIT)
         if norm.kind == L1:
-            w, face_of = (norm.scale,) * p, functools.partial(sign_to_cube_face, scale=norm.scale)
+            face_of = functools.partial(sign_to_cube_face, scale=norm.scale)
         else:
-            w, face_of = _crosspolytope_weights(p), sign_to_crosspolytope_face
+            face_of = sign_to_crosspolytope_face
+    w = _permutohedron_weights(norm)
     # the codim is at least the top level
     return tuple(face_of(t) for t in labels
                  if codim is None or max(map(abs, t)) <= codim and model_codim(t, w) == codim)

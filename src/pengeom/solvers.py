@@ -12,13 +12,25 @@ pursuit dual certificate for b whenever ||b||_1 attains the least norm.
 
 The float route never decides anything: it produces a candidate point plus a
 KKT certificate, and only the certificate (exact on rational inputs, with an
-explicit tolerance on float ones) is trusted downstream.
+explicit tolerance on float ones) is trusted downstream. It runs on plain
+lists of Python floats wherever it leaves numpy: the sorted-l1 and sup prox
+is the same sort-and-PAVA core as the exact prox_slope, fed v.tolist() and
+weights checked once per solve, and the objective and the float certificate
+read one cached float form per norm (the float scale or weights, and for
+slope the float of each exact prefix sum of the weights). Every float it
+computes is the one the Fraction-weighted formulas of norms.py give on the
+same doubles: tolist() keeps the doubles, builtin sum and
+itertools.accumulate add left to right as those formulas do, and CPython's
+float / Fraction and Fraction * float convert the Fraction to float first.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,6 +42,7 @@ from .norms import (
     L1,
     SUP,
     PolytopeNorm,
+    _permutohedron_weights,
     dual_norm_value,
     l1_norm,
     norm_value,
@@ -55,15 +68,28 @@ def prox_l1(v: Sequence, threshold) -> tuple:
 def prox_slope(v: Sequence, w: Sequence) -> tuple:
     """Prox of the sorted-l1 penalty with weight vector w (nonincreasing,
     nonnegative): sort magnitudes, subtract weights, project onto the
-    nonincreasing nonnegative cone by stack-based pool-adjacent-violators,
-    then restore signs and positions. Exact on Fractions."""
-    if len(w) != len(v):
+    nonincreasing nonnegative cone by stack-based pool-adjacent-violators
+    (Bogdan et al. 2015), then restore signs and positions. Exact on
+    Fractions. FISTA's sup and slope prox is the same core on lists of
+    floats, with its weights checked once per solve."""
+    _check_prox_weights(len(v), w)
+    return tuple(_pava(v, w))
+
+
+def _check_prox_weights(p: int, w: Sequence) -> None:
+    if len(w) != p:
         raise ValueError("dimension mismatch")
-    if any(a < b for a, b in zip(w, w[1:])) or (len(w) and w[len(w) - 1] < 0):
+    if any(a < b for a, b in zip(w, w[1:])) or (p and w[p - 1] < 0):
         raise ValueError("weights must be nonincreasing and nonnegative")
+
+
+def _pava(v: Sequence, w: Sequence) -> list:
+    """The sort-and-PAVA core of prox_slope, for checked weights. The
+    descending sort is stable, so tied magnitudes keep their index order."""
     p = len(v)
-    order = sorted(range(p), key=lambda j: (-abs(v[j]), j))
-    d = [abs(v[order[i]]) - w[i] for i in range(p)]
+    mags = [abs(x) for x in v]
+    order = sorted(range(p), key=mags.__getitem__, reverse=True)
+    d = [mags[j] - wi for j, wi in zip(order, w)]
     sums: list = []
     counts: list[int] = []
     for x in d:
@@ -73,18 +99,17 @@ def prox_slope(v: Sequence, w: Sequence) -> tuple:
             c += counts.pop()
         sums.append(s)
         counts.append(c)
-    mags = []
+    levels = []
     for s, c in zip(sums, counts):
         avg = s / c
         if avg < 0:
             avg = 0 * avg
-        mags.extend([avg] * c)
+        levels.extend([avg] * c)
     out = [None] * p
-    for i, j in enumerate(order):
+    for j, level in zip(order, levels):
         x = v[j]
-        sign = 1 if x > 0 else (-1 if x < 0 else 0)
-        out[j] = sign * mags[i] if sign else 0 * mags[i]
-    return tuple(out)
+        out[j] = level if x > 0 else (-level if x < 0 else 0 * level)
+    return out
 
 
 @dataclass(frozen=True)
@@ -100,7 +125,9 @@ class Certificate:
 
 
 def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certificate:
-    """Exact when X, y, b are rational and tol = 0; float otherwise."""
+    """Exact when X, y, b are rational and tol = 0; float otherwise. The
+    float branch reads the norm's cached float form, which gives the floats
+    that norm_value and dual_norm_value give with the norm's Fractions."""
     if (len(y), len(b)) != (X.shape if isinstance(X, RationalMatrix) else np.shape(X)):
         raise ValueError("dimension mismatch")
     if isinstance(X, RationalMatrix) and tol == 0:
@@ -111,12 +138,48 @@ def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certi
         gap = abs(dot(bb, s) - norm_value(norm, bb))
         return Certificate(s, dn, gap, 0, dn <= 1 and gap == 0)
     Xf = X.to_float_array() if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
-    yf = np.asarray([float(t) for t in y])
-    bf = np.asarray([float(t) for t in b])
+    yf = np.asarray(y, dtype=float)
+    bf = np.asarray(b, dtype=float)
     s = Xf.T @ (yf - Xf @ bf)
-    dn = float(dual_norm_value(norm, [float(t) for t in s]))
-    gap = abs(float(np.dot(bf, s)) - float(norm_value(norm, [float(t) for t in bf])))
-    return Certificate(tuple(float(t) for t in s), dn, gap, tol, dn <= 1 + tol and gap <= tol)
+    fnorm = _float_form(norm)
+    dn = fnorm.dual_value(s.tolist())
+    gap = abs(float(np.dot(bf, s)) - fnorm.value(bf.tolist()))
+    return Certificate(tuple(s.tolist()), dn, gap, tol, dn <= 1 + tol and gap <= tol)
+
+
+@dataclass(frozen=True)
+class _FloatForm:
+    """A norm in floats, for lists of floats: the l1 scale, the weights of
+    its sign permutohedron (the slope weights, (1, 0, ..., 0) for sup), and
+    the float of each exact prefix sum w1 + ... + wk of those weights, the
+    denominators of the slope dual norm."""
+
+    kind: str
+    scale: float
+    weights: tuple[float, ...]
+    prefix: tuple[float, ...]
+
+    def value(self, x: list) -> float:
+        if self.kind == L1:
+            return self.scale * sum(map(abs, x))
+        if self.kind == SUP:
+            return max(map(abs, x))
+        return sum(map(operator.mul, self.weights, sorted(map(abs, x), reverse=True)))
+
+    def dual_value(self, x: list) -> float:
+        if self.kind == L1:
+            return max(map(abs, x)) / self.scale
+        if self.kind == SUP:
+            return sum(map(abs, x))
+        mags = sorted(map(abs, x), reverse=True)
+        return max(map(operator.truediv, itertools.accumulate(mags), self.prefix))
+
+
+@functools.lru_cache(maxsize=64)
+def _float_form(norm: PolytopeNorm) -> _FloatForm:
+    w = _permutohedron_weights(norm)
+    return _FloatForm(norm.kind, float(norm.scale), tuple(map(float, w)),
+                      tuple(map(float, itertools.accumulate(w))))
 
 
 @dataclass(frozen=True)
@@ -140,22 +203,20 @@ class SolverOptions:
 _CERTIFY_EVERY = 25
 
 
-def _prox_for(norm: PolytopeNorm, step: float):
-    if norm.kind == L1:
-        lam = float(norm.scale)
+def _prox_for(fnorm: _FloatForm, step: float):
+    if fnorm.kind == L1:
+        t = fnorm.scale * step
 
         def prox(v):
-            t = lam * step
             return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
         return prox
-    if norm.kind == SUP:
-        w = [step] + [0.0] * (norm.dim - 1)
-    else:
-        w = [float(x) * step for x in norm.weights]
+    # sup is the sorted-l1 norm of (1, 0, ..., 0)
+    w = [x * step for x in fnorm.weights]
+    _check_prox_weights(len(w), w)
 
     def prox(v):
-        return np.asarray(prox_slope([float(t) for t in v], w), dtype=float)
+        return np.asarray(_pava(v.tolist(), w))
 
     return prox
 
@@ -191,19 +252,18 @@ def solve_penalized(
     n, p = Xf.shape
     if norm.dim != p:
         raise ValueError("norm dimension does not match the matrix")
+    x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
+    if yf.shape != (n,) or x.shape != (p,):
+        raise ValueError("dimension mismatch")
     L = _lipschitz(Xf) * (1 + 1e-6)
     step = 1.0 / L if L > 0 else 1.0
-    prox = _prox_for(norm, step)
-    # the norm with float numbers: Fraction * float computes float(w) * m, so
-    # the penalty keeps its value and no product goes through Fraction
-    fnorm = replace(norm, scale=float(norm.scale),
-                    weights=None if norm.weights is None else tuple(map(float, norm.weights)))
+    fnorm = _float_form(norm)
+    prox = _prox_for(fnorm, step)
 
     def objective(b):
         r = yf - Xf @ b
-        return 0.5 * float(r @ r) + float(norm_value(fnorm, [float(t) for t in b]))
+        return 0.5 * float(r @ r) + fnorm.value(b.tolist())
 
-    x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
     z = x.copy()
     t_mom = 1.0
     f_prev = objective(x)
@@ -228,9 +288,9 @@ def solve_penalized(
         if it % _CERTIFY_EVERY == 0:
             cert = kkt_certify(Xf, yf, x, norm, tol=options.tol)
             if cert.passed:
-                return Solution(tuple(float(v) for v in x), objective(x), "fista", cert, it, True)
+                return Solution(tuple(x.tolist()), objective(x), "fista", cert, it, True)
     cert = kkt_certify(Xf, yf, x, norm, tol=options.tol)
-    return Solution(tuple(float(v) for v in x), objective(x), "fista", cert, it, cert.passed)
+    return Solution(tuple(x.tolist()), objective(x), "fista", cert, it, cert.passed)
 
 
 # ---------------------------------------------------------------------------

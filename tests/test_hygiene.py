@@ -182,6 +182,16 @@ def row_swaps(module: str, source: str) -> list[str]:
     return _owners(module, source, swap)
 
 
+def stack_merges(module: str, source: str) -> list[str]:
+    """"module.function" around every while loop that pops a list in its
+    body: the merge step of a stack-based pool-adjacent-violators loop."""
+    def merge(n):
+        return isinstance(n, ast.While) and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute) and c.func.attr == "pop"
+            for c in ast.walk(n))
+    return _owners(module, source, merge)
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -349,3 +359,29 @@ def test_exact_linear_algebra_has_one_elimination_loop():
     # rank, rref, kernel_basis, solve_exact and rowspace_preimage all read
     # the one fraction-free Gauss-Jordan loop
     assert row_swaps("exact", (SRC / "exact.py").read_text()) == ["exact._eliminate"]
+
+
+def test_checker_flags_a_stack_merge():
+    source = (
+        "def _pava(d):\n"
+        "    sums = []\n"
+        "    for x in d:\n"
+        "        while sums and sums[-1] <= x:\n"
+        "            x += sums.pop()\n"
+        "        sums.append(x)\n"
+        "def countdown(n):\n"
+        "    while n:\n"
+        "        n -= 1\n"
+        "class FloatProx:\n"
+        "    def pool(self, d, s):\n"
+        "        for x in d:\n"
+        "            while s and s[-1] > x:\n"
+        "                s.pop()\n"
+    )
+    assert stack_merges("solvers", source) == ["solvers._pava", "solvers.FloatProx.pool"]
+
+
+def test_solvers_have_one_pava_loop():
+    # the exact prox_slope and the float route's prox both read one
+    # sort-and-PAVA core, so no float copy of the loop forks off
+    assert stack_merges("solvers", (SRC / "solvers.py").read_text()) == ["solvers._pava"]

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +13,17 @@ from pengeom.exact import RationalMatrix, dot, vec
 from pengeom.lp import OPTIMAL, LinearProgram, lp_solve
 from pengeom.norms import (
     dual_ball_membership,
+    dual_norm_value,
     l1_norm,
     norm_value,
     slope_norm,
     sup_norm,
 )
 from pengeom.solvers import (
+    Certificate,
+    Solution,
     SolverOptions,
+    _lipschitz,
     bp_certificate_holds,
     bp_dual_certificate,
     kkt_certify,
@@ -223,6 +229,154 @@ def test_fitted_values_agree_across_starts():
         Xa = X.to_float_array()
         diff = Xa @ np.array(a.point) - Xa @ np.array(b.point)
         assert np.max(np.abs(diff)) <= 1e-9
+
+
+def test_solve_penalized_rejects_wrong_lengths_before_iterating(monkeypatch):
+    from pengeom import solvers
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kkt_certify(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "kkt_certify", counted)
+    X = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    for y, x0 in (([5], None), ([5, 1, 1], None), ([5, 1], (0.0,)), ([5, 1], (0.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_penalized(X, vec(y), l1_norm(2), SolverOptions(x0=x0))
+    assert calls == []
+
+
+# The float route as it stood before it read one cached float form per norm:
+# the prox through prox_slope's tuple-key sort on float(t) lists, the
+# objective through norm_value on a float-weighted norm, the certificate
+# through dual_norm_value and norm_value with the norm's Fractions.
+# solve_penalized must reproduce every float of it.
+
+
+def _reference_prox_slope(v, w):
+    p = len(v)
+    order = sorted(range(p), key=lambda j: (-abs(v[j]), j))
+    d = [abs(v[order[i]]) - w[i] for i in range(p)]
+    sums, counts = [], []
+    for x in d:
+        s, c = x, 1
+        while sums and sums[-1] * c <= s * counts[-1]:
+            s += sums.pop()
+            c += counts.pop()
+        sums.append(s)
+        counts.append(c)
+    mags = []
+    for s, c in zip(sums, counts):
+        avg = s / c
+        if avg < 0:
+            avg = 0 * avg
+        mags.extend([avg] * c)
+    out = [None] * p
+    for i, j in enumerate(order):
+        x = v[j]
+        sign = 1 if x > 0 else (-1 if x < 0 else 0)
+        out[j] = sign * mags[i] if sign else 0 * mags[i]
+    return tuple(out)
+
+
+def _reference_certificate(Xf, yf, b, norm, tol):
+    bf = np.asarray([float(t) for t in b])
+    s = Xf.T @ (yf - Xf @ bf)
+    dn = float(dual_norm_value(norm, [float(t) for t in s]))
+    gap = abs(float(np.dot(bf, s)) - float(norm_value(norm, [float(t) for t in bf])))
+    return Certificate(tuple(float(t) for t in s), dn, gap, tol, dn <= 1 + tol and gap <= tol)
+
+
+def _reference_solve(X, y, norm, options):
+    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
+    yf = np.asarray([float(t) for t in y])
+    p = Xf.shape[1]
+    L = _lipschitz(Xf) * (1 + 1e-6)
+    step = 1.0 / L if L > 0 else 1.0
+    if norm.kind == "l1":
+        lam = float(norm.scale)
+
+        def prox(v):
+            t = lam * step
+            return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    else:
+        w = [step] + [0.0] * (p - 1) if norm.kind == "sup" else [float(x) * step for x in norm.weights]
+
+        def prox(v):
+            return np.asarray(_reference_prox_slope([float(t) for t in v], w), dtype=float)
+
+    fnorm = replace(norm, scale=float(norm.scale),
+                    weights=None if norm.weights is None else tuple(map(float, norm.weights)))
+
+    def objective(b):
+        r = yf - Xf @ b
+        return 0.5 * float(r @ r) + float(norm_value(fnorm, [float(t) for t in b]))
+
+    x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
+    z = x.copy()
+    t_mom = 1.0
+    f_prev = objective(x)
+    it = 0
+    while it < options.max_iter:
+        it += 1
+        grad = Xf.T @ (Xf @ z - yf)
+        cand = prox(z - step * grad)
+        f_cand = objective(cand)
+        if f_cand > f_prev:
+            grad = Xf.T @ (Xf @ x - yf)
+            cand = prox(x - step * grad)
+            f_cand = objective(cand)
+            t_mom = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
+        z = cand + ((t_mom - 1.0) / t_new) * (cand - x)
+        x, t_mom = cand, t_new
+        f_prev = f_cand
+        if it % 25 == 0:
+            cert = _reference_certificate(Xf, yf, x, norm, options.tol)
+            if cert.passed:
+                return Solution(tuple(float(v) for v in x), objective(x), "fista", cert, it, True)
+    cert = _reference_certificate(Xf, yf, x, norm, options.tol)
+    return Solution(tuple(float(v) for v in x), objective(x), "fista", cert, it, cert.passed)
+
+
+def _hex_record(sol):
+    c = sol.certificate
+    return ([t.hex() for t in sol.point], sol.objective.hex(), sol.route, sol.iterations,
+            sol.converged, [t.hex() for t in c.dual_vector], c.dual_norm.hex(),
+            c.pairing_gap.hex(), c.tol, c.passed)
+
+
+def test_float_route_is_bit_identical_to_the_reference():
+    rng = random.Random(53)
+    cases = []
+    for p, n, cap in ((1, 1, 100_000), (3, 2, 100_000), (12, 6, 1000), (50, 20, 300)):
+        Xf = np.array([[rng.gauss(0, 1) for _ in range(p)] for _ in range(n)])
+        y = [3 * rng.gauss(0, 1) for _ in range(n)]
+        strict = sorted((Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(p)),
+                        reverse=True)
+        norms = [l1_norm(p, Fraction(3, 2)), sup_norm(p), slope_norm(strict)]
+        if p > 1:
+            norms.append(slope_norm([strict[0]] * 2 + strict[2:]))
+            norms.append(slope_norm(strict[: p // 2] + [0] * (p - p // 2)))
+        signed_zeros = tuple(-0.0 if j % 2 else 0.0 for j in range(p))
+        for norm in norms:
+            for x0 in (None, signed_zeros):
+                cases.append((Xf, y, norm, SolverOptions(max_iter=cap, x0=x0)))
+    # a zero column keeps its prox input at a signed zero, and a repeated
+    # column ties two magnitudes in the sort
+    X = RationalMatrix.from_rows([[2, 0, Fraction(1, 2), 2], [Fraction(-4, 3), 0, 5, Fraction(-4, 3)]])
+    for norm in (l1_norm(4, Fraction(3, 2)), sup_norm(4), slope_norm([3, 3, 1, Fraction(1, 2)])):
+        for x0 in (None, (0.0, -0.0, -0.0, 0.0)):
+            cases.append((X, vec([7, Fraction(-5, 2)]), norm, SolverOptions(x0=x0)))
+    converged = 0
+    for X, y, norm, options in cases:
+        got = solve_penalized(X, y, norm, options)
+        assert _hex_record(got) == _hex_record(_reference_solve(X, y, norm, options))
+        converged += got.converged
+    # both outcomes of the certificate are compared
+    assert 0 < converged < len(cases)
 
 
 def test_solve_bp_examples():
