@@ -47,7 +47,6 @@ from .geometry import (
 from .norms import (
     SLOPE,
     PolytopeNorm,
-    _permutohedron_weights,
     dual_ball_faces,
     dual_ball_membership,
     exposed_primal_vertices,
@@ -59,6 +58,7 @@ from .norms import (
 from .solvers import (
     Solution,
     SolverOptions,
+    _float_matrix,
     bp_certificate_holds,
     kkt_certify,
     solve_penalized,
@@ -231,8 +231,9 @@ def _bp_witness(X, face, hit) -> NonUniquenessWitness:
         h[j] = t
     first = vec(sigma)
     second = tuple(a + b for a, b in zip(first, h))
-    value = sum(abs(t) for t in first)
-    if sum(abs(t) for t in second) != value or first == second:
+    l1 = l1_norm(X.ncols)
+    value = norm_value(l1, first)
+    if norm_value(l1, second) != value or first == second:
         raise AssertionError("kernel perturbation must preserve the l1 value")
     y = X.matvec(first)
     for b in (first, second):
@@ -312,7 +313,7 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     # every label is an integer vector, so its norm, the permutohedron weights
     # paired with its sorted magnitudes, is one integer sum over their common
     # denominator
-    wden, (wints,) = clear_denominators([_permutohedron_weights(norm)])
+    wden, (wints,) = clear_denominators([norm._form.weights])
     for face in faces:
         pattern = face.pattern
         pattern_norm = Fraction(
@@ -410,12 +411,14 @@ def accessible_slope_models(
 
 
 class UncertifiedSolve(RuntimeError):
-    """The solve stopped without a certificate; `solution` holds the
-    uncertified Solution, so a caller can report it without solving again."""
+    """The solve stopped without a certificate; `fit` holds the float read of
+    the uncertified iterate and `solution` its Solution, so a caller can
+    report it without solving or reading it again."""
 
-    def __init__(self, message: str, solution: Solution):
+    def __init__(self, message: str, fit: _Fit):
         super().__init__(message)
-        self.solution = solution
+        self.fit = fit
+        self.solution = fit.solution
 
 
 @dataclass(frozen=True)
@@ -463,8 +466,7 @@ def _read_solve(X, y, norm: PolytopeNorm, sol: Solution) -> _Fit:
         pattern = model_of(sol.point, tol=_PATTERN_TOL)
     else:
         pattern = tuple(0 if abs(v) <= _PATTERN_TOL else (1 if v > 0 else -1) for v in sol.point)
-    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else X
-    fitted = Xf @ [float(t) for t in sol.point]
+    fitted = _float_matrix(X) @ [float(t) for t in sol.point]
     residual = tuple(float(t) - f for t, f in zip(y, fitted))
     return _Fit(sol, pattern, tuple(fitted), residual)
 
@@ -496,7 +498,7 @@ def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -
     if not sol.converged:
         raise UncertifiedSolve(
             f"solver failed to certify at tol {options.tol} within {options.max_iter} iterations",
-            sol,
+            fit,
         )
     face = model_to_face(fit.pattern, norm.weights)
     amb = _ambiguity_flag(X, norm) if isinstance(X, RationalMatrix) else None
@@ -520,7 +522,7 @@ def null_set_projection(X, norm: PolytopeNorm, y, options: SolverOptions = Solve
     already inside that set come back unchanged."""
     fit = _fit(X, y, norm, options)
     if not fit.solution.converged:
-        raise UncertifiedSolve("projection requires a certified solve", fit.solution)
+        raise UncertifiedSolve("projection requires a certified solve", fit)
     return fit.residual
 
 

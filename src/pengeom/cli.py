@@ -21,7 +21,6 @@ from .analysis import (
     _certificate_dict,
     _fit,
     _json_scalar,
-    _read_solve,
     accessible_sign_vectors,
     accessible_slope_models,
     check_uniqueness,
@@ -241,7 +240,7 @@ def cmd_solve(args) -> int:
         try:
             cls = classify_response(X, norm.weights.values, y)
         except UncertifiedSolve as exc:  # dump the uncertified iterate
-            payload["result"] = _solve_payload(_read_solve(X, y, norm, exc.solution))
+            payload["result"] = _solve_payload(exc.fit)
             _emit_json(args, payload)
             return EXIT_NEGATIVE
         payload["result"] = cls.to_json_dict()

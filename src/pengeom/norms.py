@@ -15,6 +15,13 @@ zero_region is the one description of the zero-solution region
 {u : ||X'u||_* <= 1}: its vertices give the analytic accessibility route and
 the region figure.
 
+norm_value and dual_norm_value are the one copy of the norm arithmetic: a
+private _NormForm per norm pairs the sorted |x| with the same weights, or
+takes the best ratio of their prefix sums (Bogdan et al. 2015). Each norm
+caches it in its Fractions and in floats for FISTA; CPython converts a
+Fraction to float before Fraction * float and float / Fraction, so on the
+same floats the two forms give the same doubles.
+
 Values are duck-typed: Fraction inputs give exact rationals, float inputs
 give floats. Face construction is exact-only.
 """
@@ -61,6 +68,38 @@ SLOPE = "slope"
 
 
 @dataclass(frozen=True)
+class _NormForm:
+    """Norm and dual norm from the permutohedron weights w and their prefix
+    sums w1 + ... + wk, in closed form for l1 and sup. .floats holds the
+    float of each scale, weight and exact prefix sum."""
+
+    kind: str
+    scale: object
+    weights: tuple
+    prefix: tuple
+
+    def value(self, x: Sequence):
+        if self.kind == L1:
+            return self.scale * sum(map(abs, x))
+        if self.kind == SUP:
+            return max(map(abs, x))
+        return sum(map(operator.mul, self.weights, sorted(map(abs, x), reverse=True)))
+
+    def dual_value(self, x: Sequence):
+        if self.kind == L1:
+            return max(map(abs, x)) / self.scale
+        if self.kind == SUP:
+            return sum(map(abs, x))
+        mags = sorted(map(abs, x), reverse=True)
+        return max(map(operator.truediv, itertools.accumulate(mags), self.prefix))
+
+    @functools.cached_property
+    def floats(self) -> _NormForm:
+        return _NormForm(self.kind, float(self.scale), tuple(map(float, self.weights)),
+                         tuple(map(float, self.prefix)))
+
+
+@dataclass(frozen=True)
 class PolytopeNorm:
     kind: str
     dim: int
@@ -79,6 +118,18 @@ class PolytopeNorm:
                 raise ValueError("slope norm needs weights matching the dimension")
         elif self.weights is not None:
             raise ValueError("weights only apply to the slope norm")
+
+    @functools.cached_property
+    def _form(self) -> _NormForm:
+        """Cached on the instance, not by equality: a norm of float scale 1.5
+        equals its twin of scale 3/2 but keeps its own numbers."""
+        if self.kind == SLOPE:
+            w = tuple(self.weights)
+        elif self.kind == L1:
+            w = (self.scale,) * self.dim
+        else:
+            w = _crosspolytope_weights(self.dim)
+        return _NormForm(self.kind, self.scale, w, tuple(itertools.accumulate(w)))
 
     def describe(self) -> dict:
         d: dict = {"kind": self.kind, "dim": self.dim}
@@ -105,23 +156,7 @@ def slope_norm(weights: Sequence) -> PolytopeNorm:
 def norm_value(norm: PolytopeNorm, x: Sequence):
     if len(x) != norm.dim:
         raise ValueError("dimension mismatch")
-    if norm.kind == L1:
-        return norm.scale * sum(abs(v) for v in x)
-    if norm.kind == SUP:
-        return max(abs(v) for v in x)
-    mags = sorted((abs(v) for v in x), reverse=True)
-    return sum(w * m for w, m in zip(norm.weights, mags))
-
-
-def _permutohedron_weights(norm: PolytopeNorm) -> tuple[Fraction, ...]:
-    """The weights whose sign permutohedron is the dual unit ball: the slope
-    weights, (scale, ..., scale) for l1 and (1, 0, ..., 0) for sup. The norm
-    of x is these weights paired with the sorted |x|."""
-    if norm.kind == SLOPE:
-        return norm.weights.values
-    if norm.kind == L1:
-        return (norm.scale,) * norm.dim
-    return _crosspolytope_weights(norm.dim)
+    return norm._form.value(x)
 
 
 def dual_norm_value(norm: PolytopeNorm, x: Sequence):
@@ -130,21 +165,7 @@ def dual_norm_value(norm: PolytopeNorm, x: Sequence):
     slope (the denominators are positive since w1 > 0)."""
     if len(x) != norm.dim:
         raise ValueError("dimension mismatch")
-    if norm.kind == L1:
-        return max(abs(v) for v in x) / norm.scale
-    if norm.kind == SUP:
-        return sum(abs(v) for v in x)
-    mags = sorted((abs(v) for v in x), reverse=True)
-    best = None
-    num = 0
-    den = 0
-    for m, w in zip(mags, norm.weights):
-        num = num + m
-        den = den + w
-        ratio = num / den
-        if best is None or ratio > best:
-            best = ratio
-    return best
+    return norm._form.dual_value(x)
 
 
 def dual_ball_membership(norm: PolytopeNorm, s: Sequence) -> bool:
@@ -182,7 +203,7 @@ def dual_ball_faces(
             face_of = functools.partial(sign_to_cube_face, scale=norm.scale)
         else:
             face_of = sign_to_crosspolytope_face
-    w = _permutohedron_weights(norm)
+    w = norm._form.weights
     # the codim is at least the top level
     return tuple(face_of(t) for t in labels
                  if codim is None or max(map(abs, t)) <= codim and model_codim(t, w) == codim)

@@ -15,21 +15,16 @@ KKT certificate, and only the certificate (exact on rational inputs, with an
 explicit tolerance on float ones) is trusted downstream. It runs on plain
 lists of Python floats wherever it leaves numpy: the sorted-l1 and sup prox
 is the same sort-and-PAVA core as the exact prox_slope, fed v.tolist() and
-weights checked once per solve, and the objective and the float certificate
-read one cached float form per norm (the float scale or weights, and for
-slope the float of each exact prefix sum of the weights). Every float it
-computes is the one the Fraction-weighted formulas of norms.py give on the
-same doubles: tolist() keeps the doubles, builtin sum and
-itertools.accumulate add left to right as those formulas do, and CPython's
-float / Fraction and Fraction * float convert the Fraction to float first.
+weights checked once per solve. The norm arithmetic lives in norms.py: the
+objective and the float certificate read the norm's float form, the exact
+certificate its exact form, and both certificates share one tail. tolist()
+keeps the doubles, so every float they compute is the one norm_value and
+dual_norm_value give with the norm's Fractions on the same doubles.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,9 +35,8 @@ from .exact import RationalMatrix, Vector, dot, vec
 from .lp import OPTIMAL, lp_solve, nonneg_lp
 from .norms import (
     L1,
-    SUP,
     PolytopeNorm,
-    _permutohedron_weights,
+    _NormForm,
     dual_norm_value,
     l1_norm,
     norm_value,
@@ -126,60 +120,30 @@ class Certificate:
 
 def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certificate:
     """Exact when X, y, b are rational and tol = 0; float otherwise. The
-    float branch reads the norm's cached float form, which gives the floats
-    that norm_value and dual_norm_value give with the norm's Fractions."""
-    if (len(y), len(b)) != (X.shape if isinstance(X, RationalMatrix) else np.shape(X)):
+    branches differ in the dual vector and the pairing; the dual norm, the
+    gap and the verdict read the norm's exact or float form."""
+    shape = X.shape if isinstance(X, RationalMatrix) else np.shape(X)
+    if (len(y), len(b)) != shape or norm.dim != len(b):
         raise ValueError("dimension mismatch")
     if isinstance(X, RationalMatrix) and tol == 0:
-        yy, bb = vec(y), vec(b)
-        residual = tuple(a - c for a, c in zip(yy, X.matvec(bb)))
-        s = X.rmatvec(residual)
-        dn = dual_norm_value(norm, s)
-        gap = abs(dot(bb, s) - norm_value(norm, bb))
-        return Certificate(s, dn, gap, 0, dn <= 1 and gap == 0)
-    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
-    yf = np.asarray(y, dtype=float)
-    bf = np.asarray(b, dtype=float)
-    s = Xf.T @ (yf - Xf @ bf)
-    fnorm = _float_form(norm)
-    dn = fnorm.dual_value(s.tolist())
-    gap = abs(float(np.dot(bf, s)) - fnorm.value(bf.tolist()))
-    return Certificate(tuple(s.tolist()), dn, gap, tol, dn <= 1 + tol and gap <= tol)
+        bb = vec(b)
+        s = X.rmatvec(tuple(a - c for a, c in zip(vec(y), X.matvec(bb))))
+        pairing, form, tol = dot(bb, s), norm._form, 0
+    else:
+        Xf = _float_matrix(X)
+        bf = np.asarray(b, dtype=float)
+        sf = Xf.T @ (np.asarray(y, dtype=float) - Xf @ bf)
+        s, bb = tuple(sf.tolist()), bf.tolist()
+        pairing, form = float(np.dot(bf, sf)), norm._form.floats
+    dn = form.dual_value(s)
+    gap = abs(pairing - form.value(bb))
+    return Certificate(s, dn, gap, tol, dn <= 1 + tol and gap <= tol)
 
 
-@dataclass(frozen=True)
-class _FloatForm:
-    """A norm in floats, for lists of floats: the l1 scale, the weights of
-    its sign permutohedron (the slope weights, (1, 0, ..., 0) for sup), and
-    the float of each exact prefix sum w1 + ... + wk of those weights, the
-    denominators of the slope dual norm."""
-
-    kind: str
-    scale: float
-    weights: tuple[float, ...]
-    prefix: tuple[float, ...]
-
-    def value(self, x: list) -> float:
-        if self.kind == L1:
-            return self.scale * sum(map(abs, x))
-        if self.kind == SUP:
-            return max(map(abs, x))
-        return sum(map(operator.mul, self.weights, sorted(map(abs, x), reverse=True)))
-
-    def dual_value(self, x: list) -> float:
-        if self.kind == L1:
-            return max(map(abs, x)) / self.scale
-        if self.kind == SUP:
-            return sum(map(abs, x))
-        mags = sorted(map(abs, x), reverse=True)
-        return max(map(operator.truediv, itertools.accumulate(mags), self.prefix))
-
-
-@functools.lru_cache(maxsize=64)
-def _float_form(norm: PolytopeNorm) -> _FloatForm:
-    w = _permutohedron_weights(norm)
-    return _FloatForm(norm.kind, float(norm.scale), tuple(map(float, w)),
-                      tuple(map(float, itertools.accumulate(w))))
+def _float_matrix(X) -> np.ndarray:
+    """X as a float array: a RationalMatrix entry by entry, an ndarray or
+    nested lists through np.asarray."""
+    return X.to_float_array() if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -203,7 +167,7 @@ class SolverOptions:
 _CERTIFY_EVERY = 25
 
 
-def _prox_for(fnorm: _FloatForm, step: float):
+def _prox_for(fnorm: _NormForm, step: float):
     if fnorm.kind == L1:
         t = fnorm.scale * step
 
@@ -247,7 +211,7 @@ def solve_penalized(
     """FISTA with adaptive restart; stops when the KKT certificate passes at
     options.tol. The returned flag `converged` reports certification, not
     iteration exhaustion."""
-    Xf = X.to_float_array() if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
+    Xf = _float_matrix(X)
     yf = np.asarray([float(t) for t in y])
     n, p = Xf.shape
     if norm.dim != p:
@@ -257,7 +221,7 @@ def solve_penalized(
         raise ValueError("dimension mismatch")
     L = _lipschitz(Xf) * (1 + 1e-6)
     step = 1.0 / L if L > 0 else 1.0
-    fnorm = _float_form(norm)
+    fnorm = norm._form.floats
     prox = _prox_for(fnorm, step)
 
     def objective(b):
@@ -322,13 +286,14 @@ def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
     yy = vec(y)
     if len(yy) != X.nrows:
         raise ValueError("dimension mismatch")
-    found = _gauge_lp(X, l1_norm(X.ncols), yy)
+    l1 = l1_norm(X.ncols)
+    found = _gauge_lp(X, l1, yy)
     if found is None:
         raise ValueError("response is outside the column space of the matrix")
     value, b, z = found
     s = X.rmatvec(z)
-    gap = abs(dot(b, s) - sum(abs(v) for v in b))
-    cert = Certificate(s, max(abs(v) for v in s), gap, 0, bp_certificate_holds(X, b, z))
+    gap = abs(dot(b, s) - norm_value(l1, b))
+    cert = Certificate(s, dual_norm_value(l1, s), gap, 0, bp_certificate_holds(X, b, z))
     return Solution(b, value, "lp", cert)
 
 
@@ -339,8 +304,9 @@ def bp_dual_certificate(X: RationalMatrix, b: Sequence) -> Vector | None:
     fiber, so it certifies b exactly when ||b||_1 is that least norm; None
     otherwise."""
     bb = vec(b)
-    value, _, z = _gauge_lp(X, l1_norm(X.ncols), X.matvec(bb))
-    return z if value == sum(abs(v) for v in bb) else None
+    l1 = l1_norm(X.ncols)
+    value, _, z = _gauge_lp(X, l1, X.matvec(bb))
+    return z if value == norm_value(l1, bb) else None
 
 
 def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> bool:

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -374,6 +375,18 @@ def test_uncertified_solves_carry_their_solution():
         sol = e.value.solution
         assert not sol.converged and sol.iterations == 3
         assert isinstance(e.value, RuntimeError)
+        # so does its float read, which a caller reports without reading again
+        assert e.value.fit == analysis_module._read_solve(DEMO_X, y, slope_norm(DEMO_W), sol)
+
+
+def test_nested_list_designs_read_like_arrays():
+    # a design given as nested lists of floats is read as the float array
+    # it spells, after the solve as well as inside it
+    rows = [[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]
+    y = [3.0, 1.0]
+    for norm in (sup_norm(3), l1_norm(3, Fraction(3, 2)), slope_norm([3, 2, 0])):
+        assert null_set_projection(rows, norm, y) == null_set_projection(np.asarray(rows), norm, y)
+    assert classify_response(rows, [3, 2, 1], y) == classify_response(np.asarray(rows), [3, 2, 1], y)
 
 
 def test_null_set_projection_against_active_set_oracle():

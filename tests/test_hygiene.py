@@ -192,6 +192,13 @@ def stack_merges(module: str, source: str) -> list[str]:
     return _owners(module, source, merge)
 
 
+# the norm arithmetic lives in norms: elsewhere only the float prox and the
+# figure caption branch on the l1 or sup kind, and solvers defines no norm
+# class of its own
+NORM_KIND_READERS = frozenset({"solvers._prox_for", "svg._norm_caption"})
+SOLVER_CLASSES = ("Certificate", "Solution", "SolverOptions")
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -385,3 +392,12 @@ def test_solvers_have_one_pava_loop():
     # the exact prox_slope and the float route's prox both read one
     # sort-and-PAVA core, so no float copy of the loop forks off
     assert stack_merges("solvers", (SRC / "solvers.py").read_text()) == ["solvers._pava"]
+
+
+def test_norm_arithmetic_lives_in_norms():
+    found = {site for p in SRC.glob("*.py") if p.stem != "norms"
+             for kind in ("L1", "SUP") for site in runtime_readers(p.stem, p.read_text(), kind)}
+    assert found == NORM_KIND_READERS
+    source = (SRC / "solvers.py").read_text()
+    classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
+    assert classes == SOLVER_CLASSES

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import pengeom.norms as norms_module
 from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
@@ -238,6 +240,44 @@ def test_float_paths():
     assert norm_value(W2, [1.0, -2.0]) == pytest.approx(8.5)
     assert dual_norm_value(sup_norm(2), [0.5, -0.25]) == pytest.approx(0.75)
     assert dual_norm_value(l1_norm(2, scale=2), [3.0, 1.0]) == pytest.approx(1.5)
+
+
+@st.composite
+def vectors_and_weights(draw, max_p=6):
+    """(x, a positive l1 scale, nonincreasing nonnegative weights with w1 >
+    0): rationals of small height, the weights often tied or zero."""
+    p = draw(st.integers(1, max_p))
+    x = draw(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=p, max_size=p))
+    scale = draw(st.fractions(Fraction(1, 8), 8, max_denominator=8))
+    tail = st.one_of(st.just(Fraction(0)), st.fractions(0, 4, max_denominator=12))
+    w = sorted(draw(st.lists(tail, min_size=p - 1, max_size=p - 1)), reverse=True)
+    top = draw(st.fractions(w[0] if w else 0, 4, max_denominator=12).filter(bool))
+    w = [top] + w
+    if draw(st.booleans()):  # tie the weights in runs
+        w = [w[j - j % 2] for j in range(p)]
+    return x, scale, w
+
+
+@given(vectors_and_weights())
+@example(([Fraction(1, 3), Fraction(-2, 7), Fraction(0)], Fraction(3, 2), [2, 2, 0]))
+@example(([Fraction(5, 3), Fraction(5, 3), Fraction(-1, 10), Fraction(1, 9)], Fraction(1, 3),
+          [Fraction(9, 7), Fraction(1, 7), Fraction(1, 7), 0]))
+def test_one_norm_form_for_the_three_families(case):
+    # l1 and sup are the sorted-l1 norms of (s, ..., s) and (1, 0, ..., 0),
+    # so one pair of formulas serves all three; and on floats the float form
+    # gives the doubles the exact form gives
+    x, scale, w = case
+    p = len(x)
+    twins = [(l1_norm(p, scale), slope_norm([scale] * p)),
+             (sup_norm(p), slope_norm([1] + [0] * (p - 1)))]
+    for norm, twin in twins:
+        assert norm_value(norm, x) == norm_value(twin, x)
+        assert dual_norm_value(norm, x) == dual_norm_value(twin, x)
+    xf = [float(t) for t in x]
+    for norm in [n for pair in twins for n in pair] + [slope_norm(w)]:
+        floats = norm._form.floats
+        assert floats.value(xf).hex() == norm_value(norm, xf).hex()
+        assert floats.dual_value(xf).hex() == dual_norm_value(norm, xf).hex()
 
 
 def _labeled_norms(p):

@@ -161,19 +161,24 @@ def test_prox_validation():
 def test_kkt_certify_exact_zero_solution():
     X = RationalMatrix.from_rows([[1, 0], [0, 1]])
     norm = l1_norm(2, scale=2)
-    cert = kkt_certify(X, vec([1, 1]), vec([0, 0]), norm)
-    assert cert.passed  # ||X'y||_inf = 1 <= 2 = scale
+    for tol in (0, 0.0, Fraction(0)):  # any zero tol is exact, and reported as the int 0
+        cert = kkt_certify(X, vec([1, 1]), vec([0, 0]), norm, tol=tol)
+        assert cert.passed  # ||X'y||_inf = 1 <= 2 = scale
+        assert type(cert.tol) is int and type(cert.dual_norm) is Fraction
     cert = kkt_certify(X, vec([3, 0]), vec([0, 0]), norm)
     assert not cert.passed
 
 
 def test_kkt_certify_rejects_wrong_lengths():
-    # a longer response is not cut to X's rows, on the exact or the float path
+    # a longer response is not cut to X's rows, nor a norm of another
+    # dimension to b's, on the exact or the float path
     X = RationalMatrix.from_rows([[1, 0], [0, 1]])
-    for y, b in (([0, 0, 99], [0, 0]), ([0], [0, 0]), ([0, 0], [0, 0, 0])):
+    cases = [(y, b, l1_norm(2)) for y, b in (([0, 0, 99], [0, 0]), ([0], [0, 0]), ([0, 0], [0, 0, 0]))]
+    cases += [([1, 1], [0, 0], norm) for norm in (l1_norm(3), sup_norm(1), slope_norm([2, 1, 1]))]
+    for y, b, norm in cases:
         for tol in (0, 1e-9):
             with pytest.raises(ValueError):
-                kkt_certify(X, vec(y), vec(b), l1_norm(2), tol=tol)
+                kkt_certify(X, vec(y), vec(b), norm, tol=tol)
 
 
 def test_fista_certifies_small_slope():
