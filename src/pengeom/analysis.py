@@ -10,10 +10,11 @@ Every sweep reads its faces from norms.dual_ball_faces, through one
 per-process cache of 64 tables, so a table and its faces' integer vertices
 are built once per norm however many designs ask about it. Uniqueness and its
 basis-pursuit analogue share one sweep over the faces of codimension
-rk(X) + 1 (bp sweeps the cube faces of the plain l1 norm) and differ only in
-the witness they build; a polytope's face lattice is graded, so each deeper
-face lies in one of those. The sign-vector and model accessibility tables
-share one route sweep and differ only in their response witnesses.
+rk(X) + 1 (bp sweeps the cube faces of the plain l1 norm; a polytope's face
+lattice is graded, so each deeper face lies in one of those) and one witness
+pair, which bp reads at y = X first and certifies with the face hit's dual
+vector. The sign-vector and model accessibility tables share one route sweep
+and differ only in their response witnesses.
 """
 
 from __future__ import annotations
@@ -144,53 +145,69 @@ def _faces_at_codim(norm: PolytopeNorm, codim: int | None, limit: int | None) ->
     return dual_ball_faces(norm, limit, codim)
 
 
-def _uniqueness_sweep(X, norm, mode, limit, vertex_cap, witness) -> UniquenessReport:
+def _uniqueness_sweep(X, norm, limit, vertex_cap):
     """Sweep the faces of norm's dual ball of codimension rk(X) + 1 against
-    row(X); the first face that meets it is passed with its hit to
-    witness(face, hit). The report names norm only in penalized mode."""
-    shown = norm if mode == "penalized" else None
+    row(X): (rk(X), the first face that meets it, its hit), with None for
+    both when no face does."""
     kernel = DesignKernel(X)
     r = X.ncols - len(kernel.basis)
-    if r == X.ncols:
-        return UniquenessReport(True, r, mode, shown)
-    for face in _faces_at_codim(norm, r + 1, limit):
-        hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
-        if hit is not None:
-            return UniquenessReport(False, r, mode, shown, face, witness(face, hit))
-    return UniquenessReport(True, r, mode, shown)
+    if r < X.ncols:
+        for face in _faces_at_codim(norm, r + 1, limit):
+            hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
+            if hit is not None:
+                return r, face, hit
+    return r, None, None
 
 
-def _combine(points, coeffs) -> Vector:
-    p = len(points[0])
-    return tuple(
-        sum((c * pt[i] for c, pt in zip(coeffs, points)), Fraction(0)) for i in range(p)
-    )
-
-
-def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
-    """Two certified minimizers from an intersected face F of codim rk(X) + 1.
-
-    The primal-ball vertices F exposes span codim F dimensions, so codim F
-    independent ones P have dependent images X P, and a kernel vector c of
-    X P moves along ker(X). hit.z pairs to 1 with every X P_i, so c sums to
-    zero: first = sum P_i and second = sum (1 + c_i / (2 max|c|)) P_i are
-    positive combinations of one primal face with the same norm and fit.
-    """
+@functools.lru_cache(maxsize=256)
+def _exposed_points(norm: PolytopeNorm, face: Face):
+    """(den, P times den, sum P) for P the first codim F independent
+    primal-ball vertices the face F exposes; none depends on the design."""
     verts = face.vertices(None)  # the sweep has checked the cap
     centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
     points = exposed_primal_vertices(norm, centroid)
     if len(points) > face.codim:  # keep the first independent ones
         points = [points[k] for k in rref(RationalMatrix.from_rows(zip(*points)))[1]]
-    c = kernel_basis(RationalMatrix.from_rows(zip(*map(X.matvec, points))))[0]
-    top = 2 * max(abs(t) for t in c)
-    first = _combine(points, [1] * len(points))
-    second = _combine(points, [1 + t / top for t in c])
-    y = tuple(a + b for a, b in zip(X.matvec(first), hit.z))
+    den, ints = clear_denominators(points)
+    return den, ints, tuple(Fraction(sum(col), den) for col in zip(*ints))
+
+
+def _witness_pair(X, norm, face) -> tuple[Vector, Vector]:
+    """Two points of one primal face with the same norm and the same fit,
+    from an intersected face F of codim rk(X) + 1.
+
+    The primal-ball vertices F exposes span codim F dimensions, so codim F
+    independent ones P have dependent images X P, and a kernel vector c of
+    X P moves along ker(X). The hit's z pairs to 1 with every X P_i, so c
+    sums to zero: first = sum P_i and second = sum (1 + c_i / (2 max|c|))
+    P_i are positive combinations of one primal face with the same norm and
+    fit.
+    """
+    den, points, first = _exposed_points(norm, face)
+    # X P times the positive factor of the integer rows and points, which
+    # leaves its kernel alone
+    _, rows, _ = X._integer_form
+    basis = kernel_basis(RationalMatrix.from_rows(
+        [[sum(map(operator.mul, row, P)) for P in points] for row in rows]))
+    if not basis:
+        raise AssertionError("exposed vertices beyond the rank must have dependent images")
+    _, (c,) = clear_denominators(basis[:1])
+    top = 2 * max(map(abs, c))
+    # second in integers: coefficients top + c_i over the denominator top * den
+    coeffs = [top + t for t in c]
+    second = tuple(Fraction(sum(map(operator.mul, coeffs, col)), top * den)
+                   for col in zip(*points))
     if norm_value(norm, second) != norm_value(norm, first) or first == second:
         raise AssertionError("perturbation must preserve the norm and move the point")
-    for b in (first, second):
-        if not kkt_certify(X, y, b, norm).passed:
-            raise AssertionError("witness failed exact certification")
+    return first, second
+
+
+def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
+    """The witness pair, certified by KKT at y = X first + hit.z."""
+    first, second = _witness_pair(X, norm, face)
+    y = tuple(a + b for a, b in zip(X.matvec(first), hit.z))
+    if not all(kkt_certify(X, y, b, norm).passed for b in (first, second)):
+        raise AssertionError("witness failed exact certification")
     objective = dot(hit.z, hit.z) / 2 + norm_value(norm, first)
     return NonUniquenessWitness(y, first, second, objective, hit.z)
 
@@ -210,36 +227,9 @@ def check_uniqueness(
     """
     if norm.dim != X.ncols:
         raise ValueError("norm dimension does not match the matrix")
-    return _uniqueness_sweep(
-        X, norm, "penalized", limit, vertex_cap,
-        lambda face, hit: _penalized_witness(X, norm, face, hit),
-    )
-
-
-def _bp_witness(X, face, hit) -> NonUniquenessWitness:
-    sigma = face.sign_vector
-    J = [j for j, s in enumerate(sigma) if s]
-    sub = RationalMatrix.from_rows([tuple(row[j] for j in J) for row in X.rows])
-    directions = [d for d in kernel_basis(sub)]
-    if not directions:
-        raise AssertionError("columns beyond the rank must be dependent")
-    d = directions[0]
-    top = max(abs(t) for t in d)
-    d = tuple(t / (2 * top) for t in d)
-    h = [Fraction(0)] * X.ncols
-    for j, t in zip(J, d):
-        h[j] = t
-    first = vec(sigma)
-    second = tuple(a + b for a, b in zip(first, h))
-    l1 = l1_norm(X.ncols)
-    value = norm_value(l1, first)
-    if norm_value(l1, second) != value or first == second:
-        raise AssertionError("kernel perturbation must preserve the l1 value")
-    y = X.matvec(first)
-    for b in (first, second):
-        if not bp_certificate_holds(X, b, hit.z):
-            raise AssertionError("witness failed the shared dual certificate")
-    return NonUniquenessWitness(y, first, second, value, hit.z)
+    r, face, hit = _uniqueness_sweep(X, norm, limit, vertex_cap)
+    witness = None if face is None else _penalized_witness(X, norm, face, hit)
+    return UniquenessReport(face is None, r, "penalized", norm, face, witness)
 
 
 def check_uniqueness_bp(
@@ -247,11 +237,18 @@ def check_uniqueness_bp(
     limit: int | None = None,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> UniquenessReport:
-    """Equality-constrained l1 analogue of check_uniqueness: sweeps unit-cube
-    faces of codimension rk(X) + 1 against row(X)."""
-    return _uniqueness_sweep(
-        X, l1_norm(X.ncols), "bp", limit, vertex_cap, lambda face, hit: _bp_witness(X, face, hit)
-    )
+    """Equality-constrained l1 analogue of check_uniqueness: the sweep and
+    the witness pair of l1_norm(p), read at y = X first, which both points
+    fit exactly; the face hit's z is the dual certificate of both."""
+    l1 = l1_norm(X.ncols)
+    r, face, hit = _uniqueness_sweep(X, l1, limit, vertex_cap)
+    if face is None:
+        return UniquenessReport(True, r, "bp", None)
+    first, second = _witness_pair(X, l1, face)
+    if not all(bp_certificate_holds(X, b, hit.z) for b in (first, second)):
+        raise AssertionError("witness failed the shared dual certificate")
+    witness = NonUniquenessWitness(X.matvec(first), first, second, norm_value(l1, first), hit.z)
+    return UniquenessReport(False, r, "bp", None, face, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +507,7 @@ def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -
 def _ambiguity_flag(X, norm):
     # only the verdict is read, so the sweep builds no witness
     try:
-        sweep = _uniqueness_sweep(X, norm, "penalized", None, DEFAULT_VERTEX_CAP, lambda *_: None)
-        return not sweep.unique_for_all_y
+        return _uniqueness_sweep(X, norm, None, DEFAULT_VERTEX_CAP)[1] is not None
     except CapExceeded:
         return None
 

@@ -198,7 +198,6 @@ class Face:
     kind: str
     codim: int
     scale: Fraction = Fraction(1)
-    sign_vector: tuple[int, ...] | None = None
     model: tuple[int, ...] | None = None
     blocks: tuple[Block, ...] = ()
     signs: tuple[int, ...] | None = None
@@ -219,6 +218,11 @@ class Face:
         """The label of the face: a sign vector (l1, sup) or a model (slope);
         None for a hull face."""
         return self.model
+
+    @property
+    def sign_vector(self) -> tuple[int, ...] | None:
+        """The label of an l1 or sup face, its model; None for other kinds."""
+        return self.model if self.kind in ("box", "crosspoly") else None
 
     def contains_zero(self) -> bool:
         if self.model is not None:
@@ -303,8 +307,7 @@ class Face:
         d: dict = {"kind": self.kind, "ambient_dim": self.ambient_dim, "codim": self.codim}
         if self.kind == "box":
             d["scale"] = rat_str(self.scale)
-            d["sign_vector"] = list(self.sign_vector)
-        elif self.kind == "crosspoly":
+        if self.sign_vector is not None:
             d["sign_vector"] = list(self.sign_vector)
         elif self.model is not None:
             d["model"] = list(self.model)
@@ -429,8 +432,8 @@ def model_to_face(m: Sequence[int], w: Sequence) -> Face:
     return _model_face(mm, ww, "signperm")
 
 
-def _model_face(m, w, kind, scale=Fraction(1), sign_vector=None) -> Face:
-    # m and w are checked; a cube or cross-polytope face gets its sign vector
+def _model_face(m, w, kind, scale=Fraction(1)) -> Face:
+    # m and w are checked
     mags = list(map(abs, m))
     order = sorted(range(len(m)), key=mags.__getitem__, reverse=True)  # stable
     blocks, start, dim = [], 0, 0
@@ -441,7 +444,7 @@ def _model_face(m, w, kind, scale=Fraction(1), sign_vector=None) -> Face:
         blocks.append(Block(tuple(order[start:end]), w[start:end], not level))
         start = end
     signs = tuple([-1 if v < 0 else 1 for v in m])
-    return Face(len(m), kind, len(m) - dim, scale, sign_vector, m, tuple(blocks), signs)
+    return Face(len(m), kind, len(m) - dim, scale, m, tuple(blocks), signs)
 
 
 def _sign_label(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -462,14 +465,14 @@ def sign_to_cube_face(sigma: Sequence[int], scale=1) -> Face:
     the model face of sigma under (scale, ..., scale), of codim |supp sigma|."""
     s = _sign_label(sigma)
     scale = rat(scale)
-    return _model_face(s, (scale,) * len(s), "box", scale, s)
+    return _model_face(s, (scale,) * len(s), "box", scale)
 
 
 def sign_to_crosspolytope_face(sigma: Sequence[int]) -> Face:
     """conv{sigma_j e_j : sigma_j != 0}, the whole cross-polytope for sigma =
     0: the model face of sigma under (1, 0, ..., 0)."""
     s = _sign_label(sigma)
-    return _model_face(s, _crosspolytope_weights(len(s)), "crosspoly", sign_vector=s)
+    return _model_face(s, _crosspolytope_weights(len(s)), "crosspoly")
 
 
 def hull_face(vertices: Sequence[Sequence]) -> Face:

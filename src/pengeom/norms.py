@@ -187,18 +187,18 @@ def dual_ball_faces(
     in label order (face.pattern is the label).
 
     l1 cube and sup cross-polytope faces: one per sign vector of
-    sign_vectors(p, limit or DEFAULT_SIGN_LIMIT). Slope: one face per model
-    of enumerate_models(p, limit or DEFAULT_MODEL_LIMIT), for any weights;
-    tied or zero weights repeat a face for each model labeling it, with one
-    codimension. With codim given, a label whose codimension (model_codim)
-    is not codim is never built into a face.
+    sign_vectors(p, limit). Slope: one face per model of enumerate_models(p,
+    limit), for any weights; tied or zero weights repeat a face for each model
+    labeling it, with one codimension. With codim given, a label whose
+    codimension (model_codim) is not codim is never built into a face. Only
+    limit None means the default cap; limit 0 refuses.
     """
     p = norm.dim
     if norm.kind == SLOPE:
-        labels = enumerate_models(p, limit or DEFAULT_MODEL_LIMIT)
+        labels = enumerate_models(p, DEFAULT_MODEL_LIMIT if limit is None else limit)
         face_of = functools.partial(model_to_face, w=norm.weights)
     else:
-        labels = sign_vectors(p, limit or DEFAULT_SIGN_LIMIT)
+        labels = sign_vectors(p, DEFAULT_SIGN_LIMIT if limit is None else limit)
         if norm.kind == L1:
             face_of = functools.partial(sign_to_cube_face, scale=norm.scale)
         else:

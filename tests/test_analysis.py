@@ -585,12 +585,17 @@ def small_designs(draw, max_p=4):
 
 @given(small_designs())
 def test_bp_uniqueness_is_the_l1_cube_sweep(X):
-    # basis pursuit and the l1 penalty share the uniqueness condition: no
-    # cube face beyond rk(X) meets row(X)
+    # basis pursuit and the l1 penalty share the uniqueness condition (no
+    # cube face beyond rk(X) meets row(X)) and the witness pair, which
+    # basis pursuit reads at y = X first
     bp = check_uniqueness_bp(X)
     pen = check_uniqueness(X, l1_norm(X.ncols))
     assert (bp.unique_for_all_y, bp.rank, bp.offending_face) == (
         pen.unique_for_all_y, pen.rank, pen.offending_face)
+    if not pen.unique_for_all_y:
+        b, w = bp.witness, pen.witness
+        assert (b.first, b.second, b.dual_vector) == (w.first, w.second, w.dual_vector)
+        assert b.response == X.matvec(b.first) and b.objective == sum(map(abs, b.first))
 
 
 FAMILIES = ("l1", "sup", "strict", "tied", "zero", "bp")
@@ -742,6 +747,20 @@ def test_capped_sweeps_refuse_before_building_the_region(monkeypatch):
             accessible_slope_models(X, [7, 6, 5, 4, 3, 2, 1], route=route)
         with pytest.raises(CapExceeded):
             accessible_sign_vectors(X, route=route, limit=6)
+
+
+def test_a_zero_cap_refuses():
+    # limit 0 caps the enumeration at p = 0; only None stands for the default
+    X = RationalMatrix.from_rows([[1, 1, 0]])
+    for ask in (lambda: check_uniqueness(X, l1_norm(3), limit=0),
+                lambda: check_uniqueness(X, slope_norm([3, 2, 1]), limit=0),
+                lambda: check_uniqueness_bp(X, limit=0),
+                lambda: accessible_sign_vectors(X, limit=0),
+                lambda: accessible_slope_models(X, [3, 2, 1], limit=0)):
+        with pytest.raises(CapExceeded, match="exceeds cap 0"):
+            ask()
+    assert check_uniqueness(X, l1_norm(3), limit=None).witness is not None
+    assert len(accessible_slope_models(X, [3, 2, 1], limit=None)) == 147
 
 
 def test_sup_witness_on_a_wide_design():

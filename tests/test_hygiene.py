@@ -104,7 +104,7 @@ def lp_constructions(module: str, source: str) -> list[str]:
 FACE_TAGS = frozenset({"box", "crosspoly"})
 FACE_TAG_OWNERS = frozenset({
     "geometry.sign_to_cube_face", "geometry.sign_to_crosspolytope_face",
-    "geometry.Face.to_json_dict"})
+    "geometry.Face.to_json_dict", "geometry.Face.sign_vector"})
 
 
 def _owners(module: str, source: str, match) -> list[str]:
@@ -191,6 +191,10 @@ def stack_merges(module: str, source: str) -> list[str]:
             for c in ast.walk(n))
     return _owners(module, source, merge)
 
+
+# basis pursuit reads the l1 witness pair, so in analysis one kernel step
+# builds every non-uniqueness witness
+WITNESS_KERNEL_READERS = frozenset({"analysis._witness_pair"})
 
 # the norm arithmetic lives in norms: elsewhere only the float prox and the
 # figure caption branch on the l1 or sup kind, and solvers defines no norm
@@ -401,3 +405,8 @@ def test_norm_arithmetic_lives_in_norms():
     source = (SRC / "solvers.py").read_text()
     classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
     assert classes == SOLVER_CLASSES
+
+
+def test_one_witness_recipe_takes_the_kernel_step():
+    source = (SRC / "analysis.py").read_text()
+    assert set(name_readers("analysis", source, "kernel_basis")) == WITNESS_KERNEL_READERS
