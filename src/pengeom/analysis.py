@@ -6,15 +6,20 @@ sign/cluster models, certified non-uniqueness witnesses, response
 classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
-Every sweep reads its faces from norms.dual_ball_faces, through one
-per-process cache of 64 tables, so a table and its faces' integer vertices
-are built once per norm however many designs ask about it. Uniqueness and its
-basis-pursuit analogue share one sweep over the faces of codimension
-rk(X) + 1 (bp sweeps the cube faces of the plain l1 norm; a polytope's face
-lattice is graded, so each deeper face lies in one of those) and one witness
-pair, which bp reads at y = X first and certifies with the face hit's dual
-vector. The sign-vector and model accessibility tables share one route sweep
-and differ only in their response witnesses.
+Every sweep reads its level of the dual ball from norms._dual_ball_level:
+each face's label, vertex count and integer vertices, ints only. The faces
+depend on the weights only through their ties and zeros, so norms builds a
+level once per tie pattern and gives each norm its own table by putting the
+norm's integer weights into the pattern's vertices; the face tests run on
+those integers in DesignKernel.level_hit. A Face is built only for the face
+that row(X) meets, and is kept per (norm, label), so a repeated question
+finds its witness points cached. Uniqueness and its basis-pursuit analogue
+share one sweep over the faces of codimension rk(X) + 1 (bp sweeps the cube
+faces of the plain l1 norm; a polytope's face lattice is graded, so each
+deeper face lies in one of those) and one witness pair, which bp reads at
+y = X first and certifies with the face hit's dual vector. The sign-vector
+and model accessibility tables share one route sweep and differ only in
+their response witnesses.
 """
 
 from __future__ import annotations
@@ -41,14 +46,13 @@ from .geometry import (
     CapExceeded,
     DesignKernel,
     Face,
-    face_intersects_rowspace,
     model_of,
-    model_to_face,
 )
 from .norms import (
     SLOPE,
     PolytopeNorm,
-    dual_ball_faces,
+    _dual_ball_face,
+    _dual_ball_level,
     dual_ball_membership,
     exposed_primal_vertices,
     l1_norm,
@@ -137,25 +141,19 @@ class UniquenessReport:
         }
 
 
-@functools.lru_cache(maxsize=64)
-def _faces_at_codim(norm: PolytopeNorm, codim: int | None, limit: int | None) -> tuple[Face, ...]:
-    """Dual-ball faces of one codimension (all of them for None) in label
-    order. Monte Carlo sweeps and accessibility tables reuse the same list
-    across many designs."""
-    return dual_ball_faces(norm, limit, codim)
-
-
 def _uniqueness_sweep(X, norm, limit, vertex_cap):
     """Sweep the faces of norm's dual ball of codimension rk(X) + 1 against
     row(X): (rk(X), the first face that meets it, its hit), with None for
-    both when no face does."""
+    both when no face does. The level is read as integer vertices; only the
+    face that meets row(X) is built."""
     kernel = DesignKernel(X)
     r = X.ncols - len(kernel.basis)
     if r < X.ncols:
-        for face in _faces_at_codim(norm, r + 1, limit):
-            hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
+        d, level = _dual_ball_level(norm, r + 1, limit)
+        for label, count, ivs in level:
+            hit = kernel.level_hit(d, label, count, ivs, vertex_cap)
             if hit is not None:
-                return r, face, hit
+                return r, _dual_ball_face(norm, label), hit
     return r, None, None
 
 
@@ -299,10 +297,10 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     two are cross-checked and any disagreement raises.
     """
     kernel = DesignKernel(X)
-    # the whole table, built once per norm and kept with its faces' integer
-    # vertices; the model or sign cap refuses here, before any work, and on
-    # every call, since the cache does not store exceptions
-    faces = _faces_at_codim(norm, None, limit)
+    # the whole table as integer vertices (none for the analytic route alone),
+    # kept per norm; the model or sign cap refuses here, before any work, and
+    # on every call, since the cache does not store exceptions
+    d, level = _dual_ball_level(norm, None, limit, route != ANALYTIC)
     if route in (ANALYTIC, BOTH):
         # X'u over the region's vertices u, over one common denominator, so
         # each pattern's support value is integer dot products and one Fraction
@@ -311,15 +309,14 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     # paired with its sorted magnitudes, is one integer sum over their common
     # denominator
     wden, (wints,) = clear_denominators([norm._form.weights])
-    for face in faces:
-        pattern = face.pattern
+    for pattern, count, ivs in level:
         pattern_norm = Fraction(
             sum(map(operator.mul, wints, sorted(map(abs, pattern), reverse=True))), wden)
         hit = None
         geometric_hit = None
         analytic_value = None
         if route in (GEOMETRIC, BOTH):
-            hit = face_intersects_rowspace(face, X, kernel=kernel, cap=vertex_cap)
+            hit = kernel.level_hit(d, pattern, count, ivs, vertex_cap)
             geometric_hit = hit is not None
         if route in (ANALYTIC, BOTH):
             analytic_value = Fraction(max(sum(map(operator.mul, pattern, s)) for s in duals), den)
@@ -497,7 +494,7 @@ def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -
             f"solver failed to certify at tol {options.tol} within {options.max_iter} iterations",
             fit,
         )
-    face = model_to_face(fit.pattern, norm.weights)
+    face = _dual_ball_face(norm, fit.pattern)
     amb = _ambiguity_flag(X, norm) if isinstance(X, RationalMatrix) else None
     return Classification(
         fit.pattern, sol.point, fit.residual, face, sol.objective, amb, sol.certificate

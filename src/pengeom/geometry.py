@@ -18,13 +18,15 @@ vectors under those weights; the kinds "box" and "crosspoly" only tag them.
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
 for one design times one common denominator, and memoizes the image of each
-integer-scaled dual-ball vertex, so a sweep projects every vertex once.
-Faces with one or two vertices are then decided by integer sign and
-cross-product tests on those images (fraction-free, in the spirit of Bareiss
-elimination); larger faces solve a small LP whose integer columns are those
-same images, every row carrying the same positive factor, so the simplex
-pivots as it would on the rational program. Fractions return only on a hit,
-to form the exact point of the face and its preimage z.
+integer-scaled dual-ball vertex, so a sweep projects every vertex once. Its
+integer core takes a face as integer vertices over one denominator, whether
+they come from a Face (face_intersects_rowspace) or from a sweep's integer
+level (DesignKernel.level_hit). Faces with one or two vertices are decided by
+integer sign and cross-product tests on the images (fraction-free, in the
+spirit of Bareiss elimination); larger faces solve a small LP whose integer
+columns are those same images, every row carrying the same positive factor,
+so the simplex pivots as it would on the rational program. Fractions return
+only on a hit, to form the exact point of the face and its preimage z.
 """
 
 from __future__ import annotations
@@ -250,21 +252,15 @@ class Face:
                     n *= 2 ** k
         return n
 
-    def _check_cap(self, cap: int | None) -> None:
-        if cap is not None:
-            count = self.vertex_count()
-            if count > cap:
-                raise CapExceeded(f"face has {count} vertices, cap is {cap}")
-
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[Vector, ...]:
-        self._check_cap(cap)
+        _check_vertex_cap(self.vertex_count(), cap)
         return _materialized_vertices(self)
 
     def integer_vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[tuple[int, ...], ...]:
         """vertices(cap) times the lcm of all their denominators, as int
         tuples in the same order. Memoized on the face instance, so a face
         kept across sweeps converts once."""
-        self._check_cap(cap)
+        _check_vertex_cap(self.vertex_count(), cap)
         return self._integer_form[1]
 
     @functools.cached_property
@@ -323,6 +319,11 @@ class Face:
         if include_vertices or self.model is None:
             d["vertices"] = [[rat_str(x) for x in v] for v in self.vertices()]
         return d
+
+
+def _check_vertex_cap(count: int, cap: int | None) -> None:
+    if cap is not None and count > cap:
+        raise CapExceeded(f"face has {count} vertices, cap is {cap}")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -519,6 +520,45 @@ class DesignKernel:
             self._images[v] = img
         return img
 
+    def level_hit(self, den: int, label: tuple[int, ...], count: int,
+                  ivs: tuple[tuple[int, ...], ...], cap: int | None) -> RowspaceIntersection | None:
+        """The face test of one entry of a dual-ball level (norms): the face
+        of label, with count vertices, ivs over den. The face of the zero
+        label is the whole ball, which holds 0; any other face is checked
+        against the cap and goes to the integer core."""
+        if not any(label):
+            return _origin(self.X)
+        _check_vertex_cap(count, cap)
+        return self._meets(den, ivs)
+
+    def _meets(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
+        # the integer core of every face test: the face is conv(ivs / den)
+        if not self.basis:
+            point = tuple(Fraction(x, den) for x in ivs[0])
+        elif len(ivs) == 1:
+            if any(self.image(ivs[0])):
+                return None
+            point = tuple(Fraction(x, den) for x in ivs[0])
+        elif len(ivs) == 2:
+            alpha = _segment_weight(self.image(ivs[0]), self.image(ivs[1]))
+            if alpha is None:
+                return None
+            # alpha a + (1 - alpha) b in integers over alpha's denominator
+            n, q = alpha.numerator, alpha.denominator
+            point = tuple(Fraction(n * x + (q - n) * y, q * den) for x, y in zip(*ivs))
+        else:
+            alpha = _convex_zero_weights([self.image(v) for v in ivs], self.scale * den)
+            if alpha is None:
+                return None
+            # sum alpha_k v_k in integers: the weights and the vertices each over
+            # one common denominator, one Fraction per coordinate
+            d, (weights,) = clear_denominators((alpha,))
+            point = tuple(Fraction(sum(map(operator.mul, weights, col)), d * den) for col in zip(*ivs))
+        z = rowspace_preimage(self.X, point)
+        if z is None:
+            raise AssertionError("kernel-orthogonal point must lie in the row space")
+        return RowspaceIntersection(point, z)
+
 
 def _segment_weight(ca: tuple[int, ...], cb: tuple[int, ...]) -> Fraction | None:
     """alpha in [0, 1] with alpha*ca + (1 - alpha)*cb = 0, or None.
@@ -547,6 +587,14 @@ class RowspaceIntersection:
     z: Vector      # X'z == point
 
 
+def _origin(X: RationalMatrix) -> RowspaceIntersection:
+    # a face holding 0 meets row(X) there, with z = 0
+    return RowspaceIntersection(
+        tuple(Fraction(0) for _ in range(X.ncols)),
+        tuple(Fraction(0) for _ in range(X.nrows)),
+    )
+
+
 def face_intersects_rowspace(
     face: Face,
     X: RationalMatrix,
@@ -556,58 +604,28 @@ def face_intersects_rowspace(
     """Exact intersection test between a dual-ball face and row(X).
 
     A point s of the face lies in row(X) iff K's = 0 for a basis K of ker(X).
-    Faces with one or two vertices are decided in integers: the face's
-    integer vertices are mapped through `kernel` (build one DesignKernel per
-    design and pass it to every face of the sweep; the images are memoized
-    there). A vertex meets row(X) iff its image is zero, a segment iff the
-    images' line passes through 0 between them (see _segment_weight). Larger
-    faces solve a feasibility LP over the convex weights alpha whose columns
-    are the memoized integer images themselves, each K'v times the product
-    of the kernel's and the face's scales (see _convex_zero_weights). The cap
-    is checked before any vertex is built. Fractions enter the point only on
-    a hit: it is formed from the face's vertices and the weights (for the LP
-    in integer sums, one Fraction per coordinate), and z with X'z = point by
-    exact elimination.
+    The face's integer vertices go to the kernel's integer core, the one
+    face test that the level sweeps also run (DesignKernel.level_hit); build
+    one DesignKernel per design and pass it to every face of a sweep, since
+    it memoizes the vertices' images. A vertex meets row(X) iff its image is
+    zero, a segment iff the images' line passes through 0 between them (see
+    _segment_weight). Larger faces solve a feasibility LP over the convex
+    weights alpha whose columns are the integer images themselves, each K'v
+    times the product of the kernel's and the face's scales (see
+    _convex_zero_weights). The cap is checked before any vertex is built.
+    Fractions enter the point only on a hit, one per coordinate, and z with
+    X'z = point comes from exact elimination.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")
     if face.contains_zero():
-        return RowspaceIntersection(
-            tuple(Fraction(0) for _ in range(X.ncols)),
-            tuple(Fraction(0) for _ in range(X.nrows)),
-        )
+        return _origin(X)
     if kernel is None:
         kernel = DesignKernel(X)
     elif kernel.X is not X and kernel.X != X:
         raise ValueError("kernel belongs to another design")
-    face._check_cap(cap)  # once, before any vertex is built
-    if not kernel.basis:
-        point = face.vertices(None)[0]
-    elif face.vertex_count() <= 2:
-        ivs = face.integer_vertices(None)
-        if len(ivs) == 1:
-            if any(kernel.image(ivs[0])):
-                return None
-            point = face.vertices(None)[0]
-        else:
-            alpha = _segment_weight(kernel.image(ivs[0]), kernel.image(ivs[1]))
-            if alpha is None:
-                return None
-            a, b = face.vertices(None)
-            point = tuple(alpha * x + (1 - alpha) * y for x, y in zip(a, b))
-    else:
-        scale, ivs = face._integer_form
-        alpha = _convex_zero_weights([kernel.image(v) for v in ivs], kernel.scale * scale)
-        if alpha is None:
-            return None
-        # sum alpha_k v_k in integers: the weights and the vertices each over
-        # one common denominator, one Fraction per coordinate
-        d, (weights,) = clear_denominators((alpha,))
-        point = tuple(Fraction(sum(map(operator.mul, weights, col)), d * scale) for col in zip(*ivs))
-    z = rowspace_preimage(X, point)
-    if z is None:
-        raise AssertionError("kernel-orthogonal point must lie in the row space")
-    return RowspaceIntersection(point, z)
+    _check_vertex_cap(face.vertex_count(), cap)  # once, before any vertex is built
+    return kernel._meets(*face._integer_form)
 
 
 # ---------------------------------------------------------------------------

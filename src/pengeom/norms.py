@@ -2,14 +2,22 @@
 dual norms, subdifferential faces of the dual ball, and the face table of
 the dual ball.
 
-dual_ball_faces is the one list of dual-ball faces: the uniqueness,
-basis-pursuit, accessibility and SVG sweeps all read it. Every face is a
-model face of the sign permutohedron of a weight vector: the slope weights,
-(scale, ..., scale) for the l1 cube and (1, 0, ..., 0) for the sup
-cross-polytope, whose faces are labeled by sign vectors. One codimension
-formula (model_codim) picks one level of the face lattice in all three, so the
-uniqueness sweep builds only the faces of codimension rk(X) + 1; under tied or
-zero weights several models label the same face.
+dual_ball_faces is the one list of dual-ball faces, built by one label ->
+face dispatch (_label_face). Every face is a model face of the sign
+permutohedron of a weight vector: the slope weights, (scale, ..., scale) for
+the l1 cube and (1, 0, ..., 0) for the sup cross-polytope, whose faces are
+labeled by sign vectors. One codimension formula (model_codim) picks one
+level of the face lattice in all three; under tied or zero weights several
+models label the same face.
+
+The sweeps read a level as integers, without a Face: _dual_ball_level gives
+each face's label, vertex count and integer vertices over one denominator.
+Labels, codimensions, counts and vertex order read the weights only through
+their ties and zeros, so the level is built once per tie pattern, from
+dual_ball_faces of the norm with the smallest integer weights of that
+pattern, and each norm's table puts its own integer weights in their place.
+Both are cached (64 patterns, 64 norms); the face of a label that a sweep
+reports is built by the same dispatch and cached per (norm, label).
 
 zero_region is the one description of the zero-solution region
 {u : ||X'u||_* <= 1}: its vertices give the analytic accessibility route and
@@ -180,6 +188,16 @@ def dual_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
     return subdifferential_face(norm, [0] * norm.dim).vertices(cap=None)
 
 
+def _label_face(norm: PolytopeNorm, label: tuple[int, ...]) -> Face:
+    # the one label -> dual-ball face dispatch: a sign vector's cube or
+    # cross-polytope face, or a model's face under the slope weights
+    if norm.kind == SLOPE:
+        return model_to_face(label, norm.weights)
+    if norm.kind == L1:
+        return sign_to_cube_face(label, scale=norm.scale)
+    return sign_to_crosspolytope_face(label)
+
+
 def dual_ball_faces(
     norm: PolytopeNorm, limit: int | None = None, codim: int | None = None
 ) -> tuple[Face, ...]:
@@ -196,17 +214,87 @@ def dual_ball_faces(
     p = norm.dim
     if norm.kind == SLOPE:
         labels = enumerate_models(p, DEFAULT_MODEL_LIMIT if limit is None else limit)
-        face_of = functools.partial(model_to_face, w=norm.weights)
     else:
         labels = sign_vectors(p, DEFAULT_SIGN_LIMIT if limit is None else limit)
-        if norm.kind == L1:
-            face_of = functools.partial(sign_to_cube_face, scale=norm.scale)
-        else:
-            face_of = sign_to_crosspolytope_face
     w = norm._form.weights
     # the codim is at least the top level
-    return tuple(face_of(t) for t in labels
+    return tuple(_label_face(norm, t) for t in labels
                  if codim is None or max(map(abs, t)) <= codim and model_codim(t, w) == codim)
+
+
+# the face of a hit label, kept per (norm, label) so that the witness caches
+# keyed on the face find it again
+_dual_ball_face = functools.lru_cache(maxsize=256)(_label_face)
+
+
+def _tie_pattern(norm: PolytopeNorm) -> PolytopeNorm:
+    """The norm of the same family and dimension whose permutohedron weights
+    are the smallest integers with the same ties and zeros: one decreasing
+    positive integer per tie group of slope weights and 0 for a zero weight,
+    scale 1 for l1, and sup itself. Labels, codimensions, vertex counts and
+    vertex order read the weights only through those ties and zeros."""
+    if norm.kind == L1:
+        return l1_norm(norm.dim)
+    if norm.kind == SUP:
+        return norm
+    w = norm.weights.values
+    rank = {v: k for k, v in enumerate(sorted(set(w), reverse=True))}
+    top = len(rank) - (0 in rank)
+    return slope_norm([top - rank[v] if v else 0 for v in w])
+
+
+@functools.lru_cache(maxsize=64)
+def _weight_free_level(pattern: PolytopeNorm, codim: int | None, limit: int | None,
+                       vertices: bool = True):
+    """dual_ball_faces(pattern, limit, codim) as (label, vertex count,
+    integer vertices) triples, the vertices interned across faces; with
+    vertices False, none are built. The zero label's face is the whole
+    ball, which every test decides without its vertices, so it keeps none."""
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out = []
+    for face in dual_ball_faces(pattern, limit, codim):
+        ivs = ()
+        if vertices and any(face.pattern):
+            # integer weights: every vertex is already integral
+            _, ivs = clear_denominators(face._materialize())
+            ivs = tuple(interned.setdefault(v, v) for v in ivs)
+        out.append((face.pattern, face.vertex_count(), ivs))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
+                     vertices: bool = True):
+    """(d, level): dual_ball_faces(norm, limit, codim) as (label, vertex
+    count, integer vertices) triples over one denominator d, without a Face;
+    with vertices False (a sweep that tests no face), labels and counts only.
+
+    The level of norm's tie pattern (_tie_pattern) is built once and shared
+    by every norm with those ties. Each of its vertices is a signed
+    permutation of the pattern's integer weights C; putting norm's
+    permutohedron weights W (times their least common denominator d) in
+    place of C gives norm's vertex, in the same order, and d is each face's
+    own denominator, since every vertex holds every weight. Only ints and
+    tuples are kept, so the tables of many norms cost the garbage collector
+    nothing to traverse."""
+    pattern = _tie_pattern(norm)
+    level = _weight_free_level(pattern, codim, limit, vertices)
+    d, (W,) = clear_denominators([norm._form.weights])
+    _, (C,) = clear_denominators([pattern._form.weights])
+    if not vertices or (d, W) == (1, C):
+        return d, level
+    sub = {0: 0}
+    for c, x in zip(C, W):
+        sub[c], sub[-c] = x, -x
+    done: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def put(v):
+        out = done.get(v)
+        if out is None:
+            out = done[v] = tuple(map(sub.__getitem__, v))
+        return out
+
+    return d, tuple((label, count, tuple(map(put, ivs))) for label, count, ivs in level)
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,13 +332,13 @@ def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
     if len(xx) != norm.dim:
         raise ValueError("dimension mismatch")
     if norm.kind == L1:
-        sigma = tuple((v > 0) - (v < 0) for v in xx)
-        return sign_to_cube_face(sigma, scale=norm.scale)
-    if norm.kind == SUP:  # x = 0 gives sigma = 0, the whole cross-polytope
+        label = tuple((v > 0) - (v < 0) for v in xx)
+    elif norm.kind == SUP:  # x = 0 gives sigma = 0, the whole cross-polytope
         top = max(abs(v) for v in xx)
-        sigma = tuple(((v > 0) - (v < 0)) if abs(v) == top else 0 for v in xx)
-        return sign_to_crosspolytope_face(sigma)
-    return model_to_face(model_of(xx), norm.weights)
+        label = tuple(((v > 0) - (v < 0)) if abs(v) == top else 0 for v in xx)
+    else:
+        label = model_of(xx)
+    return _label_face(norm, label)
 
 
 def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], Vector]]:

@@ -24,6 +24,7 @@ dual_norm_value give with the norm's Fractions on the same doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,9 +142,28 @@ def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certi
 
 
 def _float_matrix(X) -> np.ndarray:
-    """X as a float array: a RationalMatrix entry by entry, an ndarray or
-    nested lists through np.asarray."""
-    return X.to_float_array() if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
+    """X as a float array: one read-only view per RationalMatrix design, an
+    ndarray or nested lists through np.asarray."""
+    return _float_view(X) if isinstance(X, RationalMatrix) else np.asarray(X, dtype=float)
+
+
+@functools.lru_cache(maxsize=64)
+def _float_view(X: RationalMatrix) -> np.ndarray:
+    # every solve, certificate and fit of one design reads the same floats
+    Xf = X.to_float_array()
+    Xf.flags.writeable = False
+    return Xf
+
+
+@functools.lru_cache(maxsize=64)
+def _design_step(X: RationalMatrix) -> float:
+    # the FISTA step of a rational design, one power iteration per design
+    return _step(_float_view(X))
+
+
+def _step(Xf: np.ndarray) -> float:
+    L = _lipschitz(Xf) * (1 + 1e-6)
+    return 1.0 / L if L > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -219,8 +239,7 @@ def solve_penalized(
     x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
     if yf.shape != (n,) or x.shape != (p,):
         raise ValueError("dimension mismatch")
-    L = _lipschitz(Xf) * (1 + 1e-6)
-    step = 1.0 / L if L > 0 else 1.0
+    step = _design_step(X) if isinstance(X, RationalMatrix) else _step(Xf)
     fnorm = norm._form.floats
     prox = _prox_for(fnorm, step)
 

@@ -670,18 +670,22 @@ def test_witnesses_certify_on_arbitrary_designs(X):
 
 def test_unique_designs_sweep_one_level(monkeypatch):
     # every face beyond rk(X) lies in a face of codim rk(X) + 1, so a unique
-    # design is settled by that level alone
+    # design is settled by that level alone; the sweep tests each label of
+    # the level through the kernel, and the codim is that of the label's face
     seen = []
-    real = analysis_module.face_intersects_rowspace
-    monkeypatch.setattr(analysis_module, "face_intersects_rowspace",
-                        lambda face, X, **kw: seen.append(face.codim) or real(face, X, **kw))
+    real = geometry_module.DesignKernel.level_hit
+    monkeypatch.setattr(geometry_module.DesignKernel, "level_hit",
+                        lambda kernel, d, label, *rest: seen.append(label)
+                        or real(kernel, d, label, *rest))
     for rows in ([[1, 3, 7, 15]], [[2, -3, 5, 7], [1, 4, -2, 9]]):
         X = RationalMatrix.from_rows(rows)
         for kind in ("l1", "sup", "strict", "tied", "bp"):
             seen.clear()
             report = family_uniqueness(X, kind)
             assert report.unique_for_all_y and report.rank == len(rows)
-            assert seen and set(seen) == {report.rank + 1}
+            norm = l1_norm(4) if kind == "bp" else family_norm(kind, 4)
+            codims = [norms_module._label_face(norm, label).codim for label in seen]
+            assert codims and set(codims) == {report.rank + 1}
 
 
 def test_tied_weight_faces_never_reach_the_brute_force_grid(monkeypatch):
@@ -690,7 +694,8 @@ def test_tied_weight_faces_never_reach_the_brute_force_grid(monkeypatch):
 
     monkeypatch.setattr(geometry_module, "enumerate_exposed_faces", refuse)
     monkeypatch.setattr(geometry_module, "hull_face", refuse)
-    analysis_module._faces_at_codim.cache_clear()
+    norms_module._dual_ball_level.cache_clear()
+    norms_module._weight_free_level.cache_clear()
     norm = slope_norm([3, 3, 1, Fraction(1, 2)])
     designs = (
         [[1, 2, 3, 4]],
@@ -813,14 +818,14 @@ def test_ambiguity_flag_builds_no_witness(monkeypatch):
 
 
 def test_accessibility_tables_share_one_face_table(monkeypatch):
-    # the sign table of l1 at p = 5 is built once for both designs and kept
-    # with its faces' integer vertices; a refusal is not cached and raises
-    # on every call
+    # the sign table of l1 at p = 5 is built once for both designs; a
+    # refusal is not cached and raises on every call
     built = []
-    real = analysis_module.dual_ball_faces
-    monkeypatch.setattr(analysis_module, "dual_ball_faces",
+    real = norms_module.dual_ball_faces
+    monkeypatch.setattr(norms_module, "dual_ball_faces",
                         lambda *args: built.append(args) or real(*args))
-    analysis_module._faces_at_codim.cache_clear()
+    norms_module._dual_ball_level.cache_clear()
+    norms_module._weight_free_level.cache_clear()
     X = RationalMatrix.from_rows([[1, 2, 0, -1, 3], [0, 1, 1, 2, -1], [2, 0, 1, 1, 1]])
     Y = RationalMatrix.from_rows([[1, 1, 0, 0, 2], [0, 1, -1, 3, 1], [1, 0, 2, Fraction(1, 2), 0]])
     tables = [accessible_sign_vectors(M, route=GEOMETRIC) for M in (X, Y)]
@@ -829,6 +834,36 @@ def test_accessibility_tables_share_one_face_table(monkeypatch):
     for _ in range(2):
         with pytest.raises(CapExceeded, match="exceeds cap 4"):
             accessible_sign_vectors(X, limit=4)
+
+
+def test_strict_weights_share_one_weight_free_level(monkeypatch):
+    # the faces of one level depend on the weights only through their ties
+    # and zeros: two strict weight vectors at p = 4 build it once, and each
+    # keeps its own integer table
+    built = []
+    real = norms_module.dual_ball_faces
+    monkeypatch.setattr(norms_module, "dual_ball_faces",
+                        lambda *args: built.append(args) or real(*args))
+    norms_module._dual_ball_level.cache_clear()
+    norms_module._weight_free_level.cache_clear()
+    X = RationalMatrix.from_rows([[1, 3, 7, 15]])  # unique: the whole level is swept
+    norms = (slope_norm([4, 3, 2, 1]), slope_norm([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)]))
+    for norm in norms:
+        assert check_uniqueness(X, norm).unique_for_all_y
+    assert built == [(slope_norm([4, 3, 2, 1]), None, 2)]  # the pattern of both, at codim 2
+    tables = [norms_module._dual_ball_level(norm, 2, None) for norm in norms]
+    assert [d for d, _ in tables] == [1, 2]
+    assert [e[:2] for e in tables[0][1]] == [e[:2] for e in tables[1][1]]
+    assert tables[0][1] != tables[1][1]
+    # a non-unique design reports the face of its first hit label, built once
+    Z = RationalMatrix.from_rows([[1, 1, 0, 0]])
+    reports = [check_uniqueness(Z, norms[1]) for _ in range(2)]
+    assert reports[0].offending_face is reports[1].offending_face
+    assert len(built) == 1
+    # the model cap refuses on every call, since the caches store no exception
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="exceeds cap 3"):
+            check_uniqueness(X, norms[1], limit=3)
 
 
 @settings(max_examples=20)  # about 1 s: the gauge LP runs once per label

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pengeom.norms as norms_module
 from pengeom import geometry
 from pengeom.analysis import (
     NonUniquenessWitness,
@@ -371,8 +372,17 @@ def test_integer_face_test_matches_fraction_reference(X):
     K = kernel_basis(X)
     kernel = DesignKernel(X)
     for norm in _sweep_norms(X.ncols):
+        expected = []
         for face in _faces_beyond_rank(norm, r, None):
-            assert face_intersects_rowspace(face, X, kernel=kernel) == reference_face_test(face, X, K)
+            hit = face_intersects_rowspace(face, X, kernel=kernel)
+            assert hit == reference_face_test(face, X, K)
+            expected.append((face.pattern, hit))
+        # the sweeps' integer levels take the same test, label by label
+        got = [(label, kernel.level_hit(d, label, count, ivs, None))
+               for c in range(r + 1, X.ncols + 1)
+               for d, level in [norms_module._dual_ball_level(norm, c, None)]
+               for label, count, ivs in level]
+        assert got == expected
 
 
 def region_vertex_codims(X, norm):

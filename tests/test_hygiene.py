@@ -202,6 +202,12 @@ WITNESS_KERNEL_READERS = frozenset({"analysis._witness_pair"})
 NORM_KIND_READERS = frozenset({"solvers._prox_for", "svg._norm_caption"})
 SOLVER_CLASSES = ("Certificate", "Solution", "SolverOptions")
 
+# only norms turns a label into a dual-ball face, through one kind dispatch
+# that dual_ball_faces maps and the sweeps' hit faces reuse; the sweeps in
+# analysis read the integer level table, never the face list
+FACE_BUILDERS = ("model_to_face", "sign_to_cube_face", "sign_to_crosspolytope_face")
+LABEL_FACE_READERS = frozenset({"norms._label_face"})
+
 
 def test_checker_flags_an_unused_import():
     source = (
@@ -410,3 +416,11 @@ def test_norm_arithmetic_lives_in_norms():
 def test_one_witness_recipe_takes_the_kernel_step():
     source = (SRC / "analysis.py").read_text()
     assert set(name_readers("analysis", source, "kernel_basis")) == WITNESS_KERNEL_READERS
+
+
+def test_only_norms_turns_labels_into_faces():
+    # geometry defines the constructors and __init__ re-exports them
+    found = {site for p in SRC.glob("*.py") if p.stem not in ("geometry", "__init__")
+             for name in FACE_BUILDERS for site in runtime_readers(p.stem, p.read_text(), name)}
+    assert found == LABEL_FACE_READERS
+    assert name_readers("analysis", (SRC / "analysis.py").read_text(), "dual_ball_faces") == []

@@ -339,6 +339,41 @@ def test_dual_ball_faces_codim_matches_filtering(monkeypatch):
     assert {f.codim for f in middle} == {2} and len(built) == len(middle)
 
 
+def _level_norms():
+    """l1 at scales 1 and 3/2 and sup up to p = 5; strict, tied and
+    zero-tail slope weights up to p = 4."""
+    for p in range(1, 6):
+        yield from (l1_norm(p), l1_norm(p, scale=Fraction(3, 2)), sup_norm(p))
+    for w in ([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)], [3, 3, 1, Fraction(1, 2)],
+              [Fraction(5, 3), 1, 0, 0]):
+        for p in range(1, 5):
+            yield slope_norm(w[:p])
+
+
+def test_dual_ball_level_is_the_face_table_in_integers():
+    # the weight-free level of each tie pattern, with the norm's integer
+    # weights put in, is dual_ball_faces entry by entry: labels, vertex
+    # counts and integer vertices over one denominator, in order; the zero
+    # label's face (the whole ball) keeps no vertices
+    def kinds(table):
+        if isinstance(table, tuple):
+            return set().union({tuple}, *map(kinds, table))
+        return {type(table)}
+
+    for norm in _level_norms():
+        for codim in (None, *range(norm.dim + 1)):
+            d, level = norms_module._dual_ball_level(norm, codim, None)
+            faces = dual_ball_faces(norm, None, codim)
+            assert [label for label, _, _ in level] == [f.pattern for f in faces]
+            assert [count for _, count, _ in level] == [f.vertex_count() for f in faces]
+            for (label, _, ivs), face in zip(level, faces):
+                assert (d, ivs) == (face._integer_form if any(label) else (d, ()))
+            assert kinds((d, level)) <= {int, tuple}  # never a Fraction or a Face
+            # a sweep that tests no face reads the labels and counts alone
+            _, bare = norms_module._dual_ball_level(norm, codim, None, False)
+            assert bare == tuple((label, count, ()) for label, count, _ in level)
+
+
 def region_by_row_subsets(X, norm):
     """Vertices of {u : ||X'u||_* <= 1} supported on R, the first maximal
     independent set of X's rows: the feasible solutions of <a, u> = 1 over

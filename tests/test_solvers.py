@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pengeom.solvers as solvers_module
 from pengeom.exact import RationalMatrix, dot, vec
 from pengeom.lp import OPTIMAL, LinearProgram, lp_solve
 from pengeom.norms import (
@@ -382,6 +383,30 @@ def test_float_route_is_bit_identical_to_the_reference():
         converged += got.converged
     # both outcomes of the certificate are compared
     assert 0 < converged < len(cases)
+
+
+def test_a_rational_design_keeps_one_float_view_and_one_step(monkeypatch):
+    # every solve of one rational design (and of an equal one) reads one
+    # read-only float view and one power iteration; float inputs are
+    # converted and iterated per call, as before, to the same doubles
+    calls = []
+    monkeypatch.setattr(solvers_module, "_lipschitz",
+                        lambda Xf, real=_lipschitz: calls.append(Xf) or real(Xf))
+    solvers_module._float_view.cache_clear()
+    solvers_module._design_step.cache_clear()
+    X = RationalMatrix.from_rows([[2, 1, 0], [1, -1, 3]])
+    y = vec([3, -1])
+    first = [solve_penalized(X, y, norm) for norm in (l1_norm(3), sup_norm(3), slope_norm([3, 2, 1]))]
+    again = solve_penalized(RationalMatrix.from_rows(X.rows), y, l1_norm(3))
+    assert len(calls) == 1 and _hex_record(again) == _hex_record(first[0])
+    view = solvers_module._float_matrix(X)
+    assert view is calls[0] and not view.flags.writeable
+    rows = [[2.0, 1.0, 0.0], [1.0, -1.0, 3.0]]
+    arr = np.array(rows)
+    for M in (rows, arr):
+        assert _hex_record(solve_penalized(M, y, l1_norm(3))) == _hex_record(first[0])
+    assert len(calls) == 3
+    assert solvers_module._float_matrix(arr) is arr and arr.flags.writeable
 
 
 def test_solve_bp_examples():
