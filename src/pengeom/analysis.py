@@ -7,13 +7,10 @@ classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
 Every sweep reads its level of the dual ball from norms._dual_ball_level:
-each face's label, vertex count and integer vertices, ints only. The faces
-depend on the weights only through their ties and zeros, so norms builds a
-level once per tie pattern and gives each norm its own table by putting the
-norm's integer weights into the pattern's vertices; the face tests run on
-those integers in DesignKernel.level_hit. A Face is built only for the face
-that row(X) meets, and is kept per (norm, label), so a repeated question
-finds its witness points cached. Uniqueness and its basis-pursuit analogue
+each face's label, vertex count and integer vertices, ints only, which
+DesignKernel.level_hit tests. A Face is built only for the face that row(X)
+meets, and is kept per (norm, label), so a repeated question finds its
+witness points cached. Uniqueness and its basis-pursuit analogue
 share one sweep over the faces of codimension rk(X) + 1 (bp sweeps the cube
 faces of the plain l1 norm; a polytope's face lattice is graded, so each
 deeper face lies in one of those) and one witness pair, which bp reads at

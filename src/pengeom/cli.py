@@ -28,7 +28,7 @@ from .analysis import (
     classify_response,
     genericity_experiment,
 )
-from .exact import load_matrix, parse_rational, rank, rat_str, vec
+from .exact import _entries, load_matrix, parse_rational, rank, rat_str, vec
 from .geometry import CapExceeded, enumerate_models
 from .norms import SLOPE, PolytopeNorm, l1_norm, slope_norm, sup_norm
 from .solvers import solve_bp
@@ -48,11 +48,14 @@ class CliError(Exception):
     """Bad arguments or inputs; maps to exit code 2."""
 
 
-def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
+def _parse_rational_list(text: str | None, option: str) -> tuple[Fraction, ...] | None:
+    # read in main, not by argparse, so a bad list is one "error:" line (exit 2)
+    if text is None:
+        return None
+    items = _entries(text.split(","), f"{option} item")
     if not items:
-        raise ValueError("empty list")
-    return tuple(parse_rational(t) for t in items)
+        raise ValueError(f"empty {option} list")
+    return tuple(map(parse_rational, items))
 
 
 def _env_cap(family: str) -> int | None:
@@ -375,13 +378,13 @@ _DISPATCH = {
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--matrix", help="CSV (or JSON) file, one row per matrix row")
-    shared.add_argument("--weights", type=_parse_rational_list, metavar="LIST",
+    shared.add_argument("--weights", metavar="LIST",
                         help="comma-separated slope weights, e.g. 5.5,3.5,1.5")
     shared.add_argument("--norm", choices=("l1", "sup", "slope"))
     shared.add_argument("--lambda", dest="lam", type=parse_rational, metavar="Q",
                         help="l1 penalty scale (rational or decimal literal)")
     shared.add_argument("--mode", choices=("pen", "bp"), default="pen")
-    shared.add_argument("--response", type=_parse_rational_list, metavar="LIST",
+    shared.add_argument("--response", metavar="LIST",
                         help="comma-separated response vector")
     shared.add_argument("--trials", type=int, default=100)
     shared.add_argument("--seed", type=int, default=0)
@@ -415,6 +418,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args.weights = _parse_rational_list(args.weights, "--weights")
+        args.response = _parse_rational_list(args.response, "--response")
         return _DISPATCH[args.command](args)
     except (CliError, CapExceeded, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

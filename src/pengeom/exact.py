@@ -237,10 +237,20 @@ def parse_rational(token: str) -> Fraction:
         raise ValueError(f"bad rational literal {token!r}: {e}") from None
 
 
+def _entries(cells: Sequence[str], where: str) -> list[str]:
+    """cells stripped, trailing empty ones dropped; an empty cell before the
+    last entry is a missing entry, not padding, and raises naming its place."""
+    cells = [c.strip() for c in cells]
+    cells = cells[:max((j for j, c in enumerate(cells, 1) if c), default=0)]
+    if "" in cells:
+        raise ValueError(f"empty {where} {cells.index('') + 1}")
+    return cells
+
+
 def parse_matrix_csv(text: str) -> RationalMatrix:
     rows = []
-    for record in csv.reader(io.StringIO(text)):
-        cells = [c for c in (cell.strip() for cell in record) if c]
+    for i, record in enumerate(csv.reader(io.StringIO(text)), 1):
+        cells = _entries(record, f"cell at row {i}, column")
         if cells:
             rows.append([parse_rational(c) for c in cells])
     if not rows:

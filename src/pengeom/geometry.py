@@ -10,6 +10,9 @@ face of some model m: a product of plain permutohedra over the level blocks of
 m (largest level first, taking consecutive weight chunks) times a sign
 permutohedron on the zero block. Strictly decreasing positive weights make
 this a bijection; tied or zero weights let several models share one face.
+One walk over m's blocks (_model_blocks) gives them and the codimension, and
+one vertex count and one vertex generator read them, for weights of any
+type: a Face's Fractions, or a sweep level's integers (norms).
 
 The l1 cube [-s, s]^p and the sup cross-polytope are the sign permutohedra
 of (s, ..., s) and (1, 0, ..., 0), so their faces are the model faces of sign
@@ -180,7 +183,7 @@ def signed_permutations(p: int) -> Iterator[SignedPermutation]:
 
 class Block(NamedTuple):
     coords: tuple[int, ...]
-    weights: tuple[Fraction, ...]
+    weights: tuple  # a chunk of Fractions in a Face, of ints in a sweep level
     signed: bool  # sign permutohedron factor (zero-level block)
 
 
@@ -238,66 +241,16 @@ class Face:
     @functools.cached_property
     def _vertex_count(self) -> int:
         # once per face: every face test reads it, and sweeps reuse faces
-        if self.model is None:
-            return len(self.hull)
-        # distinct arrangements of each chunk (equal weights are adjacent),
-        # times free signs on the zero block's nonzero weights
-        n = 1
-        for b in self.blocks:
-            n *= math.factorial(len(b.weights))
-            for w, run in itertools.groupby(b.weights):
-                k = len(list(run))
-                n //= math.factorial(k)
-                if b.signed and w:
-                    n *= 2 ** k
-        return n
+        return len(self.hull) if self.model is None else _block_vertex_count(self.blocks)
 
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[Vector, ...]:
         _check_vertex_cap(self.vertex_count(), cap)
         return _materialized_vertices(self)
 
-    def integer_vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[tuple[int, ...], ...]:
-        """vertices(cap) times the lcm of all their denominators, as int
-        tuples in the same order. Memoized on the face instance, so a face
-        kept across sweeps converts once."""
-        _check_vertex_cap(self.vertex_count(), cap)
-        return self._integer_form[1]
-
     @functools.cached_property
     def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # (L, the vertices times L) for L the lcm of their denominators
         return clear_denominators(_materialized_vertices(self))
-
-    def _materialize(self) -> tuple[Vector, ...]:
-        if self.model is None:
-            return self.hull
-        # per coordinate, its choices for each distinct weight of its block's
-        # chunk, by rank (largest first): a level block fixes the
-        # coordinate's sign, the zero block's are free, +w before -w
-        choices: list = [None] * self.ambient_dim
-        arrangements = []
-        for b in self.blocks:
-            levels, ranks = [], []
-            for w in b.weights:  # nonincreasing, so equal weights are adjacent
-                # (and often one object, which skips the Fraction comparison)
-                if not levels or (w is not levels[-1] and w != levels[-1]):
-                    levels.append(w)
-                ranks.append(len(levels) - 1)
-            pairs = [(w, -w) if w else (w,) for w in levels]
-            fixed = ([pair[:1] for pair in pairs], [pair[-1:] for pair in pairs])
-            for j in b.coords:
-                choices[j] = pairs if b.signed else fixed[self.signs[j] < 0]
-            arrangements.append(_rank_arrangements(tuple(ranks)))
-        # blocks multiply, the zero block (last) fastest; each block takes
-        # every distinct arrangement of its ranks once, in lexicographic
-        # order, and the zero block's free signs multiply within one
-        order = [j for b in self.blocks for j in b.coords]
-        where = sorted(range(len(order)), key=order.__getitem__)  # coordinate -> block position
-        out: list = []
-        for combo in itertools.product(*arrangements):
-            flat = tuple(itertools.chain.from_iterable(combo))
-            out += itertools.product(*map(operator.getitem, choices, map(flat.__getitem__, where)))
-        return tuple(out)
 
     def to_json_dict(self, include_vertices: bool = False) -> dict:
         d: dict = {"kind": self.kind, "ambient_dim": self.ambient_dim, "codim": self.codim}
@@ -326,6 +279,52 @@ def _check_vertex_cap(count: int, cap: int | None) -> None:
         raise CapExceeded(f"face has {count} vertices, cap is {cap}")
 
 
+def _block_vertex_count(blocks: Sequence[Block]) -> int:
+    """The face's vertex count: the distinct arrangements of each weight
+    chunk, times free signs on the zero block's nonzero weights."""
+    n = 1
+    for b in blocks:
+        n *= math.factorial(len(b.weights))
+        for w, run in itertools.groupby(b.weights):
+            k = len(list(run))
+            n //= math.factorial(k)
+            if b.signed and w:
+                n *= 2 ** k
+    return n
+
+
+def _block_vertices(blocks: Sequence[Block], signs: Sequence[int]) -> tuple[tuple, ...]:
+    """The face's vertices in the weights' own type (ints in, ints out); a
+    negative signs[j] flips coordinate j of a level block."""
+    # per coordinate, its choices for each distinct weight of its block's
+    # chunk, by rank (largest first): a level block fixes the coordinate's
+    # sign, the zero block's are free, +w before -w
+    choices: list = [None] * len(signs)
+    arrangements = []
+    for b in blocks:
+        levels, ranks = [], []
+        for w in b.weights:  # nonincreasing, so equal weights are adjacent
+            # (and often one object, which skips the Fraction comparison)
+            if not levels or (w is not levels[-1] and w != levels[-1]):
+                levels.append(w)
+            ranks.append(len(levels) - 1)
+        pairs = [(w, -w) if w else (w,) for w in levels]
+        fixed = ([pair[:1] for pair in pairs], [pair[-1:] for pair in pairs])
+        for j in b.coords:
+            choices[j] = pairs if b.signed else fixed[signs[j] < 0]
+        arrangements.append(_rank_arrangements(tuple(ranks)))
+    # blocks multiply, the zero block (last) fastest; each block takes
+    # every distinct arrangement of its ranks once, in lexicographic
+    # order, and the zero block's free signs multiply within one
+    order = [j for b in blocks for j in b.coords]
+    where = sorted(range(len(order)), key=order.__getitem__)  # coordinate -> block position
+    out: list = []
+    for combo in itertools.product(*arrangements):
+        flat = tuple(itertools.chain.from_iterable(combo))
+        out += itertools.product(*map(operator.getitem, choices, map(flat.__getitem__, where)))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=4096)
 def _rank_arrangements(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # the distinct permutations of a nondecreasing tuple, in lexicographic order
@@ -342,7 +341,7 @@ def _rank_arrangements(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     # repeated sweeps (accessibility tables, Monte Carlo trials) hit the same
     # faces over and over; materialization is pure, so a shared cache is safe
-    return face._materialize()
+    return face.hull if face.model is None else _block_vertices(face.blocks, face.signs)
 
 
 def _convex_zero_weights(columns: Sequence[tuple[int, ...]], total: int) -> Vector | None:
@@ -395,12 +394,29 @@ class SlopeWeights:
         return self.values[i]
 
 
-def _block_dim(chunk: Sequence[Fraction], signed: bool) -> int:
+def _block_dim(chunk: Sequence, signed: bool) -> int:
     # see model_codim; the weights of one tuple are often one object, which
     # skips the Fraction comparison
     if signed:
         return len(chunk) if chunk[0] else 0
     return len(chunk) - 1 if chunk[0] is not chunk[-1] and chunk[0] != chunk[-1] else 0
+
+
+def _model_blocks(m: Sequence[int], w: Sequence) -> tuple[tuple[Block, ...], int]:
+    """The blocks of model m under nonincreasing weights w of any type, one
+    per level, largest first, taking consecutive weight chunks (the zero
+    block last), and the codimension of their face (model_codim)."""
+    mags = list(map(abs, m))
+    order = sorted(range(len(m)), key=mags.__getitem__, reverse=True)  # stable
+    blocks, start, dim = [], 0, 0
+    while start < len(m):
+        level = mags[order[start]]
+        end = start + mags.count(level)
+        chunk = w[start:end]
+        dim += _block_dim(chunk, not level)
+        blocks.append(Block(tuple(order[start:end]), chunk, not level))
+        start = end
+    return tuple(blocks), len(m) - dim
 
 
 def model_codim(m: Sequence[int], w: Sequence[Fraction]) -> int:
@@ -409,13 +425,7 @@ def model_codim(m: Sequence[int], w: Sequence[Fraction]) -> int:
     dimension k - 1, or 0 when its weight chunk is constant; the zero block
     has dimension k, or 0 when its chunk is all zero. For strictly decreasing
     positive weights this is the top level of m."""
-    mags = sorted(map(abs, m), reverse=True)
-    dim = start = 0
-    while start < len(mags):
-        end = start + mags.count(mags[start])
-        dim += _block_dim(w[start:end], not mags[start])
-        start = end
-    return len(m) - dim
+    return _model_blocks(m, w)[1]
 
 
 def model_to_face(m: Sequence[int], w: Sequence) -> Face:
@@ -435,17 +445,9 @@ def model_to_face(m: Sequence[int], w: Sequence) -> Face:
 
 def _model_face(m, w, kind, scale=Fraction(1)) -> Face:
     # m and w are checked
-    mags = list(map(abs, m))
-    order = sorted(range(len(m)), key=mags.__getitem__, reverse=True)  # stable
-    blocks, start, dim = [], 0, 0
-    while start < len(m):  # one block per level, largest first, as in model_codim
-        level = mags[order[start]]
-        end = start + mags.count(level)
-        dim += _block_dim(w[start:end], not level)
-        blocks.append(Block(tuple(order[start:end]), w[start:end], not level))
-        start = end
+    blocks, codim = _model_blocks(m, w)
     signs = tuple([-1 if v < 0 else 1 for v in m])
-    return Face(len(m), kind, len(m) - dim, scale, m, tuple(blocks), signs)
+    return Face(len(m), kind, codim, scale, m, blocks, signs)
 
 
 def _sign_label(sigma: Sequence[int]) -> tuple[int, ...]:

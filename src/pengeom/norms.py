@@ -6,18 +6,14 @@ dual_ball_faces is the one list of dual-ball faces, built by one label ->
 face dispatch (_label_face). Every face is a model face of the sign
 permutohedron of a weight vector: the slope weights, (scale, ..., scale) for
 the l1 cube and (1, 0, ..., 0) for the sup cross-polytope, whose faces are
-labeled by sign vectors. One codimension formula (model_codim) picks one
-level of the face lattice in all three; under tied or zero weights several
-models label the same face.
-
-The sweeps read a level as integers, without a Face: _dual_ball_level gives
-each face's label, vertex count and integer vertices over one denominator.
-Labels, codimensions, counts and vertex order read the weights only through
-their ties and zeros, so the level is built once per tie pattern, from
-dual_ball_faces of the norm with the smallest integer weights of that
-pattern, and each norm's table puts its own integer weights in their place.
-Both are cached (64 patterns, 64 norms); the face of a label that a sweep
-reports is built by the same dispatch and cached per (norm, label).
+labeled by sign vectors. Labels, codimensions, vertex counts and vertex
+order read the weights only through their ties and zeros, so the labels of a
+level are listed once per label family and tie pattern C, the smallest
+integer weights with those ties and zeros, each with its count and integer
+vertices read off its blocks under C (_weight_free_level). dual_ball_faces
+maps the dispatch over those labels; the sweeps read them as integers, with
+each norm's own integer weights in place of C (_dual_ball_level). Both are
+cached (64 patterns, 64 norms); a reported face is cached per (norm, label).
 
 zero_region is the one description of the zero-solution region
 {u : ||X'u||_* <= 1}: its vertices give the analytic accessibility route and
@@ -60,9 +56,11 @@ from .geometry import (
     DEFAULT_SIGN_LIMIT,
     Face,
     SlopeWeights,
+    _block_vertex_count,
+    _block_vertices,
     _crosspolytope_weights,
+    _model_blocks,
     enumerate_models,
-    model_codim,
     model_of,
     model_to_face,
     sign_to_crosspolytope_face,
@@ -202,24 +200,15 @@ def dual_ball_faces(
     norm: PolytopeNorm, limit: int | None = None, codim: int | None = None
 ) -> tuple[Face, ...]:
     """The faces of the dual unit ball, or only those of codimension codim,
-    in label order (face.pattern is the label).
-
-    l1 cube and sup cross-polytope faces: one per sign vector of
-    sign_vectors(p, limit). Slope: one face per model of enumerate_models(p,
-    limit), for any weights; tied or zero weights repeat a face for each model
-    labeling it, with one codimension. With codim given, a label whose
-    codimension (model_codim) is not codim is never built into a face. Only
-    limit None means the default cap; limit 0 refuses.
+    in label order (face.pattern is the label): one per sign vector of
+    sign_vectors(p, limit) for the l1 cube and sup cross-polytope, one per
+    model of enumerate_models(p, limit) for slope, whose tied or zero weights
+    repeat a face for each model labeling it. A label off the level is never
+    built into a face. Only limit None means the default cap; limit 0 refuses.
     """
-    p = norm.dim
-    if norm.kind == SLOPE:
-        labels = enumerate_models(p, DEFAULT_MODEL_LIMIT if limit is None else limit)
-    else:
-        labels = sign_vectors(p, DEFAULT_SIGN_LIMIT if limit is None else limit)
-    w = norm._form.weights
-    # the codim is at least the top level
-    return tuple(_label_face(norm, t) for t in labels
-                 if codim is None or max(map(abs, t)) <= codim and model_codim(t, w) == codim)
+    level = _weight_free_level(norm.kind == SLOPE, _tie_pattern(norm._form.weights),
+                               codim, limit, False)
+    return tuple(_label_face(norm, t) for t, _, _ in level)
 
 
 # the face of a hit label, kept per (norm, label) so that the witness caches
@@ -227,38 +216,38 @@ def dual_ball_faces(
 _dual_ball_face = functools.lru_cache(maxsize=256)(_label_face)
 
 
-def _tie_pattern(norm: PolytopeNorm) -> PolytopeNorm:
-    """The norm of the same family and dimension whose permutohedron weights
-    are the smallest integers with the same ties and zeros: one decreasing
-    positive integer per tie group of slope weights and 0 for a zero weight,
-    scale 1 for l1, and sup itself. Labels, codimensions, vertex counts and
-    vertex order read the weights only through those ties and zeros."""
-    if norm.kind == L1:
-        return l1_norm(norm.dim)
-    if norm.kind == SUP:
-        return norm
-    w = norm.weights.values
+def _tie_pattern(w: Sequence) -> tuple[int, ...]:
+    """The smallest integer weights with the ties and zeros of nonincreasing w,
+    one decreasing positive integer per tie group: (1, ..., 1) for any l1."""
     rank = {v: k for k, v in enumerate(sorted(set(w), reverse=True))}
     top = len(rank) - (0 in rank)
-    return slope_norm([top - rank[v] if v else 0 for v in w])
+    return tuple(top - rank[v] if v else 0 for v in w)
 
 
 @functools.lru_cache(maxsize=64)
-def _weight_free_level(pattern: PolytopeNorm, codim: int | None, limit: int | None,
-                       vertices: bool = True):
-    """dual_ball_faces(pattern, limit, codim) as (label, vertex count,
-    integer vertices) triples, the vertices interned across faces; with
-    vertices False, none are built. The zero label's face is the whole
-    ball, which every test decides without its vertices, so it keeps none."""
+def _weight_free_level(models: bool, C: tuple[int, ...], codim: int | None,
+                       limit: int | None, vertices: bool = True):
+    """The one listing of a dual-ball level: each model (or sign vector) of
+    codimension codim under the integer weights C, in label order, as
+    (label, vertex count, integer vertices) read off its blocks under C, the
+    vertices interned; with vertices False, none are built. The zero label's
+    face is the whole ball, which every test decides without its vertices,
+    so it keeps none. Only limit None means the default cap; 0 refuses."""
+    if models:
+        labels = enumerate_models(len(C), DEFAULT_MODEL_LIMIT if limit is None else limit)
+    else:
+        labels = sign_vectors(len(C), DEFAULT_SIGN_LIMIT if limit is None else limit)
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     out = []
-    for face in dual_ball_faces(pattern, limit, codim):
-        ivs = ()
-        if vertices and any(face.pattern):
-            # integer weights: every vertex is already integral
-            _, ivs = clear_denominators(face._materialize())
-            ivs = tuple(interned.setdefault(v, v) for v in ivs)
-        out.append((face.pattern, face.vertex_count(), ivs))
+    for label in labels:
+        if codim is not None and max(map(abs, label)) > codim:
+            continue  # the codim is at least the top level
+        blocks, c = _model_blocks(label, C)
+        if codim is None or c == codim:
+            ivs = ()
+            if vertices and any(label):
+                ivs = tuple(interned.setdefault(v, v) for v in _block_vertices(blocks, label))
+            out.append((label, _block_vertex_count(blocks), ivs))
     return tuple(out)
 
 
@@ -268,19 +257,15 @@ def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
     """(d, level): dual_ball_faces(norm, limit, codim) as (label, vertex
     count, integer vertices) triples over one denominator d, without a Face;
     with vertices False (a sweep that tests no face), labels and counts only.
-
-    The level of norm's tie pattern (_tie_pattern) is built once and shared
-    by every norm with those ties. Each of its vertices is a signed
-    permutation of the pattern's integer weights C; putting norm's
-    permutohedron weights W (times their least common denominator d) in
-    place of C gives norm's vertex, in the same order, and d is each face's
-    own denominator, since every vertex holds every weight. Only ints and
-    tuples are kept, so the tables of many norms cost the garbage collector
-    nothing to traverse."""
-    pattern = _tie_pattern(norm)
-    level = _weight_free_level(pattern, codim, limit, vertices)
+    Each vertex of the level of norm's tie pattern C is a signed permutation
+    of C; putting norm's permutohedron weights W (times their least common
+    denominator d) in place of C gives norm's vertex, in the same order, and
+    d is each face's own denominator, since every vertex holds every weight.
+    Only ints and tuples are kept, so the tables of many norms cost the
+    garbage collector nothing to traverse."""
+    C = _tie_pattern(norm._form.weights)
+    level = _weight_free_level(norm.kind == SLOPE, C, codim, limit, vertices)
     d, (W,) = clear_denominators([norm._form.weights])
-    _, (C,) = clear_denominators([pattern._form.weights])
     if not vertices or (d, W) == (1, C):
         return d, level
     sub = {0: 0}

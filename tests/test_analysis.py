@@ -817,40 +817,37 @@ def test_ambiguity_flag_builds_no_witness(monkeypatch):
     assert out.ambiguous is True
 
 
-def test_accessibility_tables_share_one_face_table(monkeypatch):
+def test_accessibility_tables_share_one_face_table():
     # the sign table of l1 at p = 5 is built once for both designs; a
     # refusal is not cached and raises on every call
-    built = []
-    real = norms_module.dual_ball_faces
-    monkeypatch.setattr(norms_module, "dual_ball_faces",
-                        lambda *args: built.append(args) or real(*args))
+    built = norms_module._weight_free_level.cache_info
     norms_module._dual_ball_level.cache_clear()
     norms_module._weight_free_level.cache_clear()
     X = RationalMatrix.from_rows([[1, 2, 0, -1, 3], [0, 1, 1, 2, -1], [2, 0, 1, 1, 1]])
     Y = RationalMatrix.from_rows([[1, 1, 0, 0, 2], [0, 1, -1, 3, 1], [1, 0, 2, Fraction(1, 2), 0]])
     tables = [accessible_sign_vectors(M, route=GEOMETRIC) for M in (X, Y)]
-    assert len(built) == 1
+    assert built().misses == 1
     assert [r.pattern for r in tables[0]] == [r.pattern for r in tables[1]]
     for _ in range(2):
         with pytest.raises(CapExceeded, match="exceeds cap 4"):
             accessible_sign_vectors(X, limit=4)
 
 
-def test_strict_weights_share_one_weight_free_level(monkeypatch):
+def test_strict_weights_share_one_weight_free_level():
     # the faces of one level depend on the weights only through their ties
     # and zeros: two strict weight vectors at p = 4 build it once, and each
     # keeps its own integer table
-    built = []
-    real = norms_module.dual_ball_faces
-    monkeypatch.setattr(norms_module, "dual_ball_faces",
-                        lambda *args: built.append(args) or real(*args))
+    built = norms_module._weight_free_level.cache_info
     norms_module._dual_ball_level.cache_clear()
     norms_module._weight_free_level.cache_clear()
     X = RationalMatrix.from_rows([[1, 3, 7, 15]])  # unique: the whole level is swept
     norms = (slope_norm([4, 3, 2, 1]), slope_norm([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)]))
     for norm in norms:
         assert check_uniqueness(X, norm).unique_for_all_y
-    assert built == [(slope_norm([4, 3, 2, 1]), None, 2)]  # the pattern of both, at codim 2
+    assert (built().misses, built().hits) == (1, 1)
+    # the pattern of both, models under (4, 3, 2, 1) at codim 2, is the one built
+    norms_module._weight_free_level(True, (4, 3, 2, 1), 2, None, True)
+    assert (built().misses, built().hits) == (1, 2)
     tables = [norms_module._dual_ball_level(norm, 2, None) for norm in norms]
     assert [d for d, _ in tables] == [1, 2]
     assert [e[:2] for e in tables[0][1]] == [e[:2] for e in tables[1][1]]
@@ -859,7 +856,7 @@ def test_strict_weights_share_one_weight_free_level(monkeypatch):
     Z = RationalMatrix.from_rows([[1, 1, 0, 0]])
     reports = [check_uniqueness(Z, norms[1]) for _ in range(2)]
     assert reports[0].offending_face is reports[1].offending_face
-    assert len(built) == 1
+    assert built().misses == 1
     # the model cap refuses on every call, since the caches store no exception
     for _ in range(2):
         with pytest.raises(CapExceeded, match="exceeds cap 3"):

@@ -281,7 +281,10 @@ def test_error_exits(capsys, matrices, tmp_path):
     assert code == 2 and "--response" in err
 
     # malformed input, subcommand by subcommand: one error line, no traceback
-    bad = {"ragged.csv": "1,2\n3\n", "abc.csv": "1,abc\n2,3\n", "float.json": "[[1.5, 1], [0, 1]]"}
+    # an empty cell between two entries is missing, not padding: "1,,3" must
+    # not be read as the row (1, 3)
+    bad = {"ragged.csv": "1,2\n3\n", "abc.csv": "1,abc\n2,3\n", "float.json": "[[1.5, 1], [0, 1]]",
+           "gap.csv": "1,,3\n2,,4\n"}
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
     rest = {
@@ -298,10 +301,10 @@ def test_error_exits(capsys, matrices, tmp_path):
     sized = {"uniqueness": demo, "accessible": demo,
              "solve": (*demo, "--response", "1,1"), "decompose": (*demo, "--response", "1,1"),
              "genericity": ("--rows", "2", "--cols", "3"), "plot": demo}
-    probes += [(cmd, *args, "--norm", "l1", "--response", "1,1,1")
-               for cmd, args in (("solve", demo), ("decompose", demo))]
+    probes += [(cmd, *args, "--norm", "l1", "--response", y)
+               for y in ("1,1,1", "1,,1") for cmd, args in (("solve", demo), ("decompose", demo))]
     probes += [(cmd, *args, "--norm", "slope", "--weights", w)
-               for w in ("1,2,3", "3,2,-1") for cmd, args in sized.items()]
+               for w in ("1,2,3", "3,2,-1", "3,,2,1") for cmd, args in sized.items()]
     probes += [(cmd, *args, "--norm", "l1", "--lambda", "0") for cmd, args in sized.items()]
     probes += [(cmd, *args, "--cap", "0") for cmd, args in (
         ("uniqueness", (*demo, "--norm", "l1")), ("accessible", (*demo, "--norm", "l1")),
@@ -312,6 +315,13 @@ def test_error_exits(capsys, matrices, tmp_path):
         assert code == 2, argv
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1, argv
         assert "Traceback" not in err and out == "", argv
+
+    code, _, err = run(capsys, "uniqueness", "--matrix", str(tmp_path / "gap.csv"), "--norm", "l1")
+    assert "empty cell at row 1, column 2" in err
+    # trailing empty cells and items are padding, read as before
+    (tmp_path / "padded.csv").write_text("8,5,8,\n10,1.25,-6,,\n")
+    padded = ("--matrix", str(tmp_path / "padded.csv"), "--norm", "slope", "--weights", "3,2,1,")
+    assert run(capsys, "uniqueness", *padded)[:2] == run(capsys, "uniqueness", *demo, *padded[2:])[:2]
 
 
 def test_cap_flag_and_env_override(capsys, matrices, monkeypatch):

@@ -135,6 +135,11 @@ def test_parse_matrix_csv():
         parse_matrix_csv("")
     with pytest.raises(ValueError):
         parse_matrix_csv("1,2\n3\n")
+    # a missing entry before the last one would shift the row left
+    for text, where in (("1,,3\n2,,4\n", "row 1, column 2"), ("1,2\n,3,4\n", "row 2, column 1")):
+        with pytest.raises(ValueError, match=f"empty cell at {where}"):
+            parse_matrix_csv(text)
+    assert parse_matrix_csv("8, 5,8,,\n\n10,1.25,-6, \n") == M  # padding and blank lines
 
 
 def test_parse_matrix_json():

@@ -491,16 +491,17 @@ def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
         assert all(type(x) is int for x in entries)
 
 
-def test_integer_vertices_scale_and_cap():
+def test_integer_form_scale_and_memo():
+    # the integer vertices every face test reads: the vertices times the lcm
+    # of their denominators, in the same order, converted once per face
     f = model_to_face((2, 1, 0), (Fraction(5, 2), Fraction(3, 2), Fraction(1, 3)))
     verts = f.vertices()
-    ivs = f.integer_vertices()
+    scale, ivs = f._integer_form
+    assert scale == 6
     assert len(ivs) == len(verts) == 2
     assert all(all(isinstance(x, int) for x in v) for v in ivs)
     assert ivs == tuple(tuple(int(6 * x) for x in v) for v in verts)
-    assert f.integer_vertices() is ivs
-    with pytest.raises(CapExceeded):
-        f.integer_vertices(cap=1)
+    assert f._integer_form[1] is ivs
 
 
 def test_hull_face_codims():

@@ -209,6 +209,13 @@ FACE_BUILDERS = ("model_to_face", "sign_to_cube_face", "sign_to_crosspolytope_fa
 LABEL_FACE_READERS = frozenset({"norms._label_face"})
 
 
+# every face's blocks and codimension come from one walk over a label's
+# levels, which alone reads the block dimension; the sweeps' integer levels
+# come straight from those blocks, never through a Face, the label -> face
+# dispatch or a Fraction cleared back to integers
+BLOCK_DIM_READERS = frozenset({"geometry._model_blocks"})
+LEVEL_DETOURS = ("_label_face", "dual_ball_faces", "clear_denominators", "Face", "Fraction")
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -424,3 +431,11 @@ def test_only_norms_turns_labels_into_faces():
              for name in FACE_BUILDERS for site in runtime_readers(p.stem, p.read_text(), name)}
     assert found == LABEL_FACE_READERS
     assert name_readers("analysis", (SRC / "analysis.py").read_text(), "dual_ball_faces") == []
+
+
+def test_levels_come_from_one_block_walk():
+    found = {site for p in SRC.glob("*.py") for site in name_readers(p.stem, p.read_text(), "_block_dim")}
+    assert found == BLOCK_DIM_READERS
+    source = (SRC / "norms.py").read_text()
+    detours = {site for name in LEVEL_DETOURS for site in name_readers("norms", source, name)}
+    assert "norms._weight_free_level" not in detours

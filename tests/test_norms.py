@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pengeom.geometry as geometry_module
 import pengeom.norms as norms_module
 from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
 from pengeom.geometry import (
@@ -372,6 +373,52 @@ def test_dual_ball_level_is_the_face_table_in_integers():
             # a sweep that tests no face reads the labels and counts alone
             _, bare = norms_module._dual_ball_level(norm, codim, None, False)
             assert bare == tuple((label, count, ()) for label, count, _ in level)
+
+
+def test_building_a_level_builds_no_face(monkeypatch):
+    # a level comes straight from each label's blocks: with Face refusing to
+    # be built, every level of the level norms still builds from cold caches
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Face was built for a level")
+
+    norms = list(_level_norms())
+    norms_module._dual_ball_level.cache_clear()
+    norms_module._weight_free_level.cache_clear()
+    monkeypatch.setattr(geometry_module.Face, "__init__", refuse)
+    with pytest.raises(AssertionError, match="Face was built"):
+        model_to_face((1, 0), (2, 1))
+    for norm in norms:
+        for codim in (None, *range(norm.dim + 1)):
+            for vertices in (True, False):
+                norms_module._dual_ball_level(norm, codim, None, vertices)
+    assert norms_module._weight_free_level.cache_info().misses > 0
+
+
+@settings(max_examples=15)  # each example builds every level of two pairs of norms
+@given(vectors_and_weights(max_p=4), st.fractions(Fraction(1, 8), 8, max_denominator=8).filter(bool))
+@example(([0, 0, 0], Fraction(3, 2), [2, 2, 0]), Fraction(2, 3))
+def test_scaled_weights_read_one_weight_free_level(case, c):
+    # a level reads the weights only through their ties and zeros, so the
+    # weights w and c w (and the l1 scales s and c s) share labels, vertex
+    # counts and one weight-free level, and their integer vertices, each
+    # read over its own d, are the same points up to the factor c
+    _, scale, w = case
+    p = len(w)
+    built = norms_module._weight_free_level.cache_info
+    norms_module._dual_ball_level.cache_clear()
+    norms_module._weight_free_level.cache_clear()
+    pairs = [(slope_norm(w), slope_norm([c * x for x in w])),
+             (l1_norm(p, scale), l1_norm(p, c * scale))]
+    for codim in (None, *range(p + 1)):
+        for norm, scaled in pairs:
+            misses = built().misses
+            d, level = norms_module._dual_ball_level(norm, codim, None)
+            e, other = norms_module._dual_ball_level(scaled, codim, None)
+            assert built().misses == misses + 1
+            assert [t[:2] for t in other] == [t[:2] for t in level]
+            for (_, _, ivs), (_, _, jvs) in zip(level, other):
+                assert [[Fraction(y, e) for y in v] for v in jvs] == \
+                       [[c * Fraction(x, d) for x in v] for v in ivs]
 
 
 def region_by_row_subsets(X, norm):
