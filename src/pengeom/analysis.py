@@ -50,12 +50,12 @@ from .norms import (
     PolytopeNorm,
     _dual_ball_face,
     _dual_ball_level,
+    _zero_region,
     dual_ball_membership,
     exposed_primal_vertices,
     l1_norm,
     norm_value,
     slope_norm,
-    zero_region,
 )
 from .solvers import (
     Solution,
@@ -301,7 +301,8 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     if route in (ANALYTIC, BOTH):
         # X'u over the region's vertices u, over one common denominator, so
         # each pattern's support value is integer dot products and one Fraction
-        den, duals = clear_denominators(X.rmatvec(u) for u in zero_region(X, norm))
+        region = _zero_region(X, norm)
+        den, duals = region.den, region.duals
     # every label is an integer vector, so its norm, the permutohedron weights
     # paired with its sorted magnitudes, is one integer sum over their common
     # denominator

@@ -21,6 +21,7 @@ from .analysis import (
     _certificate_dict,
     _fit,
     _json_scalar,
+    _json_vector,
     accessible_sign_vectors,
     accessible_slope_models,
     check_uniqueness,
@@ -32,6 +33,7 @@ from .exact import _entries, load_matrix, parse_rational, rank, rat_str, vec
 from .geometry import CapExceeded, enumerate_models
 from .norms import SLOPE, PolytopeNorm, l1_norm, slope_norm, sup_norm
 from .solvers import solve_bp
+from .svg import dual_ball_figure, response_region_figure
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -205,12 +207,11 @@ def cmd_accessible(args) -> int:
 
 def _solve_payload(fit) -> dict:
     sol = fit.solution
-    show = rat_str if sol.route == "exact" else float  # y inside the zero-solution region
     return {
-        "solution": [show(v) for v in sol.point],
-        "objective": show(sol.objective),
+        "solution": _json_vector(sol.point),
+        "objective": _json_scalar(sol.objective),
         "pattern": list(fit.pattern),
-        "residual": [show(v) for v in fit.residual],
+        "residual": _json_vector(fit.residual),
         "route": sol.route,
         "iterations": sol.iterations,
         "converged": sol.converged,
@@ -230,7 +231,7 @@ def cmd_solve(args) -> int:
         payload["inputs"] = _echo_inputs(args, X=X, y=y)
         sol = solve_bp(X, y)
         payload["result"] = {
-            "solution": [_json_scalar(v) for v in sol.point],
+            "solution": _json_vector(sol.point),
             "objective": _json_scalar(sol.objective),
             "route": sol.route,
             "certificate": _certificate_dict(sol.certificate),
@@ -267,10 +268,9 @@ def cmd_decompose(args) -> int:
     payload: dict = {"command": "decompose", "inputs": _echo_inputs(args, X=X, norm=norm, y=y)}
     fit = _fit(X, y, norm)
     exact = fit.solution.route == "exact"  # y inside the zero-solution region
-    show = rat_str if exact else float
     result = {
-        "projection": [show(t) for t in fit.residual],
-        "fitted": [show(t) for t in fit.fitted],
+        "projection": _json_vector(fit.residual),
+        "fitted": _json_vector(fit.fitted),
         "pattern": list(fit.pattern),
         "exact": exact,
     }
@@ -338,8 +338,6 @@ def cmd_genericity(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .svg import dual_ball_figure, response_region_figure
-
     _require_format(args, ("svg",))
     X = load_matrix(args.matrix) if args.matrix is not None else None
     if X is not None:

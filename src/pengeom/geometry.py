@@ -12,7 +12,9 @@ permutohedron on the zero block. Strictly decreasing positive weights make
 this a bijection; tied or zero weights let several models share one face.
 One walk over m's blocks (_model_blocks) gives them and the codimension, and
 one vertex count and one vertex generator read them, for weights of any
-type: a Face's Fractions, or a sweep level's integers (norms).
+type: a Face's Fractions, or a sweep level's integers (norms). Models are
+listed top level by top level (_models), so a level of codimension c, whose
+faces all have top level at most c, lists no model above it.
 
 The l1 cube [-s, s]^p and the sup cross-polytope are the sign permutohedra
 of (s, ..., s) and (1, 0, ..., 0), so their faces are the model faces of sign
@@ -104,37 +106,42 @@ def is_model(m: Sequence[int]) -> bool:
     return mags == set(range(1, max(mags) + 1)) if mags else True
 
 
-def _surjection_patterns(k: int) -> list[list[tuple[int, ...]]]:
-    """patterns[L] = all maps [k] -> {1..L} hitting every level."""
-    out: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
-    for L in range(1, k + 1):
-        for assignment in itertools.product(range(1, L + 1), repeat=k):
-            if len(set(assignment)) == L:
-                out[L].append(assignment)
-    return out
+def _models(p: int, limit: int, top: int | None = None) -> Iterator[tuple[int, ...]]:
+    """The models of dimension p whose top level is at most top (any, for
+    None), by (top level, entries): for each level L = 0, 1, ... the vectors
+    over -L..L covering every level 1..L, in lexicographic order. A prefix is
+    extended only while the positions left can still cover the levels it
+    misses. Refuses when p exceeds limit."""
+    if p < 1:
+        raise ValueError("dimension must be >= 1")
+    if p > limit:
+        raise CapExceeded(f"model enumeration for p={p} exceeds cap {limit}")
+    top = p if top is None else min(top, p)
+    return itertools.chain.from_iterable(_level_models(p, L) for L in range(top + 1))
+
+
+def _level_models(p: int, L: int) -> list[tuple[int, ...]]:
+    """The models of dimension p with top level L, in lexicographic order."""
+
+    @functools.cache
+    def tail(k: int, missing: int) -> list[tuple[int, ...]]:
+        # the length-k tails over -L..L whose magnitudes cover every level
+        # whose bit is set in missing
+        if k == 0:
+            return [()]
+        return [(v,) + rest
+                for v in range(-L, L + 1)
+                for left in [missing & ~(1 << abs(v))]
+                if left.bit_count() < k
+                for rest in tail(k - 1, left)]
+
+    return tail(p, (1 << (L + 1)) - 2)
 
 
 def enumerate_models(p: int, limit: int = DEFAULT_MODEL_LIMIT) -> list[tuple[int, ...]]:
     """All models in dimension p, sorted by (max level, entries). The count
     grows like the ordered Bell numbers, hence the refusal cap."""
-    if p < 1:
-        raise ValueError("dimension must be >= 1")
-    if p > limit:
-        raise CapExceeded(f"model enumeration for p={p} exceeds cap {limit}")
-    patterns_by_size = {k: _surjection_patterns(k) for k in range(1, p + 1)}
-    out = [tuple([0] * p)]
-    for support_size in range(1, p + 1):
-        patterns = patterns_by_size[support_size]
-        for support in itertools.combinations(range(p), support_size):
-            for L in range(1, support_size + 1):
-                for assignment in patterns[L]:
-                    for signs in itertools.product((1, -1), repeat=support_size):
-                        m = [0] * p
-                        for pos, lvl, s in zip(support, assignment, signs):
-                            m[pos] = s * lvl
-                        out.append(tuple(m))
-    out.sort(key=lambda m: (max(abs(v) for v in m), m))
-    return out
+    return list(_models(p, limit))
 
 
 def sign_vectors(p: int, limit: int = DEFAULT_SIGN_LIMIT) -> Iterator[tuple[int, ...]]:
@@ -240,7 +247,8 @@ class Face:
 
     @functools.cached_property
     def _vertex_count(self) -> int:
-        # once per face: every face test reads it, and sweeps reuse faces
+        # once per face: a reported face's witness and its JSON read it
+        # through vertices(), and face_intersects_rowspace checks it first
         return len(self.hull) if self.model is None else _block_vertex_count(self.blocks)
 
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[Vector, ...]:
@@ -339,8 +347,9 @@ def _rank_arrangements(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=8192)
 def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
-    # repeated sweeps (accessibility tables, Monte Carlo trials) hit the same
-    # faces over and over; materialization is pure, so a shared cache is safe
+    # read by a reported face's witness and its JSON (the sweeps test integer
+    # levels and build no face); materialization is pure, so a shared cache
+    # is safe
     return face.hull if face.model is None else _block_vertices(face.blocks, face.signs)
 
 

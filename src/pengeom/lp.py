@@ -22,8 +22,9 @@ The package builds two programs, both over nonnegative weights: the gauge LP
 of a polytope norm (solvers) and the convex weights of a point of a face
 (geometry). Each optimum carries an optimal dual, read off the final
 tableau: for the gauge LP it is a point of the zero-solution region, which is
-how basis pursuit gets its dual certificate. The accessibility sweeps and the
-region figure read that region's vertices (norms.zero_region) instead.
+how basis pursuit gets its dual certificate. The analytic accessibility
+route and both figures read that region from its one double description per
+(design, norm), cached in norms._zero_region, instead.
 """
 
 from __future__ import annotations

@@ -15,9 +15,14 @@ maps the dispatch over those labels; the sweeps read them as integers, with
 each norm's own integer weights in place of C (_dual_ball_level). Both are
 cached (64 patterns, 64 norms); a reported face is cached per (norm, label).
 
-zero_region is the one description of the zero-solution region
-{u : ||X'u||_* <= 1}: its vertices give the analytic accessibility route and
-the region figure.
+zero_region lists the vertices of the zero-solution region
+D = {u : ||X'u||_* <= 1}, from one double description per (design, norm),
+cached (64 pairs) with what its readers need (_zero_region): X'u for each
+vertex u over one common denominator, which the analytic accessibility route
+pairs with each label, and u's tight set, the primal-ball vertices v with
+<Xv, u> = 1, which names G(u), the smallest dual-ball face holding X'u
+(_tight_face). Both figures label the region's vertices and edges, and the
+crossings of a rank-one row space, from those tight sets.
 
 norm_value and dual_norm_value are the one copy of the norm arithmetic: a
 private _NormForm per norm pairs the sorted |x| with the same weights, or
@@ -38,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import (
     RationalMatrix,
@@ -60,7 +65,7 @@ from .geometry import (
     _block_vertices,
     _crosspolytope_weights,
     _model_blocks,
-    enumerate_models,
+    _models,
     model_of,
     model_to_face,
     sign_to_crosspolytope_face,
@@ -233,15 +238,13 @@ def _weight_free_level(models: bool, C: tuple[int, ...], codim: int | None,
     vertices interned; with vertices False, none are built. The zero label's
     face is the whole ball, which every test decides without its vertices,
     so it keeps none. Only limit None means the default cap; 0 refuses."""
-    if models:
-        labels = enumerate_models(len(C), DEFAULT_MODEL_LIMIT if limit is None else limit)
+    if models:  # a face's codim is at least its top level
+        labels = _models(len(C), DEFAULT_MODEL_LIMIT if limit is None else limit, codim)
     else:
         labels = sign_vectors(len(C), DEFAULT_SIGN_LIMIT if limit is None else limit)
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     out = []
     for label in labels:
-        if codim is not None and max(map(abs, label)) > codim:
-            continue  # the codim is at least the top level
         blocks, c = _model_blocks(label, C)
         if codim is None or c == codim:
             ivs = ()
@@ -301,7 +304,6 @@ def primal_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
     return tuple(x for _, x in unit_sphere_sign_points(norm))
 
 
-@functools.lru_cache(maxsize=256)
 def exposed_primal_vertices(norm: PolytopeNorm, s: Vector) -> tuple[Vector, ...]:
     """The primal_ball_vertices of norm that pair to 1 with the dual-ball
     point s, none when s is interior. Each pairs to at most 1 with every
@@ -326,6 +328,17 @@ def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
     return _label_face(norm, label)
 
 
+def _tight_face(norm: PolytopeNorm, *tight_sets: Sequence[Vector]) -> Face:
+    """The smallest dual-ball face holding a boundary point s whose tight set,
+    the primal-ball vertices pairing to 1 with s, is what the given tight sets
+    share: one set at a vertex of the zero region, the two ends' sets along
+    its edge. The sum of those vertices lies in the relative interior of the
+    normal cone at s, so its subdifferential face is that smallest face (the
+    whole ball when none is tight)."""
+    shared = [v for v in tight_sets[0] if all(v in t for t in tight_sets[1:])]
+    return subdifferential_face(norm, [sum(v[j] for v in shared) for j in range(norm.dim)])
+
+
 def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], Vector]]:
     """(sigma, sigma / ||sigma||) for every nonzero sign vector: points of the
     primal unit sphere whose pairing against dual-ball faces identifies the
@@ -340,6 +353,18 @@ def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], V
     return out
 
 
+class _ZeroRegion(NamedTuple):
+    """The zero-solution region D of one (design, norm): its vertices u, X'u
+    for each over one common denominator den (the rows of duals), and each
+    vertex's tight set, the primal_ball_vertices v with <Xv, u> = 1, in their
+    order."""
+
+    vertices: tuple[Vector, ...]
+    den: int
+    duals: tuple[tuple[int, ...], ...]
+    tight: tuple[tuple[Vector, ...], ...]
+
+
 def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
     """Vertices of the zero-solution region D = {u : ||X'u||_* <= 1}, the
     responses whose penalized minimizer is zero, by exact double description.
@@ -351,6 +376,14 @@ def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
     ker(X'). Either way X'u ranges over the section of the dual ball by
     row(X), so by LP duality max <Xm, u> over the vertices is the least norm
     over {b : Xb = Xm}, and a vertex attaining it is a dual certificate.
+    """
+    return _zero_region(X, norm).vertices
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
+    """zero_region's double description, kept per (design, norm) with the
+    duals and tight sets its readers need.
 
     The start is the parallelotope |<a, u>| <= 1 of the first rk(X)
     independent constraint normals a. Each further halfspace drops the
@@ -358,15 +391,20 @@ def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
     dropped vertex to a kept one. Two vertices span an edge iff no third
     vertex is tight on every constraint both are tight on (Motzkin et al.
     1953; Fukuda & Prodon 1996), a test on tight-set bitmasks. The work is in
-    integers, each vertex an integer vector over a positive denominator.
+    integers, each vertex an integer vector over a positive denominator. A
+    crossing point is tight exactly where both ends of its edge are, so the
+    bitmasks end as the tight sets; the normals are deduplicated, and each
+    tight normal stands for every primal-ball vertex with that image.
     """
     if norm.dim != X.ncols:
         raise ValueError("norm dimension does not match the matrix")
     _, support = rref(X.transpose())  # pivot columns of X' are independent rows of X
     if not support:  # X = 0: D is the whole space, and u = 0 stands for it
-        return (tuple(Fraction(0) for _ in range(X.nrows)),)
+        zero = tuple(Fraction(0) for _ in range(X.nrows))
+        return _ZeroRegion((zero,), 1, ((0,) * X.ncols,), ((),))
     r = len(support)
-    images = (tuple(dot(X.rows[i], v) for i in support) for v in primal_ball_vertices(norm))
+    primal = primal_ball_vertices(norm)
+    images = [tuple(dot(X.rows[i], v) for i in support) for v in primal]
     normals = list(dict.fromkeys(a for a in images if any(a)))
     index = {a: k for k, a in enumerate(normals)}
     _, first = rref(RationalMatrix(tuple(normals)).transpose())  # the first r independent
@@ -411,10 +449,13 @@ def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
         kept = [i for i, s in enumerate(vals) if s <= 0]
         masks = [masks[i] | bit if not vals[i] else masks[i] for i in kept] + cut_masks
         verts = [verts[i] for i in kept] + cut
-    out = []
+    vertices = []
     for U, d in verts:
         full = [Fraction(0)] * X.nrows
         for i, x in zip(support, U):
             full[i] = Fraction(x, d)
-        out.append(tuple(full))
-    return tuple(out)
+        vertices.append(tuple(full))
+    den, duals = clear_denominators(X.rmatvec(u) for u in vertices)
+    bits = [1 << index[a] if any(a) else 0 for a in images]  # per primal-ball vertex
+    tight = tuple(tuple(v for v, b in zip(primal, bits) if m & b) for m in masks)
+    return _ZeroRegion(tuple(vertices), den, duals, tight)

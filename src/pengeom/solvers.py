@@ -6,8 +6,9 @@ The gauge LP writes b as a nonnegative combination of the primal unit ball's
 vertices V, so ||b|| = min sum(lam) over b = V lam for every polytope norm;
 only V depends on the norm. Its dual feasible set is the zero-solution region
 D = {u : ||X'u||_* <= 1}, so the least norm is max <X target, u> over the
-vertices of D (norms.zero_region), which is how the accessibility sweeps read
-it without an LP; and for l1 the LP's optimal dual u at y = Xb is a basis
+vertices of D, which is how the analytic accessibility route reads it without
+an LP, from X'u over D's vertices as norms._zero_region keeps them per
+(design, norm); and for l1 the LP's optimal dual u at y = Xb is a basis
 pursuit dual certificate for b whenever ||b||_1 attains the least norm.
 
 The float route never decides anything: it produces a candidate point plus a

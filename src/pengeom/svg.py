@@ -1,12 +1,15 @@
 """Static SVG diagrams: 2-D dual balls with row-space lines, and the
-response-space region whose penalized minimizer is zero. The region's polygon
-is the vertex list of norms.zero_region.
+response-space region whose penalized minimizer is zero. Both read the zero
+region D of their (design, norm) from norms._zero_region: the region's
+polygon is D's vertex list, and a rank-one row space crosses the dual ball at
+X'u for D's two vertices u.
 
-Face labels come from the face table norms.dual_ball_faces: each proper face
-is labeled by its sign vector or model, and a boundary point by the smallest
-face containing it, the subdifferential face at the sum of the primal-ball
-vertices exposing it. Under tied or zero slope weights several models share a
-face, and the dual-ball figure labels it once, by its first model.
+The unlabeled dual ball reads its face table norms.dual_ball_faces: each
+proper face is labeled by its sign vector or model. Under tied or zero slope
+weights several models share a face, and the figure labels it once, by its
+first model. A boundary point is labeled by the smallest face containing it,
+read off D's tight sets (norms._tight_face): a vertex's own, or the one an
+edge's two ends share.
 
 Everything is drawn from exact rational geometry and formatted with fixed
 precision, so a given input always produces byte-identical output.
@@ -16,8 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .exact import RationalMatrix, rank, rat_str
 from .geometry import Face
@@ -25,12 +26,10 @@ from .norms import (
     L1,
     SUP,
     PolytopeNorm,
+    _tight_face,
+    _zero_region,
     dual_ball_faces,
     dual_ball_vertices,
-    dual_norm_value,
-    exposed_primal_vertices,
-    subdifferential_face,
-    zero_region,
 )
 
 Vector = tuple[Fraction, ...]
@@ -49,17 +48,13 @@ def _fmt(v) -> str:
     return "0" if s in ("-0", "") else s
 
 
-def _ccw(points: Sequence[Vector]) -> list[Vector]:
-    return sorted(points, key=lambda v: math.atan2(float(v[1]), float(v[0])))
+def _angle(v: Vector) -> float:
+    return math.atan2(float(v[1]), float(v[0]))
 
 
-def _minimal_boundary_face(norm: PolytopeNorm, s: Vector) -> Face:
-    """The smallest dual-ball face containing boundary point s. The sum of
-    the primal-ball vertices that pair to 1 with s lies in the relative
-    interior of the normal cone at s, so its subdifferential face is that
-    smallest face."""
-    tight = exposed_primal_vertices(norm, s)
-    return subdifferential_face(norm, [sum(col) for col in zip(*tight)])
+def _escape(text: str) -> str:
+    # the XML character escapes, & first so the others stay single
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Canvas:
@@ -99,14 +94,14 @@ class _Canvas:
         x, y = self.map(anchor_pt)
         self.body.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" fill="{fill}" '
-            f'font-family="sans-serif" text-anchor="middle">{escape(label)}</text>'
+            f'font-family="sans-serif" text-anchor="middle">{_escape(label)}</text>'
         )
 
     def caption(self, lines):
         for i, line in enumerate(lines):
             self.body.append(
                 f'<text x="8" y="{16 + 14 * i}" font-size="12" fill="#1a1a1a" '
-                f'font-family="sans-serif">{escape(line)}</text>'
+                f'font-family="sans-serif">{_escape(line)}</text>'
             )
 
     def render(self) -> str:
@@ -144,7 +139,7 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
     line and the faces that line crosses, labeled by sign vector or model."""
     if norm.dim != 2:
         raise ValueError("dual-ball figures need exactly two columns")
-    poly = _ccw(dual_ball_vertices(norm))
+    poly = sorted(dual_ball_vertices(norm), key=_angle)
     radius = max(max(abs(c) for c in v) for v in poly)
     reach = radius * Fraction(3, 2)
     canvas = _Canvas(reach, size)
@@ -172,11 +167,13 @@ def dual_ball_figure(norm: PolytopeNorm, X: RationalMatrix | None = None, size: 
                 tuple(-c * stretch for c in d), tuple(c * stretch for c in d),
                 "#b03030", width="1.5",
             )
-            gauge = dual_norm_value(norm, d)
-            for side in (1, -1):
-                s = tuple(side * c / gauge for c in d)
+            # the line leaves the ball at X'u for the two vertices u of the
+            # zero region, both supported on d's row: the side of d (u > 0) first
+            region = _zero_region(X, norm)
+            for k in sorted(range(2), key=lambda k: -sum(region.vertices[k])):
+                s = tuple(Fraction(x, region.den) for x in region.duals[k])
                 canvas.circle(s, 3, "#701010")
-                _highlight(canvas, _minimal_boundary_face(norm, s), "#e8850c")
+                _highlight(canvas, _tight_face(norm, region.tight[k]), "#e8850c")
     canvas.caption(caption)
     return canvas.render()
 
@@ -185,27 +182,30 @@ def response_region_figure(X: RationalMatrix, norm: PolytopeNorm, size: int = 42
     """Region of responses whose penalized minimizer is exactly zero, drawn in
     the plane. Needs two rows and full row rank so the region is a polygon,
     the one norms.zero_region lists; its faces are then preimages under X' of
-    the dual-ball faces met by row(X), labeled accordingly."""
+    the dual-ball faces met by row(X), labeled accordingly: a vertex by the
+    face its tight set names, an edge by the one its ends' tight sets share."""
     if X.nrows != 2:
         raise ValueError("response-region figures need exactly two rows")
     if norm.dim != X.ncols:
         raise ValueError("norm dimension must match column count")
     if rank(X) != 2:
         raise ValueError("rows must be linearly independent, else the region is unbounded")
-    poly = _ccw(zero_region(X, norm))
+    region = _zero_region(X, norm)
+    corners = sorted(zip(region.vertices, region.tight), key=lambda c: _angle(c[0]))
+    poly = [v for v, _ in corners]
     radius = max(max(abs(c) for c in v) for v in poly)
     reach = radius * Fraction(3, 2)
     canvas = _Canvas(reach, size)
     _axes(canvas, reach)
     canvas.polygon(poly, "#e7f3e7", "#2f6d2f")
 
-    for i, v in enumerate(poly):
+    for i, (v, tight) in enumerate(corners):
         canvas.circle(v, 2.5, "#2f6d2f")
-        nxt = poly[(i + 1) % len(poly)]
-        hit = _minimal_boundary_face(norm, X.rmatvec(v))
+        nxt, nxt_tight = corners[(i + 1) % len(corners)]
+        hit = _tight_face(norm, tight)
         canvas.text(tuple(c * Fraction(118, 100) for c in v), str(hit.pattern), size=10)
         mid = tuple((a + b) / 2 for a, b in zip(v, nxt))
-        hit = _minimal_boundary_face(norm, X.rmatvec(mid))
+        hit = _tight_face(norm, tight, nxt_tight)
         canvas.text(tuple(c * Fraction(13, 10) for c in mid), str(hit.pattern), size=10)
     canvas.caption(["responses with zero minimizer", _norm_caption(norm)])
     return canvas.render()

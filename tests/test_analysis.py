@@ -745,7 +745,7 @@ def test_capped_sweeps_refuse_before_building_the_region(monkeypatch):
     def refuse(*args):
         raise AssertionError("zero region built for a refused sweep")
 
-    monkeypatch.setattr(analysis_module, "zero_region", refuse)
+    monkeypatch.setattr(analysis_module, "_zero_region", refuse)
     X = RationalMatrix.from_rows([[1, 2, 0, -1, 1, 1, 0], [0, 1, 1, 2, -1, 0, 1]])
     for route in (ANALYTIC, BOTH):
         with pytest.raises(CapExceeded, match="exceeds cap 6"):

@@ -99,6 +99,18 @@ def test_enumerate_models_small_counts():
     assert all(is_model(m) for m in ms)
 
 
+def test_models_are_listed_level_by_level():
+    # brute force over {-p..p}^p, sorted by (top level, entries); the listing
+    # and each of its top-level prefixes match it
+    for p in range(1, 5):
+        brute = sorted((m for m in itertools.product(range(-p, p + 1), repeat=p) if is_model(m)),
+                       key=lambda m: (max(map(abs, m)), m))
+        assert enumerate_models(p) == brute
+        for top in range(p + 1):
+            assert list(geometry._models(p, p, top)) == [m for m in brute
+                                                         if max(map(abs, m)) <= top]
+
+
 def test_enumeration_caps():
     with pytest.raises(CapExceeded):
         enumerate_models(7)

@@ -1,6 +1,10 @@
-"""Static checks on the package source, stdlib ast only."""
+"""Static checks on the package source, stdlib ast only, and one check of
+the modules a plain `import pengeom` loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pengeom"
@@ -208,6 +212,11 @@ SOLVER_CLASSES = ("Certificate", "Solution", "SolverOptions")
 FACE_BUILDERS = ("model_to_face", "sign_to_cube_face", "sign_to_crosspolytope_face")
 LABEL_FACE_READERS = frozenset({"norms._label_face"})
 
+
+# the figures read D's vertices, duals and tight sets from the one cached
+# zero region; none rebuilds a piece of it from the norm
+FIGURE_REBUILDERS = ("exposed_primal_vertices", "subdifferential_face", "dual_norm_value",
+                     "zero_region")
 
 # every face's blocks and codimension come from one walk over a label's
 # levels, which alone reads the block dimension; the sweeps' integer levels
@@ -439,3 +448,20 @@ def test_levels_come_from_one_block_walk():
     source = (SRC / "norms.py").read_text()
     detours = {site for name in LEVEL_DETOURS for site in name_readers("norms", source, name)}
     assert "norms._weight_free_level" not in detours
+
+
+def test_figures_read_the_zero_region_object():
+    source = (SRC / "svg.py").read_text()
+    assert [site for name in FIGURE_REBUILDERS for site in name_readers("svg", source, name)] == []
+
+
+def test_import_loads_the_figures_without_xml():
+    # svg escapes its own text, so the package import pulls in neither
+    # xml.sax nor the urllib.request it loads
+    code = ("import sys, pengeom; "
+            "print(sorted(m for m in ('pengeom.svg', 'xml.sax', 'urllib.request') "
+            "if m in sys.modules))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "['pengeom.svg']"

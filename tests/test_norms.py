@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import pengeom.geometry as geometry_module
 import pengeom.norms as norms_module
-from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
+from pengeom.analysis import BOTH, accessible_slope_models
+from pengeom.exact import RationalMatrix, clear_denominators, dot, rank, solve_exact, vec
 from pengeom.geometry import (
     DEFAULT_VERTEX_CAP,
     CapExceeded,
@@ -29,6 +30,7 @@ from pengeom.norms import (
     dual_ball_membership,
     dual_ball_vertices,
     dual_norm_value,
+    exposed_primal_vertices,
     l1_norm,
     norm_value,
     primal_ball_vertices,
@@ -39,6 +41,7 @@ from pengeom.norms import (
     zero_region,
 )
 from pengeom.solvers import bp_certificate_holds, bp_dual_certificate, norm_min_subject_to
+from pengeom.svg import response_region_figure
 
 W2 = slope_norm(["3.5", "1.5"])
 
@@ -463,6 +466,44 @@ def region_cases():
             if n > 1:
                 yield RationalMatrix.from_rows(rows[:-1] + [[2 * x for x in rows[0]]]), norm
             yield RationalMatrix.from_rows([[0] * p] * n), norm
+
+
+def tight_set_cases():
+    """region_cases, plus strict, tied and zero-tail slope weights at p = 4
+    on seeded designs with one to three rows."""
+    yield from region_cases()
+    rng = random.Random(19)
+    for w in ([4, 3, 2, 1], [3, 3, 1, 1], [2, 1, 1, 0]):
+        for n in (1, 2, 3):
+            rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)]
+                    for _ in range(n)]
+            yield RationalMatrix.from_rows(rows), slope_norm(w)
+
+
+def test_zero_region_tight_sets_name_the_minimal_faces():
+    # the double description's tight sets are the primal-ball vertices X'u
+    # exposes, so G(u) comes off them; the duals are X'u over one denominator
+    for X, norm in tight_set_cases():
+        region = norms_module._zero_region(X, norm)
+        assert region.vertices == zero_region(X, norm)
+        assert (region.den, region.duals) == clear_denominators(
+            X.rmatvec(u) for u in zero_region(X, norm))
+        for u, tight in zip(region.vertices, region.tight):
+            exposed = exposed_primal_vertices(norm, X.rmatvec(u))
+            assert set(tight) == set(exposed)
+            x = [sum(col) for col in zip(*exposed)] if exposed else [0] * X.ncols
+            assert norms_module._tight_face(norm, tight) == subdifferential_face(norm, x)
+
+
+def test_one_double_description_per_design_and_norm():
+    # the model table on both routes and the region figure share one region
+    rows = [["8", "5", "8"], ["10", "5/4", "-6"]]
+    weights = ["11/2", "7/2", "3/2"]
+    norms_module._zero_region.cache_clear()
+    accessible_slope_models(RationalMatrix.from_rows(rows), weights, route=BOTH)
+    response_region_figure(RationalMatrix.from_rows(rows), slope_norm(weights))
+    info = norms_module._zero_region.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_zero_region_small_cases():
