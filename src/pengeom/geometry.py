@@ -28,10 +28,10 @@ integer core takes a face as integer vertices over one denominator, whether
 they come from a Face (face_intersects_rowspace) or from a sweep's integer
 level (DesignKernel.level_hit). Faces with one or two vertices are decided by
 integer sign and cross-product tests on the images (fraction-free, in the
-spirit of Bareiss elimination); larger faces solve a small LP whose integer
-columns are those same images, every row carrying the same positive factor,
-so the simplex pivots as it would on the rational program. Fractions return
-only on a hit, to form the exact point of the face and its preimage z.
+spirit of Bareiss elimination); larger faces run simplex phase 1 alone
+(lp.lp_feasible) on those same images, every row carrying the same positive
+factor, so it pivots as on the rational program and hands back integer
+weights. Fractions return only on a hit, to form the point and its z.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .exact import (
     rowspace_preimage,
     vec,
 )
-from .lp import LinearProgram, lp_feasible
+from .lp import lp_feasible
 
 DEFAULT_MODEL_LIMIT = 6
 DEFAULT_SIGN_LIMIT = 10
@@ -353,16 +353,17 @@ def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     return face.hull if face.model is None else _block_vertices(face.blocks, face.signs)
 
 
-def _convex_zero_weights(columns: Sequence[tuple[int, ...]], total: int) -> Vector | None:
-    """Convex weights alpha >= 0, sum(alpha) = 1, with sum_i alpha_i
-    columns[i] = 0, or None when 0 is outside the hull of the columns.
-    columns are integer points times total > 0, so the LP rows are the
-    coordinates in order, then the sum row, total in every column, with
-    b = (0, ..., 0, total): the rational program with every row times total,
-    on which Bland's rule takes the same pivots and returns the same alpha."""
+def _convex_zero_weights(columns: Sequence[tuple[int, ...]],
+                         total: int) -> tuple[int, tuple[int, ...]] | None:
+    """(d, x) with convex weights alpha = x / d, sum_i alpha_i columns[i] = 0,
+    or None when 0 is outside the hull of the columns. columns are integer
+    points times total > 0, so the rows are the coordinates in order, then
+    the sum row, total in every column, with b = (0, ..., 0, total): the
+    rational program with every row times total, on which Bland's rule takes
+    the same pivots. Phase 1 alone decides it, integers in and out."""
     k = len(columns)
     rows = (*zip(*columns), (total,) * k)
-    return lp_feasible(LinearProgram(c=(0,) * k, a_eq=rows, b_eq=(0,) * (len(rows) - 1) + (total,)))
+    return lp_feasible(rows, (0,) * (len(rows) - 1) + (total,), k)
 
 
 def check_weights(w: Sequence) -> tuple[Fraction, ...]:
@@ -514,8 +515,8 @@ class DesignKernel:
     dual-ball vertex shared by many faces is projected once per design and a
     sweep that stops early pays only for the vertices it reached. One scale
     for the whole basis keeps the face LP's rows a uniform multiple of the
-    rational program's, so its pivots and its alpha stay those of the
-    Fraction basis.
+    rational program's, so its phase-1 pivots and its alpha stay those of
+    the Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
@@ -558,12 +559,10 @@ class DesignKernel:
             n, q = alpha.numerator, alpha.denominator
             point = tuple(Fraction(n * x + (q - n) * y, q * den) for x, y in zip(*ivs))
         else:
-            alpha = _convex_zero_weights([self.image(v) for v in ivs], self.scale * den)
-            if alpha is None:
+            found = _convex_zero_weights([self.image(v) for v in ivs], self.scale * den)
+            if found is None:
                 return None
-            # sum alpha_k v_k in integers: the weights and the vertices each over
-            # one common denominator, one Fraction per coordinate
-            d, (weights,) = clear_denominators((alpha,))
+            d, weights = found
             point = tuple(Fraction(sum(map(operator.mul, weights, col)), d * den) for col in zip(*ivs))
         z = rowspace_preimage(self.X, point)
         if z is None:
@@ -620,10 +619,10 @@ def face_intersects_rowspace(
     one DesignKernel per design and pass it to every face of a sweep, since
     it memoizes the vertices' images. A vertex meets row(X) iff its image is
     zero, a segment iff the images' line passes through 0 between them (see
-    _segment_weight). Larger faces solve a feasibility LP over the convex
-    weights alpha whose columns are the integer images themselves, each K'v
-    times the product of the kernel's and the face's scales (see
-    _convex_zero_weights). The cap is checked before any vertex is built.
+    _segment_weight). Larger faces run phase 1 alone over the convex weights
+    alpha, on the integer images themselves, each K'v times the product of
+    the kernel's and the face's scales, and read alpha back as integers over
+    one denominator (see _convex_zero_weights). The cap is checked first.
     Fractions enter the point only on a hit, one per coordinate, and z with
     X'z = point comes from exact elimination.
     """

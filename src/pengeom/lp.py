@@ -18,13 +18,16 @@ dual, read off as Fractions at the end, are the same rationals. Scaling each
 row by its own factor would not do: it changes the phase-1 reduced costs,
 and with them the column Bland's rule enters.
 
-The package builds two programs, both over nonnegative weights: the gauge LP
-of a polytope norm (solvers) and the convex weights of a point of a face
-(geometry). Each optimum carries an optimal dual, read off the final
-tableau: for the gauge LP it is a point of the zero-solution region, which is
-how basis pursuit gets its dual certificate. The analytic accessibility
-route and both figures read that region from its one double description per
-(design, norm), cached in norms._zero_region, instead.
+The package asks two questions, both over nonnegative weights. The gauge LP
+of a polytope norm (solvers), over integer rows X V times one scale, is
+solved to optimality; its optimal dual, read off the final tableau, is a
+point of the zero-solution region, which is how basis pursuit gets its dual
+certificate (the accessibility route and the figures read that region from
+norms._zero_region instead). The convex weights of a point of a face
+(geometry) need only feasibility: lp_feasible runs phase 1 alone, integers
+in and out. At a zero phase-1 optimum every basic artificial is at zero, so
+a drive-out and a zero-cost phase 2 would pivot only on rows at zero and
+move no basic value: phase 1's x is the two-phase x.
 """
 
 from __future__ import annotations
@@ -185,29 +188,30 @@ class _Tableau:
             self._pivot(leave, enter, red)
 
 
+def _phase_one(a, b, n: int) -> _Tableau | None:
+    """Phase 1 on integer rows a and right-hand side b over n columns, each
+    row with b_i < 0 negated first: the tableau at a zero optimum of the sum
+    of one artificial per row, or None when Ax = b, x >= 0 is infeasible."""
+    t = _Tableau([list(r) if bi >= 0 else [-v for v in r] for r, bi in zip(a, b)],
+                 [abs(bi) for bi in b], n)
+    phase1 = [0] * n + [1] * len(t.add_artificials())
+    t.run(phase1)
+    return t if t._reduced_costs(phase1)[1] == 0 else None
+
+
 def _solve_standard(a, b, c) -> LPResult:
-    """min c'x, Ax = b, x >= 0. a, b, c hold rationals; rows of a are
-    consumed. The rows and b are scaled by their common denominator d0, the
-    costs by theirs, c0; the module docstring says why only uniform scales
-    keep Bland's pivots."""
+    """min c'x, Ax = b, x >= 0 for rationals a, b, c. The rows and b are
+    scaled by their common denominator d0, the costs by theirs, c0; the
+    module docstring says why only uniform scales keep Bland's pivots."""
     m = len(a)
     n = len(c)
-    flipped = [bi < 0 for bi in b]
-    for i in range(m):
-        if flipped[i]:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
     d0, rows = clear_denominators(a + [b])
     c0, (cost,) = clear_denominators([c])
-    t = _Tableau([list(r) for r in rows[:m]], list(rows[m]), n)
-    arts = t.add_artificials()
-    phase1 = [0] * n + [1] * len(arts)
-    t.run(phase1)
-    _, obj = t._reduced_costs(phase1)
-    if obj != 0:
+    t = _phase_one(rows[:m], rows[m], n)
+    if t is None:
         return LPResult(INFEASIBLE)
     # drive artificials out of the basis; drop rows that prove redundant
-    art_set = set(arts)
+    art_set = set(range(n, t.n))
     drop = []
     for i in range(t.m):
         if t.basis[i] in art_set:
@@ -223,11 +227,11 @@ def _solve_standard(a, b, c) -> LPResult:
     for i in reversed(drop):
         del t.a[i], t.b[i], t.basis[i]
         t.m -= 1
-    cost2 = list(cost) + [0] * len(arts)
+    cost2 = list(cost) + [0] * m
     status = t.run(cost2, frozen=art_set)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
-    return _optimum(t, cost2, c0, d0, flipped, n)
+    return _optimum(t, cost2, c0, d0, [bi < 0 for bi in b], n)
 
 
 def _optimum(t: _Tableau, cost: list[int], c0: int, d0: int, flipped: list[bool], n: int):
@@ -235,7 +239,7 @@ def _optimum(t: _Tableau, cost: list[int], c0: int, d0: int, flipped: list[bool]
     x is b / d on the basic columns. The artificial columns hold
     B^-1 * d / d0 (dropped rows included), because the rows were scaled by
     d0 and the artificials were not, so c_B B^-1 = d0 * sum C_k M[k][n+i] /
-    (c0 * d) is an optimal dual; a row negated above negates its entry
+    (c0 * d) is an optimal dual; a row phase 1 negated negates its entry
     back."""
     d = t.d
     x = [Fraction(0)] * n
@@ -263,7 +267,15 @@ def lp_solve(lp: LinearProgram) -> LPResult:
     return replace(res, x=res.x[:n])
 
 
-def lp_feasible(lp: LinearProgram) -> Vector | None:
-    """Phase-1 only: a feasible point, or None."""
-    res = lp_solve(replace(lp, c=(0,) * len(lp.c)))
-    return res.x if res.status == OPTIMAL else None
+def lp_feasible(a, b, n: int) -> tuple[int, tuple[int, ...]] | None:
+    """(d, x) with x integer, x / d >= 0 and a x = b, for integer rows a and
+    right-hand side b over n columns, or None. Phase 1 runs alone; x / d is
+    lp_solve's x at zero cost (see the module docstring)."""
+    t = _phase_one(a, b, n)
+    if t is None:
+        return None
+    x = [0] * n
+    for k, bk in zip(t.basis, t.b):
+        if k < n:
+            x[k] = bk
+    return t.d, tuple(x)

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .exact import RationalMatrix, Vector, dot, vec
-from .lp import OPTIMAL, lp_solve, nonneg_lp
+from .exact import RationalMatrix, Vector, clear_denominators, dot, vec
+from .lp import OPTIMAL, LinearProgram, lp_solve
 from .norms import (
     L1,
     PolytopeNorm,
@@ -286,17 +287,22 @@ def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):
     min sum(lam) s.t. (X V) lam = rhs, lam >= 0 with b = V lam; None when rhs
     is outside the column space of X. u is the LP's optimal dual, a point of
     the zero-solution region with <rhs, u> = value. Bland's rule makes the
-    vertex deterministic."""
+    vertex deterministic. X V is one integer product, X and V each over its
+    common denominator, so every row is f = d e times the rational one: x,
+    the value and the pivots stay, and the dual of the scaled rows is u / f."""
     verts = primal_ball_vertices(norm)
-    rows = tuple(zip(*(X.matvec(v) for v in verts)))
-    res = lp_solve(nonneg_lp(c=[1] * len(verts), a_eq=rows, b_eq=rhs))
+    e, iverts = clear_denominators(verts)
+    d, xrows, _ = X._integer_form
+    rows = tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
+    f = d * e
+    res = lp_solve(LinearProgram(c=(1,) * len(verts), a_eq=rows, b_eq=tuple(f * r for r in rhs)))
     if res.status != OPTIMAL:
         return None
     b = tuple(
         sum((lam * v[i] for lam, v in zip(res.x, verts) if lam), Fraction(0))
         for i in range(X.ncols)
     )
-    return res.value, b, res.dual
+    return res.value, b, tuple(f * u for u in res.dual)
 
 
 def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:

@@ -34,7 +34,7 @@ from pengeom.geometry import (
     sign_vectors,
     signed_permutations,
 )
-from pengeom.lp import LinearProgram, lp_feasible
+from pengeom.lp import OPTIMAL, LinearProgram, lp_feasible, lp_solve
 from pengeom.norms import (
     dual_ball_faces,
     exposed_primal_vertices,
@@ -335,9 +335,10 @@ def reference_face_test(face, X, K):
             a_eq=tuple(vec(r) for r in rows),
             b_eq=vec([0] * len(K) + [1]),
         )
-        alpha = lp_feasible(lp)
-        if alpha is None:
+        res = lp_solve(lp)
+        if res.status != OPTIMAL:
             return None
+        alpha = res.x
         point = tuple(sum((a * v[i] for a, v in zip(alpha, verts)), Fraction(0))
                       for i in range(p))
     return RowspaceIntersection(point, rowspace_preimage(X, point))
@@ -483,9 +484,9 @@ def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
     # vertices, each with one positive total; no Fraction reaches the LP
     seen = []
 
-    def recording(lp):
-        seen.append(lp)
-        return lp_feasible(lp)
+    def recording(a, b, n):
+        seen.append((a, b, n))
+        return lp_feasible(a, b, n)
 
     monkeypatch.setattr(geometry, "lp_feasible", recording)
     X = RationalMatrix.from_rows([[Fraction(2, 3), 1, Fraction(-1, 5)]])
@@ -498,9 +499,8 @@ def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
     for face in enumerate_exposed_faces(ball.vertices()):
         face_intersects_rowspace(face, X, kernel=kernel)
     assert 0 < model_lps < len(seen)
-    for lp in seen:
-        entries = (*lp.c, *lp.b_eq, *lp.b_ub, *(x for r in lp.a_eq + lp.a_ub for x in r))
-        assert all(type(x) is int for x in entries)
+    for a, b, n in seen:
+        assert all(type(x) is int for x in (n, *b, *(x for r in a for x in r)))
 
 
 def test_integer_form_scale_and_memo():

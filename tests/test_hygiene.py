@@ -80,10 +80,12 @@ def oracle_references(source: str) -> list[str]:
     return found
 
 
-# the two linear programs left in the package, both over nonnegative
-# weights; the accessibility sweeps and the region figure read the zero
-# region's vertices, and the basis-pursuit certificate is the gauge LP's dual
-LP_BUILDERS = frozenset({"solvers._gauge_lp", "geometry._convex_zero_weights", "lp.nonneg_lp"})
+# the one linear program left in the package is the gauge LP, built in
+# solvers and by lp.nonneg_lp, the constructor's wrapper; the accessibility
+# sweeps and the region figure read the zero region's vertices, the
+# basis-pursuit certificate is the gauge LP's dual, and a face test runs
+# phase 1 alone on its integer rows (lp.lp_feasible)
+LP_BUILDERS = frozenset({"solvers._gauge_lp", "lp.nonneg_lp"})
 
 
 def lp_constructions(module: str, source: str) -> list[str]:
@@ -166,10 +168,32 @@ def runtime_readers(module: str, source: str, name: str) -> list[str]:
 # integers over its least common denominator
 LCM_READERS = frozenset({"exact.clear_denominators"})
 
-# lp.py pivots on one integer tableau; Fractions are made only where an
-# optimal tableau is read off into an LPResult (x, value, dual)
+# lp.py pivots on one integer tableau, which one phase 1 builds for both
+# the two-phase solve and the feasibility test; Fractions are made only
+# where an optimal tableau is read off into an LPResult (x, value, dual)
 LP_CLASSES = ("LinearProgram", "LPResult", "_Tableau")
 LP_FRACTION_READERS = frozenset({"lp._optimum"})
+TABLEAU_BUILDERS = frozenset({"lp._phase_one"})
+PHASE_ONE_READERS = frozenset({"lp._solve_standard", "lp.lp_feasible"})
+
+# geometry's face test hands lp_feasible integer rows and reads integer
+# weights back: it takes nothing else from lp and builds no LinearProgram
+GEOMETRY_LP_IMPORTS = ["lp_feasible"]
+
+
+def imported_from(source: str, module: str) -> list[str]:
+    """Names a source imports from the package module, relative or absolute,
+    with the module itself for an import of the whole module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (module, f"pengeom.{module}"):
+                found += [a.name for a in node.names]
+            elif node.module in (None, "pengeom"):
+                found += [a.name for a in node.names if a.name == module]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == f"pengeom.{module}"]
+    return found
 
 
 def row_swaps(module: str, source: str) -> list[str]:
@@ -367,6 +391,31 @@ def test_lp_pivots_on_one_integer_tableau():
     classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
     assert classes == LP_CLASSES
     assert set(runtime_readers("lp", source, "Fraction")) == LP_FRACTION_READERS
+
+
+def test_one_phase_one_serves_both_programs():
+    source = (SRC / "lp.py").read_text()
+    assert set(runtime_readers("lp", source, "_Tableau")) == TABLEAU_BUILDERS
+    assert set(name_readers("lp", source, "_phase_one")) == PHASE_ONE_READERS
+
+
+def test_checker_flags_an_import_from_a_module():
+    source = (
+        "from .lp import OPTIMAL, lp_feasible\n"
+        "from . import lp, exact\n"
+        "import pengeom.lp\n"
+        "from pengeom.lp import LinearProgram as LP\n"
+        "from .exact import vec\n"
+    )
+    assert imported_from(source, "lp") == [
+        "OPTIMAL", "lp_feasible", "lp", "pengeom.lp", "LinearProgram"]
+
+
+def test_face_tests_hand_the_lp_integer_rows():
+    source = (SRC / "geometry.py").read_text()
+    assert imported_from(source, "lp") == GEOMETRY_LP_IMPORTS
+    assert lp_constructions("geometry", source) == []
+    assert "geometry._convex_zero_weights" not in runtime_readers("geometry", source, "Fraction")
 
 
 def test_one_helper_clears_denominators():

@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pengeom.exact import dot
+from pengeom.exact import clear_denominators, dot
 from pengeom.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -29,7 +30,7 @@ def test_basic_example():
 def test_infeasible_example():
     lp = nonneg_lp(c=[0], a_ub=[[1]], b_ub=[-1])
     assert lp_solve(lp).status == INFEASIBLE
-    assert lp_feasible(lp) is None
+    assert lp_feasible([[1, 1]], [-1], 2) is None  # its standard form, slack added
 
 
 def test_unbounded():
@@ -42,7 +43,7 @@ def test_program_without_rows():
     # and a negative cost is unbounded when nothing constrains its variable
     assert lp_solve(nonneg_lp(c=[1, 2])) == LPResult(OPTIMAL, (0, 0), 0, ())
     assert lp_solve(nonneg_lp(c=[-1, 2])).status == UNBOUNDED
-    assert lp_feasible(nonneg_lp(c=[-1, 2])) == (0, 0)
+    assert lp_feasible((), (), 2) == (1, (0, 0))
 
 
 # Classic degenerate instance that cycles under the most-negative rule
@@ -320,10 +321,22 @@ def _corpus_program(rng):
     return nonneg_lp(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
 
 
+def _integer_standard_form(lp):
+    """(a, b, n): lp_solve's rows with their slack columns, and b, over one
+    common denominator; rows with b_i < 0 are left for lp_feasible to flip."""
+    n, k = len(lp.c), len(lp.a_ub)
+    a = [list(r) + [0] * k for r in lp.a_eq]
+    a += [list(r) + [int(j == i) for j in range(k)] for i, r in enumerate(lp.a_ub)]
+    _, rows = clear_denominators(a + [list(lp.b_eq + lp.b_ub)])
+    return rows[:-1], rows[-1], n + k
+
+
 def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
     # same pivots in the same order and the same LPResult, field by field,
     # on a seeded corpus of eq and ub rows, negative right-hand sides,
-    # redundant equality rows, degenerate and row-free programs
+    # redundant equality rows, degenerate and row-free programs; phase 1
+    # alone (lp_feasible) on the integer standard form takes the first of
+    # those pivots and returns the x of the two-phase solve at zero cost
     from pengeom import lp as lp_module
 
     pivots = []
@@ -348,6 +361,15 @@ def test_integer_tableau_matches_the_rational_tableau(monkeypatch):
         assert all(type(v) is Fraction for v in (got.x or ()) + (got.dual or ()))
         assert got.value is None or type(got.value) is Fraction
         assert pivots == reference.pivots
+        zero = lp_solve(replace(lp, c=(Fraction(0),) * len(lp.c)))
+        pivots.clear()
+        found = lp_feasible(*_integer_standard_form(lp))
+        assert (found is None) == (zero.status == INFEASIBLE)
+        if found is not None:
+            d, x = found
+            assert d > 0 and all(type(v) is int and v >= 0 for v in (d, *x))
+            assert tuple(Fraction(v, d) for v in x[: len(lp.c)]) == zero.x
+        assert pivots == reference.pivots[: len(pivots)]
         statuses[got.status] += 1
         dropped += reference.dropped > 0
         flipped += any(v < 0 for v in lp.b_eq + lp.b_ub)
