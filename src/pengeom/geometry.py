@@ -19,6 +19,8 @@ faces all have top level at most c, lists no model above it.
 The l1 cube [-s, s]^p and the sup cross-polytope are the sign permutohedra
 of (s, ..., s) and (1, 0, ..., 0), so their faces are the model faces of sign
 vectors under those weights; the kinds "box" and "crosspoly" only tag them.
+A Face is always a model face: its label, blocks and signs determine its
+vertices.
 
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
@@ -49,7 +51,6 @@ from .exact import (
     Vector,
     clear_denominators,
     kernel_basis,
-    rank,
     rat,
     rat_str,
     rowspace_preimage,
@@ -60,7 +61,6 @@ from .lp import lp_feasible
 DEFAULT_MODEL_LIMIT = 6
 DEFAULT_SIGN_LIMIT = 10
 DEFAULT_VERTEX_CAP = 100_000
-BRUTE_FORCE_FACE_LIMIT = 4
 
 
 class CapExceeded(RuntimeError):
@@ -152,39 +152,6 @@ def sign_vectors(p: int, limit: int = DEFAULT_SIGN_LIMIT) -> Iterator[tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# signed permutations
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """x -> (signs[j] * x[perm[j]])_j. Orthogonal, preserves every norm here."""
-
-    signs: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm is not a permutation")
-        if len(self.signs) != len(self.perm) or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +/-1 and match perm length")
-
-    @property
-    def dim(self) -> int:
-        return len(self.perm)
-
-    def apply(self, x: Sequence) -> tuple:
-        if len(x) != self.dim:
-            raise ValueError("dimension mismatch")
-        return tuple(s * x[p] for s, p in zip(self.signs, self.perm))
-
-
-def signed_permutations(p: int) -> Iterator[SignedPermutation]:
-    for perm in itertools.permutations(range(p)):
-        for signs in itertools.product((1, -1), repeat=p):
-            yield SignedPermutation(signs, perm)
-
-
-# ---------------------------------------------------------------------------
 # faces
 
 
@@ -198,7 +165,7 @@ class Block(NamedTuple):
 class Face:
     """A dual-ball face: the sign-permutohedron face of a model under a
     weight vector (blocks hold the weight chunks, signs the per-coordinate
-    orientation), or kind "hull", an explicit vertex list (test oracle).
+    orientation).
 
     l1 and sup faces are model faces of their sign vector under (scale, ...,
     scale) and (1, 0, ..., 0); kind "box" or "crosspoly" only tags them for
@@ -209,11 +176,10 @@ class Face:
     ambient_dim: int
     kind: str
     codim: int
-    scale: Fraction = Fraction(1)
-    model: tuple[int, ...] | None = None
-    blocks: tuple[Block, ...] = ()
-    signs: tuple[int, ...] | None = None
-    hull: tuple[Vector, ...] = ()
+    scale: Fraction
+    model: tuple[int, ...]
+    blocks: tuple[Block, ...]
+    signs: tuple[int, ...]
 
     def __hash__(self):
         return self._hash
@@ -223,12 +189,11 @@ class Face:
         # the vertex cache keys on faces, and one label under many weights
         # (or l1 scales) must not share a hash, or every lookup compares the
         # Fraction weights of each colliding face; computed once per face
-        return hash((self.kind, self.model, self.blocks, self.hull))
+        return hash((self.kind, self.model, self.blocks))
 
     @property
-    def pattern(self) -> tuple[int, ...] | None:
-        """The label of the face: a sign vector (l1, sup) or a model (slope);
-        None for a hull face."""
+    def pattern(self) -> tuple[int, ...]:
+        """The label of the face: a sign vector (l1, sup) or a model (slope)."""
         return self.model
 
     @property
@@ -237,10 +202,7 @@ class Face:
         return self.model if self.kind in ("box", "crosspoly") else None
 
     def contains_zero(self) -> bool:
-        if self.model is not None:
-            return not any(self.model)
-        scale, ivs = self._integer_form
-        return _convex_zero_weights(ivs, scale) is not None
+        return not any(self.model)
 
     def vertex_count(self) -> int:
         return self._vertex_count
@@ -249,7 +211,7 @@ class Face:
     def _vertex_count(self) -> int:
         # once per face: a reported face's witness and its JSON read it
         # through vertices(), and face_intersects_rowspace checks it first
-        return len(self.hull) if self.model is None else _block_vertex_count(self.blocks)
+        return _block_vertex_count(self.blocks)
 
     def vertices(self, cap: int = DEFAULT_VERTEX_CAP) -> tuple[Vector, ...]:
         _check_vertex_cap(self.vertex_count(), cap)
@@ -266,7 +228,7 @@ class Face:
             d["scale"] = rat_str(self.scale)
         if self.sign_vector is not None:
             d["sign_vector"] = list(self.sign_vector)
-        elif self.model is not None:
+        else:
             d["model"] = list(self.model)
             d["signs"] = list(self.signs)
             d["blocks"] = [
@@ -277,7 +239,7 @@ class Face:
                 }
                 for b in self.blocks
             ]
-        if include_vertices or self.model is None:
+        if include_vertices:
             d["vertices"] = [[rat_str(x) for x in v] for v in self.vertices()]
         return d
 
@@ -350,7 +312,7 @@ def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     # read by a reported face's witness and its JSON (the sweeps test integer
     # levels and build no face); materialization is pure, so a shared cache
     # is safe
-    return face.hull if face.model is None else _block_vertices(face.blocks, face.signs)
+    return _block_vertices(face.blocks, face.signs)
 
 
 def _convex_zero_weights(columns: Sequence[tuple[int, ...]],
@@ -486,19 +448,6 @@ def sign_to_crosspolytope_face(sigma: Sequence[int]) -> Face:
     0: the model face of sigma under (1, 0, ..., 0)."""
     s = _sign_label(sigma)
     return _model_face(s, _crosspolytope_weights(len(s)), "crosspoly")
-
-
-def hull_face(vertices: Sequence[Sequence]) -> Face:
-    verts = tuple(vec(v) for v in vertices)
-    p = len(verts[0])
-    if len(verts) == 1:
-        dim = 0
-    else:
-        diffs = RationalMatrix(tuple(
-            tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]
-        ))
-        dim = rank(diffs)
-    return Face(ambient_dim=p, kind="hull", codim=p - dim, hull=verts)
 
 
 # ---------------------------------------------------------------------------
@@ -637,40 +586,3 @@ def face_intersects_rowspace(
     _check_vertex_cap(face.vertex_count(), cap)  # once, before any vertex is built
     return kernel._meets(*face._integer_form)
 
-
-# ---------------------------------------------------------------------------
-# brute-force exposed faces (test oracle)
-
-
-def enumerate_exposed_faces(vertices: Sequence[Sequence]) -> list[Face]:
-    """Every non-empty face of conv(vertices), found as argmax vertex sets of
-    the integer functional grid {-p..p}^p.
-
-    Valid because each vertex set here is a single orbit of the signed
-    permutation group, so the polytope's normal fan is coarsened by the
-    signed-permutation fan and every cell of that fan contains a grid point.
-    Exact integer arithmetic throughout.
-    """
-    verts = [vec(v) for v in vertices]
-    p = len(verts[0])
-    if p > BRUTE_FORCE_FACE_LIMIT:
-        raise CapExceeded(f"brute-force face enumeration capped at p={BRUTE_FORCE_FACE_LIMIT}")
-    ref = sorted(abs(x) for x in verts[0])
-    if any(sorted(abs(x) for x in v) != ref for v in verts):
-        raise ValueError("vertex set must be one signed-permutation orbit")
-    _, iverts = clear_denominators(verts)
-    found: set[frozenset[int]] = set()
-    for a in itertools.product(range(-p, p + 1), repeat=p):
-        best = None
-        arg: list[int] = []
-        for idx, v in enumerate(iverts):
-            d = sum(ai * vi for ai, vi in zip(a, v))
-            if best is None or d > best:
-                best = d
-                arg = [idx]
-            elif d == best:
-                arg.append(idx)
-        found.add(frozenset(arg))
-    faces = [hull_face([verts[i] for i in sorted(s)]) for s in found]
-    faces.sort(key=lambda f: (f.codim, f.hull))
-    return faces

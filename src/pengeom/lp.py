@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact import Vector, clear_denominators, vec
+from .exact import Vector, clear_denominators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,17 +72,6 @@ class LPResult:
     x: Vector | None = None
     value: Fraction | None = None
     dual: Vector | None = None
-
-
-def nonneg_lp(c, a_eq=(), b_eq=(), a_ub=(), b_ub=()) -> LinearProgram:
-    """A LinearProgram from any rational entries."""
-    return LinearProgram(
-        c=vec(c),
-        a_eq=tuple(vec(r) for r in a_eq),
-        b_eq=vec(b_eq),
-        a_ub=tuple(vec(r) for r in a_ub),
-        b_ub=vec(b_ub),
-    )
 
 
 class _Tableau:

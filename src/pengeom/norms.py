@@ -304,6 +304,13 @@ def primal_ball_vertices(norm: PolytopeNorm) -> tuple[Vector, ...]:
     return tuple(x for _, x in unit_sphere_sign_points(norm))
 
 
+@functools.lru_cache(maxsize=64)
+def _integer_primal_ball_vertices(norm: PolytopeNorm) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(e, primal_ball_vertices(norm) times e) for e the lcm of their
+    denominators: the gauge LP's integer columns, cleared once per norm."""
+    return clear_denominators(primal_ball_vertices(norm))
+
+
 def exposed_primal_vertices(norm: PolytopeNorm, s: Vector) -> tuple[Vector, ...]:
     """The primal_ball_vertices of norm that pair to 1 with the dual-ball
     point s, none when s is interior. Each pairs to at most 1 with every

@@ -34,12 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import RationalMatrix, Vector, clear_denominators, dot, vec
+from .exact import RationalMatrix, Vector, dot, vec
 from .lp import OPTIMAL, LinearProgram, lp_solve
 from .norms import (
     L1,
     PolytopeNorm,
     _NormForm,
+    _integer_primal_ball_vertices,
     dual_norm_value,
     l1_norm,
     norm_value,
@@ -291,7 +292,7 @@ def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):
     common denominator, so every row is f = d e times the rational one: x,
     the value and the pivots stay, and the dual of the scaled rows is u / f."""
     verts = primal_ball_vertices(norm)
-    e, iverts = clear_denominators(verts)
+    e, iverts = _integer_primal_ball_vertices(norm)
     d, xrows, _ = X._integer_form
     rows = tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
     f = d * e

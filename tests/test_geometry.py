@@ -16,23 +16,28 @@ from pengeom.analysis import (
     check_uniqueness,
     check_uniqueness_bp,
 )
-from pengeom.exact import RationalMatrix, dot, kernel_basis, rank, rat, rowspace_preimage, vec
+from pengeom.exact import (
+    RationalMatrix,
+    clear_denominators,
+    dot,
+    kernel_basis,
+    rank,
+    rat,
+    rowspace_preimage,
+    vec,
+)
 from pengeom.geometry import (
     CapExceeded,
     DesignKernel,
     RowspaceIntersection,
-    SignedPermutation,
-    enumerate_exposed_faces,
     enumerate_models,
     face_intersects_rowspace,
-    hull_face,
     is_model,
     model_of,
     model_to_face,
     sign_to_crosspolytope_face,
     sign_to_cube_face,
     sign_vectors,
-    signed_permutations,
 )
 from pengeom.lp import OPTIMAL, LinearProgram, lp_feasible, lp_solve
 from pengeom.norms import (
@@ -43,6 +48,13 @@ from pengeom.norms import (
     subdifferential_face,
     sup_norm,
     zero_region,
+)
+
+from oracles import (
+    SignedPermutation,
+    enumerate_exposed_faces,
+    hull_face,
+    signed_permutations,
 )
 
 W2 = (Fraction(7, 2), Fraction(3, 2))  # 3.5, 1.5
@@ -294,14 +306,19 @@ def test_face_intersects_rowspace_full_rank():
 
 
 def reference_face_test(face, X, K):
-    """The face test in Fraction arithmetic: K'v by Fraction dot products for
-    one or two vertices, the same alpha LP beyond that. The integer kernel
-    image test must agree with it exactly, point and z included."""
-    p = X.ncols
+    """The face test in Fraction arithmetic: the origin for a face holding
+    0, else the test of its vertex list. The integer kernel image test must
+    agree with it exactly, point and z included."""
     if face.contains_zero():
-        return RowspaceIntersection(tuple(Fraction(0) for _ in range(p)),
+        return RowspaceIntersection(tuple(Fraction(0) for _ in range(X.ncols)),
                                     tuple(Fraction(0) for _ in range(X.nrows)))
-    verts = face.vertices()
+    return reference_hull_test(face.vertices(), X, K)
+
+
+def reference_hull_test(verts, X, K):
+    """Does conv(verts) meet row(X): K'v by Fraction dot products for one
+    or two vertices, the same alpha LP beyond that."""
+    p = X.ncols
     if not K:
         point = verts[0]
     elif len(verts) == 1:
@@ -441,12 +458,15 @@ def test_integer_face_test_edge_cases():
     X = RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
     K = kernel_basis(X)
     for face in (sign_to_cube_face((1, -1, 0), scale=Fraction(3, 2)),
-                 sign_to_crosspolytope_face((1, 0, 0)),
-                 hull_face([(1, 0, 0), (0, 1, 0)]),
-                 hull_face([(1, 2, 3)])):
+                 sign_to_crosspolytope_face((1, 0, 0))):
         got = face_intersects_rowspace(face, X)
         assert got == reference_face_test(face, X, K)
-    assert face_intersects_rowspace(hull_face([(1, 2, 0), (3, 1, 0)]), X).point == (3, 1, 0)
+    # vertex lists that are no model face go to the same integer core
+    kernel = DesignKernel(X)
+    for verts in ([vec([1, 0, 0]), vec([0, 1, 0])], [vec([1, 2, 3])]):
+        got = kernel._meets(*clear_denominators(verts))
+        assert got == reference_hull_test(verts, X, K)
+    assert kernel._meets(1, ((1, 2, 0), (3, 1, 0))).point == (3, 1, 0)
     # a design with no kernel takes the first vertex
     full = RationalMatrix.from_rows([[1, 0], [0, 1]])
     seg = sign_to_cube_face((1, 0), scale=Fraction(1, 3))
@@ -480,8 +500,8 @@ def test_design_kernel_has_one_scale_and_memoizes():
 
 
 def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
-    # model faces pass their kernel images, hull faces their integer
-    # vertices, each with one positive total; no Fraction reaches the LP
+    # model faces and the brute-force faces' vertex lists pass their kernel
+    # images, each with one positive total; no Fraction reaches the LP
     seen = []
 
     def recording(a, b, n):
@@ -497,7 +517,7 @@ def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
     model_lps = len(seen)
     ball = model_to_face((0, 0, 0), (Fraction(7, 2), 2, Fraction(1, 2)))
     for face in enumerate_exposed_faces(ball.vertices()):
-        face_intersects_rowspace(face, X, kernel=kernel)
+        kernel._meets(*clear_denominators(face.hull))
     assert 0 < model_lps < len(seen)
     for a, b, n in seen:
         assert all(type(x) is int for x in (n, *b, *(x for r in a for x in r)))
@@ -523,7 +543,7 @@ def test_hull_face_codims():
 
 
 def _faces_as_vertex_sets(faces):
-    return {frozenset(f.vertices()) for f in faces}
+    return {frozenset(f.hull) for f in faces}
 
 
 def test_exposed_face_enumeration_matches_model_faces_p2():

@@ -1,13 +1,17 @@
-"""Static checks on the package source, stdlib ast only, and one check of
-the modules a plain `import pengeom` loads."""
+"""Static checks on the package source, stdlib ast only, and two checks of
+what a plain `import pengeom` loads: its modules, and the names the
+benchmark's tracer wraps."""
 
 import ast
+import dataclasses
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pengeom"
+BENCH_TRACER = SRC.parents[1] / "bench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,11 +48,12 @@ def _read_names(node) -> set[str]:
     return names
 
 
-def unread_privates(sources: dict[str, str]) -> list[str]:
-    """"module.name" for every module-level _private function, class or
-    constant that no statement of any module reads, other than the one that
-    defines it (so recursion does not keep a dead helper alive). A read is a
-    loaded name or an attribute, the way cli reads analysis helpers."""
+def _unread(sources: dict[str, str], checked) -> list[str]:
+    """"module.name" for every module-level function, class or constant
+    whose name checked accepts and that no statement of any module reads,
+    other than the one that defines it (so recursion does not keep a dead
+    helper alive). A read is a loaded name or an attribute, the way cli
+    reads analysis helpers."""
     statements = [
         (module, node) for module, text in sorted(sources.items())
         for node in ast.parse(text).body
@@ -57,41 +62,70 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
     dead = []
     for i, (module, node) in enumerate(statements):
         for name in _defined_names(node):
-            if name.startswith("_") and not name.startswith("__"):
-                if not any(name in r for j, r in enumerate(reads) if j != i):
-                    dead.append(f"{module}.{name}")
+            if checked(name) and not any(name in r for j, r in enumerate(reads) if j != i):
+                dead.append(f"{module}.{name}")
     return dead
 
 
-# the brute-force face grid and its hull faces are the test oracle for the
-# model faces; only geometry (which defines them) and __init__ (which
-# re-exports them) may name them
-ORACLE_NAMES = frozenset({"enumerate_exposed_faces", "hull_face"})
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """The unread _private names (see _unread)."""
+    return _unread(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def unexported_unread_publics(sources: dict[str, str], exported) -> list[str]:
+    """The unread public names that are not exported (see _unread). sources
+    leaves out __init__, whose re-export alone keeps no name alive."""
+    return _unread(sources, lambda name: not name.startswith("_") and name not in exported)
+
+
+def assigned_literal(source: str, name: str):
+    """The literal a top-level statement assigns to name (a module's
+    __all__, the tracer's WRAPPED), read off the source; None if none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+# the brute-force face grid and its hull faces (the test oracle for the
+# model faces), the signed permutations of the equivariance tests and the
+# rational LinearProgram builder live in tests/oracles.py; no module of the
+# package may define, import, read or export them
+ORACLE_NAMES = frozenset({
+    "enumerate_exposed_faces", "hull_face", "BRUTE_FORCE_FACE_LIMIT",
+    "SignedPermutation", "signed_permutations", "nonneg_lp"})
 
 
 def oracle_references(source: str) -> list[str]:
-    """Oracle names the module imports or reads as an attribute."""
+    """Oracle names the module defines, imports, reads (as a name or an
+    attribute) or lists as a string, such as an __all__ entry."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             found += [a.name for a in node.names if a.name in ORACLE_NAMES]
         elif isinstance(node, ast.Attribute) and node.attr in ORACLE_NAMES:
             found.append(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in ORACLE_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Constant) and node.value in ORACLE_NAMES:
+            found.append(node.value)
+        else:
+            found += [name for name in _defined_names(node) if name in ORACLE_NAMES]
     return found
 
 
 # the one linear program left in the package is the gauge LP, built in
-# solvers and by lp.nonneg_lp, the constructor's wrapper; the accessibility
-# sweeps and the region figure read the zero region's vertices, the
-# basis-pursuit certificate is the gauge LP's dual, and a face test runs
-# phase 1 alone on its integer rows (lp.lp_feasible)
-LP_BUILDERS = frozenset({"solvers._gauge_lp", "lp.nonneg_lp"})
+# solvers; the accessibility sweeps and the region figure read the zero
+# region's vertices, the basis-pursuit certificate is the gauge LP's dual,
+# and a face test runs phase 1 alone on its integer rows (lp.lp_feasible)
+LP_BUILDERS = frozenset({"solvers._gauge_lp"})
 
 
 def lp_constructions(module: str, source: str) -> list[str]:
-    """"module.function" for every call of LinearProgram or nonneg_lp, named
-    by the top-level function or class around it ("module.<module>" at top
-    level); lp.nonneg_lp is the constructor's own wrapper."""
+    """"module.function" for every call of LinearProgram, named by the
+    top-level function or class around it ("module.<module>" at top
+    level)."""
     found = []
     for top in ast.parse(source).body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
@@ -99,7 +133,7 @@ def lp_constructions(module: str, source: str) -> list[str]:
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in ("LinearProgram", "nonneg_lp"):
+                if name == "LinearProgram":
                     found.append(f"{module}.{owner}")
     return found
 
@@ -291,31 +325,67 @@ def test_every_private_name_is_read():
     assert unread_privates(sources) == []
 
 
+def test_checker_flags_an_unexported_unread_public():
+    sources = {
+        "a": (
+            "LIMIT = 3\n"
+            "SPARE: int = 0\n"
+            "def walk(n):\n"
+            "    return walk(n - 1) if n else LIMIT\n"
+            "class Box:\n"
+            "    pass\n"
+            "def shown():\n"
+            "    return 1\n"
+            "def _helper():\n"
+            "    return Box\n"
+        ),
+        "b": "from a import walk\n_x = walk(2)\n",
+    }
+    assert unexported_unread_publics(sources, {"shown"}) == ["a.SPARE"]
+    del sources["b"]
+    assert unexported_unread_publics(sources, {"shown"}) == ["a.SPARE", "a.walk"]
+    init = "from .a import shown\n__all__ = [\"shown\", \"walk\"]\n"
+    assert assigned_literal(init, "__all__") == ["shown", "walk"]
+    assert unexported_unread_publics(sources, assigned_literal(init, "__all__")) == ["a.SPARE"]
+
+
+def test_every_public_name_is_exported_or_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    exported = assigned_literal((SRC / "__init__.py").read_text(), "__all__")
+    assert exported
+    assert unexported_unread_publics(sources, exported) == []
+
+
 def test_checker_flags_an_oracle_reference():
     source = (
         "from .geometry import Face, hull_face as hull\n"
         "from . import geometry\n"
         "faces = geometry.enumerate_exposed_faces(())\n"
-        "def enumerate_exposed_faces():\n"
-        "    return Face\n"
+        "def signed_permutations():\n"
+        "    return Face, nonneg_lp\n"
+        "BRUTE_FORCE_FACE_LIMIT = 4\n"
+        "__all__ = ['Face', 'SignedPermutation']\n"
+        "doc = 'hull_face and SignedPermutation'\n"
     )
-    assert oracle_references(source) == ["hull_face", "enumerate_exposed_faces"]
+    assert sorted(oracle_references(source)) == sorted([
+        "hull_face", "enumerate_exposed_faces", "signed_permutations", "nonneg_lp",
+        "BRUTE_FORCE_FACE_LIMIT", "SignedPermutation"])
 
 
 def test_product_paths_never_reach_the_brute_force_faces():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name not in ("geometry.py", "__init__.py"))
-    assert modules
+    modules = sorted(SRC.glob("*.py"))
+    assert {p.name for p in modules} >= {"geometry.py", "lp.py", "__init__.py"}
     found = {p.name: oracle_references(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_checker_flags_an_lp_construction():
     source = (
-        "from .lp import LinearProgram, nonneg_lp\n"
+        "from .lp import LinearProgram\n"
         "from . import lp\n"
-        "ZERO = nonneg_lp(c=[0])\n"
+        "ZERO = LinearProgram(c=(0,))\n"
         "def _gauge_lp(X):\n"
-        "    return nonneg_lp(c=[1])\n"
+        "    return lp.LinearProgram(c=(1,))\n"
         "def region(X):\n"
         "    def inner():\n"
         "        return lp.LinearProgram(c=())\n"
@@ -328,7 +398,7 @@ def test_checker_flags_an_lp_construction():
         "solvers.<module>", "solvers._gauge_lp", "solvers.region", "solvers.Cert"]
 
 
-def test_linear_programs_are_built_in_two_places():
+def test_linear_programs_are_built_in_one_place():
     built = {c for p in SRC.glob("*.py") for c in lp_constructions(p.stem, p.read_text())}
     assert built == LP_BUILDERS
 
@@ -514,3 +584,19 @@ def test_import_loads_the_figures_without_xml():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "['pengeom.svg']"
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py wraps each (module, function) of WRAPPED by name,
+    # reads the vertex cache's counters and sizes each gauge LP by its rows;
+    # tier-1 never runs a traced benchmark, so a pruned name would otherwise
+    # break only those runs
+    wrapped = assigned_literal(BENCH_TRACER.read_text(), "WRAPPED")
+    assert wrapped
+    missing = [f"{module}.{name}" for module, name in wrapped
+               if not callable(getattr(importlib.import_module(f"pengeom.{module}"), name, None))]
+    assert missing == []
+    geometry = importlib.import_module("pengeom.geometry")
+    assert callable(geometry._materialized_vertices.cache_info)
+    lp = importlib.import_module("pengeom.lp")
+    assert {"c", "a_eq", "a_ub"} <= {f.name for f in dataclasses.fields(lp.LinearProgram)}

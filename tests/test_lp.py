@@ -14,8 +14,9 @@ from pengeom.lp import (
     LPResult,
     lp_feasible,
     lp_solve,
-    nonneg_lp,
 )
+
+from oracles import nonneg_lp
 
 
 def test_basic_example():

@@ -15,14 +15,13 @@ from pengeom.geometry import (
     DEFAULT_VERTEX_CAP,
     CapExceeded,
     _materialized_vertices,
-    enumerate_exposed_faces,
     enumerate_models,
     model_to_face,
     sign_to_crosspolytope_face,
     sign_to_cube_face,
     sign_vectors,
 )
-from pengeom.lp import OPTIMAL, lp_solve, nonneg_lp
+from pengeom.lp import OPTIMAL, lp_solve
 from pengeom.norms import (
     PolytopeNorm,
     SlopeWeights,
@@ -42,6 +41,8 @@ from pengeom.norms import (
 )
 from pengeom.solvers import bp_certificate_holds, bp_dual_certificate, norm_min_subject_to
 from pengeom.svg import response_region_figure
+
+from oracles import enumerate_exposed_faces, nonneg_lp
 
 W2 = slope_norm(["3.5", "1.5"])
 

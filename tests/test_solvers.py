@@ -35,6 +35,8 @@ from pengeom.solvers import (
     solve_penalized,
 )
 
+from oracles import SignedPermutation
+
 W21 = vec([2, 1])
 
 
@@ -117,8 +119,6 @@ def test_prox_slope_random_membership():
 
 
 def test_prox_slope_equivariance():
-    from pengeom.geometry import SignedPermutation
-
     rng = random.Random(31)
     for _ in range(40):
         p = rng.randint(1, 5)
