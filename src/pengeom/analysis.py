@@ -7,14 +7,15 @@ classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
 Every sweep reads its level of the dual ball from norms._dual_ball_level:
-each face's label, vertex count and integer vertices, ints only, which
-DesignKernel.level_hit tests. A Face is built only for the face that row(X)
-meets, and is kept per (norm, label), so a repeated question finds its
-witness points cached. Uniqueness and its basis-pursuit analogue
-share one sweep over the faces of codimension rk(X) + 1 (bp sweeps the cube
-faces of the plain l1 norm; a polytope's face lattice is graded, so each
-deeper face lies in one of those) and one witness pair, which bp reads at
-y = X first and certifies with the face hit's dual vector. The sign-vector
+each face's label, vertex count and integer vertices, ints only, with the
+level's vertex table, which DesignKernel.level_hits screens against row(X)
+chunk by chunk. A Face is built only for the face that row(X) meets, and is
+kept per (norm, label), so a repeated question finds its witness points
+cached. Uniqueness and its basis-pursuit analogue share one sweep over the
+faces of codimension rk(X) + 1 (bp sweeps the cube faces of the plain l1
+norm; a polytope's face lattice is graded, so each deeper face lies in one
+of those) and one witness pair, which bp reads at y = X first and
+certifies, with one X'z, by the face hit's dual vector z. The sign-vector
 and model accessibility tables share one route sweep and differ only in
 their response witnesses.
 """
@@ -60,6 +61,7 @@ from .norms import (
 from .solvers import (
     Solution,
     SolverOptions,
+    _bp_certificate_at,
     _float_matrix,
     bp_certificate_holds,
     kkt_certify,
@@ -147,10 +149,8 @@ def _uniqueness_sweep(X, norm, limit, vertex_cap):
     r = X.ncols - len(kernel.basis)
     if r < X.ncols:
         d, level = _dual_ball_level(norm, r + 1, limit)
-        for label, count, ivs in level:
-            hit = kernel.level_hit(d, label, count, ivs, vertex_cap)
-            if hit is not None:
-                return r, _dual_ball_face(norm, label), hit
+        for i, hit in kernel.level_hits(d, level, vertex_cap):
+            return r, _dual_ball_face(norm, level[i][0]), hit
     return r, None, None
 
 
@@ -240,7 +240,8 @@ def check_uniqueness_bp(
     if face is None:
         return UniquenessReport(True, r, "bp", None)
     first, second = _witness_pair(X, l1, face)
-    if not all(bp_certificate_holds(X, b, hit.z) for b in (first, second)):
+    den, s = X._integer_rmatvec(hit.z)  # X'z = s / den, once for both points
+    if not all(_bp_certificate_at(s, den, b) for b in (first, second)):
         raise AssertionError("witness failed the shared dual certificate")
     witness = NonUniquenessWitness(X.matvec(first), first, second, norm_value(l1, first), hit.z)
     return UniquenessReport(False, r, "bp", None, face, witness)
@@ -298,6 +299,9 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     # kept per norm; the model or sign cap refuses here, before any work, and
     # on every call, since the cache does not store exceptions
     d, level = _dual_ball_level(norm, None, limit, route != ANALYTIC)
+    # the geometric hits of the whole table by one screen; the cap refuses
+    # at the first over-cap face
+    hits = dict(kernel.level_hits(d, level, vertex_cap)) if route != ANALYTIC else {}
     if route in (ANALYTIC, BOTH):
         # X'u over the region's vertices u, over one common denominator, so
         # each pattern's support value is integer dot products and one Fraction
@@ -307,14 +311,13 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     # paired with its sorted magnitudes, is one integer sum over their common
     # denominator
     wden, (wints,) = clear_denominators([norm._form.weights])
-    for pattern, count, ivs in level:
+    for i, (pattern, _, _) in enumerate(level):
         pattern_norm = Fraction(
             sum(map(operator.mul, wints, sorted(map(abs, pattern), reverse=True))), wden)
-        hit = None
+        hit = hits.get(i)
         geometric_hit = None
         analytic_value = None
         if route in (GEOMETRIC, BOTH):
-            hit = kernel.level_hit(d, pattern, count, ivs, vertex_cap)
             geometric_hit = hit is not None
         if route in (ANALYTIC, BOTH):
             analytic_value = Fraction(max(sum(map(operator.mul, pattern, s)) for s in duals), den)

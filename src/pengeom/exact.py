@@ -105,11 +105,17 @@ class RationalMatrix:
     def rmatvec(self, u: Sequence) -> Vector:
         """Transpose-apply: returns M'u without materializing the transpose,
         in integer dot products as in matvec."""
+        den, sums = self._integer_rmatvec(u)
+        return tuple(Fraction(x, den) for x in sums)
+
+    def _integer_rmatvec(self, u: Sequence) -> tuple[int, tuple[int, ...]]:
+        # (D, S) with M'u = S / D and D > 0: the integer dot products that
+        # rmatvec divides, for a reader that only compares M'u
         if len(u) != self.nrows:
             raise ValueError("dimension mismatch")
         d, _, cols = self._integer_form
         e, (uu,) = clear_denominators((vec(u),))
-        return tuple(Fraction(sum(map(operator.mul, c, uu)), d * e) for c in cols)
+        return d * e, tuple(sum(map(operator.mul, c, uu)) for c in cols)
 
     def to_float_array(self):
         import numpy as np

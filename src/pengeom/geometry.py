@@ -24,16 +24,23 @@ vertices.
 
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
-for one design times one common denominator, and memoizes the image of each
-integer-scaled dual-ball vertex, so a sweep projects every vertex once. Its
-integer core takes a face as integer vertices over one denominator, whether
-they come from a Face (face_intersects_rowspace) or from a sweep's integer
-level (DesignKernel.level_hit). Faces with one or two vertices are decided by
-integer sign and cross-product tests on the images (fraction-free, in the
-spirit of Bareiss elimination); larger faces run simplex phase 1 alone
-(lp.lp_feasible) on those same images, every row carrying the same positive
-factor, so it pivots as on the rational program and hands back integer
-weights. Fractions return only on a hit, to form the point and its z.
+for one design times one common denominator, as Python ints in an object
+numpy array, so the kernel images of many integer dual-ball vertices are one
+exact product (never int64 or float: the images outgrow 64 bits). Every face
+test screens first (_screen), in this order: a vertex meets row(X) iff its
+image is zero; an edge iff its two images are parallel with a nonpositive
+dot product (0 lies between them); a larger face can meet it only if each
+kernel coordinate has min <= 0 <= max over its images (a sign box). Only
+the faces that pass go to the integer core (_meets), which decides a larger
+face by simplex phase 1 alone (lp.lp_feasible) on those same images, every
+row carrying the same positive factor, so it pivots as on the rational
+program and hands back integer weights; for vertices and edges it recomputes
+the hit, and a disagreement raises. A sweep screens a whole level of the
+dual ball (norms) from its vertex table and per-entry vertex ids
+(DesignKernel.level_hits), in chunks of doubling size, projecting each
+vertex once, when the first chunk that uses it is screened; a single Face
+is screened on its own (face_intersects_rowspace). Fractions return only on
+a hit, to form the point and its z.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .exact import (
     RationalMatrix,
@@ -454,24 +463,116 @@ def sign_to_crosspolytope_face(sigma: Sequence[int]) -> Face:
 # row-space intersection
 
 
+class _LevelIndex(NamedTuple):
+    """Where each entry of a level finds its vertices in the level's vertex
+    table: entry i has the sizes[i] ids ids[starts[i]:starts[i + 1]] (none
+    for the zero label), the entries up to i use the first reach[i]
+    vertices, and top is the largest vertex count of a nonzero label. It
+    depends on the tie pattern alone, so the levels of every norm of one
+    pattern share it."""
+
+    ids: np.ndarray     # intp
+    starts: np.ndarray  # intp, one more than the entries
+    sizes: np.ndarray   # intp
+    reach: np.ndarray   # intp
+    top: int
+
+
+class _Level(tuple):
+    """A dual-ball level as the sweeps read it (norms builds and caches it):
+    its (label, vertex count, integer vertices) entries in label order,
+    plus vertices, the level's distinct integer vertices in order of first
+    appearance, and the index into them. First appearance makes the
+    vertices of any prefix of the entries a prefix of the table."""
+
+    def __new__(cls, entries, vertices: tuple, index: _LevelIndex):
+        level = super().__new__(cls, entries)
+        level.vertices = vertices
+        level.index = index
+        return level
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        # the vertex table as one object array of Python ints, read only
+        # when a screen needs some vertex, so it has at least one row
+        return np.array(self.vertices, dtype=object)
+
+
+def _level(rows: Sequence, vertices: Sequence) -> _Level:
+    """The _Level of rows (label, vertex count, vertex ids, reach), ids into
+    vertices in order of first appearance, and reach the number of vertices
+    seen up to and including the row."""
+    sizes = np.array([len(vids) for _, _, vids, _ in rows], dtype=np.intp)
+    starts = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
+    ids = np.fromiter(itertools.chain.from_iterable(vids for _, _, vids, _ in rows),
+                      dtype=np.intp, count=int(starts[-1]))
+    top = max((count for label, count, _, _ in rows if any(label)), default=0)
+    reach = np.array([seen for *_, seen in rows], dtype=np.intp)
+    index = _LevelIndex(ids, starts, sizes, reach, top)
+    entries = tuple((label, count, tuple(map(vertices.__getitem__, vids)))
+                    for label, count, vids, _ in rows)
+    return _Level(entries, tuple(vertices), index)
+
+
+def _signs(images: np.ndarray) -> np.ndarray:
+    # per vertex, which kernel coordinates of its image are <= 0, then >= 0
+    return np.concatenate((images <= 0, images >= 0), axis=1)
+
+
+def _screen(images: np.ndarray, signs: np.ndarray, ids: np.ndarray,
+            bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Which faces may meet row(X): face j has the sizes[j] vertices
+    ids[bounds[j] : bounds[j + 1]], rows of images, the integer kernel
+    images of a vertex table, with signs their _signs.
+
+    A face without vertices is the whole ball and holds 0. Any other face
+    passes only if each kernel coordinate has min <= 0 <= max over its
+    images, that is some image <= 0 and some >= 0 there: a convex
+    combination of the images is zero only then. For a vertex this is the
+    exact test (its image is zero). An edge that passes has a nonpositive
+    dot product, so it meets row(X) iff its two images are also parallel,
+    every 2x2 minor zero. Larger faces that pass still need phase 1."""
+    passed = sizes == 0
+    if len(ids):
+        filled = ~passed
+        box = np.logical_or.reduceat(signs[ids], bounds[:-1][filled])
+        passed[filled] = box.all(axis=1)
+        edges = passed & (sizes == 2)
+        at = bounds[:-1][edges]
+        if len(at):
+            a, b = images[ids[at]], images[ids[at + 1]]
+            passed[edges] = (a[:, :, None] * b[:, None, :] == b[:, :, None] * a[:, None, :]).all(axis=(1, 2))
+    return passed
+
+
+# entries a sweep screens first; each later chunk is twice the one before, so
+# an early exit screens this many entries or at most twice those up to its hit
+_FIRST_CHUNK = 256
+
+
 class DesignKernel:
     """ker(X) of one design, shared by every face test of a sweep over it.
 
     basis is the deterministic Fraction basis of kernel_basis(X);
     integer_basis is that basis times scale > 0, the least common
-    denominator of all its entries. image(v) is K'v for an integer vertex v
-    against integer_basis, computed on first use and memoized, so a
-    dual-ball vertex shared by many faces is projected once per design and a
-    sweep that stops early pays only for the vertices it reached. One scale
-    for the whole basis keeps the face LP's rows a uniform multiple of the
-    rational program's, so its phase-1 pivots and its alpha stay those of
-    the Fraction basis.
+    denominator of all its entries, and columns the same integers as a
+    (p, dim ker X) object array of Python ints: the images K'v of a whole
+    vertex table are one exact numpy product. Every face test screens the
+    images first (_screen: zero image, antiparallel pair, sign box) and
+    sends only the faces that pass to the integer core (_meets), which
+    computes the hit; for a vertex or an edge the screen has decided, and a
+    disagreement raises, so each checks the other. image(v) is K'v for one
+    integer vertex, memoized for the core. One scale for the whole basis
+    keeps the face LP's rows a uniform multiple of the rational program's,
+    so its phase-1 pivots and its alpha stay those of the Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
         self.X = X
         self.basis: tuple[Vector, ...] = kernel_basis(X)
         self.scale, self.integer_basis = clear_denominators(self.basis)
+        self.columns = np.array(self.integer_basis, dtype=object).reshape(len(self.basis), X.ncols).T
         self._images: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -481,16 +582,60 @@ class DesignKernel:
             self._images[v] = img
         return img
 
-    def level_hit(self, den: int, label: tuple[int, ...], count: int,
-                  ivs: tuple[tuple[int, ...], ...], cap: int | None) -> RowspaceIntersection | None:
-        """The face test of one entry of a dual-ball level (norms): the face
-        of label, with count vertices, ivs over den. The face of the zero
-        label is the whole ball, which holds 0; any other face is checked
-        against the cap and goes to the integer core."""
-        if not any(label):
-            return _origin(self.X)
-        _check_vertex_cap(count, cap)
-        return self._meets(den, ivs)
+    def level_hits(self, den: int, level: _Level,
+                   cap: int | None) -> Iterator[tuple[int, RowspaceIntersection]]:
+        """(i, hit) for each entry i of a dual-ball level (norms), vertices
+        over den, whose face meets row(X), in level order.
+
+        The level is screened in chunks of doubling size, from the first
+        entry on, and each chunk projects only the vertices it is the first
+        to use, so a sweep that stops at its first hit pays for a prefix.
+        The zero label's face is the whole ball, which holds 0. The first
+        entry of another label with more than cap vertices refuses, unless
+        an earlier one hit first and the caller stopped there."""
+        ids, starts, sizes, reach, top = level.index
+        n = len(level)
+        over = n
+        if cap is not None and cap < top:
+            over = next(i for i, (label, count, _) in enumerate(level) if count > cap and any(label))
+        images = signs = None  # until some chunk uses a vertex
+        have, lo, size = 0, 0, _FIRST_CHUNK
+        while lo < n:
+            if lo == over:
+                _check_vertex_cap(level[lo][1], cap)
+            hi = min(n, over, lo + size)
+            if reach[hi - 1] > have:
+                fresh = level.table[have:reach[hi - 1]] @ self.columns
+                if have:
+                    images, signs = np.concatenate((images, fresh)), np.concatenate((signs, _signs(fresh)))
+                else:
+                    images, signs = fresh, _signs(fresh)
+                have = reach[hi - 1]
+            a = starts[lo]
+            passed = _screen(images, signs, ids[a:starts[hi]], starts[lo:hi + 1] - a, sizes[lo:hi])
+            for i in np.flatnonzero(passed).tolist():
+                label, _, ivs = level[lo + i]
+                hit = self._confirm(den, ivs) if any(label) else _origin(self.X)
+                if hit is not None:
+                    yield lo + i, hit
+            lo, size = hi, 2 * size
+
+    def face_hit(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
+        """The test of one face conv(ivs / den), ivs its distinct integer
+        vertices: the same screen as a level's, on the face alone."""
+        images = np.array(ivs, dtype=object) @ self.columns
+        bounds = np.array((0, len(ivs)), dtype=np.intp)
+        if _screen(images, _signs(images), np.arange(len(ivs)), bounds, bounds[1:])[0]:
+            return self._confirm(den, ivs)
+        return None
+
+    def _confirm(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
+        # a face that passed the screen: the core finds its hit, and a vertex
+        # or an edge, which the screen decides, must have one
+        hit = self._meets(den, ivs)
+        if hit is None and len(ivs) <= 2:
+            raise AssertionError("the row-space screen and the face test disagree")
+        return hit
 
     def _meets(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
         # the integer core of every face test: the face is conv(ivs / den)
@@ -563,17 +708,20 @@ def face_intersects_rowspace(
     """Exact intersection test between a dual-ball face and row(X).
 
     A point s of the face lies in row(X) iff K's = 0 for a basis K of ker(X).
-    The face's integer vertices go to the kernel's integer core, the one
-    face test that the level sweeps also run (DesignKernel.level_hit); build
-    one DesignKernel per design and pass it to every face of a sweep, since
-    it memoizes the vertices' images. A vertex meets row(X) iff its image is
-    zero, a segment iff the images' line passes through 0 between them (see
-    _segment_weight). Larger faces run phase 1 alone over the convex weights
-    alpha, on the integer images themselves, each K'v times the product of
-    the kernel's and the face's scales, and read alpha back as integers over
-    one denominator (see _convex_zero_weights). The cap is checked first.
-    Fractions enter the point only on a hit, one per coordinate, and z with
-    X'z = point comes from exact elimination.
+    The face's integer vertices get their kernel images as one object-dtype
+    product of Python ints and go through the screen the level sweeps also
+    run (DesignKernel.level_hits), in this order: a vertex meets row(X) iff
+    its image is zero, a segment iff its two images are parallel with a
+    nonpositive dot product, and a larger face only if each kernel
+    coordinate has min <= 0 <= max over its images. A face that passes goes
+    to the integer core: a vertex or a segment has its point read off (see
+    _segment_weight), and a larger face runs phase 1 alone over the convex
+    weights alpha, on the integer images themselves, each K'v times the
+    product of the kernel's and the face's scales, and reads alpha back as
+    integers over one denominator (see _convex_zero_weights). Pass one
+    DesignKernel per design to every face of a sweep. The cap is checked
+    first. Fractions enter the point only on a hit, one per coordinate, and
+    z with X'z = point comes from exact elimination.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")
@@ -584,5 +732,5 @@ def face_intersects_rowspace(
     elif kernel.X is not X and kernel.X != X:
         raise ValueError("kernel belongs to another design")
     _check_vertex_cap(face.vertex_count(), cap)  # once, before any vertex is built
-    return kernel._meets(*face._integer_form)
+    return kernel.face_hit(*face._integer_form)
 

@@ -10,10 +10,13 @@ labeled by sign vectors. Labels, codimensions, vertex counts and vertex
 order read the weights only through their ties and zeros, so the labels of a
 level are listed once per label family and tie pattern C, the smallest
 integer weights with those ties and zeros, each with its count and integer
-vertices read off its blocks under C (_weight_free_level). dual_ball_faces
-maps the dispatch over those labels; the sweeps read them as integers, with
-each norm's own integer weights in place of C (_dual_ball_level). Both are
-cached (64 patterns, 64 norms); a reported face is cached per (norm, label).
+vertices read off its blocks under C (_weight_free_level), and with the
+level's vertex table and each entry's ids into it, which the row-space
+screen reads (geometry._Level). dual_ball_faces maps the dispatch over those
+labels; the sweeps read them as integers, with each norm's own integer
+weights in place of C in the entries and the table, and the same ids
+(_dual_ball_level). Both are cached (64 patterns, 64 norms); a reported face
+is cached per (norm, label).
 
 zero_region lists the vertices of the zero-solution region
 D = {u : ||X'u||_* <= 1}, from one double description per (design, norm),
@@ -64,6 +67,8 @@ from .geometry import (
     _block_vertex_count,
     _block_vertices,
     _crosspolytope_weights,
+    _Level,
+    _level,
     _model_blocks,
     _models,
     model_of,
@@ -231,32 +236,34 @@ def _tie_pattern(w: Sequence) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _weight_free_level(models: bool, C: tuple[int, ...], codim: int | None,
-                       limit: int | None, vertices: bool = True):
+                       limit: int | None, vertices: bool = True) -> _Level:
     """The one listing of a dual-ball level: each model (or sign vector) of
     codimension codim under the integer weights C, in label order, as
-    (label, vertex count, integer vertices) read off its blocks under C, the
-    vertices interned; with vertices False, none are built. The zero label's
-    face is the whole ball, which every test decides without its vertices,
-    so it keeps none. Only limit None means the default cap; 0 refuses."""
+    (label, vertex count, integer vertices) read off its blocks under C, with
+    the level's vertex table (each distinct vertex once, in order of first
+    appearance, the entries' vertices being those objects) and each entry's
+    ids into it; with vertices False, none are built. The zero label's face
+    is the whole ball, which every test decides without its vertices, so it
+    keeps none. Only limit None means the default cap; 0 refuses."""
     if models:  # a face's codim is at least its top level
         labels = _models(len(C), DEFAULT_MODEL_LIMIT if limit is None else limit, codim)
     else:
         labels = sign_vectors(len(C), DEFAULT_SIGN_LIMIT if limit is None else limit)
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    out = []
+    table: dict[tuple[int, ...], int] = {}
+    rows = []
     for label in labels:
         blocks, c = _model_blocks(label, C)
         if codim is None or c == codim:
-            ivs = ()
+            vids = ()
             if vertices and any(label):
-                ivs = tuple(interned.setdefault(v, v) for v in _block_vertices(blocks, label))
-            out.append((label, _block_vertex_count(blocks), ivs))
-    return tuple(out)
+                vids = [table.setdefault(v, len(table)) for v in _block_vertices(blocks, label)]
+            rows.append((label, _block_vertex_count(blocks), vids, len(table)))
+    return _level(rows, list(table))
 
 
 @functools.lru_cache(maxsize=64)
 def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
-                     vertices: bool = True):
+                     vertices: bool = True) -> tuple[int, _Level]:
     """(d, level): dual_ball_faces(norm, limit, codim) as (label, vertex
     count, integer vertices) triples over one denominator d, without a Face;
     with vertices False (a sweep that tests no face), labels and counts only.
@@ -264,8 +271,10 @@ def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
     of C; putting norm's permutohedron weights W (times their least common
     denominator d) in place of C gives norm's vertex, in the same order, and
     d is each face's own denominator, since every vertex holds every weight.
-    Only ints and tuples are kept, so the tables of many norms cost the
-    garbage collector nothing to traverse."""
+    The vertex table is put in the same way, and the entries keep their ids
+    into it. The entries and the table hold only ints and tuples, and the
+    index flat integer arrays, so the tables of many norms cost the garbage
+    collector one container per level to traverse."""
     C = _tie_pattern(norm._form.weights)
     level = _weight_free_level(norm.kind == SLOPE, C, codim, limit, vertices)
     d, (W,) = clear_denominators([norm._form.weights])
@@ -274,15 +283,9 @@ def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
     sub = {0: 0}
     for c, x in zip(C, W):
         sub[c], sub[-c] = x, -x
-    done: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def put(v):
-        out = done.get(v)
-        if out is None:
-            out = done[v] = tuple(map(sub.__getitem__, v))
-        return out
-
-    return d, tuple((label, count, tuple(map(put, ivs))) for label, count, ivs in level)
+    put = {v: tuple(map(sub.__getitem__, v)) for v in level.vertices}
+    entries = tuple((label, count, tuple(map(put.__getitem__, ivs))) for label, count, ivs in level)
+    return d, _Level(entries, tuple(put.values()), level.index)
 
 
 @functools.lru_cache(maxsize=64)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import RationalMatrix, Vector, dot, vec
+from .exact import RationalMatrix, Vector, clear_denominators, dot, vec
 from .lp import OPTIMAL, LinearProgram, lp_solve
 from .norms import (
     L1,
@@ -44,7 +44,6 @@ from .norms import (
     dual_norm_value,
     l1_norm,
     norm_value,
-    primal_ball_vertices,
 )
 
 
@@ -283,26 +282,35 @@ def solve_penalized(
 # exact LP routes
 
 
+@functools.lru_cache(maxsize=64)
+def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(f, X V in integers): X's integer rows against the norm's integer
+    primal-ball vertices, each over its common denominator, so every row is
+    f = d e times the rational one; one product per (design, norm), which
+    every right-hand side of the gauge LP shares."""
+    e, iverts = _integer_primal_ball_vertices(norm)
+    d, xrows, _ = X._integer_form
+    return d * e, tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
+
+
 def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):
     """(value, b, u) for min ||b|| s.t. Xb = rhs, solved as the gauge LP
     min sum(lam) s.t. (X V) lam = rhs, lam >= 0 with b = V lam; None when rhs
     is outside the column space of X. u is the LP's optimal dual, a point of
     the zero-solution region with <rhs, u> = value. Bland's rule makes the
-    vertex deterministic. X V is one integer product, X and V each over its
-    common denominator, so every row is f = d e times the rational one: x,
-    the value and the pivots stay, and the dual of the scaled rows is u / f."""
-    verts = primal_ball_vertices(norm)
+    vertex deterministic. The rows are X V times f (_gauge_rows), so x, the
+    value and the pivots stay those of the rational program, and the dual of
+    the scaled rows is u / f. b sums only the vertices with lam > 0, in
+    integers: lam over its common denominator against the integer vertices."""
     e, iverts = _integer_primal_ball_vertices(norm)
-    d, xrows, _ = X._integer_form
-    rows = tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
-    f = d * e
-    res = lp_solve(LinearProgram(c=(1,) * len(verts), a_eq=rows, b_eq=tuple(f * r for r in rhs)))
+    f, rows = _gauge_rows(X, norm)
+    res = lp_solve(LinearProgram(c=(1,) * len(iverts), a_eq=rows, b_eq=tuple(f * r for r in rhs)))
     if res.status != OPTIMAL:
         return None
-    b = tuple(
-        sum((lam * v[i] for lam, v in zip(res.x, verts) if lam), Fraction(0))
-        for i in range(X.ncols)
-    )
+    used = [k for k, lam in enumerate(res.x) if lam]
+    g, (lams,) = clear_denominators([[res.x[k] for k in used]])
+    b = tuple(Fraction(sum(lam * iverts[k][i] for lam, k in zip(lams, used)), g * e)
+              for i in range(X.ncols))
     return res.value, b, tuple(f * u for u in res.dual)
 
 
@@ -320,7 +328,7 @@ def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
     value, b, z = found
     s = X.rmatvec(z)
     gap = abs(dot(b, s) - norm_value(l1, b))
-    cert = Certificate(s, dual_norm_value(l1, s), gap, 0, bp_certificate_holds(X, b, z))
+    cert = Certificate(s, dual_norm_value(l1, s), gap, 0, _bp_certificate_at(s, 1, b))
     return Solution(b, value, "lp", cert)
 
 
@@ -340,10 +348,20 @@ def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> 
     bb, zz = vec(b), vec(z)
     if len(bb) != X.ncols:
         raise ValueError("dimension mismatch")
-    s = X.rmatvec(zz)
-    if any(abs(v) > 1 + tol for v in s):
+    den, s = X._integer_rmatvec(zz)
+    return _bp_certificate_at(s, den, bb, tol)
+
+
+def _bp_certificate_at(s: Sequence, den, b: Sequence, tol=0) -> bool:
+    """Does X'z = s / den (den > 0) certify b: ||X'z||_inf <= 1 and
+    (X'z)_j = sign(b_j) on the support of b, within tol. Several points can
+    share one X'z; with integer s and den every bound is two integer
+    comparisons."""
+    slack = tol * den
+    if not all(-den - slack <= v <= den + slack for v in s):
         return False
-    return all(abs(s[j] - (1 if bb[j] > 0 else -1)) <= tol for j in range(len(bb)) if bb[j] != 0)
+    return all(sg - slack <= v <= sg + slack
+               for v, x in zip(s, b) if x for sg in [den if x > 0 else -den])
 
 
 def norm_min_subject_to(X: RationalMatrix, target: Sequence, norm: PolytopeNorm):

@@ -672,12 +672,13 @@ def test_witnesses_certify_on_arbitrary_designs(X):
 def test_unique_designs_sweep_one_level(monkeypatch):
     # every face beyond rk(X) lies in a face of codim rk(X) + 1, so a unique
     # design is settled by that level alone; the sweep tests each label of
-    # the level through the kernel, and the codim is that of the label's face
+    # the level through the kernel's screen, and the codim is that of the
+    # label's face
     seen = []
-    real = geometry_module.DesignKernel.level_hit
-    monkeypatch.setattr(geometry_module.DesignKernel, "level_hit",
-                        lambda kernel, d, label, *rest: seen.append(label)
-                        or real(kernel, d, label, *rest))
+    real = geometry_module.DesignKernel.level_hits
+    monkeypatch.setattr(geometry_module.DesignKernel, "level_hits",
+                        lambda kernel, d, level, *rest: seen.extend(e[0] for e in level)
+                        or real(kernel, d, level, *rest))
     for rows in ([[1, 3, 7, 15]], [[2, -3, 5, 7], [1, 4, -2, 9]]):
         X = RationalMatrix.from_rows(rows)
         for kind in ("l1", "sup", "strict", "tied", "bp"):
@@ -687,6 +688,149 @@ def test_unique_designs_sweep_one_level(monkeypatch):
             norm = l1_norm(4) if kind == "bp" else family_norm(kind, 4)
             codims = [norms_module._label_face(norm, label).codim for label in seen]
             assert codims and set(codims) == {report.rank + 1}
+
+
+def _per_entry_hits(kernel, d, level, cap):
+    """The reference of DesignKernel.level_hits: the integer core on every
+    entry of the level in order, the whole ball holding 0, each other face
+    checked against the cap first."""
+    for i, (label, count, ivs) in enumerate(level):
+        if not any(label):
+            yield i, geometry_module._origin(kernel.X)
+            continue
+        if cap is not None and count > cap:
+            raise CapExceeded(f"face has {count} vertices, cap is {cap}")
+        hit = kernel._meets(d, ivs)
+        if hit is not None:
+            yield i, hit
+
+
+def _read(hits, first_only=False):
+    """The hits a sweep reads, stopping at the first if asked, and the
+    refusal that ended it, if any."""
+    out = []
+    try:
+        for item in hits:
+            out.append(item)
+            if first_only:
+                break
+    except CapExceeded as err:
+        return out, str(err)
+    return out, None
+
+
+def _bp_witness(X, face, hit):
+    first, second = analysis_module._witness_pair(X, l1_norm(X.ncols), face)
+    return analysis_module.NonUniquenessWitness(
+        X.matvec(first), first, second, norm_value(l1_norm(X.ncols), first), hit.z)
+
+
+def assert_screen_matches_per_entry_reference(X, cap):
+    kernel = geometry_module.DesignKernel(X)
+    r = rank(X)
+    for family in FAMILIES:
+        bp = family == "bp"
+        norm = l1_norm(X.ncols) if bp else family_norm(family, X.ncols)
+        # the route sweeps read every hit of the whole table, label by label
+        d, table = norms_module._dual_ball_level(norm, None, None)
+        hits, refusal = _read(_per_entry_hits(kernel, d, table, cap))
+        assert _read(kernel.level_hits(d, table, cap)) == (hits, refusal)
+        if not bp:
+            kind = "model" if norm.kind == "slope" else "sign"
+            reports, refused = _read(analysis_module._route_sweep(X, norm, kind, GEOMETRIC, None, cap))
+            assert refused == refusal
+            if refusal is None:
+                by_index = dict(hits)
+                assert [(rep.geometric_hit, rep.dual_witness) for rep in reports] == [
+                    (i in by_index, by_index[i].z if i in by_index else None)
+                    for i in range(len(table))]
+        if r == X.ncols:
+            continue
+        # the uniqueness sweep reads the first hit of level r + 1
+        d, level = norms_module._dual_ball_level(norm, r + 1, None)
+        first, refusal = _read(_per_entry_hits(kernel, d, level, cap), first_only=True)
+        assert _read(kernel.level_hits(d, level, cap), first_only=True) == (first, refusal)
+        sweep = functools.partial(check_uniqueness_bp, X) if bp else functools.partial(
+            check_uniqueness, X, norm)
+        if refusal is not None:
+            with pytest.raises(CapExceeded) as err:
+                sweep(vertex_cap=cap)
+            assert str(err.value) == refusal
+            continue
+        report = sweep(vertex_cap=cap)
+        assert report.unique_for_all_y == (not first)
+        if first:
+            (i, hit), = first
+            face = norms_module._dual_ball_face(norm, level[i][0])
+            assert report.offending_face is face
+            expected = _bp_witness(X, face, hit) if bp else analysis_module._penalized_witness(
+                X, norm, face, hit)
+            assert report.witness == expected
+
+
+_SQUARE = st.integers(2, 3).flatmap(lambda p: st.lists(
+    st.lists(_SMALL, min_size=p, max_size=p), min_size=p, max_size=p)).map(RationalMatrix.from_rows)
+
+
+@settings(max_examples=15)  # the reference runs phase 1 on every larger face
+@given(st.one_of(small_designs(max_p=3), _SQUARE), st.sampled_from((None, 1, 2, 3)))
+# full rank: an empty kernel, every face meets row(X)
+@example(RationalMatrix.from_rows([[1, 2], [0, 1]]), None)
+@example(RationalMatrix.from_rows([[1, 0, 2], [0, 1, 1], [1, 1, 0]]), 2)
+# a vertex and an edge of the strict ball in row(X), and a repeated column
+@example(RationalMatrix.from_rows([[3, 2, 1]]), None)
+@example(RationalMatrix.from_rows([[1, 1, 0], [0, 1, 2]]), 3)
+def test_screened_sweeps_match_the_per_entry_reference(X, cap):
+    # the screen decides vertices and edges and passes a superset of the
+    # larger faces that meet row(X): the first hit, the witness, every hit
+    # of a route sweep and each refusal are the per-entry test's
+    assert_screen_matches_per_entry_reference(X, cap)
+
+
+def test_screen_keeps_exact_integers_beyond_64_bits():
+    # 12-digit entries, like a genericity design, give kernel images beyond
+    # 2^63; the first row puts the point (1, t, 1, 1) of an edge of the
+    # plain l1 cube into row(X), so an edge is decided by 2x2 minors of those
+    # integers, which neither int64 nor float arithmetic gets right
+    X = RationalMatrix.from_rows([
+        [1, "0.318309886184", 1, 1],
+        ["0.707106781187", "-1.41421356237", "0.577350269190", "2.71828182846"]])
+    kernel = geometry_module.DesignKernel(X)
+    d, level = norms_module._dual_ball_level(l1_norm(4), 3, None)
+    images = level.table @ kernel.columns
+    assert max(abs(x) for x in images.flat) > 2 ** 63
+    hits = dict(kernel.level_hits(d, level, None))
+    assert any(len(level[i][2]) == 2 for i in hits)
+    assert not check_uniqueness_bp(X).unique_for_all_y
+    assert_screen_matches_per_entry_reference(X, None)
+
+
+def test_an_early_exit_screens_a_prefix_of_its_level(monkeypatch):
+    # the level of codim 5 of the strict p = 6 ball has 138240 faces; a
+    # non-unique rank-4 design that hits early screens a few hundred of them
+    # and projects only the vertices those use
+    screened = []
+    real = geometry_module._screen
+
+    def counting(images, signs, ids, bounds, sizes):
+        screened.append((len(sizes), len(images)))
+        return real(images, signs, ids, bounds, sizes)
+
+    monkeypatch.setattr(geometry_module, "_screen", counting)
+    norm = slope_norm([6, 5, 4, 3, 2, 1])
+    X = RationalMatrix.from_rows([[2, 0, 0, 2, -2, 1], [-1, -2, -1, -2, 0, 1],
+                                  [-1, 1, 2, -2, 2, -1], [-2, -1, 1, 0, -1, 1]])
+    try:
+        report = check_uniqueness(X, norm)
+        assert (report.rank, report.unique_for_all_y) == (4, False)
+        assert_valid_penalized_witness(X, norm, report)
+        _, level = norms_module._dual_ball_level(norm, 5, None)
+        assert len(level) == 138240
+        assert 0 < sum(n for n, _ in screened) <= 2 * geometry_module._FIRST_CHUNK
+        assert max(m for _, m in screened) < len(level.vertices) // 10
+    finally:  # the level holds about 75 MB
+        norms_module._dual_ball_level.cache_clear()
+        norms_module._weight_free_level.cache_clear()
 
 
 def test_tied_weight_faces_never_reach_the_brute_force_grid():

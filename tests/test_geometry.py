@@ -408,10 +408,11 @@ def test_integer_face_test_matches_fraction_reference(X):
             assert hit == reference_face_test(face, X, K)
             expected.append((face.pattern, hit))
         # the sweeps' integer levels take the same test, label by label
-        got = [(label, kernel.level_hit(d, label, count, ivs, None))
+        got = [(label, hits.get(i))
                for c in range(r + 1, X.ncols + 1)
                for d, level in [norms_module._dual_ball_level(norm, c, None)]
-               for label, count, ivs in level]
+               for hits in [dict(kernel.level_hits(d, level, None))]
+               for i, (label, _, _) in enumerate(level)]
         assert got == expected
 
 
