@@ -167,9 +167,9 @@ def _exposed_points(norm: PolytopeNorm, face: Face):
     return den, ints, tuple(Fraction(sum(col), den) for col in zip(*ints))
 
 
-def _witness_pair(X, norm, face) -> tuple[Vector, Vector]:
+def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
     """Two points of one primal face with the same norm and the same fit,
-    from an intersected face F of codim rk(X) + 1.
+    from an intersected face F of codim rk(X) + 1, and that norm.
 
     The primal-ball vertices F exposes span codim F dimensions, so codim F
     independent ones P have dependent images X P, and a kernel vector c of
@@ -192,18 +192,19 @@ def _witness_pair(X, norm, face) -> tuple[Vector, Vector]:
     coeffs = [top + t for t in c]
     second = tuple(Fraction(sum(map(operator.mul, coeffs, col)), top * den)
                    for col in zip(*points))
-    if norm_value(norm, second) != norm_value(norm, first) or first == second:
+    value = norm_value(norm, first)
+    if norm_value(norm, second) != value or first == second:
         raise AssertionError("perturbation must preserve the norm and move the point")
-    return first, second
+    return first, second, value
 
 
 def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
     """The witness pair, certified by KKT at y = X first + hit.z."""
-    first, second = _witness_pair(X, norm, face)
+    first, second, value = _witness_pair(X, norm, face)
     y = tuple(a + b for a, b in zip(X.matvec(first), hit.z))
     if not all(kkt_certify(X, y, b, norm).passed for b in (first, second)):
         raise AssertionError("witness failed exact certification")
-    objective = dot(hit.z, hit.z) / 2 + norm_value(norm, first)
+    objective = dot(hit.z, hit.z) / 2 + value
     return NonUniquenessWitness(y, first, second, objective, hit.z)
 
 
@@ -239,11 +240,11 @@ def check_uniqueness_bp(
     r, face, hit = _uniqueness_sweep(X, l1, limit, vertex_cap)
     if face is None:
         return UniquenessReport(True, r, "bp", None)
-    first, second = _witness_pair(X, l1, face)
+    first, second, value = _witness_pair(X, l1, face)
     den, s = X._integer_rmatvec(hit.z)  # X'z = s / den, once for both points
     if not all(_bp_certificate_at(s, den, b) for b in (first, second)):
         raise AssertionError("witness failed the shared dual certificate")
-    witness = NonUniquenessWitness(X.matvec(first), first, second, norm_value(l1, first), hit.z)
+    witness = NonUniquenessWitness(X.matvec(first), first, second, value, hit.z)
     return UniquenessReport(False, r, "bp", None, face, witness)
 
 
@@ -303,24 +304,23 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     # at the first over-cap face
     hits = dict(kernel.level_hits(d, level, vertex_cap)) if route != ANALYTIC else {}
     if route in (ANALYTIC, BOTH):
-        # X'u over the region's vertices u, over one common denominator, so
-        # each pattern's support value is integer dot products and one Fraction
+        # every support value max <pattern, X'u> over the region's vertices u,
+        # over its one denominator, from one integer product
         region = _zero_region(X, norm)
-        den, duals = region.den, region.duals
-    # every label is an integer vector, so its norm, the permutohedron weights
-    # paired with its sorted magnitudes, is one integer sum over their common
-    # denominator
-    wden, (wints,) = clear_denominators([norm._form.weights])
+        support = region.support_values(level.labels)
+    # every label is an integer vector, so its norm is one integer sum over
+    # the weights' denominator
+    form = norm._form
+    wden = form.integers[0]
     for i, (pattern, _, _) in enumerate(level):
-        pattern_norm = Fraction(
-            sum(map(operator.mul, wints, sorted(map(abs, pattern), reverse=True))), wden)
+        pattern_norm = Fraction(form.integer_value(pattern), wden)
         hit = hits.get(i)
         geometric_hit = None
         analytic_value = None
         if route in (GEOMETRIC, BOTH):
             geometric_hit = hit is not None
         if route in (ANALYTIC, BOTH):
-            analytic_value = Fraction(max(sum(map(operator.mul, pattern, s)) for s in duals), den)
+            analytic_value = Fraction(support[i], region.den)
         if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
             raise AssertionError(f"route disagreement at {pattern}")
         accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm

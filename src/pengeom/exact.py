@@ -8,6 +8,12 @@ the solutions of linear systems; each row is scaled by a positive factor, so
 the pivots and the reduced form are those of the rational matrix. Matrix
 products run against one integer form of the matrix over a common
 denominator, memoized on the instance, and form one Fraction per entry.
+Linear systems go through a solve map, also memoized on the instance, one
+for M x = b and one for M'z = v: the same loop runs once on the integer
+form beside a multiple of the identity, pivoting in the matrix's own
+columns, and records the row operations, so each right-hand side then costs
+integer dot products and one Fraction per entry, with the solution (free
+variables at 0) and the None of eliminating that system on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -93,6 +99,18 @@ class RationalMatrix:
         d, rows = clear_denominators(self.rows)
         return d, rows, tuple(zip(*rows))
 
+    @functools.cached_property
+    def _solve_map(self) -> _SolveMap:
+        # the solve map of M x = b, one elimination per matrix (solve_exact)
+        d, rows, _ = self._integer_form
+        return _solve_map_of(rows, d)
+
+    @functools.cached_property
+    def _preimage_map(self) -> _SolveMap:
+        # the solve map of M' z = v (rowspace_preimage)
+        d, _, cols = self._integer_form
+        return _solve_map_of(cols, d)
+
     def matvec(self, v: Sequence) -> Vector:
         """Mv in integer dot products against the rows times their common
         denominator, with one Fraction per entry."""
@@ -138,12 +156,16 @@ def clear_denominators(vectors: Iterable[Sequence]) -> tuple[int, tuple[tuple[in
     positive scale for the whole list is the one way this package turns
     rationals into integers: every sign, ratio and row space survives it."""
     vectors = tuple(vectors)
-    d = math.lcm(*(x.denominator for v in vectors for x in v))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors)
+    d = math.lcm(*[x.denominator for v in vectors for x in v])
+    if d == 1:
+        return 1, tuple(tuple([x.numerator for x in v]) for v in vectors)
+    return d, tuple(tuple([x.numerator * (d // x.denominator) for x in v]) for v in vectors)
 
 
-def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], tuple[int, ...], int]:
-    """Fraction-free Gauss-Jordan (Bareiss) elimination: (A, pivots, d).
+def _eliminate(rows: Sequence[Sequence], ncols: int | None = None
+               ) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination: (A, pivots, d),
+    pivoting in the first ncols columns only (all of them by default).
 
     Each row is cleared of its denominators on its own, which scales it by a
     positive factor and so moves neither the pivots nor the reduced form.
@@ -152,10 +174,12 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], tuple[int, ..
     the previous pivot, a division that is exact because each entry is then
     a minor of the integer matrix, so sizes grow polynomially. When the loop
     ends, the pivot rows come first, each with d at its own pivot, and the
-    other rows are zero: A / d is the reduced row echelon form.
+    other rows are zero in the pivoted columns: A / d is the reduced row
+    echelon form there, and the columns beyond ncols carry the same row
+    operations.
     """
     A = [list(clear_denominators((r,))[1][0]) for r in rows]
-    m, n = len(A), len(A[0])
+    m, n = len(A), len(A[0]) if ncols is None else ncols
     pivots = []
     d = 1
     for c in range(n):
@@ -211,25 +235,54 @@ def kernel_basis(M: RationalMatrix) -> tuple[Vector, ...]:
     return tuple(basis)
 
 
+class _SolveMap(NamedTuple):
+    """The solutions of A x = b for one rational matrix A and every b, from
+    one elimination of its integer form that pivots in A's own columns
+    (_eliminate).
+
+    For A = N / c with N integer, the row operations take [N | c I] to
+    [d R | T], R the reduced row echelon form of A, so they take [N | c b]
+    to [d R | T b]. With the free variables at 0, the pivot rows of T b / d
+    are the pivot variables, and the system is consistent iff the other
+    rows of T b are zero: the same pivots, solution and None as eliminating
+    [A | b] itself."""
+
+    ncols: int
+    pivots: tuple[int, ...]
+    d: int
+    T: tuple[tuple[int, ...], ...]  # pivot rows first, then the checks
+
+    def solve(self, b: Sequence) -> Vector | None:
+        bb = vec(b)
+        if len(bb) != len(self.T):
+            raise ValueError("dimension mismatch")
+        e, (ib,) = clear_denominators((bb,))
+        r = len(self.pivots)
+        if any(sum(map(operator.mul, t, ib)) for t in self.T[r:]):
+            return None
+        x = [Fraction(0)] * self.ncols
+        for pc, t in zip(self.pivots, self.T):
+            x[pc] = Fraction(sum(map(operator.mul, t, ib)), self.d * e)
+        return tuple(x)
+
+
+def _solve_map_of(rows: Sequence[tuple[int, ...]], c: int) -> _SolveMap:
+    # the solve map of the matrix rows / c, for integer rows and c > 0
+    m, n = len(rows), len(rows[0])
+    A, pivots, d = _eliminate([r + (0,) * i + (c,) + (0,) * (m - 1 - i) for i, r in enumerate(rows)], n)
+    return _SolveMap(n, pivots, d, tuple(tuple(row[n:]) for row in A))
+
+
 def solve_exact(M: RationalMatrix, b: Sequence) -> Vector | None:
     """One exact solution of M x = b (free variables set to 0), or None if the
-    system is inconsistent."""
-    bb = vec(b)
-    if len(bb) != M.nrows:
-        raise ValueError("dimension mismatch")
-    A, pivots, d = _eliminate([r + (bi,) for r, bi in zip(M.rows, bb)])
-    n = M.ncols
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        x[pc] = Fraction(A[i][n], d)
-    return tuple(x)
+    system is inconsistent, through M's solve map."""
+    return M._solve_map.solve(b)
 
 
 def rowspace_preimage(M: RationalMatrix, v: Sequence) -> Vector | None:
-    """z with M'z = v, or None when v is outside row(M)."""
-    return solve_exact(M.transpose(), v)
+    """z with M'z = v, or None when v is outside row(M), through the solve
+    map of M', kept on M."""
+    return M._preimage_map.solve(v)
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,11 @@ class _Level(tuple):
         return level
 
     @functools.cached_property
+    def labels(self) -> np.ndarray:
+        # the entries' labels as one int64 array, for the analytic route
+        return np.array([label for label, _, _ in self], dtype=np.int64)
+
+    @functools.cached_property
     def table(self) -> np.ndarray:
         # the vertex table as one object array of Python ints, read only
         # when a screen needs some vertex, so it has at least one row

@@ -22,17 +22,19 @@ zero_region lists the vertices of the zero-solution region
 D = {u : ||X'u||_* <= 1}, from one double description per (design, norm),
 cached (64 pairs) with what its readers need (_zero_region): X'u for each
 vertex u over one common denominator, which the analytic accessibility route
-pairs with each label, and u's tight set, the primal-ball vertices v with
-<Xv, u> = 1, which names G(u), the smallest dual-ball face holding X'u
-(_tight_face). Both figures label the region's vertices and edges, and the
+pairs with every label in one integer product (_ZeroRegion.support_values),
+and u's tight set, the primal-ball vertices v with <Xv, u> = 1, which names
+G(u), the smallest dual-ball face holding X'u (_tight_face). Both figures label the region's vertices and edges, and the
 crossings of a rank-one row space, from those tight sets.
 
 norm_value and dual_norm_value are the one copy of the norm arithmetic: a
 private _NormForm per norm pairs the sorted |x| with the same weights, or
 takes the best ratio of their prefix sums (Bogdan et al. 2015). Each norm
-caches it in its Fractions and in floats for FISTA; CPython converts a
-Fraction to float before Fraction * float and float / Fraction, so on the
-same floats the two forms give the same doubles.
+caches it in its Fractions, in integers over the weights' denominator for
+integer vectors (labels, the exact certificate) and in floats for FISTA;
+CPython converts a Fraction to float before Fraction * float and
+float / Fraction, so on the same floats the Fraction and float forms give
+the same doubles.
 
 Values are duck-typed: Fraction inputs give exact rationals, float inputs
 give floats. Face construction is exact-only.
@@ -47,6 +49,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .exact import (
     RationalMatrix,
@@ -108,6 +112,31 @@ class _NormForm:
             return sum(map(abs, x))
         mags = sorted(map(abs, x), reverse=True)
         return max(map(operator.truediv, itertools.accumulate(mags), self.prefix))
+
+    @functools.cached_property
+    def integers(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(e, the weights times e, their prefix sums times e) for e the
+        weights' least common denominator, which the integer readers share."""
+        e, (w,) = clear_denominators([self.weights])
+        return e, w, tuple(itertools.accumulate(w))
+
+    def integer_value(self, x: Sequence[int]) -> int:
+        """e ||x|| for an integer vector x: the integer weights paired with
+        the sorted magnitudes, which is the norm of every kind."""
+        _, w, _ = self.integers
+        return sum(map(operator.mul, w, sorted(map(abs, x), reverse=True)))
+
+    def exact_dual_value(self, x: Sequence[int], den: int) -> Fraction:
+        """The dual norm of x / den for an integer vector x and den > 0: the
+        best ratio of the magnitudes' prefix sums to the weights', chosen by
+        integer cross products, as one Fraction (for l1 and sup the ratios
+        peak at the largest magnitude and at the full sum)."""
+        e, _, prefix = self.integers
+        top, below = 0, 1
+        for a, q in zip(itertools.accumulate(sorted(map(abs, x), reverse=True)), prefix):
+            if a * below > top * q:
+                top, below = a, q
+        return Fraction(top * e, below * den)
 
     @functools.cached_property
     def floats(self) -> _NormForm:
@@ -363,6 +392,10 @@ def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], V
     return out
 
 
+# label-by-vertex entries per chunk of a support-value product
+_SUPPORT_CHUNK = 1 << 18
+
+
 class _ZeroRegion(NamedTuple):
     """The zero-solution region D of one (design, norm): its vertices u, X'u
     for each over one common denominator den (the rows of duals), and each
@@ -373,6 +406,19 @@ class _ZeroRegion(NamedTuple):
     den: int
     duals: tuple[tuple[int, ...], ...]
     tight: tuple[tuple[Vector, ...], ...]
+
+    def support_values(self, labels: np.ndarray) -> list[int]:
+        """max <t, X'u> over the vertices u, times den, for each row t of an
+        integer label array: one product of the labels by the duals, a chunk
+        of labels at a time. It runs in int64 only where the bound
+        max|t| max|den X'u| p < 2^62 keeps every entry from overflowing, and
+        on Python ints (object dtype) otherwise."""
+        top = max(abs(x) for s in self.duals for x in s)
+        exact = int(abs(labels).max()) * top * labels.shape[1] >= 1 << 62
+        S = np.array(self.duals, dtype=object if exact else np.int64).T
+        L = labels.astype(object) if exact else labels
+        step = max(1, _SUPPORT_CHUNK // S.shape[1])
+        return [v for lo in range(0, len(L), step) for v in (L[lo:lo + step] @ S).max(axis=1).tolist()]
 
 
 def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:

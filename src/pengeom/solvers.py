@@ -13,14 +13,19 @@ pursuit dual certificate for b whenever ||b||_1 attains the least norm.
 
 The float route never decides anything: it produces a candidate point plus a
 KKT certificate, and only the certificate (exact on rational inputs, with an
-explicit tolerance on float ones) is trusted downstream. It runs on plain
-lists of Python floats wherever it leaves numpy: the sorted-l1 and sup prox
-is the same sort-and-PAVA core as the exact prox_slope, fed v.tolist() and
-weights checked once per solve. The norm arithmetic lives in norms.py: the
-objective and the float certificate read the norm's float form, the exact
-certificate its exact form, and both certificates share one tail. tolist()
-keeps the doubles, so every float they compute is the one norm_value and
-dual_norm_value give with the norm's Fractions on the same doubles.
+explicit tolerance on float ones) is trusted downstream. The float route
+runs on plain lists of Python floats wherever it leaves numpy: the
+sorted-l1 and sup prox is the same sort-and-PAVA core as the exact
+prox_slope, fed v.tolist() and weights checked once per solve. The norm
+arithmetic lives in norms.py: the objective and the float certificate read
+the norm's float form, and tolist() keeps the doubles, so every float they
+compute is the one norm_value and dual_norm_value give with the norm's
+Fractions on the same doubles. The exact certificate is worked in integers:
+y and b are cleared of their denominators once, the residual and
+X'(y - Xb) are integer dot products against the design's integer form, the
+dual norm and the gap come from the norm's integer weights, and Fractions
+are formed only for the certificate's fields, with the values Fraction
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -122,25 +127,41 @@ class Certificate:
 
 
 def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certificate:
-    """Exact when X, y, b are rational and tol = 0; float otherwise. The
-    branches differ in the dual vector and the pairing; the dual norm, the
-    gap and the verdict read the norm's exact or float form."""
+    """Exact when X, y, b are rational and tol = 0, in integers; float
+    otherwise, where the dual norm, the gap and the verdict read the norm's
+    float form."""
     shape = X.shape if isinstance(X, RationalMatrix) else np.shape(X)
     if (len(y), len(b)) != shape or norm.dim != len(b):
         raise ValueError("dimension mismatch")
     if isinstance(X, RationalMatrix) and tol == 0:
-        bb = vec(b)
-        s = X.rmatvec(tuple(a - c for a, c in zip(vec(y), X.matvec(bb))))
-        pairing, form, tol = dot(bb, s), norm._form, 0
-    else:
-        Xf = _float_matrix(X)
-        bf = np.asarray(b, dtype=float)
-        sf = Xf.T @ (np.asarray(y, dtype=float) - Xf @ bf)
-        s, bb = tuple(sf.tolist()), bf.tolist()
-        pairing, form = float(np.dot(bf, sf)), norm._form.floats
+        return _exact_certificate(X, vec(y), vec(b), norm._form)
+    Xf = _float_matrix(X)
+    bf = np.asarray(b, dtype=float)
+    sf = Xf.T @ (np.asarray(y, dtype=float) - Xf @ bf)
+    s, form = tuple(sf.tolist()), norm._form.floats
     dn = form.dual_value(s)
-    gap = abs(pairing - form.value(bb))
+    gap = abs(float(np.dot(bf, sf)) - form.value(bf.tolist()))
     return Certificate(s, dn, gap, tol, dn <= 1 + tol and gap <= tol)
+
+
+def _exact_certificate(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm) -> Certificate:
+    """The tol-0 certificate in integers: with X = R / d, y = Y / e and
+    b = B / f, the residual is (d f Y - e R B) / (d e f), and the dual
+    vector s = X'(y - Xb) is S / D for S = R'(d f Y - e R B) and
+    D = d^2 e f. With g the weights' denominator, the gap
+    |<b, s> - ||b||| is |g <B, S> - D g ||B||| / (f D g). Fractions are
+    formed only for the fields, one per entry of s, one for the dual norm
+    and one for the gap, so their values are those of Fraction arithmetic."""
+    d, rows, cols = X._integer_form
+    e, (Y,) = clear_denominators((y,))
+    f, (B,) = clear_denominators((b,))
+    residual = [d * f * t - e * sum(map(operator.mul, r, B)) for r, t in zip(rows, Y)]
+    S = [sum(map(operator.mul, c, residual)) for c in cols]
+    den = d * d * e * f
+    g = form.integers[0]
+    dn = form.exact_dual_value(S, den)
+    gap = Fraction(abs(g * sum(map(operator.mul, B, S)) - den * form.integer_value(B)), f * den * g)
+    return Certificate(tuple(Fraction(x, den) for x in S), dn, gap, 0, dn <= 1 and not gap)
 
 
 def _float_matrix(X) -> np.ndarray:

@@ -7,15 +7,22 @@ itself never reads them.
 - SignedPermutation and signed_permutations act on coordinates, for the
   equivariance tests: every norm here is invariant under them.
 - nonneg_lp builds a LinearProgram from any rational entries.
+- solve_by_elimination solves M x = b by its own elimination of [M | b],
+  for the solve maps to match.
+- fraction_certificate is the exact KKT certificate in Fraction
+  arithmetic, for the integer one to match.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from pengeom.exact import RationalMatrix, Vector, clear_denominators, rank, vec
+from pengeom.exact import RationalMatrix, Vector, _eliminate, clear_denominators, dot, rank, vec
 from pengeom.geometry import CapExceeded
 from pengeom.lp import LinearProgram
+from pengeom.norms import PolytopeNorm
+from pengeom.solvers import Certificate
 
 BRUTE_FORCE_FACE_LIMIT = 4
 
@@ -112,3 +119,30 @@ def nonneg_lp(c, a_eq=(), b_eq=(), a_ub=(), b_ub=()) -> LinearProgram:
         a_ub=tuple(vec(r) for r in a_ub),
         b_ub=vec(b_ub),
     )
+
+
+def solve_by_elimination(M: RationalMatrix, b: Sequence) -> Vector | None:
+    """One solution of M x = b with the free variables at 0, or None: the
+    fraction-free elimination of [M | b], once per right-hand side."""
+    bb = vec(b)
+    if len(bb) != M.nrows:
+        raise ValueError("dimension mismatch")
+    A, pivots, d = _eliminate([r + (bi,) for r, bi in zip(M.rows, bb)])
+    n = M.ncols
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = Fraction(A[i][n], d)
+    return tuple(x)
+
+
+def fraction_certificate(X: RationalMatrix, y: Sequence, b: Sequence, norm: PolytopeNorm) -> Certificate:
+    """kkt_certify at tol 0 in Fraction arithmetic: s = X'(y - Xb), its dual
+    norm and the gap |<b, s> - ||b|||, from the norm's exact form."""
+    bb = vec(b)
+    s = X.rmatvec(tuple(a - c for a, c in zip(vec(y), X.matvec(bb))))
+    form = norm._form
+    dn = form.dual_value(s)
+    gap = abs(dot(bb, s) - form.value(bb))
+    return Certificate(s, dn, gap, 0, dn <= 1 and gap <= 0)

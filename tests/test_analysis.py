@@ -720,9 +720,9 @@ def _read(hits, first_only=False):
 
 
 def _bp_witness(X, face, hit):
-    first, second = analysis_module._witness_pair(X, l1_norm(X.ncols), face)
-    return analysis_module.NonUniquenessWitness(
-        X.matvec(first), first, second, norm_value(l1_norm(X.ncols), first), hit.z)
+    first, second, value = analysis_module._witness_pair(X, l1_norm(X.ncols), face)
+    assert value == norm_value(l1_norm(X.ncols), first)
+    return analysis_module.NonUniquenessWitness(X.matvec(first), first, second, value, hit.z)
 
 
 def assert_screen_matches_per_entry_reference(X, cap):
@@ -803,6 +803,54 @@ def test_screen_keeps_exact_integers_beyond_64_bits():
     assert any(len(level[i][2]) == 2 for i in hits)
     assert not check_uniqueness_bp(X).unique_for_all_y
     assert_screen_matches_per_entry_reference(X, None)
+
+
+def _per_label_support(region, labels):
+    # the analytic route's support values one label and one vertex at a time
+    return [max(sum(a * b for a, b in zip(t, s)) for s in region.duals) for t in labels.tolist()]
+
+
+def test_support_values_keep_exact_integers_beyond_64_bits():
+    # 12-digit entries give support values of some 180 and 390 bits, past
+    # the int64 bound, so the product runs on Python ints and equals the
+    # per-label max
+    X = RationalMatrix.from_rows([
+        [1, "0.318309886184", 1, 1],
+        ["0.707106781187", "-1.41421356237", "0.577350269190", "2.71828182846"]])
+    for norm in (l1_norm(4), slope_norm([4, 3, 2, 1])):
+        region = norms_module._zero_region(X, norm)
+        labels = norms_module._dual_ball_level(norm, None, None, False)[1].labels
+        assert max(abs(x) for s in region.duals for x in s) * 4 * int(abs(labels).max()) >= 2 ** 62
+        values = region.support_values(labels)
+        assert max(map(abs, values)) > 2 ** 63
+        assert values == _per_label_support(region, labels)
+
+
+def test_analytic_tables_match_the_per_label_max(monkeypatch):
+    # the one product gives the tables on routes analytic and both,
+    # byte for byte, that the per-label max gives, for l1, sup and strict,
+    # tied and zero-tail slope weights
+    rng = random.Random(23)
+    designs = [DEMO_X] + [RationalMatrix.from_rows(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(p)] for _ in range(n)])
+        for p in (3, 4) for n in (1, 2, 3)]
+
+    def tables():
+        out = []
+        for X in designs:
+            p = X.ncols
+            for route in (ANALYTIC, BOTH):
+                out.append([r.to_json_dict() for r in accessible_sign_vectors(X, route, lam=Fraction(3, 2))])
+                out.append([r.to_json_dict() for r in analysis_module._route_sweep(
+                    X, sup_norm(p), "sign", route, None, DEFAULT_VERTEX_CAP)])
+                for kind in ("strict", "tied", "zero"):
+                    weights = list(family_norm(kind, p).weights)
+                    out.append([r.to_json_dict() for r in accessible_slope_models(X, weights, route)])
+        return json.dumps(out)
+
+    product = tables()
+    monkeypatch.setattr(norms_module._ZeroRegion, "support_values", _per_label_support)
+    assert product == tables()
 
 
 def test_an_early_exit_screens_a_prefix_of_its_level(monkeypatch):

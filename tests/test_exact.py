@@ -20,6 +20,8 @@ from pengeom.exact import (
     solve_exact,
 )
 
+from oracles import solve_by_elimination
+
 
 def rand_matrix(rng, m, n, den=4, lo=-5, hi=5):
     return RationalMatrix.from_rows(
@@ -295,3 +297,46 @@ def test_integer_elimination_and_products_match_fraction_arithmetic(system):
     _same(rowspace_preimage(M, x), _ref_solve_exact(Mt, x))
     _same(M.matvec(x), _ref_matvec(rows, x))
     _same(M.rmatvec(b), _ref_matvec(Mt, b))
+
+
+@st.composite
+def _deficient_systems(draw):
+    """(M, right-hand sides of M x = b, right-hand sides of M'z = v): rows
+    that are combinations of fewer base rows, repeated or zero, and for
+    each system consistent sides (images) mixed with arbitrary ones."""
+    m, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    base = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(k)]
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["combination", "repeat", "zero"]))
+        if kind == "repeat" and rows:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "combination" and base:
+            coef = draw(st.lists(_ENTRY, min_size=k, max_size=k))
+            rows.append([sum((c * r[j] for c, r in zip(coef, base)), Fraction(0)) for j in range(n)])
+        else:
+            rows.append([Fraction(0)] * n)
+    M = RationalMatrix(tuple(tuple(r) for r in rows))
+
+    def sides(image, width, size):
+        # image of a drawn vector of the given width, or any vector of size
+        return [image(draw(st.lists(_ENTRY, min_size=width, max_size=width))) if draw(st.booleans())
+                else tuple(draw(st.lists(_ENTRY, min_size=size, max_size=size)))
+                for _ in range(draw(st.integers(1, 4)))]
+
+    return M, sides(M.matvec, n, m), sides(M.rmatvec, m, n)
+
+
+@settings(max_examples=150)
+@given(_deficient_systems())
+@example((RationalMatrix.from_rows([[1, 2], [1, 2], [0, 0]]),
+          [(3, 3, 0), (3, 4, 0), (0, 0, 1)], [(1, 2), (1, 3)]))
+def test_solve_maps_match_one_elimination_per_right_hand_side(system):
+    # one solve map per matrix gives each right-hand side the solution, or
+    # the None, that eliminating [M | b] gives it
+    M, bs, vs = system
+    Mt = M.transpose()
+    for b in bs:
+        _same(solve_exact(M, b), solve_by_elimination(M, b))
+    for v in vs:
+        _same(rowspace_preimage(M, v), solve_by_elimination(Mt, v))

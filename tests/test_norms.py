@@ -42,7 +42,7 @@ from pengeom.norms import (
 from pengeom.solvers import bp_certificate_holds, bp_dual_certificate, norm_min_subject_to
 from pengeom.svg import response_region_figure
 
-from oracles import enumerate_exposed_faces, nonneg_lp
+from oracles import enumerate_exposed_faces, nonneg_lp, solve_by_elimination
 
 W2 = slope_norm(["3.5", "1.5"])
 
@@ -494,6 +494,16 @@ def test_zero_region_tight_sets_name_the_minimal_faces():
             assert set(tight) == set(exposed)
             x = [sum(col) for col in zip(*exposed)] if exposed else [0] * X.ncols
             assert norms_module._tight_face(norm, tight) == subdifferential_face(norm, x)
+
+
+def test_zero_region_start_vertices_read_one_solve_map(monkeypatch):
+    # the 2^r start vertices solve against one basis through its solve map;
+    # the region is the same as when each is eliminated on its own
+    cases = list(tight_set_cases())
+    built = [norms_module._zero_region.__wrapped__(X, norm) for X, norm in cases]
+    monkeypatch.setattr(norms_module, "solve_exact", solve_by_elimination)
+    for (X, norm), region in zip(cases, built):
+        assert repr(region) == repr(norms_module._zero_region.__wrapped__(X, norm))
 
 
 def test_one_double_description_per_design_and_norm():

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pengeom.solvers as solvers_module
-from pengeom.exact import RationalMatrix, dot, vec
+from pengeom.exact import RationalMatrix, dot, rowspace_preimage, vec
 from pengeom.lp import OPTIMAL, LinearProgram, lp_solve
 from pengeom.norms import (
     dual_ball_membership,
@@ -35,7 +35,7 @@ from pengeom.solvers import (
     solve_penalized,
 )
 
-from oracles import SignedPermutation
+from oracles import SignedPermutation, fraction_certificate
 
 W21 = vec([2, 1])
 
@@ -180,6 +180,71 @@ def test_kkt_certify_rejects_wrong_lengths():
         for tol in (0, 1e-9):
             with pytest.raises(ValueError):
                 kkt_certify(X, vec(y), vec(b), norm, tol=tol)
+
+
+# mixed denominators, small and 12-digit, and many zeros
+_MIXED = st.builds(Fraction, st.integers(-6, 6) | st.integers(-10**12, 10**12),
+                   st.sampled_from([1, 1, 2, 3, 7, 10**12 - 11]))
+_KKT_NORMS = {
+    "l1": lambda p: l1_norm(p, scale=Fraction(3, 2)),
+    "sup": sup_norm,
+    "strict": lambda p: slope_norm([Fraction(7, 2), 2, Fraction(2, 3), Fraction(1, 5)][:p]),
+    "tied": lambda p: slope_norm([3, 3, 1, 1][:p]),
+    "zero": lambda p: slope_norm([Fraction(5, 2), 1, 0, 0][:p]),
+}
+
+
+def _subgradient(norm, b):
+    # a dual-ball vertex pairing with b to ||b||: the weights in the order of
+    # b's magnitudes, with b's signs (+ at zeros)
+    w = norm._form.weights
+    order = sorted(range(len(b)), key=lambda j: -abs(b[j]))
+    s = [None] * len(b)
+    for k, j in enumerate(order):
+        s[j] = w[k] if b[j] >= 0 else -w[k]
+    return s
+
+
+@st.composite
+def _kkt_cases(draw):
+    """(X, y, b, norm, case): y = Xb + z with X'z a subgradient of the norm
+    at b (case "optimal", which passes whenever that subgradient lies in
+    row(X)), the same with the subgradient scaled by 3/2 ("outside", dual
+    norm 3/2), b moved off the minimizer ("moved"), or any y ("free")."""
+    p, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    X = RationalMatrix(tuple(tuple(draw(st.lists(_MIXED, min_size=p, max_size=p))) for _ in range(n)))
+    norm = _KKT_NORMS[draw(st.sampled_from(sorted(_KKT_NORMS)))](p)
+    b = draw(st.lists(_MIXED, min_size=p, max_size=p))
+    case = draw(st.sampled_from(["optimal", "outside", "moved", "free"]))
+    z = None
+    if case != "free":
+        s = _subgradient(norm, b)
+        z = rowspace_preimage(X, [x * Fraction(3, 2) for x in s] if case == "outside" else s)
+    if z is None:
+        y = draw(st.lists(_MIXED, min_size=n, max_size=n))
+        case = "free"
+    else:
+        y = [a + c for a, c in zip(X.matvec(b), z)]
+    if case == "moved":
+        b[draw(st.integers(0, p - 1))] += draw(_MIXED.filter(bool))
+    return X, y, b, norm, case
+
+
+@settings(max_examples=300)
+@given(_kkt_cases())
+@example((RationalMatrix.from_rows([[1, 0], [0, 1]]), [Fraction(3, 2), Fraction(1)], [0, 0],
+          l1_norm(2, scale=Fraction(3, 2)), "free"))
+def test_integer_certificate_matches_the_fraction_reference(case):
+    # every field, values and types, equals the Fraction arithmetic's
+    X, y, b, norm, kind = case
+    got, want = kkt_certify(X, y, b, norm), fraction_certificate(X, y, b, norm)
+    assert got == want
+    assert [repr(getattr(got, f)) for f in Certificate.__dataclass_fields__] == [
+        repr(getattr(want, f)) for f in Certificate.__dataclass_fields__]
+    if kind == "optimal":
+        assert got.passed and got.dual_norm == 1
+    elif kind == "outside":
+        assert not got.passed and got.dual_norm == Fraction(3, 2)
 
 
 def test_fista_certifies_small_slope():
