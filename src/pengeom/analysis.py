@@ -52,7 +52,6 @@ from .norms import (
     _dual_ball_face,
     _dual_ball_level,
     _zero_region,
-    dual_ball_membership,
     exposed_primal_vertices,
     l1_norm,
     norm_value,
@@ -63,7 +62,6 @@ from .solvers import (
     SolverOptions,
     _bp_certificate_at,
     _float_matrix,
-    bp_certificate_holds,
     kkt_certify,
     solve_penalized,
 )
@@ -365,9 +363,11 @@ def accessible_sign_vectors(
             response = None
             if z is not None:
                 response = tuple(lam * a + b for a, b in zip(z, response_bp))
-                if not kkt_certify(X, response, point, scaled).passed:
+                cert = kkt_certify(X, response, point, scaled)
+                if not cert.passed:
                     raise AssertionError("response witness failed certification")
-                if not bp_certificate_holds(X, point, z):
+                # the certificate's dual vector is X'(lam z) = lam X'z
+                if not _bp_certificate_at(cert.dual_vector, lam, point):
                     raise AssertionError("shared dual vector must certify the pattern")
             report = replace(report, response_witness=response, response_witness_bp=response_bp)
         out.append(report)
@@ -475,11 +475,16 @@ def _fit(X, y, norm: PolytopeNorm, options: SolverOptions = SolverOptions()) -> 
             exact_y = vec(y)
         except TypeError:  # float response
             exact_y = None
-        if exact_y is not None and dual_ball_membership(norm, X.rmatvec(exact_y)):
-            zero = vec([0] * X.ncols)
-            cert = kkt_certify(X, exact_y, zero, norm)
-            sol = Solution(zero, dot(exact_y, exact_y) / 2, "exact", cert)
-            return _Fit(sol, (0,) * X.ncols, vec([0] * X.nrows), exact_y)
+        if exact_y is not None:
+            # X'y = S / den in the dual ball, decided in integers
+            den, S = X._integer_rmatvec(exact_y)
+            if len(S) != norm.dim:
+                raise ValueError("dimension mismatch")
+            if norm._form.exact_dual_value(S, den) <= 1:
+                zero = vec([0] * X.ncols)
+                cert = kkt_certify(X, exact_y, zero, norm)
+                sol = Solution(zero, dot(exact_y, exact_y) / 2, "exact", cert)
+                return _Fit(sol, (0,) * X.ncols, vec([0] * X.nrows), exact_y)
     return _read_solve(X, y, norm, solve_penalized(X, y, norm, options))
 
 
@@ -502,8 +507,10 @@ def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -
     )
 
 
-def _ambiguity_flag(X, norm):
-    # only the verdict is read, so the sweep builds no witness
+@functools.lru_cache(maxsize=64)
+def _ambiguity_flag(X: RationalMatrix, norm: PolytopeNorm) -> bool | None:
+    # one verdict per (design, norm), which every classification of the
+    # design reads; only the verdict is read, so the sweep builds no witness
     try:
         return _uniqueness_sweep(X, norm, None, DEFAULT_VERTEX_CAP)[1] is not None
     except CapExceeded:

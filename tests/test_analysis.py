@@ -326,6 +326,24 @@ def test_classify_ambiguity_flag_and_cap():
     assert out.ambiguous is None  # model sweep beyond the enumeration cap
 
 
+def test_a_design_sweeps_its_ambiguity_once(monkeypatch):
+    # every classification of one design (and of an equal one) reads one
+    # cached ambiguity verdict, so ker(X) is computed once, whether the
+    # response lies in the zero region, outside it, or is given in floats
+    calls = []
+    monkeypatch.setattr(geometry_module, "kernel_basis",
+                        lambda X, real=geometry_module.kernel_basis: calls.append(X) or real(X))
+    analysis_module._ambiguity_flag.cache_clear()
+    X = RationalMatrix.from_rows([[2, 1, 0], [1, -1, 3]])
+    w = (3, 2, 1)
+    ys = [(Fraction(1, 10), Fraction(1, 10)), (Fraction(7), Fraction(-2)), (3.0, 1.5)]
+    first = [classify_response(X, w, y) for y in ys]
+    again = classify_response(RationalMatrix.from_rows(X.rows), w, ys[1])
+    assert len(calls) == 1
+    assert again == first[1]
+    assert {c.ambiguous for c in first} == {not check_uniqueness(X, slope_norm(w)).unique_for_all_y}
+
+
 def project_onto_dual_feasible_oracle(X, norm, y):
     """Euclidean projection of y onto {u : dual norm of X'u <= 1} by exact
     active-set enumeration over the H-representation u'(X s) <= 1."""

@@ -422,7 +422,9 @@ def _hex_record(sol):
 def test_float_route_is_bit_identical_to_the_reference():
     rng = random.Random(53)
     cases = []
-    for p, n, cap in ((1, 1, 100_000), (3, 2, 100_000), (12, 6, 1000), (50, 20, 300)):
+    below, at = solvers_module._ARRAY_PROX_FROM - 1, solvers_module._ARRAY_PROX_FROM
+    for p, n, cap in ((1, 1, 100_000), (3, 2, 100_000), (12, 6, 1000), (50, 20, 300),
+                      (below, 8, 1000), (at, 8, 1000)):
         Xf = np.array([[rng.gauss(0, 1) for _ in range(p)] for _ in range(n)])
         y = [3 * rng.gauss(0, 1) for _ in range(n)]
         strict = sorted((Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(p)),
@@ -448,6 +450,41 @@ def test_float_route_is_bit_identical_to_the_reference():
         converged += got.converged
     # both outcomes of the certificate are compared
     assert 0 < converged < len(cases)
+
+
+def test_array_prox_matches_the_list_prox():
+    # the numpy framing ranks, pools and restores to the list framing's
+    # doubles, and the penalty the prox reads off its ranking is the norm's
+    # own value of the point, on both sides of the size threshold
+    rng = random.Random(61)
+    at = solvers_module._ARRAY_PROX_FROM
+    grid = (0.0, -0.0, 0.25, -0.25, 1.5, -1.5)
+    seen = {"clipped": 0, "negative zero out": 0, "tie": 0, "positive": 0}
+    for trial in range(400):
+        p = rng.choice((1, 2, 3, at - 1, at, 50))
+        strict = sorted((Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(p)),
+                        reverse=True)
+        norm = rng.choice((sup_norm(p), slope_norm(strict), slope_norm([strict[0]] * p),
+                           slope_norm(strict[: (p + 1) // 2] + [0] * (p // 2))))
+        fnorm = norm._form.floats
+        step = rng.choice((1.0, 0.05, 1e-3))
+        if trial % 50 == 0:
+            v = [rng.choice((0.0, -0.0)) for _ in range(p)]
+        else:
+            v = [rng.choice(grid) if rng.random() < 0.5 else rng.gauss(0, 3) for _ in range(p)]
+        w = [x * step for x in fnorm.weights]
+        out, ranked = solvers_module._list_prox(v, w)
+        array_out, array_ranked = solvers_module._array_prox(np.array(v), np.array(w))
+        assert list(map(float.hex, array_out.tolist())) == list(map(float.hex, out))
+        assert list(map(float.hex, array_ranked)) == list(map(float.hex, ranked))
+        point, penalty = solvers_module._prox_for(fnorm, step)(np.array(v))
+        assert list(map(float.hex, point.tolist())) == list(map(float.hex, out))
+        assert penalty.hex() == fnorm.value(out).hex()
+        seen["clipped"] += any(math.copysign(1, t) < 0 for t in ranked)
+        seen["negative zero out"] += any(t == 0 and math.copysign(1, t) < 0 for t in out)
+        seen["tie"] += len(set(map(abs, v))) < p
+        seen["positive"] += ranked[0] > 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_a_rational_design_keeps_one_float_view_and_one_step(monkeypatch):
@@ -504,6 +541,26 @@ def test_bp_certificate_rejects_wrong_lengths():
     for b in ([1], [1, 0, 0]):
         with pytest.raises(ValueError):
             bp_certificate_holds(X, vec(b), vec([1, 0]))
+
+
+def test_bp_certificate_bounds_match_their_definition():
+    # the check forms its bounds once; on integer s over an integer den and
+    # on Fraction s over a Fraction den, with and without a tolerance, it
+    # decides |s_j / den| <= 1 + tol, and |s_j / den - sign(b_j)| <= tol on
+    # the support of b
+    rng = random.Random(17)
+    for _ in range(2000):
+        p = rng.randint(1, 4)
+        den = rng.randint(1, 4)
+        s = [rng.randint(-5, 5) for _ in range(p)]
+        b = [rng.randint(-1, 1) for _ in range(p)]
+        tol = rng.choice((0, 0, Fraction(1, 4), Fraction(1, 2)))
+        want = (all(abs(Fraction(v, den)) <= 1 + tol for v in s)
+                and all(abs(Fraction(v, den) - x) <= tol for v, x in zip(s, b) if x))
+        assert solvers_module._bp_certificate_at(s, den, b, tol) == want
+        lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        scaled = [Fraction(v, den) * lam for v in s]
+        assert solvers_module._bp_certificate_at(scaled, lam, b, tol) == want
 
 
 def test_norm_min_l1():
