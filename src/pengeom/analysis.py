@@ -7,8 +7,8 @@ classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
 Every sweep reads its level of the dual ball from norms._dual_ball_level:
-each face's label, vertex count and integer vertices, ints only, with the
-level's vertex table, which DesignKernel.level_hits screens against row(X)
+its labels, its integer vertex table and the index of each face's vertices
+into it, ints only, which DesignKernel.level_hits screens against row(X)
 chunk by chunk. A Face is built only for the face that row(X) meets, and is
 kept per (norm, label), so a repeated question finds its witness points
 cached. Uniqueness and its basis-pursuit analogue share one sweep over the
@@ -148,7 +148,7 @@ def _uniqueness_sweep(X, norm, limit, vertex_cap):
     if r < X.ncols:
         d, level = _dual_ball_level(norm, r + 1, limit)
         for i, hit in kernel.level_hits(d, level, vertex_cap):
-            return r, _dual_ball_face(norm, level[i][0]), hit
+            return r, _dual_ball_face(norm, level.labels[i]), hit
     return r, None, None
 
 
@@ -305,12 +305,12 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
         # every support value max <pattern, X'u> over the region's vertices u,
         # over its one denominator, from one integer product
         region = _zero_region(X, norm)
-        support = region.support_values(level.labels)
+        support = region.support_values(level.label_array)
     # every label is an integer vector, so its norm is one integer sum over
     # the weights' denominator
     form = norm._form
     wden = form.integers[0]
-    for i, (pattern, _, _) in enumerate(level):
+    for i, pattern in enumerate(level.labels):
         pattern_norm = Fraction(form.integer_value(pattern), wden)
         hit = hits.get(i)
         geometric_hit = None

@@ -11,8 +11,9 @@ m (largest level first, taking consecutive weight chunks) times a sign
 permutohedron on the zero block. Strictly decreasing positive weights make
 this a bijection; tied or zero weights let several models share one face.
 One walk over m's blocks (_model_blocks) gives them and the codimension, and
-one vertex count and one vertex generator read them, for weights of any
-type: a Face's Fractions, or a sweep level's integers (norms). Models are
+one vertex generator reads them, for weights of any type: a Face's
+Fractions, or a sweep level's integers (norms). A Face counts its vertices
+from its blocks; a level counts each face's vertex ids. Models are
 listed top level by top level (_models), so a level of codimension c, whose
 faces all have top level at most c, lists no model above it.
 
@@ -31,13 +32,14 @@ test screens first (_screen), in this order: a vertex meets row(X) iff its
 image is zero; an edge iff its two images are parallel with a nonpositive
 dot product (0 lies between them); a larger face can meet it only if each
 kernel coordinate has min <= 0 <= max over its images (a sign box). Only
-the faces that pass go to the integer core (_meets), which decides a larger
-face by simplex phase 1 alone (lp.lp_feasible) on those same images, every
-row carrying the same positive factor, so it pivots as on the rational
-program and hands back integer weights; for vertices and edges it recomputes
-the hit, and a disagreement raises. A sweep screens a whole level of the
-dual ball (norms) from its vertex table and per-entry vertex ids
-(DesignKernel.level_hits), in chunks of doubling size, projecting each
+the faces that pass go to the integer core (_meets), with their rows of the
+screen's product, the one K'v computed: it decides a larger face by simplex
+phase 1 alone (lp.lp_feasible) on those images, every row carrying the same
+positive factor, so it pivots as on the rational program and hands back
+integer weights; for vertices and edges it re-decides the hit, and a
+disagreement raises. A sweep screens a whole level of the dual ball (norms:
+labels, a vertex table, each face's vertex ids into it) through
+DesignKernel.level_hits, in chunks of doubling size, projecting each
 vertex once, when the first chunk that uses it is screened; a single Face
 is screened on its own (face_intersects_rowspace). Fractions return only on
 a hit, to form the point and its z.
@@ -144,7 +146,9 @@ def _level_models(p: int, L: int) -> list[tuple[int, ...]]:
                 if left.bit_count() < k
                 for rest in tail(k - 1, left)]
 
-    return tail(p, (1 << (L + 1)) - 2)
+    models = tail(p, (1 << (L + 1)) - 2)
+    tail.cache_clear()  # a cycle with tail, which only a full collection frees
+    return models
 
 
 def enumerate_models(p: int, limit: int = DEFAULT_MODEL_LIMIT) -> list[tuple[int, ...]]:
@@ -324,7 +328,7 @@ def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     return _block_vertices(face.blocks, face.signs)
 
 
-def _convex_zero_weights(columns: Sequence[tuple[int, ...]],
+def _convex_zero_weights(columns: Sequence[Sequence[int]],
                          total: int) -> tuple[int, tuple[int, ...]] | None:
     """(d, x) with convex weights alpha = x / d, sum_i alpha_i columns[i] = 0,
     or None when 0 is outside the hull of the columns. columns are integer
@@ -464,60 +468,42 @@ def sign_to_crosspolytope_face(sigma: Sequence[int]) -> Face:
 
 
 class _LevelIndex(NamedTuple):
-    """Where each entry of a level finds its vertices in the level's vertex
-    table: entry i has the sizes[i] ids ids[starts[i]:starts[i + 1]] (none
-    for the zero label), the entries up to i use the first reach[i]
-    vertices, and top is the largest vertex count of a nonzero label. It
-    depends on the tie pattern alone, so the levels of every norm of one
-    pattern share it."""
+    """Where each face of a level finds its vertices in the level's vertex
+    table: face i has the sizes[i] ids ids[starts[i]:starts[i + 1]], its
+    vertex count (none for the zero label, whose face is the whole ball),
+    the faces up to i use the first reach[i] vertices, and top is the
+    largest size. It depends on the tie pattern alone, so the levels of
+    every norm of one pattern share it."""
 
     ids: np.ndarray     # intp
-    starts: np.ndarray  # intp, one more than the entries
+    starts: np.ndarray  # intp, one more than the faces
     sizes: np.ndarray   # intp
     reach: np.ndarray   # intp
     top: int
 
 
-class _Level(tuple):
+class _Level:
     """A dual-ball level as the sweeps read it (norms builds and caches it):
-    its (label, vertex count, integer vertices) entries in label order,
-    plus vertices, the level's distinct integer vertices in order of first
-    appearance, and the index into them. First appearance makes the
-    vertices of any prefix of the entries a prefix of the table."""
+    its labels in label order, its vertex table (each distinct integer
+    vertex once, in order of first appearance) and the index into that
+    table; a label-only level has neither. First appearance makes the
+    vertices of any prefix of the faces a prefix of the table."""
 
-    def __new__(cls, entries, vertices: tuple, index: _LevelIndex):
-        level = super().__new__(cls, entries)
-        level.vertices = vertices
-        level.index = index
-        return level
+    def __init__(self, labels: tuple, vertices: tuple = (), index: _LevelIndex | None = None):
+        self.labels = labels
+        self.vertices = vertices
+        self.index = index
 
     @functools.cached_property
-    def labels(self) -> np.ndarray:
-        # the entries' labels as one int64 array, for the analytic route
-        return np.array([label for label, _, _ in self], dtype=np.int64)
+    def label_array(self) -> np.ndarray:
+        # the labels as one int64 array, for the analytic route
+        return np.array(self.labels, dtype=np.int64)
 
     @functools.cached_property
     def table(self) -> np.ndarray:
         # the vertex table as one object array of Python ints, read only
         # when a screen needs some vertex, so it has at least one row
         return np.array(self.vertices, dtype=object)
-
-
-def _level(rows: Sequence, vertices: Sequence) -> _Level:
-    """The _Level of rows (label, vertex count, vertex ids, reach), ids into
-    vertices in order of first appearance, and reach the number of vertices
-    seen up to and including the row."""
-    sizes = np.array([len(vids) for _, _, vids, _ in rows], dtype=np.intp)
-    starts = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=starts[1:])
-    ids = np.fromiter(itertools.chain.from_iterable(vids for _, _, vids, _ in rows),
-                      dtype=np.intp, count=int(starts[-1]))
-    top = max((count for label, count, _, _ in rows if any(label)), default=0)
-    reach = np.array([seen for *_, seen in rows], dtype=np.intp)
-    index = _LevelIndex(ids, starts, sizes, reach, top)
-    entries = tuple((label, count, tuple(map(vertices.__getitem__, vids)))
-                    for label, count, vids, _ in rows)
-    return _Level(entries, tuple(vertices), index)
 
 
 def _signs(images: np.ndarray) -> np.ndarray:
@@ -559,55 +545,47 @@ _FIRST_CHUNK = 256
 class DesignKernel:
     """ker(X) of one design, shared by every face test of a sweep over it.
 
-    basis is the deterministic Fraction basis of kernel_basis(X);
-    integer_basis is that basis times scale > 0, the least common
-    denominator of all its entries, and columns the same integers as a
-    (p, dim ker X) object array of Python ints: the images K'v of a whole
-    vertex table are one exact numpy product. Every face test screens the
-    images first (_screen: zero image, antiparallel pair, sign box) and
-    sends only the faces that pass to the integer core (_meets), which
-    computes the hit; for a vertex or an edge the screen has decided, and a
-    disagreement raises, so each checks the other. image(v) is K'v for one
-    integer vertex, memoized for the core. One scale for the whole basis
-    keeps the face LP's rows a uniform multiple of the rational program's,
-    so its phase-1 pivots and its alpha stay those of the Fraction basis.
+    basis is the deterministic Fraction basis of kernel_basis(X), and
+    columns that basis times scale > 0, the least common denominator of all
+    its entries, as a (p, dim ker X) object array of Python ints: the images
+    K'v of a whole vertex table are one exact numpy product, and that
+    product is the only one. Every face test screens the images first
+    (_screen: zero image, antiparallel pair, sign box) and hands only the
+    faces that pass, with their rows of the product, to the integer core
+    (_meets), which computes the hit; for a vertex or an edge the screen has
+    decided, and a disagreement raises, so each checks the other. One scale
+    for the whole basis keeps the face LP's rows a uniform multiple of the
+    rational program's, so its phase-1 pivots and its alpha stay those of
+    the Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
         self.X = X
         self.basis: tuple[Vector, ...] = kernel_basis(X)
-        self.scale, self.integer_basis = clear_denominators(self.basis)
-        self.columns = np.array(self.integer_basis, dtype=object).reshape(len(self.basis), X.ncols).T
-        self._images: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        img = self._images.get(v)
-        if img is None:
-            img = tuple(sum(a * b for a, b in zip(k, v)) for k in self.integer_basis)
-            self._images[v] = img
-        return img
+        self.scale, ints = clear_denominators(self.basis)
+        self.columns = np.array(ints, dtype=object).reshape(len(self.basis), X.ncols).T
 
     def level_hits(self, den: int, level: _Level,
                    cap: int | None) -> Iterator[tuple[int, RowspaceIntersection]]:
-        """(i, hit) for each entry i of a dual-ball level (norms), vertices
-        over den, whose face meets row(X), in level order.
+        """(i, hit) for each face i of a dual-ball level (norms), vertices
+        over den, that meets row(X), in level order.
 
         The level is screened in chunks of doubling size, from the first
-        entry on, and each chunk projects only the vertices it is the first
+        face on, and each chunk projects only the vertices it is the first
         to use, so a sweep that stops at its first hit pays for a prefix.
         The zero label's face is the whole ball, which holds 0. The first
-        entry of another label with more than cap vertices refuses, unless
-        an earlier one hit first and the caller stopped there."""
+        face with more than cap vertices refuses, unless an earlier one hit
+        first and the caller stopped there."""
         ids, starts, sizes, reach, top = level.index
-        n = len(level)
+        n = len(sizes)
         over = n
         if cap is not None and cap < top:
-            over = next(i for i, (label, count, _) in enumerate(level) if count > cap and any(label))
+            over = int(np.argmax(sizes > max(cap, 0)))  # the zero label never refuses
         images = signs = None  # until some chunk uses a vertex
         have, lo, size = 0, 0, _FIRST_CHUNK
         while lo < n:
             if lo == over:
-                _check_vertex_cap(level[lo][1], cap)
+                _check_vertex_cap(int(sizes[lo]), cap)
             hi = min(n, over, lo + size)
             if reach[hi - 1] > have:
                 fresh = level.table[have:reach[hi - 1]] @ self.columns
@@ -619,8 +597,9 @@ class DesignKernel:
             a = starts[lo]
             passed = _screen(images, signs, ids[a:starts[hi]], starts[lo:hi + 1] - a, sizes[lo:hi])
             for i in np.flatnonzero(passed).tolist():
-                label, _, ivs = level[lo + i]
-                hit = self._confirm(den, ivs) if any(label) else _origin(self.X)
+                face = ids[starts[lo + i]:starts[lo + i + 1]]  # none for the zero label
+                ivs = [level.vertices[k] for k in face.tolist()]
+                hit = self._confirm(den, ivs, images[face].tolist()) if ivs else _origin(self.X)
                 if hit is not None:
                     yield lo + i, hit
             lo, size = hi, 2 * size
@@ -631,34 +610,35 @@ class DesignKernel:
         images = np.array(ivs, dtype=object) @ self.columns
         bounds = np.array((0, len(ivs)), dtype=np.intp)
         if _screen(images, _signs(images), np.arange(len(ivs)), bounds, bounds[1:])[0]:
-            return self._confirm(den, ivs)
+            return self._confirm(den, ivs, images.tolist())
         return None
 
-    def _confirm(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
+    def _confirm(self, den: int, ivs: Sequence, images: Sequence) -> RowspaceIntersection | None:
         # a face that passed the screen: the core finds its hit, and a vertex
         # or an edge, which the screen decides, must have one
-        hit = self._meets(den, ivs)
+        hit = self._meets(den, ivs, images)
         if hit is None and len(ivs) <= 2:
             raise AssertionError("the row-space screen and the face test disagree")
         return hit
 
-    def _meets(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
-        # the integer core of every face test: the face is conv(ivs / den)
+    def _meets(self, den: int, ivs: Sequence, images: Sequence) -> RowspaceIntersection | None:
+        # the integer core of every face test: the face is conv(ivs / den),
+        # and images[k] is K'ivs[k] for the kernel's integer basis K
         if not self.basis:
             point = tuple(Fraction(x, den) for x in ivs[0])
         elif len(ivs) == 1:
-            if any(self.image(ivs[0])):
+            if any(images[0]):
                 return None
             point = tuple(Fraction(x, den) for x in ivs[0])
         elif len(ivs) == 2:
-            alpha = _segment_weight(self.image(ivs[0]), self.image(ivs[1]))
+            alpha = _segment_weight(*images)
             if alpha is None:
                 return None
             # alpha a + (1 - alpha) b in integers over alpha's denominator
             n, q = alpha.numerator, alpha.denominator
             point = tuple(Fraction(n * x + (q - n) * y, q * den) for x, y in zip(*ivs))
         else:
-            found = _convex_zero_weights([self.image(v) for v in ivs], self.scale * den)
+            found = _convex_zero_weights(images, self.scale * den)
             if found is None:
                 return None
             d, weights = found
@@ -669,7 +649,7 @@ class DesignKernel:
         return RowspaceIntersection(point, z)
 
 
-def _segment_weight(ca: tuple[int, ...], cb: tuple[int, ...]) -> Fraction | None:
+def _segment_weight(ca: Sequence[int], cb: Sequence[int]) -> Fraction | None:
     """alpha in [0, 1] with alpha*ca + (1 - alpha)*cb = 0, or None.
 
     Let x, y be the entries of ca, cb at the first coordinate where they

@@ -7,16 +7,16 @@ face dispatch (_label_face). Every face is a model face of the sign
 permutohedron of a weight vector: the slope weights, (scale, ..., scale) for
 the l1 cube and (1, 0, ..., 0) for the sup cross-polytope, whose faces are
 labeled by sign vectors. Labels, codimensions, vertex counts and vertex
-order read the weights only through their ties and zeros, so the labels of a
-level are listed once per label family and tie pattern C, the smallest
-integer weights with those ties and zeros, each with its count and integer
-vertices read off its blocks under C (_weight_free_level), and with the
-level's vertex table and each entry's ids into it, which the row-space
-screen reads (geometry._Level). dual_ball_faces maps the dispatch over those
-labels; the sweeps read them as integers, with each norm's own integer
-weights in place of C in the entries and the table, and the same ids
-(_dual_ball_level). Both are cached (64 patterns, 64 norms); a reported face
-is cached per (norm, label).
+order read the weights only through their ties and zeros, so a level is
+built once per label family and tie pattern C, the smallest integer weights
+with those ties and zeros (_weight_free_level), as three things
+(geometry._Level): its labels, its vertex table, each distinct integer
+vertex read off a face's blocks under C once, and the index of each face's
+vertex ids into that table, whose number is the face's vertex count.
+dual_ball_faces maps the dispatch over the labels; the sweeps' row-space
+screen reads the table with each norm's own integer weights in place of C,
+and the same labels and index (_dual_ball_level). Both are cached (64
+patterns, 64 norms); a reported face is cached per (norm, label).
 
 zero_region lists the vertices of the zero-solution region
 D = {u : ||X'u||_* <= 1}, from one double description per (design, norm),
@@ -24,8 +24,10 @@ cached (64 pairs) with what its readers need (_zero_region): X'u for each
 vertex u over one common denominator, which the analytic accessibility route
 pairs with every label in one integer product (_ZeroRegion.support_values),
 and u's tight set, the primal-ball vertices v with <Xv, u> = 1, which names
-G(u), the smallest dual-ball face holding X'u (_tight_face). Both figures label the region's vertices and edges, and the
-crossings of a rank-one row space, from those tight sets.
+G(u), the smallest dual-ball face holding X'u (_tight_face). The constraint
+normals are rows of the one integer product X V per (design, norm) that the
+gauge LP also reads (_gauge_rows). Both figures label the region's vertices
+and edges, and the crossings of a rank-one row space, from those tight sets.
 
 norm_value and dual_norm_value are the one copy of the norm arithmetic: a
 private _NormForm per norm pairs the sorted |x| with the same weights, or
@@ -68,11 +70,10 @@ from .geometry import (
     DEFAULT_SIGN_LIMIT,
     Face,
     SlopeWeights,
-    _block_vertex_count,
     _block_vertices,
     _crosspolytope_weights,
     _Level,
-    _level,
+    _LevelIndex,
     _model_blocks,
     _models,
     model_of,
@@ -247,7 +248,7 @@ def dual_ball_faces(
     """
     level = _weight_free_level(norm.kind == SLOPE, _tie_pattern(norm._form.weights),
                                codim, limit, False)
-    return tuple(_label_face(norm, t) for t, _, _ in level)
+    return tuple(_label_face(norm, t) for t in level.labels)
 
 
 # the face of a hit label, kept per (norm, label) so that the witness caches
@@ -266,42 +267,54 @@ def _tie_pattern(w: Sequence) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=64)
 def _weight_free_level(models: bool, C: tuple[int, ...], codim: int | None,
                        limit: int | None, vertices: bool = True) -> _Level:
-    """The one listing of a dual-ball level: each model (or sign vector) of
-    codimension codim under the integer weights C, in label order, as
-    (label, vertex count, integer vertices) read off its blocks under C, with
-    the level's vertex table (each distinct vertex once, in order of first
-    appearance, the entries' vertices being those objects) and each entry's
-    ids into it; with vertices False, none are built. The zero label's face
-    is the whole ball, which every test decides without its vertices, so it
-    keeps none. Only limit None means the default cap; 0 refuses."""
+    """The one listing of a dual-ball level: the labels of each model (or
+    sign vector) of codimension codim under the integer weights C, in label
+    order, with the level's vertex table, each distinct integer vertex read
+    off a face's blocks under C once, in order of first appearance, and the
+    index of each face's vertex ids into it; with vertices False, the labels
+    alone. The zero label's face is the whole ball, which every test decides
+    without its vertices, so it has no ids. Only limit None means the
+    default cap; 0 refuses."""
     if models:  # a face's codim is at least its top level
         labels = _models(len(C), DEFAULT_MODEL_LIMIT if limit is None else limit, codim)
     else:
         labels = sign_vectors(len(C), DEFAULT_SIGN_LIMIT if limit is None else limit)
+    if codim is None and not vertices:  # nothing to read off the blocks
+        return _Level(tuple(labels))
     table: dict[tuple[int, ...], int] = {}
-    rows = []
+    kept, sizes, ids, reach = [], [], [], []
     for label in labels:
         blocks, c = _model_blocks(label, C)
         if codim is None or c == codim:
-            vids = ()
-            if vertices and any(label):
-                vids = [table.setdefault(v, len(table)) for v in _block_vertices(blocks, label)]
-            rows.append((label, _block_vertex_count(blocks), vids, len(table)))
-    return _level(rows, list(table))
+            kept.append(label)
+            if vertices:
+                vids = ()
+                if any(label):
+                    vids = [table.setdefault(v, len(table)) for v in _block_vertices(blocks, label)]
+                ids += vids
+                sizes.append(len(vids))
+                reach.append(len(table))
+    if not vertices:
+        return _Level(tuple(kept))
+    sizes = np.array(sizes, dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
+    index = _LevelIndex(np.array(ids, dtype=np.intp), starts, sizes,
+                        np.array(reach, dtype=np.intp), int(sizes.max(initial=0)))
+    return _Level(tuple(kept), tuple(table), index)
 
 
 @functools.lru_cache(maxsize=64)
 def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
                      vertices: bool = True) -> tuple[int, _Level]:
-    """(d, level): dual_ball_faces(norm, limit, codim) as (label, vertex
-    count, integer vertices) triples over one denominator d, without a Face;
-    with vertices False (a sweep that tests no face), labels and counts only.
-    Each vertex of the level of norm's tie pattern C is a signed permutation
-    of C; putting norm's permutohedron weights W (times their least common
-    denominator d) in place of C gives norm's vertex, in the same order, and
-    d is each face's own denominator, since every vertex holds every weight.
-    The vertex table is put in the same way, and the entries keep their ids
-    into it. The entries and the table hold only ints and tuples, and the
+    """(d, level): dual_ball_faces(norm, limit, codim) as labels, integer
+    vertices over one denominator d and the index of each face's vertices,
+    without a Face; with vertices False (a sweep that tests no face), the
+    labels alone. Each vertex of the level of norm's tie pattern C is a
+    signed permutation of C; putting norm's permutohedron weights W (times
+    their least common denominator d) in place of C gives norm's vertex, in
+    the same order, and d is each face's own denominator, since every vertex
+    holds every weight. Only the vertex table is put; the labels and the
+    index are the pattern's. The table holds only ints and tuples, and the
     index flat integer arrays, so the tables of many norms cost the garbage
     collector one container per level to traverse."""
     C = _tie_pattern(norm._form.weights)
@@ -312,9 +325,8 @@ def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
     sub = {0: 0}
     for c, x in zip(C, W):
         sub[c], sub[-c] = x, -x
-    put = {v: tuple(map(sub.__getitem__, v)) for v in level.vertices}
-    entries = tuple((label, count, tuple(map(put.__getitem__, ivs))) for label, count, ivs in level)
-    return d, _Level(entries, tuple(put.values()), level.index)
+    table = tuple(tuple(map(sub.__getitem__, v)) for v in level.vertices)
+    return d, _Level(level.labels, table, level.index)
 
 
 @functools.lru_cache(maxsize=64)
@@ -341,6 +353,17 @@ def _integer_primal_ball_vertices(norm: PolytopeNorm) -> tuple[int, tuple[tuple[
     """(e, primal_ball_vertices(norm) times e) for e the lcm of their
     denominators: the gauge LP's integer columns, cleared once per norm."""
     return clear_denominators(primal_ball_vertices(norm))
+
+
+@functools.lru_cache(maxsize=64)
+def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(f, X V in integers): X's integer rows against the norm's integer
+    primal-ball vertices, each over its common denominator, so every row is
+    f = d e times the rational one; one product per (design, norm), which
+    the gauge LP's rows and the zero region's constraint normals share."""
+    e, iverts = _integer_primal_ball_vertices(norm)
+    d, xrows, _ = X._integer_form
+    return d * e, tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
 
 
 def exposed_primal_vertices(norm: PolytopeNorm, s: Vector) -> tuple[Vector, ...]:
@@ -447,10 +470,11 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
     dropped vertex to a kept one. Two vertices span an edge iff no third
     vertex is tight on every constraint both are tight on (Motzkin et al.
     1953; Fukuda & Prodon 1996), a test on tight-set bitmasks. The work is in
-    integers, each vertex an integer vector over a positive denominator. A
-    crossing point is tight exactly where both ends of its edge are, so the
-    bitmasks end as the tight sets; the normals are deduplicated, and each
-    tight normal stands for every primal-ball vertex with that image.
+    integers: the normals are rows of the gauge LP's X V (_gauge_rows), and
+    each vertex an integer vector over a positive denominator. A crossing
+    point is tight exactly where both ends of its edge are, so the bitmasks
+    end as the tight sets; the normals are deduplicated, and each tight
+    normal stands for every primal-ball vertex with that image.
     """
     if norm.dim != X.ncols:
         raise ValueError("norm dimension does not match the matrix")
@@ -459,21 +483,20 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
         zero = tuple(Fraction(0) for _ in range(X.nrows))
         return _ZeroRegion((zero,), 1, ((0,) * X.ncols,), ((),))
     r = len(support)
-    primal = primal_ball_vertices(norm)
-    images = [tuple(dot(X.rows[i], v) for i in support) for v in primal]
+    # <a, u> <= 1 reads <A, U> <= f d for A = f a, the normal Xv over R, and u = U / d
+    f, rows = _gauge_rows(X, norm)
+    images = list(zip(*(rows[i] for i in support)))
     normals = list(dict.fromkeys(a for a in images if any(a)))
     index = {a: k for k, a in enumerate(normals)}
     _, first = rref(RationalMatrix(tuple(normals)).transpose())  # the first r independent
     basis = RationalMatrix(tuple(normals[k] for k in first))
     start = basis.rows + tuple(tuple(-x for x in a) for a in basis.rows)
-    # in integers: u = U / d with d > 0, and <a, u> <= 1 reads <A, U> <= e d for a = A / e
-    e, ints = clear_denominators(normals)
 
     def slacks(k):
-        return [sum(map(operator.mul, ints[k], U)) - e * d for U, d in verts]
+        return [sum(map(operator.mul, normals[k], U)) - f * d for U, d in verts]
 
     verts = []  # (U, d)
-    for t in itertools.product((1, -1), repeat=r):
+    for t in itertools.product((f, -f), repeat=r):
         d, (U,) = clear_denominators([solve_exact(basis, t)])
         verts.append((U, d))
     masks = [0] * len(verts)  # per vertex, the halfspaces so far that are tight at it
@@ -513,5 +536,5 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
         vertices.append(tuple(full))
     den, duals = clear_denominators(X.rmatvec(u) for u in vertices)
     bits = [1 << index[a] if any(a) else 0 for a in images]  # per primal-ball vertex
-    tight = tuple(tuple(v for v, b in zip(primal, bits) if m & b) for m in masks)
+    tight = tuple(tuple(v for v, b in zip(primal_ball_vertices(norm), bits) if m & b) for m in masks)
     return _ZeroRegion(tuple(vertices), den, duals, tight)

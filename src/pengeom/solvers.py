@@ -50,6 +50,7 @@ from .norms import (
     SUP,
     PolytopeNorm,
     _NormForm,
+    _gauge_rows,
     _integer_primal_ball_vertices,
     dual_norm_value,
     l1_norm,
@@ -155,11 +156,13 @@ class Certificate:
 def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certificate:
     """Exact when X, y, b are rational and tol = 0, in integers; float
     otherwise, where the dual norm, the gap and the verdict read the norm's
-    float form."""
+    float form; y and b are rational when their entries are ints, Fractions
+    or literal strings."""
     shape = X.shape if isinstance(X, RationalMatrix) else np.shape(X)
     if (len(y), len(b)) != shape or norm.dim != len(b):
         raise ValueError("dimension mismatch")
-    if isinstance(X, RationalMatrix) and tol == 0:
+    if isinstance(X, RationalMatrix) and tol == 0 and all(
+            isinstance(x, (int, Fraction, str)) for x in (*y, *b)):
         return _exact_certificate(X, vec(y), vec(b), norm._form)
     Xf = _float_matrix(X)
     bf = np.asarray(b, dtype=float)
@@ -356,17 +359,6 @@ def solve_penalized(
 
 # ---------------------------------------------------------------------------
 # exact LP routes
-
-
-@functools.lru_cache(maxsize=64)
-def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(f, X V in integers): X's integer rows against the norm's integer
-    primal-ball vertices, each over its common denominator, so every row is
-    f = d e times the rational one; one product per (design, norm), which
-    every right-hand side of the gauge LP shares."""
-    e, iverts = _integer_primal_ball_vertices(norm)
-    d, xrows, _ = X._integer_form
-    return d * e, tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
 
 
 def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):

@@ -11,6 +11,9 @@ itself never reads them.
   for the solve maps to match.
 - fraction_certificate is the exact KKT certificate in Fraction
   arithmetic, for the integer one to match.
+- level_faces reads each face of a dual-ball level through its index, and
+  kernel_images computes K'v one vertex at a time in plain Python, for the
+  screen's level sweep and its one numpy product to match.
 """
 
 import itertools
@@ -146,3 +149,19 @@ def fraction_certificate(X: RationalMatrix, y: Sequence, b: Sequence, norm: Poly
     dn = form.dual_value(s)
     gap = abs(dot(bb, s) - form.value(bb))
     return Certificate(s, dn, gap, 0, dn <= 1 and gap <= 0)
+
+
+def level_faces(level) -> Iterator[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]]:
+    """(label, vertex count, integer vertices) for each face of a dual-ball
+    level, in label order: the count is the face's size in the index, and
+    the vertices the table rows its ids name, in order."""
+    ids, starts, sizes, _, _ = level.index
+    for i, label in enumerate(level.labels):
+        yield label, int(sizes[i]), tuple(level.vertices[k] for k in ids[starts[i]:starts[i + 1]].tolist())
+
+
+def kernel_images(kernel, vertices: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """K'v for each integer vertex v, K the kernel's Fraction basis times the
+    least common denominator of its entries, one dot product at a time."""
+    _, basis = clear_denominators(kernel.basis)
+    return [tuple(sum(a * b for a, b in zip(k, v)) for k in basis) for v in vertices]

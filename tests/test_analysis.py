@@ -53,7 +53,7 @@ from pengeom.solvers import (
     norm_min_subject_to,
 )
 
-from oracles import SignedPermutation
+from oracles import SignedPermutation, kernel_images, level_faces
 
 DEMO_X = RationalMatrix.from_rows([[8, 5, 8], [10, Fraction(5, 4), -6]])
 DEMO_W = (Fraction(11, 2), Fraction(7, 2), Fraction(3, 2))
@@ -695,7 +695,7 @@ def test_unique_designs_sweep_one_level(monkeypatch):
     seen = []
     real = geometry_module.DesignKernel.level_hits
     monkeypatch.setattr(geometry_module.DesignKernel, "level_hits",
-                        lambda kernel, d, level, *rest: seen.extend(e[0] for e in level)
+                        lambda kernel, d, level, *rest: seen.extend(level.labels)
                         or real(kernel, d, level, *rest))
     for rows in ([[1, 3, 7, 15]], [[2, -3, 5, 7], [1, 4, -2, 9]]):
         X = RationalMatrix.from_rows(rows)
@@ -710,15 +710,16 @@ def test_unique_designs_sweep_one_level(monkeypatch):
 
 def _per_entry_hits(kernel, d, level, cap):
     """The reference of DesignKernel.level_hits: the integer core on every
-    entry of the level in order, the whole ball holding 0, each other face
+    face of the level in order, read through its index, with kernel images
+    computed one vertex at a time, the whole ball holding 0, each other face
     checked against the cap first."""
-    for i, (label, count, ivs) in enumerate(level):
+    for i, (label, count, ivs) in enumerate(level_faces(level)):
         if not any(label):
             yield i, geometry_module._origin(kernel.X)
             continue
         if cap is not None and count > cap:
             raise CapExceeded(f"face has {count} vertices, cap is {cap}")
-        hit = kernel._meets(d, ivs)
+        hit = kernel._meets(d, ivs, kernel_images(kernel, ivs))
         if hit is not None:
             yield i, hit
 
@@ -761,7 +762,7 @@ def assert_screen_matches_per_entry_reference(X, cap):
                 by_index = dict(hits)
                 assert [(rep.geometric_hit, rep.dual_witness) for rep in reports] == [
                     (i in by_index, by_index[i].z if i in by_index else None)
-                    for i in range(len(table))]
+                    for i in range(len(table.labels))]
         if r == X.ncols:
             continue
         # the uniqueness sweep reads the first hit of level r + 1
@@ -779,7 +780,7 @@ def assert_screen_matches_per_entry_reference(X, cap):
         assert report.unique_for_all_y == (not first)
         if first:
             (i, hit), = first
-            face = norms_module._dual_ball_face(norm, level[i][0])
+            face = norms_module._dual_ball_face(norm, level.labels[i])
             assert report.offending_face is face
             expected = _bp_witness(X, face, hit) if bp else analysis_module._penalized_witness(
                 X, norm, face, hit)
@@ -798,6 +799,8 @@ _SQUARE = st.integers(2, 3).flatmap(lambda p: st.lists(
 # a vertex and an edge of the strict ball in row(X), and a repeated column
 @example(RationalMatrix.from_rows([[3, 2, 1]]), None)
 @example(RationalMatrix.from_rows([[1, 1, 0], [0, 1, 2]]), 3)
+# a negative cap refuses at the first face with vertices, never at the zero label
+@example(RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]]), -1)
 def test_screened_sweeps_match_the_per_entry_reference(X, cap):
     # the screen decides vertices and edges and passes a superset of the
     # larger faces that meet row(X): the first hit, the witness, every hit
@@ -818,7 +821,7 @@ def test_screen_keeps_exact_integers_beyond_64_bits():
     images = level.table @ kernel.columns
     assert max(abs(x) for x in images.flat) > 2 ** 63
     hits = dict(kernel.level_hits(d, level, None))
-    assert any(len(level[i][2]) == 2 for i in hits)
+    assert any(level.index.sizes[i] == 2 for i in hits)
     assert not check_uniqueness_bp(X).unique_for_all_y
     assert_screen_matches_per_entry_reference(X, None)
 
@@ -837,7 +840,7 @@ def test_support_values_keep_exact_integers_beyond_64_bits():
         ["0.707106781187", "-1.41421356237", "0.577350269190", "2.71828182846"]])
     for norm in (l1_norm(4), slope_norm([4, 3, 2, 1])):
         region = norms_module._zero_region(X, norm)
-        labels = norms_module._dual_ball_level(norm, None, None, False)[1].labels
+        labels = norms_module._dual_ball_level(norm, None, None, False)[1].label_array
         assert max(abs(x) for s in region.duals for x in s) * 4 * int(abs(labels).max()) >= 2 ** 62
         values = region.support_values(labels)
         assert max(map(abs, values)) > 2 ** 63
@@ -891,7 +894,7 @@ def test_an_early_exit_screens_a_prefix_of_its_level(monkeypatch):
         assert (report.rank, report.unique_for_all_y) == (4, False)
         assert_valid_penalized_witness(X, norm, report)
         _, level = norms_module._dual_ball_level(norm, 5, None)
-        assert len(level) == 138240
+        assert len(level.labels) == 138240
         assert 0 < sum(n for n, _ in screened) <= 2 * geometry_module._FIRST_CHUNK
         assert max(m for _, m in screened) < len(level.vertices) // 10
     finally:  # the level holds about 75 MB
@@ -1056,8 +1059,9 @@ def test_strict_weights_share_one_weight_free_level():
     assert (built().misses, built().hits) == (1, 2)
     tables = [norms_module._dual_ball_level(norm, 2, None) for norm in norms]
     assert [d for d, _ in tables] == [1, 2]
-    assert [e[:2] for e in tables[0][1]] == [e[:2] for e in tables[1][1]]
-    assert tables[0][1] != tables[1][1]
+    assert tables[0][1].labels is tables[1][1].labels
+    assert tables[0][1].index is tables[1][1].index
+    assert tables[0][1].vertices != tables[1][1].vertices
     # a non-unique design reports the face of its first hit label, built once
     Z = RationalMatrix.from_rows([[1, 1, 0, 0]])
     reports = [check_uniqueness(Z, norms[1]) for _ in range(2)]

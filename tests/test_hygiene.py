@@ -283,6 +283,26 @@ FIGURE_REBUILDERS = ("exposed_primal_vertices", "subdifferential_face", "dual_no
 BLOCK_DIM_READERS = frozenset({"geometry._model_blocks"})
 LEVEL_DETOURS = ("_label_face", "dual_ball_faces", "clear_denominators", "Face", "Fraction")
 
+# a dual-ball level is its labels, one vertex table and one index, and a
+# face's vertex count is its number of ids: only a Face counts its vertices
+# from its blocks
+BLOCK_COUNT_READERS = frozenset({"geometry.Face._vertex_count"})
+
+# the screen's numpy product is the one K'v: only the level and face screens
+# read the kernel's integer columns, and the kernel keeps no second basis or
+# image memo
+KERNEL_COLUMN_READERS = frozenset({"geometry.DesignKernel.level_hits", "geometry.DesignKernel.face_hit"})
+KERNEL_SECOND_IMAGES = frozenset({"image", "_images", "integer_basis"})
+
+
+def attribute_readers(module: str, source: str, attr: str) -> list[str]:
+    """"module.function" (or "module.Class.method") around every load of
+    the attribute attr, "module" at top level; assignments to it and plain
+    names do not count."""
+    return _owners(module, source, lambda n: (
+        isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr == attr))
+
+
 def test_checker_flags_an_unused_import():
     source = (
         "from __future__ import annotations\n"
@@ -567,6 +587,36 @@ def test_levels_come_from_one_block_walk():
     source = (SRC / "norms.py").read_text()
     detours = {site for name in LEVEL_DETOURS for site in name_readers("norms", source, name)}
     assert "norms._weight_free_level" not in detours
+
+
+def test_checker_flags_an_attribute_reader():
+    source = (
+        "class Kernel:\n"
+        "    def __init__(self, rows):\n"
+        "        self.columns = rows\n"
+        "    def image(self, v):\n"
+        "        return v @ self.columns\n"
+        "def weights(columns):\n"
+        "    return len(columns)\n"
+        "TOP = Kernel(()).columns\n"
+    )
+    assert attribute_readers("m", source, "columns") == ["m.Kernel.image", "m"]
+
+
+def test_a_level_counts_vertices_by_their_ids():
+    found = {site for p in SRC.glob("*.py")
+             for site in name_readers(p.stem, p.read_text(), "_block_vertex_count")}
+    assert found == BLOCK_COUNT_READERS
+
+
+def test_the_screen_product_is_the_only_kernel_image():
+    geometry = importlib.import_module("pengeom.geometry")
+    exact = importlib.import_module("pengeom.exact")
+    kernel = geometry.DesignKernel(exact.RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]]))
+    assert [name for name in KERNEL_SECOND_IMAGES if hasattr(kernel, name)] == []
+    found = {site for p in SRC.glob("*.py")
+             for site in attribute_readers(p.stem, p.read_text(), "columns")}
+    assert found == KERNEL_COLUMN_READERS
 
 
 def test_figures_read_the_zero_region_object():

@@ -42,7 +42,7 @@ from pengeom.norms import (
 from pengeom.solvers import bp_certificate_holds, bp_dual_certificate, norm_min_subject_to
 from pengeom.svg import response_region_figure
 
-from oracles import enumerate_exposed_faces, nonneg_lp, solve_by_elimination
+from oracles import enumerate_exposed_faces, level_faces, nonneg_lp, solve_by_elimination
 
 W2 = slope_norm(["3.5", "1.5"])
 
@@ -357,9 +357,10 @@ def _level_norms():
 
 def test_dual_ball_level_is_the_face_table_in_integers():
     # the weight-free level of each tie pattern, with the norm's integer
-    # weights put in, is dual_ball_faces entry by entry: labels, vertex
-    # counts and integer vertices over one denominator, in order; the zero
-    # label's face (the whole ball) keeps no vertices
+    # weights put in, is dual_ball_faces face by face, read through the
+    # index: labels, vertex counts (each face's number of ids) and integer
+    # vertices over one denominator, in order; the zero label's face (the
+    # whole ball) has no ids
     def kinds(table):
         if isinstance(table, tuple):
             return set().union({tuple}, *map(kinds, table))
@@ -369,14 +370,18 @@ def test_dual_ball_level_is_the_face_table_in_integers():
         for codim in (None, *range(norm.dim + 1)):
             d, level = norms_module._dual_ball_level(norm, codim, None)
             faces = dual_ball_faces(norm, None, codim)
-            assert [label for label, _, _ in level] == [f.pattern for f in faces]
-            assert [count for _, count, _ in level] == [f.vertex_count() for f in faces]
-            for (label, _, ivs), face in zip(level, faces):
+            read = list(level_faces(level))
+            assert [label for label, _, _ in read] == [f.pattern for f in faces]
+            assert [count for label, count, _ in read if any(label)] == \
+                   [f.vertex_count() for f in faces if any(f.pattern)]
+            for (label, _, ivs), face in zip(read, faces):
                 assert (d, ivs) == (face._integer_form if any(label) else (d, ()))
-            assert kinds((d, level)) <= {int, tuple}  # never a Fraction or a Face
-            # a sweep that tests no face reads the labels and counts alone
+            # never a Fraction or a Face
+            assert kinds((d, level.labels, level.vertices)) <= {int, tuple}
+            # a sweep that tests no face reads the labels alone
             _, bare = norms_module._dual_ball_level(norm, codim, None, False)
-            assert bare == tuple((label, count, ()) for label, count, _ in level)
+            assert bare.labels == level.labels
+            assert bare.vertices == () and bare.index is None
 
 
 def test_building_a_level_builds_no_face(monkeypatch):
@@ -419,8 +424,8 @@ def test_scaled_weights_read_one_weight_free_level(case, c):
             d, level = norms_module._dual_ball_level(norm, codim, None)
             e, other = norms_module._dual_ball_level(scaled, codim, None)
             assert built().misses == misses + 1
-            assert [t[:2] for t in other] == [t[:2] for t in level]
-            for (_, _, ivs), (_, _, jvs) in zip(level, other):
+            assert other.labels is level.labels and other.index is level.index
+            for (_, _, ivs), (_, _, jvs) in zip(level_faces(level), level_faces(other)):
                 assert [[Fraction(y, e) for y in v] for v in jvs] == \
                        [[c * Fraction(x, d) for x in v] for v in ivs]
 

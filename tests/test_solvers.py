@@ -170,6 +170,19 @@ def test_kkt_certify_exact_zero_solution():
     assert not cert.passed
 
 
+def test_kkt_certify_takes_the_float_route_for_float_y_or_b():
+    # a rational design with a float response or point is certified in
+    # floats, field by field as on its float array, never coerced to Fractions
+    X = RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]])
+    cases = [([0.5, 1.0], [0.0] * 3), ([1, 2], [0.25, 0, 0]), ([0.5, 1.0], [0, 0, 0])]
+    for norm in (l1_norm(3), sup_norm(3), slope_norm([2, 1, 1])):
+        for y, b in cases:
+            got, want = kkt_certify(X, y, b, norm), kkt_certify(X.to_float_array(), y, b, norm)
+            assert got == want
+            assert all(type(x) is float for x in got.dual_vector)
+    assert kkt_certify(X, [0.5, 1.0], [0.0] * 3, l1_norm(3)).passed is False
+
+
 def test_kkt_certify_rejects_wrong_lengths():
     # a longer response is not cut to X's rows, nor a norm of another
     # dimension to b's, on the exact or the float path
