@@ -17,7 +17,10 @@ norm; a polytope's face lattice is graded, so each deeper face lies in one
 of those) and one witness pair, which bp reads at y = X first and
 certifies, with one X'z, by the face hit's dual vector z. The sign-vector
 and model accessibility tables share one route sweep and differ only in
-their response witnesses.
+their response witnesses. Classification and projection share one fit,
+exact on a rational design and response: zero inside the zero-solution
+region, else the exact polish of a FISTA iterate that certifies at tol 0,
+with the certified float iterate as the fallback.
 """
 
 from __future__ import annotations
@@ -58,12 +61,13 @@ from .norms import (
     slope_norm,
 )
 from .solvers import (
+    _PATTERN_TOL,
     Solution,
     SolverOptions,
     _bp_certificate_at,
+    _fista,
     _float_matrix,
     kkt_certify,
-    solve_penalized,
 )
 
 GEOMETRIC = "geometric"
@@ -438,11 +442,6 @@ class Classification:
         }
 
 
-# patterns read off a float iterate: magnitudes within this of each other
-# form one cluster, and within this of zero count as zero
-_PATTERN_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class _Fit:
     """One solve at y read as the paper reads it: the minimizer's pattern
@@ -466,15 +465,28 @@ def _read_solve(X, y, norm: PolytopeNorm, sol: Solution) -> _Fit:
     return _Fit(sol, pattern, tuple(fitted), residual)
 
 
+def _read_exact(X: RationalMatrix, y: Vector, norm: PolytopeNorm, sol: Solution) -> _Fit:
+    """The exact read of a rational solution: its pattern, fit and residual
+    without a tolerance."""
+    b = sol.point
+    pattern = model_of(b) if norm.kind == SLOPE else tuple((v > 0) - (v < 0) for v in b)
+    fitted = X.matvec(b)
+    return _Fit(sol, pattern, fitted, tuple(t - f for t, f in zip(y, fitted)))
+
+
 def _fit(X, y, norm: PolytopeNorm, options: SolverOptions = SolverOptions()) -> _Fit:
     """Solve at y and read the solution. A rational response whose X'y lies
     in the dual ball has the zero minimizer, so it is fitted exactly and its
-    residual is y itself; any other response goes through FISTA."""
+    residual is y itself. Any other response goes through FISTA, which on a
+    rational design and response stops at the first exact polish that
+    certifies at tol 0 (solvers._fista) and is read exactly; a float input,
+    or a fit no polish certifies, keeps the float read of its iterate."""
+    exact_y = None
     if isinstance(X, RationalMatrix):
         try:
             exact_y = vec(y)
         except TypeError:  # float response
-            exact_y = None
+            pass
         if exact_y is not None:
             # X'y = S / den in the dual ball, decided in integers
             den, S = X._integer_rmatvec(exact_y)
@@ -484,13 +496,17 @@ def _fit(X, y, norm: PolytopeNorm, options: SolverOptions = SolverOptions()) -> 
                 zero = vec([0] * X.ncols)
                 cert = kkt_certify(X, exact_y, zero, norm)
                 sol = Solution(zero, dot(exact_y, exact_y) / 2, "exact", cert)
-                return _Fit(sol, (0,) * X.ncols, vec([0] * X.nrows), exact_y)
-    return _read_solve(X, y, norm, solve_penalized(X, y, norm, options))
+                return _read_exact(X, exact_y, norm, sol)
+    sol = _fista(X, y, norm, options, True)
+    if sol.route == "exact":
+        return _read_exact(X, exact_y, norm, sol)
+    return _read_solve(X, y, norm, sol)
 
 
 def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -> Classification:
     """Solve at y, read off the solution's model, and decompose y into fit
-    plus residual. The ambiguity flag records whether the design admits
+    plus residual, exactly on a rational design and response once a polish
+    certifies (_fit). The ambiguity flag records whether the design admits
     non-unique minimizers at all (None when that check is out of reach)."""
     norm = slope_norm(weights)
     fit = _fit(X, y, norm, options)
@@ -519,8 +535,9 @@ def _ambiguity_flag(X: RationalMatrix, norm: PolytopeNorm) -> bool | None:
 
 def null_set_projection(X, norm: PolytopeNorm, y, options: SolverOptions = SolverOptions()):
     """Residual of the certified solve, which is the Euclidean projection of
-    the response onto {u : the dual norm of X'u is at most 1}. Responses
-    already inside that set come back unchanged."""
+    the response onto {u : the dual norm of X'u is at most 1}, in Fractions
+    when the fit is exact (_fit). Responses already inside that set come
+    back unchanged."""
     fit = _fit(X, y, norm, options)
     if not fit.solution.converged:
         raise UncertifiedSolve("projection requires a certified solve", fit)

@@ -100,6 +100,13 @@ class RationalMatrix:
         return d, rows, tuple(zip(*rows))
 
     @functools.cached_property
+    def _integer_gram(self) -> tuple[tuple[int, ...], ...]:
+        # R'R for the integer form M = R / d, so M'M = R'R / d^2 (the exact
+        # polish of a FISTA iterate reads it, once per matrix)
+        cols = self._integer_form[2]
+        return tuple(tuple(sum(map(operator.mul, a, b)) for b in cols) for a in cols)
+
+    @functools.cached_property
     def _solve_map(self) -> _SolveMap:
         # the solve map of M x = b, one elimination per matrix (solve_exact)
         d, rows, _ = self._integer_form

@@ -30,6 +30,13 @@ X'(y - Xb) are integer dot products against the design's integer form, the
 dual norm and the gap come from the norm's integer weights, and Fractions
 are formed only for the certificate's fields, with the values Fraction
 arithmetic gives.
+
+One FISTA loop (_fista) serves solve_penalized, which never polishes, and
+the fits of analysis, which do on a rational design and response: the
+pattern read off the iterate names a linear piece of the penalty, whose
+minimizer the reduced normal equations give exactly (_polisher), and the
+first such point that certifies at tol 0 ends the loop. A fit that no
+polish certifies keeps its float answer, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import RationalMatrix, Vector, clear_denominators, dot, vec
+from .exact import RationalMatrix, Vector, _solve_map_of, _SolveMap, clear_denominators, dot, vec
+from .geometry import _model_blocks, model_of
 from .lp import OPTIMAL, LinearProgram, lp_solve
 from .norms import (
     L1,
@@ -181,16 +189,33 @@ def _exact_certificate(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm)
     |<b, s> - ||b||| is |g <B, S> - D g ||B||| / (f D g). Fractions are
     formed only for the fields, one per entry of s, one for the dual norm
     and one for the gap, so their values are those of Fraction arithmetic."""
-    d, rows, cols = X._integer_form
-    e, (Y,) = clear_denominators((y,))
-    f, (B,) = clear_denominators((b,))
-    residual = [d * f * t - e * sum(map(operator.mul, r, B)) for r, t in zip(rows, Y)]
+    B, f, residual, D = _integer_split(X, y, b)
+    d, _, cols = X._integer_form
     S = [sum(map(operator.mul, c, residual)) for c in cols]
-    den = d * d * e * f
+    den = d * D
     g = form.integers[0]
     dn = form.exact_dual_value(S, den)
     gap = Fraction(abs(g * sum(map(operator.mul, B, S)) - den * form.integer_value(B)), f * den * g)
     return Certificate(tuple(Fraction(x, den) for x in S), dn, gap, 0, dn <= 1 and not gap)
+
+
+def _integer_split(X: RationalMatrix, y: Vector, b: Vector) -> tuple[tuple[int, ...], int, list[int], int]:
+    """(B, f, the residual times D, D): b = B / f and, for X = R / d and
+    y = Y / e, y - Xb = (d f Y - e R B) / D with D = d e f."""
+    d, rows, _ = X._integer_form
+    e, (Y,) = clear_denominators((y,))
+    f, (B,) = clear_denominators((b,))
+    return B, f, [d * f * t - e * sum(map(operator.mul, r, B)) for r, t in zip(rows, Y)], d * e * f
+
+
+def _exact_objective(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm) -> Fraction:
+    """0.5 ||y - Xb||^2 + ||b|| as one Fraction over 2 D^2 g f, from the
+    integer residual (_integer_split) and g ||B||, g the weights'
+    denominator."""
+    B, f, residual, D = _integer_split(X, y, b)
+    g = form.integers[0]
+    return Fraction(g * f * sum(t * t for t in residual) + 2 * D * D * form.integer_value(B),
+                    2 * D * D * g * f)
 
 
 def _float_matrix(X) -> np.ndarray:
@@ -237,6 +262,17 @@ class SolverOptions:
 
 # FISTA iterations between two certificate checks
 _CERTIFY_EVERY = 25
+
+# FISTA iterations between two exact polishes (_polisher), a divisor of
+# _CERTIFY_EVERY, so the first comes before the first check and every
+# check is preceded by one. On the seed-1 solve-batch fits, a first polish
+# at 5 and then one per check took 37% more iterations, and a polish whose
+# pattern repeats costs one pattern read.
+_POLISH_EVERY = 5
+
+# patterns read off a float iterate: magnitudes within this of each other
+# form one cluster, and within this of zero count as zero
+_PATTERN_TOL = 1e-6
 
 # from this many coordinates on, the sup and slope prox ranks and restores
 # with numpy around the pool (_array_prox), below it on lists (_list_prox):
@@ -310,7 +346,20 @@ def solve_penalized(
 ) -> Solution:
     """FISTA with adaptive restart; stops when the KKT certificate passes at
     options.tol. The returned flag `converged` reports certification, not
-    iteration exhaustion."""
+    iteration exhaustion. It never polishes, so every double it returns is
+    the float route's, on rational inputs as well."""
+    return _fista(X, y, norm, options, False)
+
+
+def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: bool) -> Solution:
+    """The one FISTA loop, for solve_penalized and analysis._fit.
+
+    With polish on a rational design and response (_polisher), the pattern
+    read off the iterate every _POLISH_EVERY iterations is solved exactly
+    on its linear piece, and the first point that certifies at tol 0 ends
+    the loop as an "exact" Solution. The polish leaves the iterate alone,
+    so a fit that no polish certifies returns the float Solution it
+    returns without polish, bit for bit."""
     Xf = _float_matrix(X)
     yf = np.asarray([float(t) for t in y])
     n, p = Xf.shape
@@ -322,6 +371,7 @@ def solve_penalized(
     step = _design_step(X) if isinstance(X, RationalMatrix) else _step(Xf)
     fnorm = norm._form.floats
     prox = _prox_for(fnorm, step)
+    exact = _polisher(X, y, norm) if polish else None
 
     def objective(b, penalty):
         r = yf - Xf @ b
@@ -349,12 +399,122 @@ def solve_penalized(
         x, t_mom = cand, t_new
         f_prev = f_cand
         # f_prev is the objective of the accepted iterate x
+        if exact is not None and it % _POLISH_EVERY == 0:
+            sol = exact(x, it)
+            if sol is not None:
+                return sol
         if it % _CERTIFY_EVERY == 0:
             cert = kkt_certify(Xf, yf, x, norm, tol=options.tol)
             if cert.passed:
                 return Solution(tuple(x.tolist()), f_prev, "fista", cert, it, True)
     cert = kkt_certify(Xf, yf, x, norm, tol=options.tol)
     return Solution(tuple(x.tolist()), f_prev, "fista", cert, it, cert.passed)
+
+
+# ---------------------------------------------------------------------------
+# exact polish of a FISTA iterate
+
+
+def _polisher(X, y: Sequence, norm: PolytopeNorm):
+    """(x, it) -> the exact Solution on the linear piece of x's pattern, or
+    None; None itself for a float design or response, which never polish.
+
+    On the piece the pattern names, the penalty is linear, w_U'c for b = Uc
+    (_piece_columns), so the minimizer there solves the reduced normal
+    equations U'X'XU c = U'X'y - w_U: the equicorrelation / active-set form
+    (Tibshirani 2013; Bogdan et al. 2022). With X = R / d, y = Y / e and
+    the integer weights W / g, they are (U'GU) (e g c) = d g U'q - d^2 e W_U
+    for G = R'R and q = R'Y, solved through one solve map per reduced
+    matrix (_reduced_map). b = Uc is kept only if it certifies at tol 0.
+    A pattern already tried gives the same b, so it is skipped. So is a
+    piece of more columns than X has rows: U'X'XU is singular there, the
+    minimizer on it is not unique, and the elimination would grow with p
+    instead of n (on a 20x50 rational sup fit such pieces took 30 times as
+    long as FISTA); those fits keep the float answer."""
+    if not isinstance(X, RationalMatrix):
+        return None
+    try:
+        yy = vec(y)
+    except TypeError:  # float response
+        return None
+    d, _, cols = X._integer_form
+    e, (Y,) = clear_denominators((yy,))
+    q = [sum(map(operator.mul, c, Y)) for c in cols]
+    G = X._integer_gram
+    live = [bool(G[j][j]) for j in range(len(G))]
+    form = norm._form
+    g, W, _ = form.integers
+    tried = set()
+
+    def polish(x, it):
+        m = model_of(x.tolist(), _PATTERN_TOL)
+        if m in tried:
+            return None
+        tried.add(m)
+        columns = _piece_columns(m, W, live)
+        if len(columns) > len(yy):
+            return None
+        b = _piece_point(G, q, columns, d * g, d * d * e, e * g)
+        if b is None:
+            return None
+        cert = _exact_certificate(X, yy, b, form)
+        if not cert.passed:
+            return None
+        return Solution(b, _exact_objective(X, yy, b, form), "exact", cert, it, True)
+
+    return polish
+
+
+def _piece_columns(m: Sequence[int], w: Sequence[int], live: Sequence[bool]) -> tuple:
+    """The columns of the linear piece of model m under the permutohedron
+    weights w, as (((coordinate, sign), ...), weight) in block order.
+
+    A level block whose weight chunk is not constant ties its coordinates:
+    one signed indicator column, weighted by the chunk's sum. A constant
+    chunk ties nothing (the face is that of the block split into single
+    coordinates), so each coordinate is a column of its own, weighted by
+    the constant; a zero constant makes it free, with weight 0, which
+    covers sup below its top cluster and zero-weight slope levels. The
+    zero block pins its coordinates at 0, unless its chunk is all zero,
+    when they are free as well. A free coordinate on a zero column of X
+    (live false) stays at 0."""
+    cols = []
+    for block in _model_blocks(m, w)[0]:
+        chunk = block.weights
+        if block.signed and chunk[0]:
+            continue
+        signed = tuple((j, -1 if m[j] < 0 else 1) for j in block.coords)
+        if chunk[0] == chunk[-1]:
+            cols += [((t,), chunk[0]) for t in signed if chunk[0] or live[t[0]]]
+        else:
+            cols.append((signed, sum(chunk)))
+    return tuple(cols)
+
+
+def _piece_point(G, q, columns, scale_q: int, scale_w: int, den: int) -> Vector | None:
+    """b = Uc for the solution c = c' / den of (U'GU) c' = scale_q U'q -
+    scale_w w_U, with the free variables at 0; None when it has none. No
+    columns leave the zero point."""
+    b = [Fraction(0)] * len(G)
+    if not columns:
+        return tuple(b)
+    A = tuple(tuple(sum(s * t * G[i][j] for i, s in u for j, t in v) for v, _ in columns)
+              for u, _ in columns)
+    rhs = [scale_q * sum(s * q[i] for i, s in u) - scale_w * wt for u, wt in columns]
+    c = _reduced_map(A).solve(rhs)
+    if c is None:
+        return None
+    for (u, _), t in zip(columns, c):
+        v = t / den
+        for i, s in u:
+            b[i] = v if s > 0 else -v
+    return tuple(b)
+
+
+@functools.lru_cache(maxsize=1024)
+def _reduced_map(A: tuple[tuple[int, ...], ...]) -> _SolveMap:
+    # one elimination per reduced matrix, shared by every fit that meets it
+    return _solve_map_of(A, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ itself never reads them.
 - level_faces reads each face of a dual-ball level through its index, and
   kernel_images computes K'v one vertex at a time in plain Python, for the
   screen's level sweep and its one numpy product to match.
+- dual_ball_projection projects a response onto the zero-solution region
+  by exact active-set enumeration over its halfspaces, for the exact
+  residual of a rational fit to match.
 """
 
 import itertools
@@ -24,7 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 from pengeom.exact import RationalMatrix, Vector, _eliminate, clear_denominators, dot, rank, vec
 from pengeom.geometry import CapExceeded
 from pengeom.lp import LinearProgram
-from pengeom.norms import PolytopeNorm
+from pengeom.norms import PolytopeNorm, norm_value
 from pengeom.solvers import Certificate
 
 BRUTE_FORCE_FACE_LIMIT = 4
@@ -165,3 +168,41 @@ def kernel_images(kernel, vertices: Sequence[Sequence[int]]) -> list[tuple[int, 
     least common denominator of its entries, one dot product at a time."""
     _, basis = clear_denominators(kernel.basis)
     return [tuple(sum(a * b for a, b in zip(k, v)) for k in basis) for v in vertices]
+
+
+def dual_ball_projection(X: RationalMatrix, norm: PolytopeNorm, y: Sequence, near=None) -> Vector:
+    """The Euclidean projection of y onto D = {u : ||X'u||_* <= 1}, exact,
+    by active-set enumeration over the halfspaces <X s, u> <= 1, s over the
+    sign points sigma / ||sigma|| of the primal unit sphere.
+
+    u is the projection iff it lies in D and y - u = sum mu_i a_i, mu >= 0,
+    over rows a_i tight at u; some linearly independent such set has at
+    most rk(X) rows, so subsets are tried smallest first, each solved by
+    elimination for the mu that makes its rows tight. near, a float
+    approximation of the projection, only orders the search: subsets of the
+    rows nearly tight at it come first, and every candidate is checked
+    exactly against all rows."""
+    yy = vec(y)
+    rows = []
+    for sigma in itertools.product((1, 0, -1), repeat=X.ncols):
+        if any(sigma):
+            length = norm_value(norm, sigma)
+            a = X.matvec([Fraction(t) / length for t in sigma])
+            if any(a) and a not in rows:
+                rows.append(a)
+    pools = [rows]
+    if near is not None:
+        pools.insert(0, [a for a in rows if sum(float(t) * v for t, v in zip(a, near)) >= 1 - 1e-4])
+    for pool in pools:
+        for k in range(min(len(pool), X.nrows) + 1):
+            for subset in itertools.combinations(pool, k):
+                mu = solve_by_elimination(
+                    RationalMatrix.from_rows([[dot(a, c) for c in subset] for a in subset]),
+                    [dot(a, yy) - 1 for a in subset]) if k else ()
+                if mu is None or any(t < 0 for t in mu):
+                    continue
+                u = tuple(t - sum((m * a[i] for m, a in zip(mu, subset)), Fraction(0))
+                          for i, t in enumerate(yy))
+                if all(dot(a, u) <= 1 for a in rows):
+                    return u
+    raise AssertionError("no point of D meets the projection conditions")

@@ -1,12 +1,11 @@
 import functools
-import itertools
 import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pengeom.analysis as analysis_module
@@ -27,7 +26,7 @@ from pengeom.analysis import (
     genericity_experiment,
     null_set_projection,
 )
-from pengeom.exact import RationalMatrix, dot, rank, solve_exact, vec
+from pengeom.exact import RationalMatrix, dot, rank, vec
 from pengeom.geometry import (
     DEFAULT_VERTEX_CAP,
     CapExceeded,
@@ -53,7 +52,7 @@ from pengeom.solvers import (
     norm_min_subject_to,
 )
 
-from oracles import SignedPermutation, kernel_images, level_faces
+from oracles import SignedPermutation, dual_ball_projection, kernel_images, level_faces
 
 DEMO_X = RationalMatrix.from_rows([[8, 5, 8], [10, Fraction(5, 4), -6]])
 DEMO_W = (Fraction(11, 2), Fraction(7, 2), Fraction(3, 2))
@@ -344,39 +343,6 @@ def test_a_design_sweeps_its_ambiguity_once(monkeypatch):
     assert {c.ambiguous for c in first} == {not check_uniqueness(X, slope_norm(w)).unique_for_all_y}
 
 
-def project_onto_dual_feasible_oracle(X, norm, y):
-    """Euclidean projection of y onto {u : dual norm of X'u <= 1} by exact
-    active-set enumeration over the H-representation u'(X s) <= 1."""
-    rows = []
-    for _, x in unit_sphere_sign_points(norm):
-        a = X.matvec(x)
-        if any(t != 0 for t in a) and a not in rows:
-            rows.append(a)
-    n = X.nrows
-    for k in range(0, n + 1):
-        for subset in itertools.combinations(range(len(rows)), k):
-            if k == 0:
-                u = vec(y)
-                mu = []
-            else:
-                gram = RationalMatrix.from_rows(
-                    [[dot(rows[i], rows[j]) for j in subset] for i in subset]
-                )
-                if rank(gram) < k:
-                    continue
-                rhs = [dot(rows[i], vec(y)) - 1 for i in subset]
-                mu = solve_exact(gram, rhs)
-                if mu is None or any(t < 0 for t in mu):
-                    continue
-                u = tuple(
-                    yi - sum((m * rows[i][d] for m, i in zip(mu, subset)), Fraction(0))
-                    for d, yi in enumerate(vec(y))
-                )
-            if all(dot(a, u) <= 1 for a in rows):
-                return u
-    raise AssertionError("projection oracle found no KKT point")
-
-
 def test_null_set_projection_inside_is_identity():
     y = (Fraction(1, 10), Fraction(-1, 20))
     norm = slope_norm(DEMO_W)
@@ -428,10 +394,109 @@ def test_null_set_projection_against_active_set_oracle():
                 w.append(w[-1] / 2)
             norm = slope_norm(w)
         y = vec([Fraction(rng.randint(-12, 12), 2) for _ in range(n)])
-        expected = project_onto_dual_feasible_oracle(X, norm, y)
+        expected = dual_ball_projection(X, norm, y)
         got = null_set_projection(X, norm, [float(t) for t in y])
         assert max(abs(float(e) - g) for e, g in zip(expected, got)) <= 1e-8
         assert dual_norm_value(norm, [float(t) for t in X.rmatvec(vec([Fraction(g).limit_denominator(10**12) for g in got]))]) <= 1 + 1e-8
+
+
+NEAR_SINGULAR_X = RationalMatrix.from_rows([[-2, Fraction(1, 2), Fraction(-1, 3)], [-5, 1, -1]])
+NEAR_SINGULAR_W = (6, 3, 2)
+NEAR_SINGULAR_Y = (Fraction(-621, 5), Fraction(1242, 25))
+
+
+def test_a_near_singular_classification_is_exact():
+    # the float certificate's absolute tolerance is out of FISTA's reach
+    # here (100000 iterations, then UncertifiedSolve); the exact polish of
+    # the model read off an early iterate certifies at tol 0
+    c = classify_response(NEAR_SINGULAR_X, NEAR_SINGULAR_W, NEAR_SINGULAR_Y)
+    assert c.model == (-1, -2, -2)
+    assert c.solution == (Fraction(-692, 125), Fraction(-60954, 125), Fraction(-60954, 125))
+    assert c.certificate.passed and c.certificate.tol == 0
+    assert kkt_certify(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, c.solution, slope_norm(NEAR_SINGULAR_W)).passed
+    fit = analysis_module._fit(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, slope_norm(NEAR_SINGULAR_W))
+    assert fit.solution.route == "exact" and fit.solution.converged
+    assert fit.solution.iterations % solvers_module._POLISH_EVERY == 0
+    assert fit.residual == tuple(a - b for a, b in zip(NEAR_SINGULAR_Y, NEAR_SINGULAR_X.matvec(c.solution)))
+
+
+def test_a_fit_polishes_each_pattern_once(monkeypatch):
+    # every _POLISH_EVERY iterations the pattern is read off the iterate,
+    # and only a pattern not tried yet is solved
+    reads, solves = [], []
+    monkeypatch.setattr(solvers_module, "model_of",
+                        lambda x, tol, real=model_of: reads.append(real(x, tol)) or reads[-1])
+    monkeypatch.setattr(solvers_module, "_piece_point",
+                        lambda *args, real=solvers_module._piece_point: solves.append(args[2]) or real(*args))
+    fit = analysis_module._fit(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, slope_norm(NEAR_SINGULAR_W))
+    assert len(reads) == fit.solution.iterations // solvers_module._POLISH_EVERY
+    assert len(solves) == len(set(solves)) > 1
+    assert len(solves) <= len(set(reads)) < len(reads)
+    # no polish comes before the first: the fit stays the float read of its
+    # uncertified iterate
+    del reads[:], solves[:]
+    short = SolverOptions(max_iter=solvers_module._POLISH_EVERY - 1)
+    fit = analysis_module._fit(DEMO_X, (Fraction(20), Fraction(5)), slope_norm(DEMO_W), short)
+    assert reads == solves == []
+    assert fit.solution.route == "fista" and not fit.solution.converged
+
+
+@st.composite
+def rational_fits(draw):
+    """(X, norm, y): a 2x3 to 3x5 design with entries k/d, |k| <= 4, an l1
+    norm at scale other than 1, sup, or strict, tied or zero-tail slope
+    weights, and a response outside the zero-solution region."""
+    n = draw(st.integers(2, 3))
+    p = draw(st.integers(n + 1, 5))
+    entry = st.sampled_from([Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)])
+    X = RationalMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=p, max_size=p),
+                                               min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("l1", "sup", "strict", "tied", "zero-tail")))
+    if kind == "l1":
+        norm = l1_norm(p, draw(st.sampled_from((Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))))
+    elif kind == "sup":
+        norm = sup_norm(p)
+    else:
+        w = sorted(draw(st.lists(st.integers(1, 40), min_size=p, max_size=p, unique=True)), reverse=True)
+        if kind == "tied":
+            w[1] = w[0]
+        elif kind == "zero-tail":
+            w = w[: p // 2] + [0] * (p - p // 2)
+        norm = slope_norm([Fraction(t, 4) for t in w])
+    y0 = draw(st.lists(entry, min_size=n, max_size=n))
+    gauge = dual_norm_value(norm, X.rmatvec(y0))
+    assume(gauge > 0)
+    scale = draw(st.sampled_from((Fraction(11, 10), Fraction(2), Fraction(7, 2))))
+    return X, norm, tuple(t * scale / gauge for t in y0)
+
+
+@given(rational_fits())
+def test_rational_fits_outside_the_zero_region_are_exact(case):
+    X, norm, y = case
+    fit = analysis_module._fit(X, y, norm)
+    sol = fit.solution
+    assert null_set_projection(X, norm, y) == fit.residual
+    float_sol = solvers_module.solve_penalized(X, y, norm)
+    float_fit = analysis_module._read_solve(X, y, norm, float_sol)
+    # the float projection only orders the oracle's search
+    projection = dual_ball_projection(X, norm, y, float_fit.residual)
+    if sol.route != "exact":
+        # only a pattern whose piece is wider than X has rows (a minimizer
+        # that is not unique) is left to the float route, bit for bit
+        m = model_of(float_sol.point, solvers_module._PATTERN_TOL)
+        live = [any(col) for col in zip(*X.rows)]
+        assert len(solvers_module._piece_columns(m, norm._form.integers[1], live)) > X.nrows
+        assert sol == float_sol and sol.converged and fit == float_fit
+        assert max(abs(float(e) - g) for e, g in zip(projection, fit.residual)) <= (2e-9) ** 0.5
+        return
+    assert sol.converged and kkt_certify(X, y, sol.point, norm).passed
+    assert sol.objective == dot(fit.residual, fit.residual) / 2 + norm_value(norm, sol.point)
+    assert fit.residual == projection
+    if analysis_module._ambiguity_flag(X, norm) is False and float_sol.converged:
+        # a unique minimizer: the float read names its pattern, and the
+        # certified float point lies near it
+        assert fit.pattern == float_fit.pattern
+        assert max(abs(float(a) - b) for a, b in zip(sol.point, float_sol.point)) <= 1e-6
 
 
 def test_genericity_experiments():

@@ -12,7 +12,7 @@ from pengeom.analysis import classify_response, null_set_projection
 from pengeom.cli import main
 from pengeom.exact import RationalMatrix, rat_str
 from pengeom.norms import dual_norm_value, l1_norm, slope_norm, sup_norm
-from pengeom.solvers import SolverOptions, solve_penalized
+from pengeom.solvers import _fista
 
 
 @pytest.fixture()
@@ -98,15 +98,16 @@ def test_solve_bp_and_outside_column_space(capsys, matrices, tmp_path):
 
 
 def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
-    # twenty iterations cannot certify at tol 1e-9: the report dumps the
-    # iterate of the one failed solve instead of solving again
+    # twenty iterations cannot certify at tol 1e-9, and a float response
+    # never polishes: the report dumps the iterate of the one failed solve
+    # instead of solving again
     calls = []
 
-    def capped(X, y, norm, options=SolverOptions()):
+    def capped(X, y, norm, options, polish):
         calls.append(y)
-        return solve_penalized(X, y, norm, replace(options, max_iter=20))
+        return _fista(X, [float(t) for t in y], norm, replace(options, max_iter=20), polish)
 
-    monkeypatch.setattr(analysis, "solve_penalized", capped)
+    monkeypatch.setattr(analysis, "_fista", capped)
     code, out, _ = run(capsys, "solve", "--matrix", matrices["demo"], "--norm", "slope",
                        "--weights", "5.5,3.5,1.5", "--response", "20,5")
     assert code == 1
@@ -119,14 +120,15 @@ def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
 def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch):
     # rational designs, responses inside and outside the zero-solution
     # region: every path reports the same pattern and projection, no CLI call
-    # runs FISTA twice, and inside the region none runs it at all
+    # runs FISTA twice, and inside the region none runs it at all; outside,
+    # the one run ends at an exact polish
     calls = []
 
-    def counted(X, y, norm, options=SolverOptions()):
+    def counted(X, y, norm, options, polish):
         calls.append(y)
-        return solve_penalized(X, y, norm, options)
+        return _fista(X, y, norm, options, polish)
 
-    monkeypatch.setattr(analysis, "solve_penalized", counted)
+    monkeypatch.setattr(analysis, "_fista", counted)
     designs = {
         "demo": [[8, 5, 8], [10, Fraction(5, 4), -6]],
         "wide": [[1, 2, Fraction(-1, 2)]],
@@ -155,14 +157,14 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
                 assert code == 0 and len(calls) == (0 if inside else 1)
                 solved = json.loads(out)["result"]
                 if kind != "slope":
-                    assert (solved["route"] == "exact") == inside
+                    assert solved["route"] == "exact"
                     if inside:
                         assert solved["residual"] == [rat_str(t) for t in y]
                 del calls[:]
                 code, out, _ = run(capsys, "decompose", *argv)
                 assert code == 0 and len(calls) == (0 if inside else 1)
                 split = json.loads(out)["result"]
-                assert split["exact"] == inside
+                assert split["exact"] is True
 
                 pattern = solved["model"] if kind == "slope" else solved["pattern"]
                 assert split["pattern"] == pattern
@@ -175,14 +177,33 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
                     assert list(classify_response(X, w, y).model) == pattern
 
 
+def test_a_near_singular_response_is_solved_exactly(capsys, tmp_path):
+    # FISTA alone ran 100000 iterations here without a float certificate;
+    # the exact polish answers with a certificate at tol 0
+    path = tmp_path / "near.csv"
+    path.write_text("-2,1/2,-1/3\n-5,1,-1\n")
+    argv = ["--matrix", str(path), "--norm", "slope", "--weights", "6,3,2",
+            "--response=-621/5,1242/25"]
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["model"] == [-1, -2, -2]
+    assert result["solution"] == ["-692/125", "-60954/125", "-60954/125"]
+    assert result["certificate"]["passed"] is True and result["certificate"]["tol"] == 0
+    code, out, _ = run(capsys, "decompose", *argv)
+    assert code == 0 and json.loads(out)["result"]["exact"] is True
+
+
 def test_decompose_pattern_and_projection(capsys, matrices):
     code, out, _ = run(capsys, "decompose", "--matrix", matrices["demo"], "--norm", "slope",
                        "--weights", "5.5,3.5,1.5", "--response", "20,5")
     assert code == 0
     result = json.loads(out)["result"]
     assert result["pattern"] == [1, 1, 1]
-    assert result["exact"] is False
-    assert result["certificate"]["passed"] is True
+    # outside the zero-solution region the split is exact too, from a
+    # polish certified at tol 0, and carries no float certificate
+    assert result["exact"] is True
+    assert "certificate" not in result
 
     code, out, _ = run(capsys, "decompose", "--matrix", matrices["demo"], "--norm", "slope",
                        "--weights", "5.5,3.5,1.5", "--response", "0.1,0.1")

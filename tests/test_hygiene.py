@@ -559,6 +559,38 @@ def test_solvers_have_one_pava_loop():
     assert stack_merges("solvers", (SRC / "solvers.py").read_text()) == ["solvers._pava"]
 
 
+def momentum_loops(module: str, source: str) -> list[str]:
+    """"module.function" around every loop that takes a square root in its
+    body: the momentum update t' = (1 + sqrt(1 + 4 t^2)) / 2 of a FISTA
+    loop."""
+    def momentum(n):
+        return isinstance(n, (ast.While, ast.For)) and any(
+            isinstance(c, ast.Call) and getattr(c.func, "attr", getattr(c.func, "id", None)) == "sqrt"
+            for c in ast.walk(n))
+    return _owners(module, source, momentum)
+
+
+def test_checker_flags_a_momentum_loop():
+    source = (
+        "import math\n"
+        "def _fista(x, t):\n"
+        "    while x:\n"
+        "        t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))\n"
+        "def _polish(xs):\n"
+        "    for x in xs:\n"
+        "        t = (1 + sqrt(1 + 4 * x * x)) / 2\n"
+        "def _step(t):\n"
+        "    return math.sqrt(t)\n"
+    )
+    assert momentum_loops("solvers", source) == ["solvers._fista", "solvers._polish"]
+
+
+def test_solvers_have_one_fista_loop():
+    # solve_penalized and the fits' exact polish run one FISTA loop, which
+    # calls the polish, so no second copy of the iteration forks off
+    assert momentum_loops("solvers", (SRC / "solvers.py").read_text()) == ["solvers._fista"]
+
+
 def test_norm_arithmetic_lives_in_norms():
     found = {site for p in SRC.glob("*.py") if p.stem != "norms"
              for kind in ("L1", "SUP") for site in runtime_readers(p.stem, p.read_text(), kind)}
