@@ -18,9 +18,10 @@ of those) and one witness pair, which bp reads at y = X first and
 certifies, with one X'z, by the face hit's dual vector z. The sign-vector
 and model accessibility tables share one route sweep and differ only in
 their response witnesses. Classification and projection share one fit,
-exact on a rational design and response: zero inside the zero-solution
-region, else the exact polish of a FISTA iterate that certifies at tol 0,
-with the certified float iterate as the fallback.
+one polished FISTA solve read once: exact on a rational design and response
+once a linear piece certifies at tol 0, the zero piece first (the whole
+zero-solution region), then the pieces of the patterns read off the
+iterate, with the certified float iterate as the fallback.
 """
 
 from __future__ import annotations
@@ -454,53 +455,30 @@ class _Fit:
     residual: tuple
 
 
-def _read_solve(X, y, norm: PolytopeNorm, sol: Solution) -> _Fit:
-    """The float read of a FISTA solution, certified or not."""
-    if norm.kind == SLOPE:
-        pattern = model_of(sol.point, tol=_PATTERN_TOL)
+def _read(X, y, norm: PolytopeNorm, sol: Solution) -> _Fit:
+    """Read a solution's pattern, fitted part and residual: exactly, at tol
+    0, when its route is "exact"; otherwise as floats with the pattern
+    tolerance (a float input, or a fit no piece certifies, certified or
+    not)."""
+    if sol.route == "exact":
+        tol, y, fitted = 0, vec(y), X.matvec(sol.point)
     else:
-        pattern = tuple(0 if abs(v) <= _PATTERN_TOL else (1 if v > 0 else -1) for v in sol.point)
-    fitted = _float_matrix(X) @ [float(t) for t in sol.point]
-    residual = tuple(float(t) - f for t, f in zip(y, fitted))
-    return _Fit(sol, pattern, tuple(fitted), residual)
-
-
-def _read_exact(X: RationalMatrix, y: Vector, norm: PolytopeNorm, sol: Solution) -> _Fit:
-    """The exact read of a rational solution: its pattern, fit and residual
-    without a tolerance."""
-    b = sol.point
-    pattern = model_of(b) if norm.kind == SLOPE else tuple((v > 0) - (v < 0) for v in b)
-    fitted = X.matvec(b)
+        fitted = tuple(_float_matrix(X) @ [float(t) for t in sol.point])
+        tol, y = _PATTERN_TOL, [float(t) for t in y]
+    if norm.kind == SLOPE:
+        pattern = model_of(sol.point, tol)
+    else:
+        pattern = tuple(0 if abs(v) <= tol else (1 if v > 0 else -1) for v in sol.point)
     return _Fit(sol, pattern, fitted, tuple(t - f for t, f in zip(y, fitted)))
 
 
 def _fit(X, y, norm: PolytopeNorm, options: SolverOptions = SolverOptions()) -> _Fit:
-    """Solve at y and read the solution. A rational response whose X'y lies
-    in the dual ball has the zero minimizer, so it is fitted exactly and its
-    residual is y itself. Any other response goes through FISTA, which on a
-    rational design and response stops at the first exact polish that
-    certifies at tol 0 (solvers._fista) and is read exactly; a float input,
-    or a fit no polish certifies, keeps the float read of its iterate."""
-    exact_y = None
-    if isinstance(X, RationalMatrix):
-        try:
-            exact_y = vec(y)
-        except TypeError:  # float response
-            pass
-        if exact_y is not None:
-            # X'y = S / den in the dual ball, decided in integers
-            den, S = X._integer_rmatvec(exact_y)
-            if len(S) != norm.dim:
-                raise ValueError("dimension mismatch")
-            if norm._form.exact_dual_value(S, den) <= 1:
-                zero = vec([0] * X.ncols)
-                cert = kkt_certify(X, exact_y, zero, norm)
-                sol = Solution(zero, dot(exact_y, exact_y) / 2, "exact", cert)
-                return _read_exact(X, exact_y, norm, sol)
-    sol = _fista(X, y, norm, options, True)
-    if sol.route == "exact":
-        return _read_exact(X, exact_y, norm, sol)
-    return _read_solve(X, y, norm, sol)
+    """Solve at y and read the solution. On a rational design and response
+    the solve is exact once a piece certifies at tol 0 (solvers._fista):
+    the zero piece, whose residual is y itself, or the polish of a FISTA
+    iterate; a float input, or a fit no piece certifies, keeps the float
+    read of its iterate."""
+    return _read(X, y, norm, _fista(X, y, norm, options, True))
 
 
 def classify_response(X, weights, y, options: SolverOptions = SolverOptions()) -> Classification:

@@ -267,9 +267,9 @@ def cmd_decompose(args) -> int:
     norm = _build_norm(args, X.ncols)
     payload: dict = {"command": "decompose", "inputs": _echo_inputs(args, X=X, norm=norm, y=y)}
     fit = _fit(X, y, norm)
-    # exact: a rational split certified at tol 0, by the zero-solution
-    # region or by an exact polish of the FISTA iterate; a float split
-    # carries its float certificate
+    # exact: a rational split certified at tol 0 on one linear piece, the
+    # zero piece or that of a pattern read off the FISTA iterate; a float
+    # split carries its float certificate
     exact = fit.solution.route == "exact"
     result = {
         "projection": _json_vector(fit.residual),

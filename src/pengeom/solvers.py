@@ -32,11 +32,14 @@ are formed only for the certificate's fields, with the values Fraction
 arithmetic gives.
 
 One FISTA loop (_fista) serves solve_penalized, which never polishes, and
-the fits of analysis, which do on a rational design and response: the
-pattern read off the iterate names a linear piece of the penalty, whose
-minimizer the reduced normal equations give exactly (_polisher), and the
-first such point that certifies at tol 0 ends the loop. A fit that no
-polish certifies keeps its float answer, bit for bit.
+the fits of analysis, which do on a rational design and response
+(_polisher, the one place that decides that): each piece tried is a linear
+piece of the penalty, whose minimizer the reduced normal equations give
+exactly, and the first such point that certifies at tol 0 ends the loop.
+The first piece is the zero piece, b = 0, decided by an integer test of
+X'y against the dual ball before any float work; the others are named by
+the patterns read off the iterate. A fit that no piece certifies keeps its
+float answer, bit for bit.
 """
 
 from __future__ import annotations
@@ -354,12 +357,19 @@ def solve_penalized(
 def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: bool) -> Solution:
     """The one FISTA loop, for solve_penalized and analysis._fit.
 
-    With polish on a rational design and response (_polisher), the pattern
+    With polish on a rational design and response (_polisher), the zero
+    piece is tried first, before any float work, and a response in the
+    zero-solution region ends there at iteration 0. Otherwise the pattern
     read off the iterate every _POLISH_EVERY iterations is solved exactly
     on its linear piece, and the first point that certifies at tol 0 ends
     the loop as an "exact" Solution. The polish leaves the iterate alone,
     so a fit that no polish certifies returns the float Solution it
     returns without polish, bit for bit."""
+    exact = _polisher(X, y, norm) if polish else None
+    if exact is not None:
+        sol = exact(None, 0)
+        if sol is not None:
+            return sol
     Xf = _float_matrix(X)
     yf = np.asarray([float(t) for t in y])
     n, p = Xf.shape
@@ -371,7 +381,6 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
     step = _design_step(X) if isinstance(X, RationalMatrix) else _step(Xf)
     fnorm = norm._form.floats
     prox = _prox_for(fnorm, step)
-    exact = _polisher(X, y, norm) if polish else None
 
     def objective(b, penalty):
         r = yf - Xf @ b
@@ -418,14 +427,19 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
 def _polisher(X, y: Sequence, norm: PolytopeNorm):
     """(x, it) -> the exact Solution on the linear piece of x's pattern, or
     None; None itself for a float design or response, which never polish.
+    This is the one place that decides whether a fit's inputs are rational,
+    and it refuses a response or norm that does not fit X's shape.
 
-    On the piece the pattern names, the penalty is linear, w_U'c for b = Uc
+    x None names the zero piece, the one with no free column: b = 0 is the
+    minimizer iff X'y = q / (d e) lies in the dual ball, decided in
+    integers before any certificate is built. On the piece an iterate's
+    pattern names, the penalty is linear, w_U'c for b = Uc
     (_piece_columns), so the minimizer there solves the reduced normal
     equations U'X'XU c = U'X'y - w_U: the equicorrelation / active-set form
     (Tibshirani 2013; Bogdan et al. 2022). With X = R / d, y = Y / e and
     the integer weights W / g, they are (U'GU) (e g c) = d g U'q - d^2 e W_U
     for G = R'R and q = R'Y, solved through one solve map per reduced
-    matrix (_reduced_map). b = Uc is kept only if it certifies at tol 0.
+    matrix (_reduced_map). b is kept only if it certifies at tol 0.
     A pattern already tried gives the same b, so it is skipped. So is a
     piece of more columns than X has rows: U'X'XU is singular there, the
     minimizer on it is not unique, and the elimination would grow with p
@@ -437,26 +451,32 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
         yy = vec(y)
     except TypeError:  # float response
         return None
+    if len(yy) != X.nrows or norm.dim != X.ncols:
+        raise ValueError("dimension mismatch")
     d, _, cols = X._integer_form
     e, (Y,) = clear_denominators((yy,))
     q = [sum(map(operator.mul, c, Y)) for c in cols]
-    G = X._integer_gram
-    live = [bool(G[j][j]) for j in range(len(G))]
     form = norm._form
     g, W, _ = form.integers
     tried = set()
 
     def polish(x, it):
-        m = model_of(x.tolist(), _PATTERN_TOL)
-        if m in tried:
-            return None
-        tried.add(m)
-        columns = _piece_columns(m, W, live)
-        if len(columns) > len(yy):
-            return None
-        b = _piece_point(G, q, columns, d * g, d * d * e, e * g)
-        if b is None:
-            return None
+        if x is None:
+            if form.exact_dual_value(q, d * e) > 1:
+                return None
+            b = (Fraction(0),) * len(q)
+        else:
+            m = model_of(x.tolist(), _PATTERN_TOL)
+            if m in tried:
+                return None
+            tried.add(m)
+            G = X._integer_gram
+            columns = _piece_columns(m, W, [bool(G[j][j]) for j in range(len(G))])
+            if len(columns) > len(yy):
+                return None
+            b = _piece_point(G, q, columns, d * g, d * d * e, e * g)
+            if b is None:
+                return None
         cert = _exact_certificate(X, yy, b, form)
         if not cert.passed:
             return None

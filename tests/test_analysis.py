@@ -2,6 +2,7 @@ import functools
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -361,7 +362,7 @@ def test_uncertified_solves_carry_their_solution():
         assert not sol.converged and sol.iterations == 3
         assert isinstance(e.value, RuntimeError)
         # so does its float read, which a caller reports without reading again
-        assert e.value.fit == analysis_module._read_solve(DEMO_X, y, slope_norm(DEMO_W), sol)
+        assert e.value.fit == analysis_module._read(DEMO_X, y, slope_norm(DEMO_W), sol)
 
 
 def test_nested_list_designs_read_like_arrays():
@@ -441,6 +442,87 @@ def test_a_fit_polishes_each_pattern_once(monkeypatch):
     assert fit.solution.route == "fista" and not fit.solution.converged
 
 
+def test_fits_refuse_a_response_or_norm_of_the_wrong_shape(monkeypatch):
+    # on a rational 2x3 design, a 1- or 3-entry response and a norm of
+    # dimension 2 or 4 are refused before FISTA builds its prox, for
+    # responses that would lie inside the zero-solution region and outside it
+    built = []
+    monkeypatch.setattr(solvers_module, "_prox_for",
+                        lambda *args, real=solvers_module._prox_for: built.append(args) or real(*args))
+    norm = slope_norm(DEMO_W)
+    for scale in (Fraction(1, 1000), Fraction(1000)):
+        cases = [(DEMO_W, norm, y) for y in ((scale,), (scale, -scale, 2 * scale))]
+        for w in ((2, 1), (4, 3, 2, 1)):
+            cases.append((w, slope_norm(w), (scale, -scale)))
+        cases += [(None, wrong, (scale, -scale)) for wrong in (l1_norm(2), sup_norm(4))]
+        for w, wrong, y in cases:
+            calls = [lambda: null_set_projection(DEMO_X, wrong, y),
+                     lambda: analysis_module._fit(DEMO_X, y, wrong)]
+            if w is not None:
+                calls.append(lambda: classify_response(DEMO_X, w, y))
+            for call in calls:
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    call()
+                assert built == []
+
+
+@st.composite
+def boundary_fits(draw):
+    """(X, norm, y, inside): a 1x2 to 3x5 design with entries k/d, the zero
+    design and designs with a zero column among them, l1 at scale 1 or 3/2,
+    sup, or strict, tied or zero-tail slope, and y = c y0 / ||X'y0||_* for
+    c in 1/2, 1 and 3, so that at c = 1 X'y lies on the dual sphere (y0
+    itself when X'y0 = 0). inside says whether ||X'y||_* <= 1."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(2, 5))
+    entry = st.sampled_from([Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)])
+    rows = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("any", "zero column", "zero")))
+    if shape != "any":
+        dead = range(p) if shape == "zero" else (draw(st.integers(0, p - 1)),)
+        for row in rows:
+            for j in dead:
+                row[j] = 0
+    X = RationalMatrix.from_rows(rows)
+    kind = draw(st.sampled_from(("l1", "l1 3/2", "sup", "strict", "tied", "zero-tail")))
+    if kind.startswith("l1"):
+        norm = l1_norm(p, Fraction(3, 2) if kind == "l1 3/2" else 1)
+    elif kind == "sup":
+        norm = sup_norm(p)
+    else:
+        w = sorted(draw(st.lists(st.integers(1, 40), min_size=p, max_size=p, unique=True)), reverse=True)
+        if kind == "tied":
+            w[1] = w[0]
+        elif kind == "zero-tail":
+            w = w[: p // 2] + [0] * (p - p // 2)
+        norm = slope_norm([Fraction(t, 4) for t in w])
+    y0 = draw(st.lists(entry, min_size=n, max_size=n))
+    gauge = dual_norm_value(norm, X.rmatvec(y0))
+    c = draw(st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3))))
+    y = tuple(t * c / gauge for t in y0) if gauge else tuple(y0)
+    return X, norm, y, dual_norm_value(norm, X.rmatvec(y)) <= 1
+
+
+@given(boundary_fits())
+def test_a_fit_is_zero_exactly_on_the_zero_region(case):
+    # inside the zero-solution region, its sphere included, the fit is the
+    # zero piece: exact, at iteration 0, with residual y and no prox built;
+    # outside it never is
+    X, norm, y, inside = case
+    built = []
+    with mock.patch.object(solvers_module, "_prox_for",
+                           lambda *args, real=solvers_module._prox_for: built.append(args) or real(*args)):
+        fit = analysis_module._fit(X, y, norm)
+    sol = fit.solution
+    zero = (sol.route == "exact" and sol.iterations == 0 and sol.point == (0,) * X.ncols
+            and fit.residual == y and fit.pattern == (0,) * X.ncols)
+    assert zero == inside
+    assert (built == []) == inside
+    if inside:
+        assert sol.converged and sol.certificate.tol == 0 and sol.certificate.passed
+        assert sol.objective == dot(y, y) / 2
+
+
 @st.composite
 def rational_fits(draw):
     """(X, norm, y): a 2x3 to 3x5 design with entries k/d, |k| <= 4, an l1
@@ -477,7 +559,7 @@ def test_rational_fits_outside_the_zero_region_are_exact(case):
     sol = fit.solution
     assert null_set_projection(X, norm, y) == fit.residual
     float_sol = solvers_module.solve_penalized(X, y, norm)
-    float_fit = analysis_module._read_solve(X, y, norm, float_sol)
+    float_fit = analysis_module._read(X, y, norm, float_sol)
     # the float projection only orders the oracle's search
     projection = dual_ball_projection(X, norm, y, float_fit.residual)
     if sol.route != "exact":

@@ -119,14 +119,14 @@ def test_uncertified_solve_runs_fista_once(capsys, matrices, monkeypatch):
 
 def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch):
     # rational designs, responses inside and outside the zero-solution
-    # region: every path reports the same pattern and projection, no CLI call
-    # runs FISTA twice, and inside the region none runs it at all; outside,
-    # the one run ends at an exact polish
+    # region: every path reports the same pattern and projection, and every
+    # CLI call runs FISTA once; inside the region that one run ends at the
+    # zero piece before its first iteration, outside at an exact polish
     calls = []
 
     def counted(X, y, norm, options, polish):
-        calls.append(y)
-        return _fista(X, y, norm, options, polish)
+        calls.append(_fista(X, y, norm, options, polish))
+        return calls[-1]
 
     monkeypatch.setattr(analysis, "_fista", counted)
     designs = {
@@ -154,7 +154,8 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
                 inside = scale < 1
                 del calls[:]
                 code, out, _ = run(capsys, "solve", *argv)
-                assert code == 0 and len(calls) == (0 if inside else 1)
+                assert code == 0 and len(calls) == 1
+                assert calls[0].route == "exact" and (calls[0].iterations == 0) == inside
                 solved = json.loads(out)["result"]
                 if kind != "slope":
                     assert solved["route"] == "exact"
@@ -162,7 +163,8 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
                         assert solved["residual"] == [rat_str(t) for t in y]
                 del calls[:]
                 code, out, _ = run(capsys, "decompose", *argv)
-                assert code == 0 and len(calls) == (0 if inside else 1)
+                assert code == 0 and len(calls) == 1
+                assert calls[0].route == "exact" and (calls[0].iterations == 0) == inside
                 split = json.loads(out)["result"]
                 assert split["exact"] is True
 

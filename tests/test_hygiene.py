@@ -591,6 +591,15 @@ def test_solvers_have_one_fista_loop():
     assert momentum_loops("solvers", (SRC / "solvers.py").read_text()) == ["solvers._fista"]
 
 
+def test_a_fit_has_one_exact_route():
+    # the polish in solvers._fista, whose first piece is the zero piece, is
+    # the one exact route of a fit: analysis builds no Solution and tests
+    # no response against the dual ball beside it
+    source = (SRC / "analysis.py").read_text()
+    assert runtime_readers("analysis", source, "Solution") == []
+    assert name_readers("analysis", source, "exact_dual_value") == []
+
+
 def test_norm_arithmetic_lives_in_norms():
     found = {site for p in SRC.glob("*.py") if p.stem != "norms"
              for kind in ("L1", "SUP") for site in runtime_readers(p.stem, p.read_text(), kind)}
