@@ -22,6 +22,11 @@ one polished FISTA solve read once: exact on a rational design and response
 once a linear piece certifies at tol 0, the zero piece first (the whole
 zero-solution region), then the pieces of the patterns read off the
 iterate, with the certified float iterate as the fallback.
+
+Every report is a dataclass whose JSON form is its fields in declaration
+order, through one encoder, _json, which cli's payloads share: Fractions
+become "p/q", tuples lists. Only the uniqueness report (its offending face
+with vertices) and the genericity report (its derived fraction) differ.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 
 from .exact import (
@@ -75,24 +80,31 @@ GEOMETRIC = "geometric"
 ANALYTIC = "analytic"
 BOTH = "both"
 
-def _json_scalar(v):
-    if isinstance(v, bool) or isinstance(v, (int, float)):
+class _Report:
+    """A report dataclass whose JSON form is its fields, in declaration
+    order, each through _json."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json(v):
+    """The one JSON encoder of reports and CLI payloads: None, bools,
+    numbers and strings as they are, tuples and lists as lists, a norm by
+    its describe(), anything with to_json_dict by that dict, any other
+    dataclass (a Certificate) by its fields in order, and a Fraction as
+    "p/q"."""
+    if v is None or isinstance(v, (bool, int, float, str)):
         return v
+    if isinstance(v, (tuple, list)):
+        return [_json(x) for x in v]
+    if isinstance(v, PolytopeNorm):
+        return v.describe()
+    if hasattr(v, "to_json_dict"):
+        return v.to_json_dict()
+    if is_dataclass(v):
+        return _Report.to_json_dict(v)
     return rat_str(v)
-
-
-def _json_vector(xs):
-    return None if xs is None else [_json_scalar(x) for x in xs]
-
-
-def _certificate_dict(cert):
-    return {
-        "dual_vector": _json_vector(cert.dual_vector),
-        "dual_norm": _json_scalar(cert.dual_norm),
-        "pairing_gap": _json_scalar(cert.pairing_gap),
-        "tol": _json_scalar(cert.tol),
-        "passed": cert.passed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +112,7 @@ def _certificate_dict(cert):
 
 
 @dataclass(frozen=True)
-class NonUniquenessWitness:
+class NonUniquenessWitness(_Report):
     """Two distinct certified minimizers for one explicit response."""
 
     response: Vector
@@ -109,18 +121,9 @@ class NonUniquenessWitness:
     objective: Fraction
     dual_vector: Vector
 
-    def to_json_dict(self) -> dict:
-        return {
-            "response": _json_vector(self.response),
-            "first": _json_vector(self.first),
-            "second": _json_vector(self.second),
-            "objective": _json_scalar(self.objective),
-            "dual_vector": _json_vector(self.dual_vector),
-        }
-
 
 @dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(_Report):
     unique_for_all_y: bool
     rank: int
     mode: str  # "penalized" | "bp"
@@ -129,18 +132,10 @@ class UniquenessReport:
     witness: NonUniquenessWitness | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "unique_for_all_y": self.unique_for_all_y,
-            "rank": self.rank,
-            "mode": self.mode,
-            "norm": self.norm.describe() if self.norm is not None else None,
-            "offending_face": (
-                self.offending_face.to_json_dict(include_vertices=True)
-                if self.offending_face is not None
-                else None
-            ),
-            "witness": self.witness.to_json_dict() if self.witness is not None else None,
-        }
+        d = super().to_json_dict()
+        if self.offending_face is not None:  # the face with its vertices
+            d["offending_face"] = self.offending_face.to_json_dict(include_vertices=True)
+        return d
 
 
 def _uniqueness_sweep(X, norm, limit, vertex_cap):
@@ -256,7 +251,7 @@ def check_uniqueness_bp(
 
 
 @dataclass(frozen=True)
-class AccessibilityReport:
+class AccessibilityReport(_Report):
     pattern: tuple[int, ...]
     kind: str  # "sign" | "model"
     accessible: bool
@@ -266,21 +261,6 @@ class AccessibilityReport:
     dual_witness: Vector | None
     response_witness: Vector | None
     response_witness_bp: Vector | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pattern": list(self.pattern),
-            "kind": self.kind,
-            "accessible": self.accessible,
-            "geometric_hit": self.geometric_hit,
-            "analytic_value": (
-                _json_scalar(self.analytic_value) if self.analytic_value is not None else None
-            ),
-            "pattern_norm": _json_scalar(self.pattern_norm),
-            "dual_witness": _json_vector(self.dual_witness),
-            "response_witness": _json_vector(self.response_witness),
-            "response_witness_bp": _json_vector(self.response_witness_bp),
-        }
 
 
 def _check_route(route):
@@ -422,7 +402,7 @@ class UncertifiedSolve(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Classification:
+class Classification(_Report):
     model: tuple[int, ...]
     solution: tuple
     residual: tuple
@@ -430,17 +410,6 @@ class Classification:
     objective: float
     ambiguous: bool | None
     certificate: object
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": list(self.model),
-            "solution": _json_vector(self.solution),
-            "residual": _json_vector(self.residual),
-            "model_face": self.model_face.to_json_dict(),
-            "objective": _json_scalar(self.objective),
-            "ambiguous": self.ambiguous,
-            "certificate": _certificate_dict(self.certificate),
-        }
 
 
 @dataclass(frozen=True)
@@ -527,7 +496,7 @@ def null_set_projection(X, norm: PolytopeNorm, y, options: SolverOptions = Solve
 
 
 @dataclass(frozen=True)
-class GenericityReport:
+class GenericityReport(_Report):
     n: int
     p: int
     mode: str
@@ -541,16 +510,9 @@ class GenericityReport:
         return Fraction(sum(self.outcomes), self.trials)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "mode": self.mode,
-            "norm": self.norm.describe() if self.norm is not None else None,
-            "trials": self.trials,
-            "seed": self.seed,
-            "fraction_unique": _json_scalar(self.fraction_unique),
-            "outcomes": list(self.outcomes),
-        }
+        d = super().to_json_dict()
+        outcomes = d.pop("outcomes")  # the derived fraction comes first
+        return {**d, "fraction_unique": _json(self.fraction_unique), "outcomes": outcomes}
 
 
 def genericity_experiment(

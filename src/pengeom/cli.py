@@ -2,7 +2,8 @@
 analysis operation, JSON/CSV reports, and SVG diagrams.
 
 Reports embed their exact inputs as rational strings and are byte-identical
-across runs for the same configuration. Exit codes: 0 success (or "unique"),
+across runs for the same configuration; every input, result and report
+reaches JSON through analysis._json, the reports' own encoder. Exit codes: 0 success (or "unique"),
 1 negative mathematical verdict (non-unique design, uncertified solve),
 2 usage or input error.
 """
@@ -18,10 +19,8 @@ from fractions import Fraction
 
 from .analysis import (
     UncertifiedSolve,
-    _certificate_dict,
     _fit,
-    _json_scalar,
-    _json_vector,
+    _json,
     accessible_sign_vectors,
     accessible_slope_models,
     check_uniqueness,
@@ -29,7 +28,7 @@ from .analysis import (
     classify_response,
     genericity_experiment,
 )
-from .exact import _entries, load_matrix, parse_rational, rank, rat_str, vec
+from .exact import _entries, load_matrix, parse_rational, rank, vec
 from .geometry import CapExceeded, enumerate_models
 from .norms import SLOPE, PolytopeNorm, l1_norm, slope_norm, sup_norm
 from .solvers import solve_bp
@@ -123,11 +122,11 @@ def _require_format(args, allowed: tuple[str, ...]) -> str:
 def _echo_inputs(args, X=None, norm=None, y=None) -> dict:
     d: dict = {}
     if X is not None:
-        d["matrix"] = X.to_json_rows()
+        d["matrix"] = _json(X.rows)
     if norm is not None:
-        d["norm"] = norm.describe()
+        d["norm"] = _json(norm)
     if y is not None:
-        d["response"] = [rat_str(t) for t in y]
+        d["response"] = _json(y)
     if getattr(args, "mode", None) is not None:
         d["mode"] = args.mode
     if args.cap is not None:
@@ -177,7 +176,7 @@ def cmd_uniqueness(args) -> int:
     payload = {
         "command": "uniqueness",
         "inputs": _echo_inputs(args, X=X, norm=norm),
-        "report": report.to_json_dict(),
+        "report": _json(report),
     }
     _emit_json(args, payload)
     return EXIT_OK if report.unique_for_all_y else EXIT_NEGATIVE
@@ -199,7 +198,7 @@ def cmd_accessible(args) -> int:
         "inputs": _echo_inputs(args, X=X, norm=norm),
         "accessible_count": sum(1 for r in reports if r.accessible),
         "pattern_count": len(reports),
-        "patterns": [r.to_json_dict() for r in reports],
+        "patterns": _json(reports),
     }
     _emit_json(args, payload)
     return EXIT_OK
@@ -208,14 +207,14 @@ def cmd_accessible(args) -> int:
 def _solve_payload(fit) -> dict:
     sol = fit.solution
     return {
-        "solution": _json_vector(sol.point),
-        "objective": _json_scalar(sol.objective),
-        "pattern": list(fit.pattern),
-        "residual": _json_vector(fit.residual),
+        "solution": _json(sol.point),
+        "objective": _json(sol.objective),
+        "pattern": _json(fit.pattern),
+        "residual": _json(fit.residual),
         "route": sol.route,
         "iterations": sol.iterations,
         "converged": sol.converged,
-        "certificate": _certificate_dict(sol.certificate),
+        "certificate": _json(sol.certificate),
     }
 
 
@@ -231,10 +230,10 @@ def cmd_solve(args) -> int:
         payload["inputs"] = _echo_inputs(args, X=X, y=y)
         sol = solve_bp(X, y)
         payload["result"] = {
-            "solution": _json_vector(sol.point),
-            "objective": _json_scalar(sol.objective),
+            "solution": _json(sol.point),
+            "objective": _json(sol.objective),
             "route": sol.route,
-            "certificate": _certificate_dict(sol.certificate),
+            "certificate": _json(sol.certificate),
         }
         _emit_json(args, payload)
         return EXIT_OK
@@ -247,7 +246,7 @@ def cmd_solve(args) -> int:
             payload["result"] = _solve_payload(exc.fit)
             _emit_json(args, payload)
             return EXIT_NEGATIVE
-        payload["result"] = cls.to_json_dict()
+        payload["result"] = _json(cls)
         _emit_json(args, payload)
         return EXIT_OK
     fit = _fit(X, y, norm)
@@ -272,13 +271,13 @@ def cmd_decompose(args) -> int:
     # split carries its float certificate
     exact = fit.solution.route == "exact"
     result = {
-        "projection": _json_vector(fit.residual),
-        "fitted": _json_vector(fit.fitted),
-        "pattern": list(fit.pattern),
+        "projection": _json(fit.residual),
+        "fitted": _json(fit.fitted),
+        "pattern": _json(fit.pattern),
         "exact": exact,
     }
     if not exact:
-        result["certificate"] = _certificate_dict(fit.solution.certificate)
+        result["certificate"] = _json(fit.solution.certificate)
     payload["result"] = result
     _emit_json(args, payload)
     return EXIT_OK if fit.solution.converged else EXIT_NEGATIVE
@@ -332,10 +331,10 @@ def cmd_genericity(args) -> int:
     payload = {
         "command": "genericity",
         "inputs": {"mode": args.mode, "seed": args.seed, "trials": args.trials},
-        "report": report.to_json_dict(),
+        "report": _json(report),
     }
     if norm is not None:
-        payload["inputs"]["norm"] = norm.describe()
+        payload["inputs"]["norm"] = _json(norm)
     _emit_json(args, payload)
     return EXIT_OK
 

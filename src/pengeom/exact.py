@@ -147,9 +147,6 @@ class RationalMatrix:
 
         return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
 
-    def to_json_rows(self) -> list[list[str]]:
-        return [[rat_str(x) for x in r] for r in self.rows]
-
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):

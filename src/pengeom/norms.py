@@ -319,7 +319,7 @@ def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
     collector one container per level to traverse."""
     C = _tie_pattern(norm._form.weights)
     level = _weight_free_level(norm.kind == SLOPE, C, codim, limit, vertices)
-    d, (W,) = clear_denominators([norm._form.weights])
+    d, W, _ = norm._form.integers
     if not vertices or (d, W) == (1, C):
         return d, level
     sub = {0: 0}
@@ -478,7 +478,7 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
     """
     if norm.dim != X.ncols:
         raise ValueError("norm dimension does not match the matrix")
-    _, support = rref(X.transpose())  # pivot columns of X' are independent rows of X
+    support = X._preimage_map.pivots  # X's first independent rows, as rowspace_preimage pivots
     if not support:  # X = 0: D is the whole space, and u = 0 stands for it
         zero = tuple(Fraction(0) for _ in range(X.nrows))
         return _ZeroRegion((zero,), 1, ((0,) * X.ncols,), ((),))

@@ -364,7 +364,11 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
     on its linear piece, and the first point that certifies at tol 0 ends
     the loop as an "exact" Solution. The polish leaves the iterate alone,
     so a fit that no polish certifies returns the float Solution it
-    returns without polish, bit for bit."""
+    returns without polish, bit for bit. A response or norm that does not
+    fit X's shape is refused first, rational or float."""
+    n, p = X.shape if isinstance(X, RationalMatrix) else np.shape(X)
+    if len(y) != n or norm.dim != p:
+        raise ValueError("dimension mismatch")
     exact = _polisher(X, y, norm) if polish else None
     if exact is not None:
         sol = exact(None, 0)
@@ -372,11 +376,8 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
             return sol
     Xf = _float_matrix(X)
     yf = np.asarray([float(t) for t in y])
-    n, p = Xf.shape
-    if norm.dim != p:
-        raise ValueError("norm dimension does not match the matrix")
     x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
-    if yf.shape != (n,) or x.shape != (p,):
+    if x.shape != (p,):
         raise ValueError("dimension mismatch")
     step = _design_step(X) if isinstance(X, RationalMatrix) else _step(Xf)
     fnorm = norm._form.floats
@@ -427,8 +428,8 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
 def _polisher(X, y: Sequence, norm: PolytopeNorm):
     """(x, it) -> the exact Solution on the linear piece of x's pattern, or
     None; None itself for a float design or response, which never polish.
-    This is the one place that decides whether a fit's inputs are rational,
-    and it refuses a response or norm that does not fit X's shape.
+    This is the one place that decides whether a fit's inputs are rational;
+    _fista has checked their shapes.
 
     x None names the zero piece, the one with no free column: b = 0 is the
     minimizer iff X'y = q / (d e) lies in the dual ball, decided in
@@ -451,8 +452,6 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
         yy = vec(y)
     except TypeError:  # float response
         return None
-    if len(yy) != X.nrows or norm.dim != X.ncols:
-        raise ValueError("dimension mismatch")
     d, _, cols = X._integer_form
     e, (Y,) = clear_denominators((yy,))
     q = [sum(map(operator.mul, c, Y)) for c in cols]

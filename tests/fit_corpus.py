@@ -1,6 +1,7 @@
-"""A deterministic corpus of fit answers, replayed by test_fit_corpus.py.
+"""A deterministic corpus of fit answers and reports, replayed by
+test_fit_corpus.py.
 
-Every record is {"key": ..., "out": ...}. The keys name the design, the
+Every record is {"key": ..., "out": ...}. The fit keys name the design, the
 norm, the response and the operation: classify_response (slope norms),
 null_set_projection, and `pengeom solve` / `pengeom decompose` run through
 cli.main, whose stdout and exit code are kept.
@@ -14,20 +15,41 @@ is stored by route, pattern and convergence only, since its doubles depend
 on the BLAS build; the float bits are pinned by
 test_float_route_is_bit_identical_to_the_reference instead.
 
+The report keys name the design, the norm and the subcommand: `pengeom
+uniqueness` for every norm and for bp, also under PENGEOM_VERTEX_CAP=2 so
+that refusals are kept with their error lines; `accessible` for l1 at
+scales 1 and 3/2 and for strict slope; `plot`, kept as the SVG's sha256;
+and, once, `genericity` (json and csv), `models` and the dual-ball plots. Records ending in
+"/json" hold a report's to_json_dict() dumped without sort_keys, which
+pins its key order: uniqueness and bp reports, both accessibility tables,
+a classification and a genericity report.
+
 Rewrite the committed file with `PYTHONPATH=src python tests/write_fit_corpus.py`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
-from pengeom.analysis import UncertifiedSolve, _fit, classify_response, null_set_projection
+from pengeom.analysis import (
+    UncertifiedSolve,
+    _fit,
+    accessible_sign_vectors,
+    accessible_slope_models,
+    check_uniqueness,
+    check_uniqueness_bp,
+    classify_response,
+    genericity_experiment,
+    null_set_projection,
+)
 from pengeom.cli import main
 from pengeom.exact import RationalMatrix, rat_str
 from pengeom.norms import SLOPE, dual_norm_value, l1_norm, slope_norm, sup_norm
@@ -46,6 +68,9 @@ DESIGNS = {
     "repeat": [[F(4, 3), 0, F(2, 3)], [-1, F(-1, 2), F(-1, 2)]],
     "tall": [[1, -2, 0, 3], [2, 1, -1, 0], [0, F(1, 2), 2, -1]],
     "null": [[0, 0], [0, 0]],
+    # rank 1 in p = 4: the level of codim 2 has faces of four vertices and
+    # more, which PENGEOM_VERTEX_CAP=2 refuses
+    "wide": [[1, -1, 2, F(1, 2)]],
 }
 
 BASES = ((3, -1, 2), (1, 2, -3))
@@ -111,16 +136,99 @@ def _project(X, norm, y):
     return _summary(_fit(X, y, norm))
 
 
-def _cli(argv: list[str]):
+def _run(argv: list[str], env: dict | None = None) -> dict:
+    """cli.main's exit code, stdout and error lines (not its timing line)."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    text = out.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    return {"code": code, "stdout": out.getvalue(), "errors": errors}
+
+
+def _cli(argv: list[str]):
+    run = _run(argv)
+    code, text = run["code"], run["stdout"]
     result = json.loads(text)["result"] if text else {}
     answer = result.get("solution", result.get("projection"))
     if answer is None or all(isinstance(v, str) for v in answer):
         return {"code": code, "stdout": text}
     return {"code": code, "exact": False, "pattern": result.get("pattern", result.get("model"))}
+
+
+def _dump(report) -> str:
+    """to_json_dict() without sort_keys, so the record keeps its key order."""
+    return json.dumps(report.to_json_dict())
+
+
+def _dump_table(reports) -> str:
+    return json.dumps([r.to_json_dict() for r in reports])
+
+
+def _svg(argv: list[str]) -> dict:
+    run = _run(argv)
+    run["stdout"] = hashlib.sha256(run["stdout"].encode()).hexdigest()
+    return run
+
+
+VERTEX_CAP = {"PENGEOM_VERTEX_CAP": "2"}
+
+# the designs whose accessibility tables and one classification are kept:
+# the demo, a zero column, a repeated column and the zero design
+TABLES = ("demo", "zero-col", "repeat", "null")
+
+
+def _report_records(name: str, X: RationalMatrix, path: str):
+    """uniqueness (every norm, bp), accessible, classify and plot records
+    for one design."""
+    norms = _norms(X.ncols)
+    for norm_name, (norm, flags) in [*norms.items(), ("bp", (None, ["--mode", "bp"]))]:
+        key = f"{name}/{norm_name}/uniqueness"
+        argv = ["uniqueness", "--matrix", path, *flags]
+        yield {"key": key, "out": _run(argv)}
+        yield {"key": f"{key}/vertex-cap-2", "out": _run(argv, VERTEX_CAP)}
+        report = check_uniqueness_bp(X) if norm is None else check_uniqueness(X, norm)
+        yield {"key": f"{key}/json", "out": _dump(report)}
+    if name in TABLES:
+        for norm_name in ("l1", "l1x3/2", "strict"):
+            norm, flags = norms[norm_name]
+            key = f"{name}/{norm_name}/accessible"
+            yield {"key": key, "out": _run(["accessible", "--matrix", path, *flags])}
+            if norm.kind == SLOPE:
+                reports = accessible_slope_models(X, norm.weights.values)
+            else:
+                reports = accessible_sign_vectors(X, lam=norm.scale)
+            yield {"key": f"{key}/json", "out": _dump_table(reports)}
+        # one classification, at the last response under strict weights
+        norm = norms["strict"][0]
+        label, y = _responses(X, norm)[-1]
+        yield {"key": f"{name}/strict/{label}/classify/json",
+               "out": _dump(classify_response(X, norm.weights.values, y))}
+    for norm_name in ("l1", "strict"):
+        flags = norms[norm_name][1]
+        yield {"key": f"{name}/{norm_name}/plot",
+               "out": _svg(["plot", "--matrix", path, *flags])}
+
+
+def _global_records():
+    """genericity, models and dual-ball plot records, which take no design."""
+    strict = _norms(3)["strict"]
+    for label, norm, flags in [("l1", l1_norm(3), ["--norm", "l1"]),
+                               ("strict", *strict),
+                               ("bp", None, ["--mode", "bp"])]:
+        argv = ["genericity", "--rows", "2", "--cols", "3", "--trials", "4", "--seed", "5", *flags]
+        key = f"genericity/{label}"
+        yield {"key": key, "out": _run(argv)}
+        yield {"key": f"{key}/csv", "out": _run([*argv, "--format", "csv"])}
+        yield {"key": f"{key}/vertex-cap-2", "out": _run(argv, VERTEX_CAP)}
+        mode = "bp" if norm is None else "penalized"
+        report = genericity_experiment(2, 3, norm=norm, mode=mode, trials=4, seed=5)
+        yield {"key": f"{key}/json", "out": _dump(report)}
+    for p in (1, 3):
+        yield {"key": f"models/{p}", "out": _run(["models", "--cols", str(p)])}
+    yield {"key": "models/3/cap-2", "out": _run(["models", "--cols", "3", "--cap", "2"])}
+    for norm_name, (_, flags) in _norms(2).items():
+        yield {"key": f"dual-ball/{norm_name}/plot", "out": _svg(["plot", "--cols", "2", *flags])}
 
 
 def records():
@@ -131,6 +239,7 @@ def records():
             path = os.path.join(tmp, f"{name}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("".join(",".join(rat_str(t) for t in row) + "\n" for row in X.rows))
+            yield from _report_records(name, X, path)
             Xf = X.to_float_array().tolist()
             for norm_name, (norm, flags) in _norms(X.ncols).items():
                 for label, y in _responses(X, norm):
@@ -144,6 +253,7 @@ def records():
                     yf = [float(t) for t in y]
                     yield {"key": f"{key}/float-y", "out": _summary(_fit(X, yf, norm))}
                     yield {"key": f"{key}/float-design", "out": _summary(_fit(Xf, yf, norm))}
+    yield from _global_records()
 
 
 def lines():

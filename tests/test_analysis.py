@@ -1,5 +1,6 @@
 import functools
 import json
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -44,6 +45,7 @@ from pengeom.norms import (
     slope_norm,
     sup_norm,
     unit_sphere_sign_points,
+    zero_region,
 )
 from pengeom.solvers import (
     SolverOptions,
@@ -444,13 +446,14 @@ def test_a_fit_polishes_each_pattern_once(monkeypatch):
 
 def test_fits_refuse_a_response_or_norm_of_the_wrong_shape(monkeypatch):
     # on a rational 2x3 design, a 1- or 3-entry response and a norm of
-    # dimension 2 or 4 are refused before FISTA builds its prox, for
-    # responses that would lie inside the zero-solution region and outside it
+    # dimension 2 or 4 are refused in one wording before FISTA builds its
+    # prox, for responses that would lie inside the zero-solution region and
+    # outside it, rational or float
     built = []
     monkeypatch.setattr(solvers_module, "_prox_for",
                         lambda *args, real=solvers_module._prox_for: built.append(args) or real(*args))
     norm = slope_norm(DEMO_W)
-    for scale in (Fraction(1, 1000), Fraction(1000)):
+    for scale in (Fraction(1, 1000), Fraction(1000), 1e-3, 1e3):
         cases = [(DEMO_W, norm, y) for y in ((scale,), (scale, -scale, 2 * scale))]
         for w in ((2, 1), (4, 3, 2, 1)):
             cases.append((w, slope_norm(w), (scale, -scale)))
@@ -692,12 +695,19 @@ def design_and_row_mix(draw, max_p=4):
     X = draw(st.lists(st.lists(_SMALL, min_size=p, max_size=p), min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
         X[-1] = [2 * x for x in X[0]]
-    L = [[Fraction(i == j) if j >= i else draw(_SMALL) for j in range(n)] for i in range(n)]
-    U = [[draw(_NONZERO) if j == i else draw(_SMALL) if j > i else Fraction(0)
+    return RationalMatrix.from_rows(X), RationalMatrix.from_rows(_row_mix(draw, X, _SMALL, _NONZERO))
+
+
+def _row_mix(draw, X, entries, diagonal):
+    """A X for A = L U: L unit lower triangular with entries off the
+    diagonal, U upper triangular with entries above it and a diagonal drawn
+    from nonzero values, so A is invertible."""
+    n, p = len(X), len(X[0])
+    L = [[Fraction(i == j) if j >= i else draw(entries) for j in range(n)] for i in range(n)]
+    U = [[draw(diagonal) if j == i else draw(entries) if j > i else Fraction(0)
           for j in range(n)] for i in range(n)]
     A = [[sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    AX = [[sum(A[i][k] * X[k][j] for k in range(n)) for j in range(p)] for i in range(n)]
-    return RationalMatrix.from_rows(X), RationalMatrix.from_rows(AX)
+    return [[sum(A[i][k] * X[k][j] for k in range(n)) for j in range(p)] for i in range(n)]
 
 
 @given(design_and_row_mix(), st.sampled_from(["l1", "sup", "slope", "bp"]))
@@ -792,6 +802,99 @@ def assert_valid_bp_witness(X, report):
     assert sum(map(abs, w.first)) == sum(map(abs, w.second)) == w.objective
     for b in (w.first, w.second):
         assert bp_certificate_holds(X, b, w.dual_vector)
+
+
+# 12-digit entries of either sign, none zero
+_DIGITS = st.builds(operator.mul, st.sampled_from((1, -1)), st.integers(10**11, 10**12 - 1)).map(Fraction)
+_POSITIVE = st.sampled_from((Fraction(1, 3), Fraction(7, 5), Fraction(2), Fraction(10**12 + 1, 3)))
+ROW_VARIANTS = ("mix", "digits", "permute", "scale", "append")
+
+
+@st.composite
+def row_space_variants(draw, how):
+    """(X, X') with row(X') = row(X) and p <= 3, by variant: X' = A X for an
+    invertible A of small ("mix") or of 12-digit ("digits") entries, X with
+    its rows permuted, c X for c > 0, or X with a multiple of one of its
+    rows appended (a zero row for the multiple 0)."""
+    X = [list(row) for row in draw(small_designs(max_p=3)).rows]
+    if how == "mix":
+        rows = _row_mix(draw, X, _SMALL, _NONZERO)
+    elif how == "digits":
+        rows = _row_mix(draw, X, _DIGITS, _DIGITS)
+    elif how == "permute":
+        rows = [X[i] for i in draw(st.permutations(range(len(X))))]
+    elif how == "scale":
+        c = draw(_POSITIVE)
+        rows = [[c * x for x in row] for row in X]
+    else:
+        k = draw(_SMALL)
+        rows = X + [[k * x for x in draw(st.sampled_from(X))]]
+    return RationalMatrix.from_rows(X), RationalMatrix.from_rows(rows)
+
+
+def _region_images(X, norm):
+    """{X'u} over the vertices u of the zero-solution region D."""
+    return {X.rmatvec(u) for u in zero_region(X, norm)}
+
+
+def _table(X, norm):
+    """norm's accessibility table: models for slope, sign vectors for l1."""
+    if norm.kind == "slope":
+        return accessible_slope_models(X, norm.weights.values)
+    return accessible_sign_vectors(X, lam=norm.scale)
+
+
+def _scaled(norm, c):
+    if norm.kind == "slope":
+        return slope_norm([c * w for w in norm.weights.values])
+    return l1_norm(norm.dim, scale=c * norm.scale) if norm.kind == "l1" else norm
+
+
+def _label(report):
+    return None if report.offending_face is None else report.offending_face.pattern
+
+
+@pytest.mark.parametrize("how", ROW_VARIANTS)
+@settings(max_examples=20)  # six families, two tables and five regions: about 0.5 s a variant
+@given(st.data())
+def test_answers_depend_only_on_the_row_space(how, data):
+    # uniqueness, the offending face and its witness pair, the tables and
+    # D's images {X'u} are read off row(X), which X' shares; the witnesses
+    # that live in response space differ and must certify on X'. Scaling
+    # the norm by c > 0 keeps every verdict and label
+    X, Xp = data.draw(row_space_variants(how))
+    c = data.draw(_POSITIVE)
+    p = X.ncols
+    for kind in FAMILIES:
+        a, b = family_uniqueness(X, kind), family_uniqueness(Xp, kind)
+        assert (a.unique_for_all_y, a.rank, a.offending_face) == (
+            b.unique_for_all_y, b.rank, b.offending_face)
+        if not a.unique_for_all_y:
+            assert (a.witness.first, a.witness.second) == (b.witness.first, b.witness.second)
+            if kind == "bp":
+                assert_valid_bp_witness(Xp, b)
+            else:
+                assert_valid_penalized_witness(Xp, family_norm(kind, p), b)
+        if kind != "bp":
+            norm = family_norm(kind, p)
+            assert _region_images(X, norm) == _region_images(Xp, norm)
+            s = check_uniqueness(X, _scaled(norm, c))
+            assert (s.unique_for_all_y, s.rank, _label(s)) == (a.unique_for_all_y, a.rank, _label(a))
+    slope = data.draw(st.sampled_from(sorted(_SLOPE_WEIGHTS)))
+    for norm in (family_norm("l1", p), family_norm(slope, p)):
+        tables = [_table(M, norm) for M in (X, Xp)]
+        assert [(r.pattern, r.accessible, r.geometric_hit, r.analytic_value) for r in tables[0]] == [
+            (r.pattern, r.accessible, r.geometric_hit, r.analytic_value) for r in tables[1]]
+        for r in tables[1]:
+            if r.dual_witness is None:
+                continue
+            point = vec(r.pattern)
+            if norm.kind == "slope":
+                assert kkt_certify(Xp, r.response_witness, point, norm).passed
+            else:
+                assert bp_certificate_holds(Xp, point, r.dual_witness)
+        assert [(r.pattern, r.accessible) for r in _table(X, _scaled(norm, c))] == [
+            (r.pattern, r.accessible) for r in tables[0]]
 
 
 @settings(max_examples=25)  # two model sweeps per example keep it near 1.5 s

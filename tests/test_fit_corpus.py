@@ -4,8 +4,10 @@ from fit_corpus import CORPUS, lines
 
 
 def test_every_fit_replays_its_corpus_record():
-    # classify, projection, solve and decompose answers are those of the
-    # committed corpus, exact ones byte for byte; a deliberate change
+    # classify, projection, solve and decompose answers, the uniqueness,
+    # accessible, genericity, models and plot commands' output and error
+    # lines, and each report's to_json_dict() in its key order are those of
+    # the committed corpus, exact ones byte for byte; a deliberate change
     # rewrites the file with tests/write_fit_corpus.py
     expected = CORPUS.read_text(encoding="utf-8").splitlines()
     actual = lines()

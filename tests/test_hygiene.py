@@ -294,6 +294,15 @@ BLOCK_COUNT_READERS = frozenset({"geometry.Face._vertex_count"})
 KERNEL_COLUMN_READERS = frozenset({"geometry.DesignKernel.level_hits", "geometry.DesignKernel.face_hit"})
 KERNEL_SECOND_IMAGES = frozenset({"image", "_images", "integer_basis"})
 
+# every report and CLI payload becomes JSON through one encoder: in analysis
+# and cli only it writes a rational as a string, and besides the report base
+# only the two reports whose layout departs from their fields define
+# to_json_dict
+JSON_MODULES = ("analysis", "cli")
+RAT_STR_READERS = frozenset({"analysis._json"})
+JSON_DICT_DEFINERS = frozenset({
+    "analysis._Report", "analysis.UniquenessReport", "analysis.GenericityReport"})
+
 
 def attribute_readers(module: str, source: str, attr: str) -> list[str]:
     """"module.function" (or "module.Class.method") around every load of
@@ -691,3 +700,13 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
     assert callable(geometry._materialized_vertices.cache_info)
     lp = importlib.import_module("pengeom.lp")
     assert {"c", "a_eq", "a_ub"} <= {f.name for f in dataclasses.fields(lp.LinearProgram)}
+
+
+def test_reports_have_one_json_encoder():
+    found = {site for module in JSON_MODULES
+             for site in name_readers(module, (SRC / f"{module}.py").read_text(), "rat_str")}
+    assert found == RAT_STR_READERS
+    tree = ast.parse((SRC / "analysis.py").read_text())
+    definers = {f"analysis.{c.name}" for c in tree.body if isinstance(c, ast.ClassDef)
+                for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "to_json_dict"}
+    assert definers == JSON_DICT_DEFINERS
