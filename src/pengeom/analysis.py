@@ -41,7 +41,6 @@ from .exact import (
     RationalMatrix,
     Vector,
     clear_denominators,
-    dot,
     kernel_basis,
     parse_rational,
     rat_str,
@@ -71,6 +70,7 @@ from .solvers import (
     Solution,
     SolverOptions,
     _bp_certificate_at,
+    _exact_check,
     _fista,
     _float_matrix,
     kkt_certify,
@@ -197,13 +197,14 @@ def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
 
 
 def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
-    """The witness pair, certified by KKT at y = X first + hit.z."""
-    first, second, value = _witness_pair(X, norm, face)
+    """The witness pair, certified by KKT at y = X first + hit.z; the
+    objective is the one the first point's exact check forms."""
+    first, second, _ = _witness_pair(X, norm, face)
     y = tuple(a + b for a, b in zip(X.matvec(first), hit.z))
-    if not all(kkt_certify(X, y, b, norm).passed for b in (first, second)):
+    (cert, objective), (other, _) = (_exact_check(X, y, b, norm._form) for b in (first, second))
+    if not (cert.passed and other.passed):
         raise AssertionError("witness failed exact certification")
-    objective = dot(hit.z, hit.z) / 2 + value
-    return NonUniquenessWitness(y, first, second, objective, hit.z)
+    return NonUniquenessWitness(y, first, second, objective(), hit.z)
 
 
 def check_uniqueness(

@@ -24,12 +24,13 @@ off its own ranking, so the objective sorts nothing. The float certificate
 reads the norm's float form from norms.py, and the penalty pairs that
 form's weights with the ranked magnitudes as its value does, so every float
 they compute is the one norm_value and dual_norm_value give with the norm's
-Fractions on the same doubles. The exact certificate is worked in integers:
-y and b are cleared of their denominators once, the residual and
-X'(y - Xb) are integer dot products against the design's integer form, the
-dual norm and the gap come from the norm's integer weights, and Fractions
-are formed only for the certificate's fields, with the values Fraction
-arithmetic gives.
+Fractions on the same doubles. Every exact certificate, basis pursuit's
+included, comes from one integer builder (_certificate) of a dual vector
+S / den and a point B / f: the dual norm and the gap come from the norm's
+integer weights, and Fractions are formed only for the fields, with the
+values Fraction arithmetic gives. The penalized check (_exact_check) splits
+y - Xb in integers once, which also gives the objective; basis pursuit
+hands the builder X'z for the gauge LP's optimal dual z.
 
 One FISTA loop (_fista) serves solve_penalized, which never polishes, and
 the fits of analysis, which do on a rational design and response
@@ -49,11 +50,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .exact import RationalMatrix, Vector, _solve_map_of, _SolveMap, clear_denominators, dot, vec
+from .exact import RationalMatrix, Vector, _solve_map_of, _SolveMap, clear_denominators, vec
 from .geometry import _model_blocks, model_of
 from .lp import OPTIMAL, LinearProgram, lp_solve
 from .norms import (
@@ -63,7 +64,6 @@ from .norms import (
     _NormForm,
     _gauge_rows,
     _integer_primal_ball_vertices,
-    dual_norm_value,
     l1_norm,
     norm_value,
 )
@@ -174,7 +174,7 @@ def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certi
         raise ValueError("dimension mismatch")
     if isinstance(X, RationalMatrix) and tol == 0 and all(
             isinstance(x, (int, Fraction, str)) for x in (*y, *b)):
-        return _exact_certificate(X, vec(y), vec(b), norm._form)
+        return _exact_check(X, vec(y), vec(b), norm._form)[0]
     Xf = _float_matrix(X)
     bf = np.asarray(b, dtype=float)
     sf = Xf.T @ (np.asarray(y, dtype=float) - Xf @ bf)
@@ -184,41 +184,38 @@ def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certi
     return Certificate(s, dn, gap, tol, dn <= 1 + tol and gap <= tol)
 
 
-def _exact_certificate(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm) -> Certificate:
-    """The tol-0 certificate in integers: with X = R / d, y = Y / e and
-    b = B / f, the residual is (d f Y - e R B) / (d e f), and the dual
-    vector s = X'(y - Xb) is S / D for S = R'(d f Y - e R B) and
-    D = d^2 e f. With g the weights' denominator, the gap
-    |<b, s> - ||b||| is |g <B, S> - D g ||B||| / (f D g). Fractions are
-    formed only for the fields, one per entry of s, one for the dual norm
-    and one for the gap, so their values are those of Fraction arithmetic."""
-    B, f, residual, D = _integer_split(X, y, b)
-    d, _, cols = X._integer_form
-    S = [sum(map(operator.mul, c, residual)) for c in cols]
-    den = d * D
+def _exact_check(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm
+                 ) -> tuple[Certificate, Callable[[], Fraction]]:
+    """The tol-0 certificate of b for min 0.5||y - Xb||^2 + ||b|| and a
+    function that forms the objective, from one integer split: with
+    X = R / d, y = Y / e and b = B / f, the residual is r / D for
+    r = d f Y - e R B and D = d e f, the dual vector s = X'(y - Xb) is
+    R'r / (d D), and the objective is one Fraction over 2 D^2 g f, g the
+    weights' denominator. The objective is formed only when called for, so
+    kkt_certify, which returns the certificate alone, pays for none."""
+    d, rows, cols = X._integer_form
+    e, (Y,) = clear_denominators((y,))
+    f, (B,) = clear_denominators((b,))
+    D = d * e * f
+    r = [d * f * t - e * sum(map(operator.mul, row, B)) for row, t in zip(rows, Y)]
+    g = form.integers[0]
+    return (_certificate([sum(map(operator.mul, c, r)) for c in cols], d * D, B, f, form),
+            lambda: Fraction(g * f * sum(t * t for t in r) + 2 * D * D * form.integer_value(B),
+                             2 * D * D * g * f))
+
+
+def _certificate(S: Sequence[int], den: int, B: Sequence[int], f: int, form: _NormForm) -> Certificate:
+    """The one builder of a tol-0 Certificate: the dual vector s = S / den
+    against the point b = B / f, all integers, den and f > 0. With g the
+    weights' denominator, the dual norm comes from the norm's integer
+    weights and the gap |<b, s> - ||b||| is |g <B, S> - den g ||B||| /
+    (f den g). Fractions are formed only for the fields, one per entry of
+    s, one for the dual norm and one for the gap, so their values are those
+    of Fraction arithmetic."""
     g = form.integers[0]
     dn = form.exact_dual_value(S, den)
     gap = Fraction(abs(g * sum(map(operator.mul, B, S)) - den * form.integer_value(B)), f * den * g)
     return Certificate(tuple(Fraction(x, den) for x in S), dn, gap, 0, dn <= 1 and not gap)
-
-
-def _integer_split(X: RationalMatrix, y: Vector, b: Vector) -> tuple[tuple[int, ...], int, list[int], int]:
-    """(B, f, the residual times D, D): b = B / f and, for X = R / d and
-    y = Y / e, y - Xb = (d f Y - e R B) / D with D = d e f."""
-    d, rows, _ = X._integer_form
-    e, (Y,) = clear_denominators((y,))
-    f, (B,) = clear_denominators((b,))
-    return B, f, [d * f * t - e * sum(map(operator.mul, r, B)) for r, t in zip(rows, Y)], d * e * f
-
-
-def _exact_objective(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm) -> Fraction:
-    """0.5 ||y - Xb||^2 + ||b|| as one Fraction over 2 D^2 g f, from the
-    integer residual (_integer_split) and g ||B||, g the weights'
-    denominator."""
-    B, f, residual, D = _integer_split(X, y, b)
-    g = form.integers[0]
-    return Fraction(g * f * sum(t * t for t in residual) + 2 * D * D * form.integer_value(B),
-                    2 * D * D * g * f)
 
 
 def _float_matrix(X) -> np.ndarray:
@@ -433,8 +430,10 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
 
     x None names the zero piece, the one with no free column: b = 0 is the
     minimizer iff X'y = q / (d e) lies in the dual ball, decided in
-    integers before any certificate is built. On the piece an iterate's
-    pattern names, the penalty is linear, w_U'c for b = Uc
+    integers before any certificate is built; a zero piece that fails is
+    marked tried, so an iterate that reads as all zero is skipped, and
+    every other piece has a column, its top block taking w1 > 0. On the
+    piece an iterate's pattern names, the penalty is linear, w_U'c for b = Uc
     (_piece_columns), so the minimizer there solves the reduced normal
     equations U'X'XU c = U'X'y - w_U: the equicorrelation / active-set form
     (Tibshirani 2013; Bogdan et al. 2022). With X = R / d, y = Y / e and
@@ -462,6 +461,7 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
     def polish(x, it):
         if x is None:
             if form.exact_dual_value(q, d * e) > 1:
+                tried.add((0,) * len(q))
                 return None
             b = (Fraction(0),) * len(q)
         else:
@@ -476,10 +476,8 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
             b = _piece_point(G, q, columns, d * g, d * d * e, e * g)
             if b is None:
                 return None
-        cert = _exact_certificate(X, yy, b, form)
-        if not cert.passed:
-            return None
-        return Solution(b, _exact_objective(X, yy, b, form), "exact", cert, it, True)
+        cert, objective = _exact_check(X, yy, b, form)
+        return Solution(b, objective(), "exact", cert, it, True) if cert.passed else None
 
     return polish
 
@@ -512,11 +510,8 @@ def _piece_columns(m: Sequence[int], w: Sequence[int], live: Sequence[bool]) -> 
 
 def _piece_point(G, q, columns, scale_q: int, scale_w: int, den: int) -> Vector | None:
     """b = Uc for the solution c = c' / den of (U'GU) c' = scale_q U'q -
-    scale_w w_U, with the free variables at 0; None when it has none. No
-    columns leave the zero point."""
+    scale_w w_U, with the free variables at 0; None when it has none."""
     b = [Fraction(0)] * len(G)
-    if not columns:
-        return tuple(b)
     A = tuple(tuple(sum(s * t * G[i][j] for i, s in u for j, t in v) for v, _ in columns)
               for u, _ in columns)
     rhs = [scale_q * sum(s * q[i] for i, s in u) - scale_w * wt for u, wt in columns]
@@ -573,10 +568,9 @@ def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
     if found is None:
         raise ValueError("response is outside the column space of the matrix")
     value, b, z = found
-    s = X.rmatvec(z)
-    gap = abs(dot(b, s) - norm_value(l1, b))
-    cert = Certificate(s, dual_norm_value(l1, s), gap, 0, _bp_certificate_at(s, 1, b))
-    return Solution(b, value, "lp", cert)
+    den, S = X._integer_rmatvec(z)
+    f, (B,) = clear_denominators((b,))
+    return Solution(b, value, "lp", _certificate(S, den, B, f, l1._form))
 
 
 def bp_dual_certificate(X: RationalMatrix, b: Sequence) -> Vector | None:

@@ -4,7 +4,9 @@ test_fit_corpus.py.
 Every record is {"key": ..., "out": ...}. The fit keys name the design, the
 norm, the response and the operation: classify_response (slope norms),
 null_set_projection, and `pengeom solve` / `pengeom decompose` run through
-cli.main, whose stdout and exit code are kept.
+cli.main, whose stdout and exit code are kept. `pengeom solve --mode bp`
+runs at each base response, its refusals (a response outside the column
+space) kept with their error lines.
 
 Rational responses sit inside, on and outside the zero-solution region:
 y = c y0 / ||X'y0||_* for c in 1/2, 1 and 3, so at c = 1 X'y lies exactly
@@ -71,6 +73,9 @@ DESIGNS = {
     # rank 1 in p = 4: the level of codim 2 has faces of four vertices and
     # more, which PENGEOM_VERTEX_CAP=2 refuses
     "wide": [[1, -1, 2, F(1, 2)]],
+    # two equal columns: l1 at both scales and bp are non-unique, with a
+    # witness on a box face
+    "twin": [[1, 1, -1], [2, 2, 1]],
 }
 
 BASES = ((3, -1, 2), (1, 2, -3))
@@ -253,6 +258,10 @@ def records():
                     yf = [float(t) for t in y]
                     yield {"key": f"{key}/float-y", "out": _summary(_fit(X, yf, norm))}
                     yield {"key": f"{key}/float-design", "out": _summary(_fit(Xf, yf, norm))}
+            for k, base in enumerate(BASES):
+                y = ",".join(map(str, base[:X.nrows]))
+                argv = ["solve", "--mode", "bp", "--matrix", path, "--response=" + y]
+                yield {"key": f"{name}/bp/y{k}/solve", "out": _run(argv)}
     yield from _global_records()
 
 

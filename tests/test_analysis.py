@@ -28,21 +28,25 @@ from pengeom.analysis import (
     genericity_experiment,
     null_set_projection,
 )
-from pengeom.exact import RationalMatrix, dot, rank, vec
+from pengeom.exact import RationalMatrix, dot, parse_matrix_json, rank, solve_exact, vec
 from pengeom.geometry import (
     DEFAULT_VERTEX_CAP,
     CapExceeded,
     enumerate_models,
+    face_intersects_rowspace,
     model_codim,
     model_of,
     model_to_face,
+    sign_to_cube_face,
 )
 from pengeom.norms import (
+    PolytopeNorm,
     dual_norm_value,
     l1_norm,
     norm_value,
     primal_ball_vertices,
     slope_norm,
+    subdifferential_face,
     sup_norm,
     unit_sphere_sign_points,
     zero_region,
@@ -53,7 +57,9 @@ from pengeom.solvers import (
     bp_dual_certificate,
     kkt_certify,
     norm_min_subject_to,
+    solve_bp,
 )
+from pengeom.svg import dual_ball_figure, response_region_figure
 
 from oracles import SignedPermutation, dual_ball_projection, kernel_images, level_faces
 
@@ -83,6 +89,9 @@ def assert_valid_penalized_witness(X, norm, report):
     for b in (w.first, w.second):
         cert = kkt_certify(X, w.response, b, norm)
         assert cert.passed and cert.tol == 0
+        # the objective of both points, in Fraction arithmetic
+        r = [a - c for a, c in zip(w.response, X.matvec(b))]
+        assert w.objective == dot(r, r) / 2 + norm_value(norm, b)
 
 
 def test_sup_norm_uniqueness_pair():
@@ -442,6 +451,22 @@ def test_a_fit_polishes_each_pattern_once(monkeypatch):
     fit = analysis_module._fit(DEMO_X, (Fraction(20), Fraction(5)), slope_norm(DEMO_W), short)
     assert reads == solves == []
     assert fit.solution.route == "fista" and not fit.solution.converged
+
+
+def test_a_failed_zero_piece_is_not_tried_again(monkeypatch):
+    # y = 1 + 10^-8 lies just outside the zero-solution region of l1 on
+    # X = [1], so the zero piece fails before any certificate is built, and
+    # every iterate, about 10^-8, reads as the zero model: none of them
+    # re-solves b = 0
+    reads, checked = [], []
+    monkeypatch.setattr(solvers_module, "model_of",
+                        lambda x, tol, real=model_of: reads.append(real(x, tol)) or reads[-1])
+    monkeypatch.setattr(solvers_module, "_exact_check",
+                        lambda *args, real=solvers_module._exact_check: checked.append(args[2]) or real(*args))
+    fit = analysis_module._fit(RationalMatrix.from_rows([[1]]), (1 + Fraction(1, 10**8),), l1_norm(1))
+    assert reads and set(reads) == {(0,)}
+    assert checked == []
+    assert fit.solution.route == "fista" and fit.solution.converged
 
 
 def test_fits_refuse_a_response_or_norm_of_the_wrong_shape(monkeypatch):
@@ -1340,3 +1365,36 @@ def test_three_accessibility_deciders_agree(X):
         gauge = {t for t in analytic if norm_min_subject_to(X, t, norm)[0] == norm_value(norm, vec(t))}
         assert geometric == {t for t, hit in analytic.items() if hit} == gauge, family
         assert (0,) * X.ncols in geometric
+
+
+_X23 = RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: accessible_sign_vectors(_X23, route="nope"), "unknown route 'nope'"),
+    (lambda: accessible_sign_vectors(_X23, lam=0), "penalty scale must be positive"),
+    (lambda: accessible_slope_models(_X23, [2, 1]), "weight vector length does not match the matrix"),
+    (lambda: genericity_experiment(2, 3, norm=l1_norm(2), trials=1), "norm dimension does not match p"),
+    (lambda: genericity_experiment(2, 3, mode="nope", trials=1), "unknown mode 'nope'"),
+    (lambda: PolytopeNorm("l2", 2), "unknown norm kind 'l2'"),
+    (lambda: PolytopeNorm("l1", 0), "dimension must be >= 1"),
+    (lambda: dual_norm_value(l1_norm(3), [1, 2]), "dimension mismatch"),
+    (lambda: subdifferential_face(l1_norm(3), [1, 2]), "dimension mismatch"),
+    (lambda: face_intersects_rowspace(sign_to_cube_face((1, 0)), _X23),
+     "face and matrix dimension mismatch"),
+    (lambda: solve_exact(_X23, [1, 2, 3]), "dimension mismatch"),
+    (lambda: parse_matrix_json([1]), "JSON matrix must be an array of arrays"),
+    (lambda: solve_bp(_X23, [1]), "dimension mismatch"),
+    (lambda: norm_min_subject_to(_X23, [1, 2], l1_norm(3)), "dimension mismatch"),
+    (lambda: dual_ball_figure(l1_norm(3)), "dual-ball figures need exactly two columns"),
+    (lambda: dual_ball_figure(l1_norm(2), _X23), "design matrix must have two columns"),
+    (lambda: response_region_figure(RationalMatrix.from_rows([[1, 2, 0]]), l1_norm(3)),
+     "response-region figures need exactly two rows"),
+    (lambda: response_region_figure(_X23, l1_norm(2)), "norm dimension must match column count"),
+    (lambda: response_region_figure(RationalMatrix.from_rows([[1, 2, 0], [2, 4, 0]]), l1_norm(3)),
+     "rows must be linearly independent, else the region is unbounded"),
+])
+def test_library_entry_points_refuse_bad_shapes_and_options(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

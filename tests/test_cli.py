@@ -282,7 +282,7 @@ def test_plot_response_region(capsys, matrices, tmp_path):
     assert "1, 1, 1" in labels and "2, 1, 1" in labels
 
 
-def test_error_exits(capsys, matrices, tmp_path):
+def test_error_exits(capsys, matrices, tmp_path, monkeypatch):
     code, _, err = run(capsys, "uniqueness", "--matrix", matrices["bad"], "--norm", "l1")
     assert code == 2 and "error:" in err
 
@@ -339,6 +339,38 @@ def test_error_exits(capsys, matrices, tmp_path):
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1, argv
         assert "Traceback" not in err and out == "", argv
 
+    # each option refusal, with its message
+    refusals = [
+        (("uniqueness", *demo, "--norm", "slope", "--weights="), "empty --weights list"),
+        (("uniqueness", *demo), "--norm is required here"),
+        (("uniqueness", *demo, "--norm", "slope"), "--norm slope needs --weights"),
+        (("uniqueness", *demo, "--norm", "slope", "--weights", "3,2,1", "--lambda", "2"),
+         "--lambda does not apply to the slope norm"),
+        (("uniqueness", *demo, "--norm", "slope", "--weights", "2,1"), "got 2 weights for 3 columns"),
+        (("uniqueness", *demo, "--norm", "l1", "--weights", "3,2,1"),
+         "--weights only applies to --norm slope"),
+        (("uniqueness", *demo, "--norm", "sup", "--lambda", "2"),
+         "--lambda does not apply to the sup norm"),
+        (("uniqueness", "--norm", "l1"), "--matrix is required here"),
+        (("uniqueness", *demo, "--mode", "bp", "--norm", "l1"),
+         "bp mode fixes the l1 norm; drop --norm/--weights/--lambda"),
+        (("decompose", *demo, "--mode", "bp", "--response", "1,1"),
+         "decompose applies to the penalized problem"),
+        (("models",), "--cols (or --matrix) sets the dimension"),
+        (("genericity", "--norm", "l1"), "--rows and --cols are required here"),
+        (("plot", "--norm", "l1"), "--matrix, --weights, or --cols sets the dimension"),
+        (("models", "--cols", "0"), "dimension must be >= 1"),
+    ]
+    for argv, message in refusals:
+        code, out, err = run(capsys, *argv)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 2 and len(errors) == 1 and message in errors[0], argv
+        assert "Traceback" not in err and out == "", argv
+    monkeypatch.setenv("PENGEOM_VERTEX_CAP", "0")
+    code, out, err = run(capsys, "uniqueness", *demo, "--norm", "l1")
+    assert code == 2 and out == "" and "error: PENGEOM_VERTEX_CAP must be positive" in err
+    monkeypatch.delenv("PENGEOM_VERTEX_CAP")
+
     code, _, err = run(capsys, "uniqueness", "--matrix", str(tmp_path / "gap.csv"), "--norm", "l1")
     assert "empty cell at row 1, column 2" in err
     # trailing empty cells and items are padding, read as before
@@ -348,6 +380,11 @@ def test_error_exits(capsys, matrices, tmp_path):
 
 
 def test_cap_flag_and_env_override(capsys, matrices, monkeypatch):
+    # a cap the sweep fits is echoed with the inputs
+    code, out, _ = run(capsys, "uniqueness", "--matrix", matrices["one_zero"], "--norm", "l1",
+                       "--cap", "3")
+    assert code == 0 and json.loads(out)["inputs"]["cap"] == 3
+
     code, _, err = run(capsys, "models", "--cols", "3", "--cap", "1")
     assert code == 2 and "cap" in err
 

@@ -264,6 +264,11 @@ WITNESS_KERNEL_READERS = frozenset({"analysis._witness_pair"})
 NORM_KIND_READERS = frozenset({"solvers._prox_for", "svg._norm_caption"})
 SOLVER_CLASSES = ("Certificate", "Solution", "SolverOptions")
 
+# every tol-0 certificate, basis pursuit's included, comes from one integer
+# builder; besides it only kkt_certify's float path builds a Certificate
+CERTIFICATE_BUILDERS = frozenset({"solvers._certificate", "solvers.kkt_certify"})
+
+
 # only norms turns a label into a dual-ball face, through one kind dispatch
 # that dual_ball_faces maps and the sweeps' hit faces reuse; the sweeps in
 # analysis read the integer level table, never the face list
@@ -616,6 +621,12 @@ def test_norm_arithmetic_lives_in_norms():
     source = (SRC / "solvers.py").read_text()
     classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
     assert classes == SOLVER_CLASSES
+
+
+def test_one_builder_forms_every_exact_certificate():
+    found = {site for p in SRC.glob("*.py")
+             for site in runtime_readers(p.stem, p.read_text(), "Certificate")}
+    assert found == CERTIFICATE_BUILDERS
 
 
 def test_one_witness_recipe_takes_the_kernel_step():

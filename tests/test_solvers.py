@@ -541,6 +541,29 @@ def test_solve_bp_examples():
         solve_bp(RationalMatrix.from_rows([[0, 0]]), [1])
 
 
+def test_solve_bp_certificate_matches_the_fraction_reference():
+    # the certificate pairs the vertex b with s = X'z for the gauge LP's
+    # optimal dual z; its dual norm and gap are those of Fraction arithmetic,
+    # values and types, and it passes
+    rng = random.Random(3)
+    solved = 0
+    for _ in range(200):
+        n, p = rng.randint(1, 3), rng.randint(2, 5)
+        X = RationalMatrix.from_rows([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(p)]
+                                      for _ in range(n)])
+        y = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+        try:
+            sol = solve_bp(X, y)
+        except ValueError:  # y outside the column space
+            continue
+        solved += 1
+        b, s, l1 = sol.point, sol.certificate.dual_vector, l1_norm(p)
+        want = Certificate(s, dual_norm_value(l1, s), abs(dot(b, s) - norm_value(l1, b)), 0, True)
+        assert sol.certificate == want and repr(sol.certificate) == repr(want)
+        assert rowspace_preimage(X, s) is not None
+    assert solved > 150
+
+
 def test_bp_dual_certificate_detects_suboptimal():
     X = RationalMatrix.from_rows([[1, 2]])
     # b = (1, 0) satisfies Xb = 1 but is not l1-minimal
