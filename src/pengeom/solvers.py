@@ -18,19 +18,23 @@ and sup prox pools with the same PAVA loop as the exact prox_slope, with
 weights checked once per solve, in one of two framings chosen by p: below
 _ARRAY_PROX_FROM coordinates it ranks and restores on Python lists, as
 prox_slope does; from there on numpy ranks (a stable argsort), thresholds,
-scatters and restores the signs, and only the pool runs in Python. Both give
-the same doubles. The prox returns the penalty of its point with it, read
-off its own ranking, so the objective sorts nothing. The float certificate
-reads the norm's float form from norms.py, and the penalty pairs that
-form's weights with the ranked magnitudes as its value does, so every float
-they compute is the one norm_value and dual_norm_value give with the norm's
-Fractions on the same doubles. Every exact certificate, basis pursuit's
-included, comes from one integer builder (_certificate) of a dual vector
-S / den and a point B / f: the dual norm and the gap come from the norm's
-integer weights, and Fractions are formed only for the fields, with the
-values Fraction arithmetic gives. The penalized check (_exact_check) splits
-y - Xb in integers once, which also gives the objective; basis pursuit
-hands the builder X'z for the gauge LP's optimal dual z.
+scatters and restores the signs, and only the pool runs in Python. From
+there on sup pools by one running sum instead (_sup_array_prox): its weights
+are (t, 0, ..., 0), so PAVA merges one leading block, found from a cumsum
+and the products PAVA compares; a tail with a tie or a NaN, which PAVA would
+pool too, falls back to the numpy framing. All give the same doubles. The
+prox returns the penalty of its point with it, read off its own ranking, so
+the objective sorts nothing. The float certificate reads the norm's float
+form from norms.py, and the penalty pairs that form's weights with the
+ranked magnitudes as its value does, so every float they compute is the one
+norm_value and dual_norm_value give with the norm's Fractions on the same
+doubles. Every exact certificate, basis pursuit's included, comes from one
+integer builder (_certificate) of a dual vector S / den and a point B / f:
+the dual norm and the gap come from the norm's integer weights, and
+Fractions are formed only for the fields, with the values Fraction
+arithmetic gives. The penalized check (_exact_check) splits y - Xb in
+integers once, which also gives the objective; basis pursuit hands the
+builder X'z for the gauge LP's optimal dual z.
 
 One FISTA loop (_fista) serves solve_penalized, which never polishes, and
 the fits of analysis, which do on a rational design and response
@@ -150,6 +154,34 @@ def _array_prox(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, list]:
     out = np.empty_like(v)
     out[order] = ranked
     return out * np.sign(v), ranked
+
+
+def _sup_array_prox(v: np.ndarray, w: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, float]:
+    """(prox point, its sup norm) for the weights w = (t, 0, ..., 0) and
+    js = (1, ..., p - 1), to _array_prox's doubles. The ranked magnitudes
+    less w are d = (m1 - t, m2, ...), nonincreasing after the first, so
+    PAVA pools one leading block (the l1-ball projection's threshold,
+    Duchi et al. 2008): cumsum is a left fold, so cs[j - 1] is that block's
+    sum in PAVA's own order, and the block takes j + 1 while
+    cs[j - 1] * 1 <= d[j] * j, the products PAVA compares. A strictly
+    decreasing tail never pools and keeps d; a tail with a tie or a NaN
+    would pool, so that call goes through _array_prox."""
+    mags = np.abs(v)
+    order = np.argsort(-mags, kind="stable")
+    d = mags[order] - w
+    cs = d.cumsum()
+    pools = cs[:-1] <= d[1:] * js
+    k = int(pools.argmin()) + 1
+    if pools[k - 1]:
+        k = len(d)
+    if not (d[k:-1] > d[k + 1:]).all():
+        out, ranked = _array_prox(v, w)
+        return out, abs(ranked[0])
+    avg = float(cs[k - 1]) / k
+    d[:k] = 0 * avg if avg < 0 else avg
+    out = np.empty_like(v)
+    out[order] = d
+    return out * np.sign(v), abs(float(d[0]))
 
 
 @dataclass(frozen=True)
@@ -274,13 +306,17 @@ _POLISH_EVERY = 5
 # form one cluster, and within this of zero count as zero
 _PATTERN_TOL = 1e-6
 
-# from this many coordinates on, the sup and slope prox ranks and restores
-# with numpy around the pool (_array_prox), below it on lists (_list_prox):
-# numpy's fixed cost per call loses at small p and its lower cost per entry
-# wins at large p. Microseconds per call, list / numpy, on Gaussian inputs
-# (2-vCPU AMD EPYC VM, CPython 3.11, numpy 2.4):
-#   p = 3: 2.1 / 3.2   p = 8: 3.5 / 4.1    p = 12: 4.6 / 4.8
-#   p = 16: 5.5 / 5.4  p = 20: 6.5 / 6.1   p = 30: 9.1 / 7.6   p = 50: 14.1 / 10.7
+# from this many coordinates on, the slope prox ranks and restores with
+# numpy around the pool (_array_prox) and the sup prox pools by one running
+# sum (_sup_array_prox, which falls back to _array_prox on a tail tie);
+# below it both run on lists (_list_prox): numpy's fixed cost per call
+# loses at small p and its lower cost per entry wins at large p.
+# Microseconds per sup prox call, list / numpy / running sum, on Gaussian
+# inputs at step 0.05, best of four runs back to back (2-vCPU Intel Xeon
+# VM, CPython 3.11, numpy 2.4):
+#   p = 3: 3.5 / 6.5 / 9.4      p = 8: 6.4 / 8.4 / 9.4     p = 12: 9.0 / 10.4 / 10.0
+#   p = 16: 11.2 / 12.0 / 10.2  p = 20: 13.2 / 13.9 / 10.4
+#   p = 30: 19.5 / 17.7 / 10.7  p = 50: 30.5 / 25.2 / 11.5
 _ARRAY_PROX_FROM = 16
 
 
@@ -312,6 +348,9 @@ def _prox_for(fnorm: _NormForm, step: float):
         def prox(v):
             out, ranked = _list_prox(v.tolist(), w)
             return np.asarray(out), penalty(ranked)
+    elif fnorm.kind == SUP:
+        wa, js = np.asarray(w), np.arange(1.0, len(w))
+        return functools.partial(_sup_array_prox, w=wa, js=js)
     else:
         wa = np.asarray(w)
 

@@ -26,6 +26,10 @@ and, once, `genericity` (json and csv), `models` and the dual-ball plots. Record
 pins its key order: uniqueness and bp reports, both accessibility tables,
 a classification and a genericity report.
 
+The zero-region keys name the design and the norm: norms._zero_region's
+vertices, den, duals and tight sets, stored verbatim, so a change to the
+double description that moves a vertex, its order or a tight set shows.
+
 Rewrite the committed file with `PYTHONPATH=src python tests/write_fit_corpus.py`.
 """
 
@@ -54,7 +58,7 @@ from pengeom.analysis import (
 )
 from pengeom.cli import main
 from pengeom.exact import RationalMatrix, rat_str
-from pengeom.norms import SLOPE, dual_norm_value, l1_norm, slope_norm, sup_norm
+from pengeom.norms import SLOPE, _zero_region, dual_norm_value, l1_norm, slope_norm, sup_norm
 
 CORPUS = Path(__file__).with_name("fit_corpus.jsonl")
 
@@ -215,6 +219,18 @@ def _report_records(name: str, X: RationalMatrix, path: str):
                "out": _svg(["plot", "--matrix", path, *flags])}
 
 
+def _zero_region_records(name: str, X: RationalMatrix):
+    """_zero_region's vertices, den, duals and tight sets for every norm."""
+    for norm_name, (norm, _) in _norms(X.ncols).items():
+        region = _zero_region(X, norm)
+        yield {"key": f"{name}/{norm_name}/zero-region", "out": {
+            "vertices": [[rat_str(t) for t in u] for u in region.vertices],
+            "den": region.den,
+            "duals": [list(s) for s in region.duals],
+            "tight": [[[rat_str(t) for t in v] for v in vs] for vs in region.tight],
+        }}
+
+
 def _global_records():
     """genericity, models and dual-ball plot records, which take no design."""
     strict = _norms(3)["strict"]
@@ -245,6 +261,7 @@ def records():
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("".join(",".join(rat_str(t) for t in row) + "\n" for row in X.rows))
             yield from _report_records(name, X, path)
+            yield from _zero_region_records(name, X)
             Xf = X.to_float_array().tolist()
             for norm_name, (norm, flags) in _norms(X.ncols).items():
                 for label, y in _responses(X, norm):

@@ -432,7 +432,7 @@ def _hex_record(sol):
             c.pairing_gap.hex(), c.tol, c.passed)
 
 
-def test_float_route_is_bit_identical_to_the_reference():
+def test_float_route_is_bit_identical_to_the_reference(monkeypatch):
     rng = random.Random(53)
     cases = []
     below, at = solvers_module._ARRAY_PROX_FROM - 1, solvers_module._ARRAY_PROX_FROM
@@ -456,10 +456,25 @@ def test_float_route_is_bit_identical_to_the_reference():
     for norm in (l1_norm(4, Fraction(3, 2)), sup_norm(4), slope_norm([3, 3, 1, Fraction(1, 2)])):
         for x0 in (None, (0.0, -0.0, -0.0, 0.0)):
             cases.append((X, vec([7, Fraction(-5, 2)]), norm, SolverOptions(x0=x0)))
+    # from _ARRAY_PROX_FROM on, a repeated column ties two sup prox inputs
+    # and two zero columns keep two at signed zeros, so the ranked tail ties
+    # and the running sum falls back to _array_prox
+    rows = [[rng.gauss(0, 1) for _ in range(at)] for _ in range(8)]
+    for row in rows:
+        row[1], row[2], row[3] = row[0], 0.0, 0.0
+    tied = np.array(rows)
+    for x0 in (None, tuple(-0.0 if j % 2 else 0.0 for j in range(at))):
+        cases.append((tied, [3 * rng.gauss(0, 1) for _ in range(8)], sup_norm(at),
+                      SolverOptions(max_iter=1000, x0=x0)))
+    fallbacks = []
+    monkeypatch.setattr(solvers_module, "_array_prox",
+                        lambda v, w, real=solvers_module._array_prox: fallbacks.append(v) or real(v, w))
     converged = 0
     for X, y, norm, options in cases:
+        fallbacks.clear()
         got = solve_penalized(X, y, norm, options)
         assert _hex_record(got) == _hex_record(_reference_solve(X, y, norm, options))
+        assert bool(fallbacks) or X is not tied
         converged += got.converged
     # both outcomes of the certificate are compared
     assert 0 < converged < len(cases)
@@ -498,6 +513,73 @@ def test_array_prox_matches_the_list_prox():
         seen["tie"] += len(set(map(abs, v))) < p
         seen["positive"] += ranked[0] > 0
     assert min(seen.values()) > 0, seen
+
+
+def _sup_prox_inputs(rng, p):
+    """(label, v, step) for the sup prox at dimension p: ||v||_1 <= t, ties
+    at the pooled block's boundary and in its tail, and +-inf and NaN
+    entries. Python's sort and numpy's argsort rank a NaN alike only where
+    it already sits last, so NaNs follow magnitudes sorted in descending
+    order."""
+    signed_zeros = [-0.0 if j % 3 else 0.0 for j in range(p)]
+    spread = [rng.choice((1, -1)) * rng.uniform(0, 1) / p for _ in range(p)]
+    yield "inside the ball", [x if j % 4 else z for j, (x, z) in enumerate(zip(spread, signed_zeros))], 1.0
+    yield "all zero", signed_zeros, 0.05
+    # d = (L, ..., L, tail) with k + 1 entries L: each comparison up to the
+    # block's boundary is an equality, so the tie pools into the block
+    k, level = rng.randint(1, p - 2), rng.choice((0.5, 1.5, 3.0))
+    tail = sorted((rng.uniform(0, level) for _ in range(p - k - 1)), reverse=True)
+    mags = [level + 1.0] + [level] * k + tail
+    yield "boundary tie", [rng.choice((1, -1)) * m for m in rng.sample(mags, p)], 1.0
+    mags = [5.0, 4.0] + sorted((rng.uniform(0, 3) for _ in range(p - 3)), reverse=True)
+    mags.insert(rng.randint(3, p - 1), mags[rng.randint(2, p - 2)])
+    yield "tail tie", [rng.choice((1, -1)) * m for m in rng.sample(mags, p)], 0.05
+    v = [rng.gauss(0, 3) for _ in range(p)]
+    for j in rng.sample(range(p), rng.randint(1, 3)):
+        v[j] = rng.choice((math.inf, -math.inf))
+    yield "infinite", v, rng.choice((1.0, 0.05))
+    r = rng.randint(1, 2)
+    v = sorted((rng.gauss(0, 0.3) for _ in range(p - r)), key=abs, reverse=True)
+    yield "nan", v + [rng.choice((math.nan, -math.nan)) for _ in range(r)], rng.choice((1.0, 0.05))
+    yield "gaussian", [rng.gauss(0, 3) for _ in range(p)], rng.choice((1.0, 0.05, 1e-3))
+
+
+def test_sup_prox_pools_by_one_running_sum(monkeypatch):
+    # from _ARRAY_PROX_FROM on, the sup prox pools its one leading block by
+    # a running sum, to the list framing's doubles and penalty; a tail that
+    # ties or holds a NaN pools through _array_prox, and below the threshold
+    # the list framing runs unchanged
+    calls = []
+    for name in ("_sup_array_prox", "_array_prox"):
+        real = getattr(solvers_module, name)
+        monkeypatch.setattr(solvers_module, name, lambda *args, name=name, real=real, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
+    rng = random.Random(67)
+    at = solvers_module._ARRAY_PROX_FROM
+    tally = {}
+    for trial in range(40):
+        for p in (at - 1, at, 50):
+            fnorm = sup_norm(p)._form.floats
+            for label, v, step in _sup_prox_inputs(rng, p):
+                out, ranked = solvers_module._list_prox(v, [step] + [0.0] * (p - 1))
+                calls.clear()
+                point, penalty = solvers_module._prox_for(fnorm, step)(np.array(v))
+                assert list(map(float.hex, point.tolist())) == list(map(float.hex, out)), (label, v)
+                assert penalty.hex() == abs(ranked[0]).hex()
+                if label != "nan":
+                    assert penalty.hex() == fnorm.value(out).hex()
+                if label == "inside the ball":
+                    assert all(t == 0 and math.copysign(1, t) < 0 for t in ranked)
+                route = {(): "list", ("_sup_array_prox",): "running sum",
+                         ("_sup_array_prox", "_array_prox"): "fallback"}[tuple(calls)]
+                assert (route == "list") == (p < at)
+                tally[label, route] = tally.get((label, route), 0) + 1
+    # a tie in the tail always falls back, a tie up to the block's boundary
+    # never does, and every other kind of input has run the running sum
+    assert tally["tail tie", "fallback"] == tally["boundary tie", "running sum"] == 80, tally
+    assert tally["nan", "fallback"] > 0, tally
+    for label in ("inside the ball", "all zero", "infinite", "gaussian"):
+        assert tally[label, "running sum"] > 0, tally
 
 
 def test_a_rational_design_keeps_one_float_view_and_one_step(monkeypatch):
