@@ -14,13 +14,13 @@ kept per (norm, label), so a repeated question finds its witness points
 cached. Uniqueness and its basis-pursuit analogue share one sweep over the
 faces of codimension rk(X) + 1 (bp sweeps the cube faces of the plain l1
 norm; a polytope's face lattice is graded, so each deeper face lies in one
-of those) and one witness pair, which bp reads at y = X first and
-certifies, with one X'z, by the face hit's dual vector z. The sign-vector
-and model accessibility tables share one route sweep and differ only in
-their response witnesses. Classification and projection share one fit,
-one polished FISTA solve read once: exact on a rational design and response
-once a linear piece certifies at tol 0, the zero piece first (the whole
-zero-solution region), then the pieces of the patterns read off the
+of those) and one witness pair, which bp reads at y = X first and certifies,
+with one X'z, by the face hit's dual vector z, both found in integers. The
+sign-vector and model accessibility tables share one route sweep and differ
+only in their response witnesses. Classification and projection share one
+fit, one polished FISTA solve read once: exact on a rational design and
+response once a linear piece certifies at tol 0, the zero piece first (the
+whole zero-solution region), then the pieces of the patterns read off the
 iterate, with the certified float iterate as the fallback.
 
 Every report is a dataclass whose JSON form is its fields in declaration
@@ -32,6 +32,7 @@ with vertices) and the genericity report (its derived fraction) differ.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import random
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -40,11 +41,10 @@ from fractions import Fraction
 from .exact import (
     RationalMatrix,
     Vector,
-    clear_denominators,
-    kernel_basis,
+    _eliminate,
+    _integer_kernel,
     parse_rational,
     rat_str,
-    rref,
     vec,
 )
 from .geometry import (
@@ -59,8 +59,8 @@ from .norms import (
     PolytopeNorm,
     _dual_ball_face,
     _dual_ball_level,
+    _integer_primal_ball_vertices,
     _zero_region,
-    exposed_primal_vertices,
     l1_norm,
     norm_value,
     slope_norm,
@@ -144,7 +144,7 @@ def _uniqueness_sweep(X, norm, limit, vertex_cap):
     both when no face does. The level is read as integer vertices; only the
     face that meets row(X) is built."""
     kernel = DesignKernel(X)
-    r = X.ncols - len(kernel.basis)
+    r = kernel.rank
     if r < X.ncols:
         d, level = _dual_ball_level(norm, r + 1, limit)
         for i, hit in kernel.level_hits(d, level, vertex_cap):
@@ -155,14 +155,19 @@ def _uniqueness_sweep(X, norm, limit, vertex_cap):
 @functools.lru_cache(maxsize=256)
 def _exposed_points(norm: PolytopeNorm, face: Face):
     """(den, P times den, sum P) for P the first codim F independent
-    primal-ball vertices the face F exposes; none depends on the design."""
-    verts = face.vertices(None)  # the sweep has checked the cap
-    centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
-    points = exposed_primal_vertices(norm, centroid)
+    primal-ball vertices the face F exposes; none depends on the design. The
+    centroid S / (L n) of F's n vertices exposes the vertices v / e with
+    <v, S> = e L n, all in integers; den is P's own least common denominator."""
+    L, ivs = face._integer_form  # the sweep has checked the cap
+    S = [sum(col) for col in zip(*ivs)]
+    e, iverts = _integer_primal_ball_vertices(norm)
+    top = e * L * len(ivs)
+    points = [v for v in iverts if sum(map(operator.mul, v, S)) == top]
     if len(points) > face.codim:  # keep the first independent ones
-        points = [points[k] for k in rref(RationalMatrix.from_rows(zip(*points)))[1]]
-    den, ints = clear_denominators(points)
-    return den, ints, tuple(Fraction(sum(col), den) for col in zip(*ints))
+        points = [points[k] for k in _eliminate(list(zip(*points)))[1]]
+    g = math.gcd(e, *(x for v in points for x in v))
+    ints = tuple(tuple(x // g for x in v) for v in points)
+    return e // g, ints, tuple(Fraction(sum(col), e // g) for col in zip(*ints))
 
 
 def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
@@ -177,14 +182,13 @@ def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
     fit.
     """
     den, points, first = _exposed_points(norm, face)
-    # X P times the positive factor of the integer rows and points, which
-    # leaves its kernel alone
+    # X P times a positive factor, which leaves its kernel alone; second does
+    # not move when its first kernel vector c is scaled by a positive factor
     _, rows, _ = X._integer_form
-    basis = kernel_basis(RationalMatrix.from_rows(
-        [[sum(map(operator.mul, row, P)) for P in points] for row in rows]))
-    if not basis:
+    _, vectors = _integer_kernel([[sum(map(operator.mul, row, P)) for P in points] for row in rows])
+    if not vectors:
         raise AssertionError("exposed vertices beyond the rank must have dependent images")
-    _, (c,) = clear_denominators(basis[:1])
+    c = vectors[0]
     top = 2 * max(map(abs, c))
     # second in integers: coefficients top + c_i over the denominator top * den
     coeffs = [top + t for t in c]

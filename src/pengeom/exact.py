@@ -3,17 +3,18 @@
 Matrices are immutable tuples of tuples of Fractions, and every result is a
 normalized Fraction. The work underneath is in integers. One fraction-free
 Gauss-Jordan loop (Bareiss 1968) on rows cleared of their denominators gives
-the reduced row echelon form, and from it the rank, the kernel basis and
-the solutions of linear systems; each row is scaled by a positive factor, so
-the pivots and the reduced form are those of the rational matrix. Matrix
-products run against one integer form of the matrix over a common
+the reduced row echelon form, and from it the rank, the pivots, the kernel
+(integer vectors over one scale, of which kernel_basis is the Fraction view)
+and the solutions of linear systems; each row is scaled by a positive
+factor, so the pivots and the reduced form are those of the rational matrix.
+Matrix products run against one integer form of the matrix over a common
 denominator, memoized on the instance, and form one Fraction per entry.
 Linear systems go through a solve map, also memoized on the instance, one
-for M x = b and one for M'z = v: the same loop runs once on the integer
-form beside a multiple of the identity, pivoting in the matrix's own
-columns, and records the row operations, so each right-hand side then costs
-integer dot products and one Fraction per entry, with the solution (free
-variables at 0) and the None of eliminating that system on its own.
+for M x = b and one for M'z = v: the same loop runs once on the integer form
+beside a multiple of the identity, pivoting in the matrix's own columns, and
+records the row operations, so each right-hand side then costs integer dot
+products and one Fraction per entry, with the solution (free variables at 0)
+and the None of eliminating that system on its own.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import io
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -37,7 +39,8 @@ def rat(x) -> Fraction:
     Strings may be integers ("7"), ratios ("5/4") or decimal literals
     ("1.25", "-3e-2"); decimal literals parse exactly, never through float.
     Floats are rejected: silent binary round-off is exactly what this module
-    exists to avoid.
+    exists to avoid. A literal with more digits, or a larger exponent, than
+    sys.get_int_max_str_digits() (none when 0) is refused before it is built.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
@@ -46,7 +49,16 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        s = x.strip()
+        limit = sys.get_int_max_str_digits()  # a string test: a short plain literal passes at once
+        if limit and (len(s) > limit or "e" in s or "E" in s):
+            mantissa, _, exponent = s.replace("E", "e").partition("e")
+            exponent = exponent.replace("_", "").lstrip("+-").lstrip("0")
+            if exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
+                raise ValueError(f"exponent beyond {limit}")
+            if any(sum(map(str.isdecimal, part)) > limit for part in mantissa.split("/")):
+                raise ValueError(f"more than {limit} digits")
+        return Fraction(s)
     raise TypeError(f"cannot coerce {type(x).__name__} to Rational; pass a string for exactness")
 
 
@@ -210,33 +222,26 @@ def rank(M: RationalMatrix) -> int:
     return len(_eliminate(M.rows)[1])
 
 
-def rref(M: RationalMatrix) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form, exact, from the fraction-free elimination.
-
-    Returns (rows, pivot_columns). Pivot choice is the first nonzero entry in
-    column order, so the result is deterministic (and the reduced form of a
-    matrix is unique anyway).
-    """
-    A, pivots, d = _eliminate(M.rows)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in A), pivots
+def _integer_kernel(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(scale, kernel_basis of the rows times scale), scale its least common
+    denominator, in integers: the vector of free column f, 1 at f and
+    -A[i][f] / d at pivot i, times |d| (the last pivot d is -1 for
+    [[-1, 1]]), all divided by g, the gcd of |d| and every entry, so the
+    scale |d| / g is the lcm of the denominators |d| / gcd(|d|, x)."""
+    A, pivots, d = _eliminate(rows)
+    n, a, s = len(A[0]), abs(d), -1 if d > 0 else 1
+    row = {pc: i for i, pc in enumerate(pivots)}  # pivot column -> its row of A
+    vectors = [[s * A[row[j]][f] if j in row else a * (j == f) for j in range(n)]
+               for f in range(n) if f not in row]
+    g = math.gcd(a, *(x for v in vectors for x in v))
+    return a // g, tuple(tuple(x // g for x in v) for v in vectors)
 
 
 def kernel_basis(M: RationalMatrix) -> tuple[Vector, ...]:
     """Deterministic basis of ker(M): one vector per free column of the RREF,
-    with a 1 in the free coordinate."""
-    A, pivots, d = _eliminate(M.rows)
-    n = M.ncols
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = Fraction(-A[i][f], d)
-        basis.append(tuple(v))
-    return tuple(basis)
+    with a 1 in the free coordinate; the Fraction view of _integer_kernel."""
+    scale, vectors = _integer_kernel(M.rows)
+    return tuple(tuple(Fraction(x, scale) for x in v) for v in vectors)
 
 
 class _SolveMap(NamedTuple):

@@ -25,24 +25,24 @@ vertices.
 
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
-for one design times one common denominator, as Python ints in an object
-numpy array, so the kernel images of many integer dual-ball vertices are one
-exact product (never int64 or float: the images outgrow 64 bits). Every face
-test screens first (_screen), in this order: a vertex meets row(X) iff its
-image is zero; an edge iff its two images are parallel with a nonpositive
-dot product (0 lies between them); a larger face can meet it only if each
-kernel coordinate has min <= 0 <= max over its images (a sign box). Only
-the faces that pass go to the integer core (_meets), with their rows of the
-screen's product, the one K'v computed: it decides a larger face by simplex
-phase 1 alone (lp.lp_feasible) on those images, every row carrying the same
-positive factor, so it pivots as on the rational program and hands back
-integer weights; for vertices and edges it re-decides the hit, and a
-disagreement raises. A sweep screens a whole level of the dual ball (norms:
-labels, a vertex table, each face's vertex ids into it) through
-DesignKernel.level_hits, in chunks of doubling size, projecting each
-vertex once, when the first chunk that uses it is screened; a single Face
-is screened on its own (face_intersects_rowspace). Fractions return only on
-a hit, to form the point and its z.
+for one design times one common denominator, from the integer elimination,
+as Python ints in an object numpy array, so the kernel images of many
+integer dual-ball vertices are one exact product (never int64 or float: the
+images outgrow 64 bits). Every face test screens first (_screen), in this
+order: a vertex meets row(X) iff its image is zero; an edge iff its two
+images are parallel with a nonpositive dot product (0 lies between them); a
+larger face can meet it only if each kernel coordinate has min <= 0 <= max
+over its images (a sign box). Only the faces that pass go to the integer
+core (_meets), with their rows of the screen's product, the one K'v
+computed: it decides a larger face by simplex phase 1 alone (lp.lp_feasible)
+on those images, every row carrying the same positive factor, so it pivots
+as on the rational program and hands back integer weights; for vertices and
+edges it re-decides the hit, and a disagreement raises. A sweep screens a
+whole level of the dual ball (norms: labels, a vertex table, each face's
+vertex ids into it) through DesignKernel.level_hits, in chunks of doubling
+size, projecting each vertex once, when the first chunk that uses it is
+screened; a single Face is screened on its own (face_intersects_rowspace).
+Fractions return only on a hit, to form the point and its z.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ import numpy as np
 from .exact import (
     RationalMatrix,
     Vector,
+    _integer_kernel,
     clear_denominators,
-    kernel_basis,
     rat,
     rat_str,
     rowspace_preimage,
@@ -545,11 +545,11 @@ _FIRST_CHUNK = 256
 class DesignKernel:
     """ker(X) of one design, shared by every face test of a sweep over it.
 
-    basis is the deterministic Fraction basis of kernel_basis(X), and
-    columns that basis times scale > 0, the least common denominator of all
-    its entries, as a (p, dim ker X) object array of Python ints: the images
-    K'v of a whole vertex table are one exact numpy product, and that
-    product is the only one. Every face test screens the images first
+    columns is the basis of kernel_basis(X) times scale > 0, the least common
+    denominator of its entries, as exact._integer_kernel gives it, in a (p,
+    dim ker X) object array of Python ints, and rank is rk(X): the images K'v
+    of a whole vertex table are one exact numpy product, and that product is
+    the only one. Every face test screens the images first
     (_screen: zero image, antiparallel pair, sign box) and hands only the
     faces that pass, with their rows of the product, to the integer core
     (_meets), which computes the hit; for a vertex or an edge the screen has
@@ -561,9 +561,9 @@ class DesignKernel:
 
     def __init__(self, X: RationalMatrix):
         self.X = X
-        self.basis: tuple[Vector, ...] = kernel_basis(X)
-        self.scale, ints = clear_denominators(self.basis)
-        self.columns = np.array(ints, dtype=object).reshape(len(self.basis), X.ncols).T
+        self.scale, ints = _integer_kernel(X._integer_form[1])
+        self.rank = X.ncols - len(ints)
+        self.columns = np.array(ints, dtype=object).reshape(len(ints), X.ncols).T
 
     def level_hits(self, den: int, level: _Level,
                    cap: int | None) -> Iterator[tuple[int, RowspaceIntersection]]:
@@ -624,7 +624,7 @@ class DesignKernel:
     def _meets(self, den: int, ivs: Sequence, images: Sequence) -> RowspaceIntersection | None:
         # the integer core of every face test: the face is conv(ivs / den),
         # and images[k] is K'ivs[k] for the kernel's integer basis K
-        if not self.basis:
+        if self.rank == self.X.ncols:
             point = tuple(Fraction(x, den) for x in ivs[0])
         elif len(ivs) == 1:
             if any(images[0]):

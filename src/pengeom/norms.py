@@ -57,11 +57,10 @@ import numpy as np
 from .exact import (
     RationalMatrix,
     Vector,
+    _eliminate,
     clear_denominators,
-    dot,
     rat,
     rat_str,
-    rref,
     solve_exact,
     vec,
 )
@@ -366,14 +365,6 @@ def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[int, tuple[tuple
     return d * e, tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)
 
 
-def exposed_primal_vertices(norm: PolytopeNorm, s: Vector) -> tuple[Vector, ...]:
-    """The primal_ball_vertices of norm that pair to 1 with the dual-ball
-    point s, none when s is interior. Each pairs to at most 1 with every
-    dual-ball point, so the centroid of a face F exposes the vertices of the
-    primal face dual to F, which span codim F dimensions."""
-    return tuple(x for x in primal_ball_vertices(norm) if dot(x, s) == 1)
-
-
 def subdifferential_face(norm: PolytopeNorm, x: Sequence) -> Face:
     """The face of the dual ball where s'x attains ||x||; equivalently the
     subdifferential of the norm at x. At x = 0 this is the whole ball."""
@@ -405,14 +396,12 @@ def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], V
     """(sigma, sigma / ||sigma||) for every nonzero sign vector: points of the
     primal unit sphere whose pairing against dual-ball faces identifies the
     vertex sets dual to a face. Every vertex of the primal ball is among them
-    for all three families."""
-    out = []
-    for sigma in itertools.product((1, 0, -1), repeat=norm.dim):
-        if not any(sigma):
-            continue
-        nv = norm_value(norm, vec(sigma))
-        out.append((sigma, tuple(Fraction(s) / nv for s in sigma)))
-    return out
+    for all three families. With k nonzeros, ||sigma|| is the k-th prefix sum
+    of the permutohedron weights."""
+    # per support size k, the entries of sigma / ||sigma|| by the sign
+    entries = [{1: 1 / w, 0: Fraction(0), -1: -1 / w} for w in norm._form.prefix]
+    signs = itertools.product((1, 0, -1), repeat=norm.dim)
+    return [(s, tuple(map(entries[len(s) - s.count(0) - 1].__getitem__, s))) for s in signs if any(s)]
 
 
 # label-by-vertex entries per chunk of a support-value product
@@ -488,7 +477,7 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
     images = list(zip(*(rows[i] for i in support)))
     normals = list(dict.fromkeys(a for a in images if any(a)))
     index = {a: k for k, a in enumerate(normals)}
-    _, first = rref(RationalMatrix(tuple(normals)).transpose())  # the first r independent
+    first = _eliminate(list(zip(*normals)))[1]  # the first r independent, as pivots
     basis = RationalMatrix(tuple(normals[k] for k in first))
     start = basis.rows + tuple(tuple(-x for x in a) for a in basis.rows)
 

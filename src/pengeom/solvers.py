@@ -395,19 +395,20 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
 
     With polish on a rational design and response (_polisher), the zero
     piece is tried first, before any float work, and a response in the
-    zero-solution region ends there at iteration 0. Otherwise the pattern
-    read off the iterate every _POLISH_EVERY iterations is solved exactly
-    on its linear piece, and the first point that certifies at tol 0 ends
-    the loop as an "exact" Solution. The polish leaves the iterate alone,
-    so a fit that no polish certifies returns the float Solution it
-    returns without polish, bit for bit. A response or norm that does not
-    fit X's shape is refused first, rational or float."""
+    zero-solution region ends there. Otherwise the pattern read off the
+    iterate every _POLISH_EVERY iterations is solved exactly on its linear
+    piece, and the first point that certifies at tol 0 ends the loop as an
+    "exact" Solution, which reports 0 iterations either way: the float step
+    that found its piece is not part of the answer. The polish leaves the
+    iterate alone, so a fit that no polish certifies returns the float
+    Solution it returns without polish, bit for bit. A response or norm that
+    does not fit X's shape is refused first, rational or float."""
     n, p = X.shape if isinstance(X, RationalMatrix) else np.shape(X)
     if len(y) != n or norm.dim != p:
         raise ValueError("dimension mismatch")
     exact = _polisher(X, y, norm) if polish else None
     if exact is not None:
-        sol = exact(None, 0)
+        sol = exact(None)
         if sol is not None:
             return sol
     Xf = _float_matrix(X)
@@ -446,7 +447,7 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
         f_prev = f_cand
         # f_prev is the objective of the accepted iterate x
         if exact is not None and it % _POLISH_EVERY == 0:
-            sol = exact(x, it)
+            sol = exact(x)
             if sol is not None:
                 return sol
         if it % _CERTIFY_EVERY == 0:
@@ -462,10 +463,10 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
 
 
 def _polisher(X, y: Sequence, norm: PolytopeNorm):
-    """(x, it) -> the exact Solution on the linear piece of x's pattern, or
-    None; None itself for a float design or response, which never polish.
-    This is the one place that decides whether a fit's inputs are rational;
-    _fista has checked their shapes.
+    """x -> the exact Solution on the linear piece of x's pattern, or None;
+    None itself for a float design or response, which never polish. This is
+    the one place that decides whether a fit's inputs are rational; _fista
+    has checked their shapes.
 
     x None names the zero piece, the one with no free column: b = 0 is the
     minimizer iff X'y = q / (d e) lies in the dual ball, decided in
@@ -497,7 +498,7 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
     g, W, _ = form.integers
     tried = set()
 
-    def polish(x, it):
+    def polish(x):
         if x is None:
             if form.exact_dual_value(q, d * e) > 1:
                 tried.add((0,) * len(q))
@@ -516,7 +517,7 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
             if b is None:
                 return None
         cert, objective = _exact_check(X, yy, b, form)
-        return Solution(b, objective(), "exact", cert, it, True) if cert.passed else None
+        return Solution(b, objective(), "exact", cert) if cert.passed else None
 
     return polish
 

@@ -30,6 +30,12 @@ The zero-region keys name the design and the norm: norms._zero_region's
 vertices, den, duals and tight sets, stored verbatim, so a change to the
 double description that moves a vertex, its order or a tight set shows.
 
+The route keys name the design, the table (the l1 sign table, and the model
+tables under strict and tied weights) and one route, geometric or analytic:
+the table's to_json_dict() dumps with that route alone, so each route's own
+reads (the design's kernel, the zero region and its pivots) are pinned
+without the other's cross-check.
+
 Rewrite the committed file with `PYTHONPATH=src python tests/write_fit_corpus.py`.
 """
 
@@ -46,6 +52,8 @@ from pathlib import Path
 from unittest import mock
 
 from pengeom.analysis import (
+    ANALYTIC,
+    GEOMETRIC,
     UncertifiedSolve,
     _fit,
     accessible_sign_vectors,
@@ -231,6 +239,23 @@ def _zero_region_records(name: str, X: RationalMatrix):
         }}
 
 
+ROUTE_TABLES = ("l1", "strict", "tied")
+
+
+def _route_records(name: str, X: RationalMatrix):
+    """The sign and model tables at route geometric and at route analytic,
+    each alone."""
+    norms = _norms(X.ncols)
+    for norm_name in ROUTE_TABLES:
+        norm = norms[norm_name][0]
+        for route in (GEOMETRIC, ANALYTIC):
+            if norm.kind == SLOPE:
+                reports = accessible_slope_models(X, norm.weights.values, route=route)
+            else:
+                reports = accessible_sign_vectors(X, route=route)
+            yield {"key": f"{name}/{norm_name}/accessible/{route}/json", "out": _dump_table(reports)}
+
+
 def _global_records():
     """genericity, models and dual-ball plot records, which take no design."""
     strict = _norms(3)["strict"]
@@ -262,6 +287,7 @@ def records():
                 fh.write("".join(",".join(rat_str(t) for t in row) + "\n" for row in X.rows))
             yield from _report_records(name, X, path)
             yield from _zero_region_records(name, X)
+            yield from _route_records(name, X)
             Xf = X.to_float_array().tolist()
             for norm_name, (norm, flags) in _norms(X.ncols).items():
                 for label, y in _responses(X, norm):

@@ -14,6 +14,10 @@ itself never reads them.
 - level_faces reads each face of a dual-ball level through its index, and
   kernel_images computes K'v one vertex at a time in plain Python, for the
   screen's level sweep and its one numpy product to match.
+- fraction_rref is Gauss-Jordan elimination in Fractions, and
+  exposed_primal_vertices pairs a dual-ball point with every primal-ball
+  vertex in Fractions, for the integer elimination, the integer kernel
+  and a witness's integer exposed points to match.
 - dual_ball_projection projects a response onto the zero-solution region
   by exact active-set enumeration over its halfspaces, for the exact
   residual of a rational fit to match.
@@ -24,10 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from pengeom.exact import RationalMatrix, Vector, _eliminate, clear_denominators, dot, rank, vec
+from pengeom.exact import (
+    RationalMatrix,
+    Vector,
+    _eliminate,
+    clear_denominators,
+    dot,
+    kernel_basis,
+    rank,
+    vec,
+)
 from pengeom.geometry import CapExceeded
 from pengeom.lp import LinearProgram
-from pengeom.norms import PolytopeNorm, norm_value
+from pengeom.norms import PolytopeNorm, norm_value, primal_ball_vertices
 from pengeom.solvers import Certificate
 
 BRUTE_FORCE_FACE_LIMIT = 4
@@ -164,9 +177,10 @@ def level_faces(level) -> Iterator[tuple[tuple[int, ...], int, tuple[tuple[int, 
 
 
 def kernel_images(kernel, vertices: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """K'v for each integer vertex v, K the kernel's Fraction basis times the
-    least common denominator of its entries, one dot product at a time."""
-    _, basis = clear_denominators(kernel.basis)
+    """K'v for each integer vertex v, K the Fraction kernel basis of the
+    kernel's design times the least common denominator of its entries, one
+    dot product at a time."""
+    _, basis = clear_denominators(kernel_basis(kernel.X))
     return [tuple(sum(a * b for a, b in zip(k, v)) for k in basis) for v in vertices]
 
 
@@ -206,3 +220,36 @@ def dual_ball_projection(X: RationalMatrix, norm: PolytopeNorm, y: Sequence, nea
                 if all(dot(a, u) <= 1 for a in rows):
                     return u
     raise AssertionError("no point of D meets the projection conditions")
+
+
+def fraction_rref(rows: Sequence[Sequence]) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """(the reduced row echelon form, the pivot columns) of the rows, by
+    Gauss-Jordan elimination in Fractions, pivoting on the first nonzero
+    entry in column order."""
+    A = [list(r) for r in rows]
+    m, n = len(A), len(A[0])
+    pivots, r = [], 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = A[r][c]
+        A[r] = [x / inv for x in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in A), tuple(pivots)
+
+
+def exposed_primal_vertices(norm: PolytopeNorm, s: Vector) -> tuple[Vector, ...]:
+    """The primal_ball_vertices of norm that pair to 1 with the dual-ball
+    point s, none when s is interior. Each pairs to at most 1 with every
+    dual-ball point, so the centroid of a face F exposes the vertices of the
+    primal face dual to F, which span codim F dimensions."""
+    return tuple(x for x in primal_ball_vertices(norm) if dot(x, s) == 1)

@@ -28,7 +28,15 @@ from pengeom.analysis import (
     genericity_experiment,
     null_set_projection,
 )
-from pengeom.exact import RationalMatrix, dot, parse_matrix_json, rank, solve_exact, vec
+from pengeom.exact import (
+    RationalMatrix,
+    clear_denominators,
+    dot,
+    parse_matrix_json,
+    rank,
+    solve_exact,
+    vec,
+)
 from pengeom.geometry import (
     DEFAULT_VERTEX_CAP,
     CapExceeded,
@@ -61,7 +69,14 @@ from pengeom.solvers import (
 )
 from pengeom.svg import dual_ball_figure, response_region_figure
 
-from oracles import SignedPermutation, dual_ball_projection, kernel_images, level_faces
+from oracles import (
+    SignedPermutation,
+    dual_ball_projection,
+    exposed_primal_vertices,
+    fraction_rref,
+    kernel_images,
+    level_faces,
+)
 
 DEMO_X = RationalMatrix.from_rows([[8, 5, 8], [10, Fraction(5, 4), -6]])
 DEMO_W = (Fraction(11, 2), Fraction(7, 2), Fraction(3, 2))
@@ -342,8 +357,8 @@ def test_a_design_sweeps_its_ambiguity_once(monkeypatch):
     # cached ambiguity verdict, so ker(X) is computed once, whether the
     # response lies in the zero region, outside it, or is given in floats
     calls = []
-    monkeypatch.setattr(geometry_module, "kernel_basis",
-                        lambda X, real=geometry_module.kernel_basis: calls.append(X) or real(X))
+    monkeypatch.setattr(geometry_module, "_integer_kernel",
+                        lambda rows, real=geometry_module._integer_kernel: calls.append(rows) or real(rows))
     analysis_module._ambiguity_flag.cache_clear()
     X = RationalMatrix.from_rows([[2, 1, 0], [1, -1, 3]])
     w = (3, 2, 1)
@@ -428,20 +443,28 @@ def test_a_near_singular_classification_is_exact():
     assert kkt_certify(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, c.solution, slope_norm(NEAR_SINGULAR_W)).passed
     fit = analysis_module._fit(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, slope_norm(NEAR_SINGULAR_W))
     assert fit.solution.route == "exact" and fit.solution.converged
-    assert fit.solution.iterations % solvers_module._POLISH_EVERY == 0
+    assert fit.solution.iterations == 0
     assert fit.residual == tuple(a - b for a, b in zip(NEAR_SINGULAR_Y, NEAR_SINGULAR_X.matvec(c.solution)))
 
 
 def test_a_fit_polishes_each_pattern_once(monkeypatch):
     # every _POLISH_EVERY iterations the pattern is read off the iterate,
-    # and only a pattern not tried yet is solved
+    # and only a pattern not tried yet is solved; an exact Solution reports
+    # 0 iterations, so the polish that certifies is found as the fewest
+    # iterations whose fit ends exact
+    norm, every = slope_norm(NEAR_SINGULAR_W), solvers_module._POLISH_EVERY
+    ends = every
+    while analysis_module._fit(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, norm,
+                               SolverOptions(max_iter=ends)).solution.route != "exact":
+        ends += every
     reads, solves = [], []
     monkeypatch.setattr(solvers_module, "model_of",
                         lambda x, tol, real=model_of: reads.append(real(x, tol)) or reads[-1])
     monkeypatch.setattr(solvers_module, "_piece_point",
                         lambda *args, real=solvers_module._piece_point: solves.append(args[2]) or real(*args))
-    fit = analysis_module._fit(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, slope_norm(NEAR_SINGULAR_W))
-    assert len(reads) == fit.solution.iterations // solvers_module._POLISH_EVERY
+    fit = analysis_module._fit(NEAR_SINGULAR_X, NEAR_SINGULAR_Y, norm)
+    assert fit.solution.route == "exact" and fit.solution.iterations == 0
+    assert len(reads) == ends // every
     assert len(solves) == len(set(solves)) > 1
     assert len(solves) <= len(set(reads)) < len(reads)
     # no polish comes before the first: the fit stays the float read of its
@@ -968,6 +991,49 @@ def test_witnesses_certify_on_arbitrary_designs(X):
             assert_valid_bp_witness(X, report)
         else:
             assert_valid_penalized_witness(X, family_norm(kind, X.ncols), report)
+
+
+def _reference_exposed_points(norm, face):
+    # the centroid of the face's Fraction vertices, the primal-ball vertices
+    # pairing to 1 with it, and the pivots of their Fraction reduced form
+    verts = face.vertices(None)
+    centroid = tuple(sum(col) / len(verts) for col in zip(*verts))
+    points = exposed_primal_vertices(norm, centroid)
+    if len(points) > face.codim:
+        points = [points[k] for k in fraction_rref(list(zip(*points)))[1]]
+    den, ints = clear_denominators(points)
+    return den, ints, tuple(Fraction(sum(col), den) for col in zip(*ints))
+
+
+def test_exposed_points_match_the_fraction_reference():
+    # a witness's exposed points come from integer pairings and integer
+    # pivots; on every face of level rk(X) + 1 that row(X) meets, for every
+    # family (bp reads l1 at scale 1), they are the Fraction reference's
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(40):
+        p = rng.randint(2, 4)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p)]
+                for _ in range(rng.randint(1, p - 1))]
+        if rng.random() < 0.5:  # a column repeated up to sign
+            i, j = rng.sample(range(p), 2)
+            for row in rows:
+                row[j] = rng.choice((1, -1)) * row[i]
+        X = RationalMatrix.from_rows(rows)
+        kernel = geometry_module.DesignKernel(X)
+        r = kernel.rank
+        for kind in FAMILIES:
+            if r == p or kind in _SLOPE_WEIGHTS and p > 3:
+                continue  # no level beyond the rank; a p = 4 slope level is large
+            norm = l1_norm(p) if kind == "bp" else family_norm(kind, p)
+            d, level = norms_module._dual_ball_level(norm, r + 1, None)
+            for i, _ in kernel.level_hits(d, level, None):
+                face = norms_module._dual_ball_face(norm, level.labels[i])
+                got = analysis_module._exposed_points.__wrapped__(norm, face)
+                want = _reference_exposed_points(norm, face)
+                assert got == want and repr(got) == repr(want)
+                checked += 1
+    assert checked > 100
 
 
 def test_unique_designs_sweep_one_level(monkeypatch):

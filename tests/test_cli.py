@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from dataclasses import replace
 import xml.etree.ElementTree as ET
 
@@ -121,7 +122,10 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
     # rational designs, responses inside and outside the zero-solution
     # region: every path reports the same pattern and projection, and every
     # CLI call runs FISTA once; inside the region that one run ends at the
-    # zero piece before its first iteration, outside at an exact polish
+    # zero piece, with the zero point, outside at an exact polish with a
+    # nonzero one. Either way the exact answer reports 0 iterations: the
+    # FISTA step at which a polish certified is a float fact, which an exact
+    # report does not carry
     calls = []
 
     def counted(X, y, norm, options, polish):
@@ -155,7 +159,8 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
                 del calls[:]
                 code, out, _ = run(capsys, "solve", *argv)
                 assert code == 0 and len(calls) == 1
-                assert calls[0].route == "exact" and (calls[0].iterations == 0) == inside
+                assert calls[0].route == "exact" and calls[0].iterations == 0
+                assert (not any(calls[0].point)) == inside
                 solved = json.loads(out)["result"]
                 if kind != "slope":
                     assert solved["route"] == "exact"
@@ -164,7 +169,8 @@ def test_solve_decompose_and_analysis_read_one_fit(capsys, tmp_path, monkeypatch
                 del calls[:]
                 code, out, _ = run(capsys, "decompose", *argv)
                 assert code == 0 and len(calls) == 1
-                assert calls[0].route == "exact" and (calls[0].iterations == 0) == inside
+                assert calls[0].route == "exact" and calls[0].iterations == 0
+                assert (not any(calls[0].point)) == inside
                 split = json.loads(out)["result"]
                 assert split["exact"] is True
 
@@ -373,6 +379,22 @@ def test_error_exits(capsys, matrices, tmp_path, monkeypatch):
 
     code, _, err = run(capsys, "uniqueness", "--matrix", str(tmp_path / "gap.csv"), "--norm", "l1")
     assert "empty cell at row 1, column 2" in err
+
+    # a literal beyond Python's integer string limit is refused in the
+    # package's words before its value is built; within it, it answers
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        (tmp_path / "big.csv").write_text(f"1e{limit - 100},1\n2,3\n")
+        assert run(capsys, "uniqueness", "--matrix", str(tmp_path / "big.csv"), "--norm", "l1")[0] == 0
+        for literal, why in ((f"1e{limit + 100}", "exponent beyond"), ("1e1000000", "exponent beyond"),
+                             ("1e-1000000", "exponent beyond"), ("7" * (limit + 1), "digits")):
+            (tmp_path / "big.csv").write_text(f"{literal},1\n2,3\n")
+            code, out, err = run(capsys, "uniqueness", "--matrix", str(tmp_path / "big.csv"), "--norm", "l1")
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code == 2 and out == "" and len(errors) == 1, literal
+            assert errors[0].startswith(f"error: bad rational literal '{literal[:20]}") and why in errors[0]
+            code, out, err = run(capsys, "solve", *demo, "--norm", "l1", "--response", f"{literal},1")
+            assert code == 2 and out == "" and "bad rational literal" in err, literal
     # trailing empty cells and items are padding, read as before
     (tmp_path / "padded.csv").write_text("8,5,8,\n10,1.25,-6,,\n")
     padded = ("--matrix", str(tmp_path / "padded.csv"), "--norm", "slope", "--weights", "3,2,1,")

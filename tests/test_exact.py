@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from pengeom.exact import (
     RationalMatrix,
+    _eliminate,
+    _integer_kernel,
+    clear_denominators,
     dot,
     kernel_basis,
     parse_matrix_csv,
@@ -16,11 +19,10 @@ from pengeom.exact import (
     rank,
     rat,
     rowspace_preimage,
-    rref,
     solve_exact,
 )
 
-from oracles import solve_by_elimination
+from oracles import fraction_rref, solve_by_elimination
 
 
 def rand_matrix(rng, m, n, den=4, lo=-5, hi=5):
@@ -120,13 +122,11 @@ def test_rowspace_membership_and_preimage():
 
 def test_bareiss_matches_rref_rank():
     rng = random.Random(17)
-    from pengeom.exact import rref
-
     for _ in range(80):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         M = rand_matrix(rng, m, n, den=6, lo=-9, hi=9)
-        _, pivots = rref(M)
-        assert rank(M) == len(pivots)
+        _, pivots = _reduced(M.rows)
+        assert rank(M) == len(pivots) == len(fraction_rref(M.rows)[1])
 
 
 def test_parse_matrix_csv():
@@ -191,30 +191,14 @@ def _ref_rank(rows):
     return r
 
 
-def _ref_rref(rows):
-    A = [list(r) for r in rows]
-    m, n = len(A), len(A[0])
-    pivots, r = [], 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in A), tuple(pivots)
+def _reduced(rows):
+    # the reduced row echelon form A / d and the pivots of the elimination
+    A, pivots, d = _eliminate(rows)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in A), pivots
 
 
 def _ref_kernel_basis(rows):
-    R, pivots = _ref_rref(rows)
+    R, pivots = fraction_rref(rows)
     n = len(rows[0])
     basis = []
     for f in (f for f in range(n) if f not in pivots):
@@ -227,7 +211,7 @@ def _ref_kernel_basis(rows):
 
 
 def _ref_solve_exact(rows, b):
-    R, pivots = _ref_rref([r + (bi,) for r, bi in zip(rows, b)])
+    R, pivots = fraction_rref([r + (bi,) for r, bi in zip(rows, b)])
     n = len(rows[0])
     if n in pivots:
         return None
@@ -289,7 +273,7 @@ def test_integer_elimination_and_products_match_fraction_arithmetic(system):
     rows, b, x = system
     M = RationalMatrix(rows)
     Mt = tuple(zip(*rows))
-    _same(rref(M), _ref_rref(rows))
+    _same(_reduced(rows), fraction_rref(rows))
     _same(rank(M), _ref_rank(rows))
     _same(rank(M.transpose()), _ref_rank(Mt))
     _same(kernel_basis(M), _ref_kernel_basis(rows))
@@ -297,6 +281,23 @@ def test_integer_elimination_and_products_match_fraction_arithmetic(system):
     _same(rowspace_preimage(M, x), _ref_solve_exact(Mt, x))
     _same(M.matvec(x), _ref_matvec(rows, x))
     _same(M.rmatvec(b), _ref_matvec(Mt, b))
+
+
+@settings(max_examples=150)
+@given(_systems())
+@example((((Fraction(-1), Fraction(1)),), (Fraction(0),), (Fraction(0), Fraction(0))))
+def test_integer_kernel_is_the_cleared_kernel_basis(system):
+    # the kernel's integer vectors and scale, from the elimination alone,
+    # are the Fraction basis cleared of its denominators, on the rational
+    # rows and on their integer form alike; the last pivot of [[-1, 1]] is
+    # -1, and the vector (1, 1) keeps its sign
+    rows = system[0]
+    M = RationalMatrix(rows)
+    want = clear_denominators(_ref_kernel_basis(rows))
+    _same(_integer_kernel(rows), want)
+    _same(_integer_kernel(M._integer_form[1]), want)
+    _same(clear_denominators(kernel_basis(M)), want)
+    assert _integer_kernel(((-1, 1),)) == (1, ((1, 1),))
 
 
 @st.composite

@@ -42,7 +42,6 @@ from pengeom.geometry import (
 from pengeom.lp import OPTIMAL, LinearProgram, lp_feasible, lp_solve
 from pengeom.norms import (
     dual_ball_faces,
-    exposed_primal_vertices,
     l1_norm,
     slope_norm,
     subdifferential_face,
@@ -53,6 +52,7 @@ from pengeom.norms import (
 from oracles import (
     SignedPermutation,
     enumerate_exposed_faces,
+    exposed_primal_vertices,
     hull_face,
     kernel_images,
     signed_permutations,
@@ -491,11 +491,12 @@ def test_integer_face_test_edge_cases():
 def test_design_kernel_has_one_scale():
     X = RationalMatrix.from_rows([[2, Fraction(1, 3), 0, 4], [0, 1, Fraction(1, 2), 0]])
     kernel = DesignKernel(X)
-    assert kernel.basis == kernel_basis(X)
-    assert isinstance(kernel.scale, int) and kernel.scale > 0
-    assert kernel.columns.shape == (X.ncols, len(kernel.basis))
-    for kb, ib in zip(kernel.basis, kernel.columns.T.tolist()):
-        assert all(type(i) is int and i == kernel.scale * f for i, f in zip(ib, kb))
+    scale, ints = clear_denominators(kernel_basis(X))
+    assert type(kernel.scale) is int and kernel.scale == scale > 0
+    assert kernel.rank == rank(X) == X.ncols - len(ints)
+    assert kernel.columns.shape == (X.ncols, len(ints))
+    assert kernel.columns.T.tolist() == [list(v) for v in ints]
+    assert all(type(i) is int for i in kernel.columns.flat)
     other = RationalMatrix.from_rows([[1, 0, 0, 0]])
     with pytest.raises(ValueError):
         face_intersects_rowspace(sign_to_cube_face((1, 1, 0, 0)), other, kernel=kernel)

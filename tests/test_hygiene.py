@@ -89,12 +89,15 @@ def assigned_literal(source: str, name: str):
 
 
 # the brute-force face grid and its hull faces (the test oracle for the
-# model faces), the signed permutations of the equivariance tests and the
-# rational LinearProgram builder live in tests/oracles.py; no module of the
-# package may define, import, read or export them
+# model faces), the signed permutations of the equivariance tests, the
+# rational LinearProgram builder, and the Fraction elimination and exposed
+# vertices that the integer ones are checked against live in
+# tests/oracles.py; no module of the package may define, import, read or
+# export them
 ORACLE_NAMES = frozenset({
     "enumerate_exposed_faces", "hull_face", "BRUTE_FORCE_FACE_LIMIT",
-    "SignedPermutation", "signed_permutations", "nonneg_lp"})
+    "SignedPermutation", "signed_permutations", "nonneg_lp",
+    "fraction_rref", "exposed_primal_vertices"})
 
 
 def oracle_references(source: str) -> list[str]:
@@ -254,8 +257,9 @@ def stack_merges(module: str, source: str) -> list[str]:
     return _owners(module, source, merge)
 
 
-# basis pursuit reads the l1 witness pair, so in analysis one kernel step
-# builds every non-uniqueness witness
+# basis pursuit reads the l1 witness pair, so in analysis one integer
+# kernel step builds every non-uniqueness witness; the Fraction
+# kernel_basis is only exported, and no module of the package reads it
 WITNESS_KERNEL_READERS = frozenset({"analysis._witness_pair"})
 
 # the norm arithmetic lives in norms: elsewhere only the float prox and the
@@ -542,7 +546,7 @@ def test_checker_flags_a_row_swap():
 
 
 def test_exact_linear_algebra_has_one_elimination_loop():
-    # rank, rref, kernel_basis, solve_exact and rowspace_preimage all read
+    # rank, the integer kernel, solve_exact and rowspace_preimage all read
     # the one fraction-free Gauss-Jordan loop
     assert row_swaps("exact", (SRC / "exact.py").read_text()) == ["exact._eliminate"]
 
@@ -631,7 +635,9 @@ def test_one_builder_forms_every_exact_certificate():
 
 def test_one_witness_recipe_takes_the_kernel_step():
     source = (SRC / "analysis.py").read_text()
-    assert set(name_readers("analysis", source, "kernel_basis")) == WITNESS_KERNEL_READERS
+    assert set(name_readers("analysis", source, "_integer_kernel")) == WITNESS_KERNEL_READERS
+    found = {site for p in SRC.glob("*.py") for site in name_readers(p.stem, p.read_text(), "kernel_basis")}
+    assert found == set()
 
 
 def test_only_norms_turns_labels_into_faces():

@@ -29,7 +29,6 @@ from pengeom.norms import (
     dual_ball_membership,
     dual_ball_vertices,
     dual_norm_value,
-    exposed_primal_vertices,
     l1_norm,
     norm_value,
     primal_ball_vertices,
@@ -42,7 +41,13 @@ from pengeom.norms import (
 from pengeom.solvers import bp_certificate_holds, bp_dual_certificate, norm_min_subject_to
 from pengeom.svg import response_region_figure
 
-from oracles import enumerate_exposed_faces, level_faces, nonneg_lp, solve_by_elimination
+from oracles import (
+    enumerate_exposed_faces,
+    exposed_primal_vertices,
+    level_faces,
+    nonneg_lp,
+    solve_by_elimination,
+)
 
 W2 = slope_norm(["3.5", "1.5"])
 
@@ -234,6 +239,20 @@ def test_unit_sphere_sign_points():
     for sigma, pt in pts:
         assert norm_value(W2, pt) == 1
         assert model_of_signs(sigma, pt)
+
+
+def test_sign_points_read_their_norms_off_the_prefix_sums():
+    # a sign vector's norm is the prefix sum of the weights at its support
+    # size; the points are those of a norm_value per sign vector, in order
+    for p in range(1, 5):
+        norms = [l1_norm(p), l1_norm(p, scale=Fraction(3, 2)), sup_norm(p),
+                 slope_norm([Fraction(7, 2), Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)][:p]),
+                 slope_norm([2, 2, 1, 1][:p]), slope_norm([Fraction(3, 2), 1, 0, 0][:p])]
+        for norm in norms:
+            want = [(sigma, tuple(Fraction(s) / norm_value(norm, vec(sigma)) for s in sigma))
+                    for sigma in itertools.product((1, 0, -1), repeat=p) if any(sigma)]
+            got = unit_sphere_sign_points(norm)
+            assert got == want and repr(got) == repr(want)
 
 
 def model_of_signs(sigma, pt):
