@@ -16,8 +16,10 @@ faces of codimension rk(X) + 1 (bp sweeps the cube faces of the plain l1
 norm; a polytope's face lattice is graded, so each deeper face lies in one
 of those) and one witness pair, which bp reads at y = X first and certifies,
 with one X'z, by the face hit's dual vector z, both found in integers. The
-sign-vector and model accessibility tables share one route sweep and differ
-only in their response witnesses. Classification and projection share one
+sign-vector and model accessibility tables are one route sweep, which
+finishes each row with its witnesses: a hit's z, and lam z + X t certified
+at tol 0 under lam times the norm, whose dual vector also certifies a sign
+row's basis-pursuit response X t. Classification and projection share one
 fit, one polished FISTA solve read once: exact on a rational design and
 response once a linear piece certifies at tol 0, the zero piece first (the
 whole zero-solution region), then the pieces of the patterns read off the
@@ -35,7 +37,7 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .exact import (
@@ -268,21 +270,30 @@ class AccessibilityReport(_Report):
     response_witness_bp: Vector | None = None
 
 
-def _check_route(route):
+def _route_sweep(X, norm, kind, route, limit, vertex_cap, lam=1):
+    """One finished AccessibilityReport per labeled dual-ball face of norm,
+    in label order; the route is checked first, then lam, then the shape.
+
+    The geometric route intersects the face of each label t with row(X);
+    the analytic route compares the minimum of the norm over the fiber
+    {b : Xb = X t}, the support function max <X t, u> of the zero-solution
+    region read off its vertices, against ||t||. With route both, the two
+    are cross-checked and any disagreement raises.
+
+    A hit's z is the row's dual witness and lam z + X t its response
+    witness, at which t minimizes, certified at tol 0 under lam times the
+    norm. A sign row also holds X t, where t solves basis pursuit: the
+    certificate's dual vector s = lam X'z has |s_j| <= lam, and its zero gap
+    forces s_j = lam sign(t_j) on the support, the bp certificate of t by z.
+    """
     if route not in (GEOMETRIC, ANALYTIC, BOTH):
         raise ValueError(f"unknown route {route!r}")
-
-
-def _route_sweep(X, norm, kind, route, limit, vertex_cap):
-    """One AccessibilityReport per labeled dual-ball face of norm, in label
-    order, without response witnesses.
-
-    The geometric route intersects the face with row(X); the analytic route
-    compares the minimum of the norm over the fiber {b : Xb = X pattern},
-    the support function max <X pattern, u> of the zero-solution region read
-    off its vertices, against the pattern's own value. With route both, the
-    two are cross-checked and any disagreement raises.
-    """
+    lam = parse_rational(lam) if not isinstance(lam, Fraction) else lam
+    if lam <= 0:
+        raise ValueError("penalty scale must be positive")
+    if norm.dim != X.ncols:
+        raise ValueError("weight vector length does not match the matrix")
+    scaled = norm if lam == 1 else l1_norm(norm.dim, scale=lam * norm.scale)  # only l1 scales
     kernel = DesignKernel(X)
     # the whole table as integer vertices (none for the analytic route alone),
     # kept per norm; the model or sign cap refuses here, before any work, and
@@ -303,25 +314,24 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap):
     for i, pattern in enumerate(level.labels):
         pattern_norm = Fraction(form.integer_value(pattern), wden)
         hit = hits.get(i)
-        geometric_hit = None
-        analytic_value = None
-        if route in (GEOMETRIC, BOTH):
-            geometric_hit = hit is not None
-        if route in (ANALYTIC, BOTH):
-            analytic_value = Fraction(support[i], region.den)
+        z = hit.z if hit is not None else None
+        geometric_hit = hit is not None if route != ANALYTIC else None
+        analytic_value = Fraction(support[i], region.den) if route != GEOMETRIC else None
         if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
             raise AssertionError(f"route disagreement at {pattern}")
         accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm
-        yield AccessibilityReport(
-            pattern,
-            kind,
-            bool(accessible),
-            geometric_hit,
-            analytic_value,
-            pattern_norm,
-            hit.z if hit is not None else None,
-            None,
-        )
+        response = response_bp = None
+        if accessible:
+            point = vec(pattern)
+            fit = X.matvec(point)
+            if z is not None:
+                response = tuple(lam * a + b for a, b in zip(z, fit))
+                if not kkt_certify(X, response, point, scaled).passed:
+                    raise AssertionError("response witness failed certification")
+            if kind == "sign":
+                response_bp = fit
+        yield AccessibilityReport(pattern, kind, bool(accessible), geometric_hit, analytic_value,
+                                  pattern_norm, z, response, response_bp)
 
 
 def accessible_sign_vectors(
@@ -339,29 +349,7 @@ def accessible_sign_vectors(
     exact and, when asked for together, are cross-checked against each other.
     The decision does not involve lam; it only scales the response witness.
     """
-    _check_route(route)
-    lam = parse_rational(lam) if not isinstance(lam, Fraction) else lam
-    if lam <= 0:
-        raise ValueError("penalty scale must be positive")
-    scaled = l1_norm(X.ncols, scale=lam)
-    out = []
-    for report in _route_sweep(X, l1_norm(X.ncols), "sign", route, limit, vertex_cap):
-        if report.accessible:
-            point = vec(report.pattern)
-            response_bp = X.matvec(point)
-            z = report.dual_witness
-            response = None
-            if z is not None:
-                response = tuple(lam * a + b for a, b in zip(z, response_bp))
-                cert = kkt_certify(X, response, point, scaled)
-                if not cert.passed:
-                    raise AssertionError("response witness failed certification")
-                # the certificate's dual vector is X'(lam z) = lam X'z
-                if not _bp_certificate_at(cert.dual_vector, lam, point):
-                    raise AssertionError("shared dual vector must certify the pattern")
-            report = replace(report, response_witness=response, response_witness_bp=response_bp)
-        out.append(report)
-    return out
+    return list(_route_sweep(X, l1_norm(X.ncols), "sign", route, limit, vertex_cap, lam))
 
 
 def accessible_slope_models(
@@ -374,21 +362,7 @@ def accessible_slope_models(
     """Same sweep over all ordered sign/cluster models, one report per model,
     for any slope weights; under ties or zeros, models sharing a face share
     its verdict."""
-    _check_route(route)
-    norm = slope_norm(weights)
-    if norm.dim != X.ncols:
-        raise ValueError("weight vector length does not match the matrix")
-    out = []
-    for report in _route_sweep(X, norm, "model", route, limit, vertex_cap):
-        z = report.dual_witness
-        if report.accessible and z is not None:
-            point = vec(report.pattern)
-            response = tuple(a + b for a, b in zip(z, X.matvec(point)))
-            if not kkt_certify(X, response, point, norm).passed:
-                raise AssertionError("response witness failed certification")
-            report = replace(report, response_witness=response)
-        out.append(report)
-    return out
+    return list(_route_sweep(X, slope_norm(weights), "model", route, limit, vertex_cap))
 
 
 # ---------------------------------------------------------------------------

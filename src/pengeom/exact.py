@@ -39,8 +39,11 @@ def rat(x) -> Fraction:
     Strings may be integers ("7"), ratios ("5/4") or decimal literals
     ("1.25", "-3e-2"); decimal literals parse exactly, never through float.
     Floats are rejected: silent binary round-off is exactly what this module
-    exists to avoid. A literal with more digits, or a larger exponent, than
-    sys.get_int_max_str_digits() (none when 0) is refused before it is built.
+    exists to avoid. A literal is refused before it is built when a side of
+    its "/", or its mantissa's length plus its exponent's magnitude, exceeds
+    sys.get_int_max_str_digits() (none when 0), lengths without a sign: the
+    value's numerator and denominator have no more digits than that, a
+    point counting for the zero it may stand for (".1e-5"), so they print.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
@@ -54,9 +57,11 @@ def rat(x) -> Fraction:
         if limit and (len(s) > limit or "e" in s or "E" in s):
             mantissa, _, exponent = s.replace("E", "e").partition("e")
             exponent = exponent.replace("_", "").lstrip("+-").lstrip("0")
-            if exponent.isdecimal() and (len(exponent) > len(str(limit)) or int(exponent) > limit):
-                raise ValueError(f"exponent beyond {limit}")
-            if any(sum(map(str.isdecimal, part)) > limit for part in mantissa.split("/")):
+            size = len(mantissa.lstrip("+-"))
+            if exponent.isdecimal() and (len(exponent) > len(str(limit))
+                                         or size + int(exponent) > limit):
+                raise ValueError(f"mantissa length plus exponent beyond {limit}")
+            if any(len(part.lstrip("+-")) > limit for part in mantissa.split("/")):
                 raise ValueError(f"more than {limit} digits")
         return Fraction(s)
     raise TypeError(f"cannot coerce {type(x).__name__} to Rational; pass a string for exactness")

@@ -25,8 +25,8 @@ vertex u over one common denominator, which the analytic accessibility route
 pairs with every label in one integer product (_ZeroRegion.support_values),
 and u's tight set, the primal-ball vertices v with <Xv, u> = 1, which names
 G(u), the smallest dual-ball face holding X'u (_tight_face). The constraint
-normals are rows of the one integer product X V per (design, norm) that the
-gauge LP also reads (_gauge_rows). Both figures label the region's vertices
+normals are rows of the integer product X V (_gauge_rows), which the gauge
+LP's rows are formed from too. Both figures label the region's vertices
 and edges, and the crossings of a rank-one row space, from those tight sets.
 
 norm_value and dual_norm_value are the one copy of the norm arithmetic: a
@@ -354,12 +354,11 @@ def _integer_primal_ball_vertices(norm: PolytopeNorm) -> tuple[int, tuple[tuple[
     return clear_denominators(primal_ball_vertices(norm))
 
 
-@functools.lru_cache(maxsize=64)
 def _gauge_rows(X: RationalMatrix, norm: PolytopeNorm) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(f, X V in integers): X's integer rows against the norm's integer
     primal-ball vertices, each over its common denominator, so every row is
-    f = d e times the rational one; one product per (design, norm), which
-    the gauge LP's rows and the zero region's constraint normals share."""
+    f = d e times the rational one: the gauge LP's rows, formed per LP, and
+    the zero region's constraint normals, formed once per region it keeps."""
     e, iverts = _integer_primal_ball_vertices(norm)
     d, xrows, _ = X._integer_form
     return d * e, tuple(tuple(sum(map(operator.mul, r, v)) for v in iverts) for r in xrows)

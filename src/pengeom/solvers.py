@@ -636,9 +636,8 @@ def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> 
 def _bp_certificate_at(s: Sequence, den, b: Sequence, tol=0) -> bool:
     """Does X'z = s / den (den > 0) certify b: ||X'z||_inf <= 1 and
     (X'z)_j = sign(b_j) on the support of b, within tol. Several points can
-    share one X'z. s and den are integers, or Fractions such as a KKT
-    certificate's dual vector lam X'z over lam; the bounds are formed once,
-    and at tol 0 they are +-den themselves, so each entry costs comparisons
+    share one X'z. s and den are integers; the bounds are formed once, and
+    at tol 0 they are +-den themselves, so each entry costs comparisons
     only."""
     hi, lo = (den + tol * den, den - tol * den) if tol else (den, den)
     low, high = -hi, -lo

@@ -36,6 +36,10 @@ the table's to_json_dict() dumps with that route alone, so each route's own
 reads (the design's kernel, the zero region and its pivots) are pinned
 without the other's cross-check.
 
+The cap keys, last in the file, keep what a cap of 2 does to the TABLES
+designs: `accessible` under --cap 2 and under PENGEOM_VERTEX_CAP=2, and
+`uniqueness --cap 2`, refusals with their error lines.
+
 Rewrite the committed file with `PYTHONPATH=src python tests/write_fit_corpus.py`.
 """
 
@@ -277,6 +281,25 @@ def _global_records():
         yield {"key": f"dual-ball/{norm_name}/plot", "out": _svg(["plot", "--cols", "2", *flags])}
 
 
+def _cap_records(tmp: str):
+    """`accessible` under --cap 2 (the sign and model limits) and under
+    PENGEOM_VERTEX_CAP=2 (the first over-cap face), for l1 at scales 1 and
+    3/2 and for strict slope, and `uniqueness --cap 2` for every norm and
+    for bp, on each TABLES design: the p = 3 designs refuse, the zero
+    design (p = 2, no face met) answers."""
+    for name in TABLES:
+        path = os.path.join(tmp, f"{name}.csv")
+        norms = _norms(len(DESIGNS[name][0]))
+        for norm_name in ("l1", "l1x3/2", "strict"):
+            argv = ["accessible", "--matrix", path, *norms[norm_name][1]]
+            key = f"{name}/{norm_name}/accessible"
+            yield {"key": f"{key}/cap-2", "out": _run([*argv, "--cap", "2"])}
+            yield {"key": f"{key}/vertex-cap-2", "out": _run(argv, VERTEX_CAP)}
+        for norm_name, (_, flags) in [*norms.items(), ("bp", (None, ["--mode", "bp"]))]:
+            argv = ["uniqueness", "--matrix", path, *flags, "--cap", "2"]
+            yield {"key": f"{name}/{norm_name}/uniqueness/cap-2", "out": _run(argv)}
+
+
 def records():
     """Every record of the corpus, in a fixed order."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -305,7 +328,8 @@ def records():
                 y = ",".join(map(str, base[:X.nrows]))
                 argv = ["solve", "--mode", "bp", "--matrix", path, "--response=" + y]
                 yield {"key": f"{name}/bp/y{k}/solve", "out": _run(argv)}
-    yield from _global_records()
+        yield from _global_records()
+        yield from _cap_records(tmp)
 
 
 def lines():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import operator
@@ -234,16 +235,29 @@ def test_sign_witnesses_certify_both_problems():
 
 
 def test_lambda_independence_of_accessibility():
+    # lam changes a sign row's response witness only, to lam z + X t for
+    # its dual witness z; verdicts, witnesses z and X t and every other
+    # field are those at lam = 1
     rng = random.Random(59)
+    scaled = 0
     for _ in range(6):
         X = RationalMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)]
         )
-        verdicts = []
+        base = accessible_sign_vectors(X)
         for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
             reports = accessible_sign_vectors(X, lam=lam)
-            verdicts.append(tuple((r.pattern, r.accessible) for r in reports))
-        assert verdicts[0] == verdicts[1] == verdicts[2]
+            assert len(reports) == len(base)
+            for r, b in zip(reports, base):
+                expected = None
+                if b.response_witness is not None:
+                    fit = X.matvec(vec(b.pattern))
+                    expected = tuple(lam * a + f for a, f in zip(b.dual_witness, fit))
+                    scaled += any(b.pattern)
+                assert r.response_witness == expected
+                assert dataclasses.replace(r, response_witness=None) == \
+                    dataclasses.replace(b, response_witness=None)
+    assert scaled
 
 
 def test_route_agreement_on_random_designs():
@@ -1448,6 +1462,11 @@ _X23 = RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]])
     (lambda: accessible_sign_vectors(_X23, route="nope"), "unknown route 'nope'"),
     (lambda: accessible_sign_vectors(_X23, lam=0), "penalty scale must be positive"),
     (lambda: accessible_slope_models(_X23, [2, 1]), "weight vector length does not match the matrix"),
+    # the route is checked first, before lam and the weights' length
+    pytest.param(lambda: accessible_sign_vectors(_X23, route="nope", lam=0), "unknown route 'nope'",
+                 id="route-before-lam"),
+    pytest.param(lambda: accessible_slope_models(_X23, [2, 1], route="nope"), "unknown route 'nope'",
+                 id="route-before-length"),
     (lambda: genericity_experiment(2, 3, norm=l1_norm(2), trials=1), "norm dimension does not match p"),
     (lambda: genericity_experiment(2, 3, mode="nope", trials=1), "unknown mode 'nope'"),
     (lambda: PolytopeNorm("l2", 2), "unknown norm kind 'l2'"),
@@ -1472,3 +1491,17 @@ def test_library_entry_points_refuse_bad_shapes_and_options(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("route", [GEOMETRIC, BOTH])
+@pytest.mark.parametrize("table", [
+    lambda X, route: accessible_sign_vectors(X, route=route, lam=Fraction(3, 2)),
+    lambda X, route: accessible_slope_models(X, [3, 2, 1], route=route),
+], ids=["sign", "model"])
+def test_a_failed_response_witness_stops_the_table(table, route, monkeypatch):
+    # every row with a dual witness certifies its response witness at tol 0
+    # before the table answers; a failed certificate raises instead
+    failed = solvers_module.Certificate((), None, None, 0, False)
+    monkeypatch.setattr(analysis_module, "kkt_certify", lambda *args: failed)
+    with pytest.raises(AssertionError, match="response witness failed certification"):
+        table(_X23, route)

@@ -640,6 +640,22 @@ def test_one_witness_recipe_takes_the_kernel_step():
     assert found == set()
 
 
+# a sign row's tol-0 l1 certificate already certifies its bp response, so
+# the bp test is read only where a bp witness pair or point is certified;
+# both accessibility tables are one route sweep, which finishes every row
+BP_CERTIFICATE_READERS = frozenset({"analysis.check_uniqueness_bp", "solvers.bp_certificate_holds"})
+TABLE_ENTRY_POINTS = frozenset({"analysis.accessible_sign_vectors", "analysis.accessible_slope_models"})
+
+
+def test_one_sweep_finishes_every_accessibility_row():
+    found = {site for p in SRC.glob("*.py")
+             for site in name_readers(p.stem, p.read_text(), "_bp_certificate_at")}
+    assert found == BP_CERTIFICATE_READERS
+    source = (SRC / "analysis.py").read_text()
+    readers = {site for name in ("kkt_certify", "replace") for site in name_readers("analysis", source, name)}
+    assert readers & TABLE_ENTRY_POINTS == set()
+
+
 def test_only_norms_turns_labels_into_faces():
     # geometry defines the constructors and __init__ re-exports them
     found = {site for p in SRC.glob("*.py") if p.stem not in ("geometry", "__init__")
