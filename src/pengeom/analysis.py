@@ -38,6 +38,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .exact import (
@@ -494,6 +495,12 @@ class GenericityReport(_Report):
         return {**d, "fraction_unique": _json(self.fraction_unique), "outcomes": outcomes}
 
 
+def _snap(g: float) -> Fraction:
+    """g at 12 significant digits, exactly: the Fraction of the literal
+    f"{g:.12g}", read through Decimal (parse_rational gives the same)."""
+    return Fraction(Decimal(f"{g:.12g}"))
+
+
 def genericity_experiment(
     n: int,
     p: int,
@@ -526,7 +533,7 @@ def genericity_experiment(
     for t in range(trials):
         rng = random.Random(seed + 7919 * t)
         X = RationalMatrix.from_rows(
-            [[parse_rational(f"{rng.gauss(0, 1):.12g}") for _ in range(p)] for _ in range(n)]
+            [[_snap(rng.gauss(0, 1)) for _ in range(p)] for _ in range(n)]
         )
         if mode == "bp":
             report = check_uniqueness_bp(X, limit=limit, vertex_cap=vertex_cap)

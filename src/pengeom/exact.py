@@ -304,6 +304,23 @@ def rowspace_preimage(M: RationalMatrix, v: Sequence) -> Vector | None:
 
 
 def parse_rational(token: str) -> Fraction:
+    """The exact value of a rational literal, or ValueError("bad rational
+    literal ..."). The grammar is that of fractions.Fraction's strings,
+    within rat's length bound:
+
+        literal  := space* [sign] (ratio | decimal) space*
+        ratio    := digits "/" digits      (no space, point or exponent)
+        decimal  := digits ["." [digits]] [exponent] | "." digits [exponent]
+        exponent := ("e" | "E") [sign] digits
+        digits   := digit+ ("_" digit+)*   (one underscore between digits)
+        sign     := "+" | "-"
+
+    A digit is any Unicode decimal digit and a space any whitespace; a zero
+    denominator is refused. So "7" = 7, "-5/4" = -5/4, " 1_000 " = 1000,
+    "1.25" = 5/4, ".5" = 1/2, "5." = 5, "+.5e+2" = 50, "-3E-2" = -3/100,
+    "1e1_0" = 10000000000 and "\u0661\u0662" = 12 (Arabic-Indic digits),
+    while "5 / 4", "1/2e3", "1.5/2", "5/-4", "1__0", "_1", "1 000", "0x10",
+    "1e", ".", "inf" and "5/0" are refused."""
     try:
         return rat(token)
     except (ValueError, ZeroDivisionError) as e:

@@ -26,23 +26,28 @@ vertices.
 Row-space tests work in kernel coordinates: a point s of a face lies in
 row(X) iff K's = 0 for a basis K of ker(X). A DesignKernel holds that basis
 for one design times one common denominator, from the integer elimination,
-as Python ints in an object numpy array, so the kernel images of many
-integer dual-ball vertices are one exact product (never int64 or float: the
-images outgrow 64 bits). Every face test screens first (_screen), in this
-order: a vertex meets row(X) iff its image is zero; an edge iff its two
-images are parallel with a nonpositive dot product (0 lies between them); a
-larger face can meet it only if each kernel coordinate has min <= 0 <= max
-over its images (a sign box). Only the faces that pass go to the integer
-core (_meets), with their rows of the screen's product, the one K'v
-computed: it decides a larger face by simplex phase 1 alone (lp.lp_feasible)
-on those images, every row carrying the same positive factor, so it pivots
-as on the rational program and hands back integer weights; for vertices and
-edges it re-decides the hit, and a disagreement raises. A sweep screens a
-whole level of the dual ball (norms: labels, a vertex table, each face's
-vertex ids into it) through DesignKernel.level_hits, in chunks of doubling
-size, projecting each vertex once, when the first chunk that uses it is
-screened; a single Face is screened on its own (face_intersects_rowspace).
-Fractions return only on a hit, to form the point and its z.
+as Python ints in an object numpy array, with a float64 view of it. Every
+face test screens first (_screen), in this order: a vertex meets row(X) iff
+its image is zero; an edge iff its two images are parallel with a
+nonpositive dot product (0 lies between them); a larger face can meet it
+only if each kernel coordinate has min <= 0 <= max over its images (a sign
+box, one OR of its vertices' packed sign codes). The images K'v of a vertex
+table come from one float64 product where a proven bound makes its signs
+exact (_Images): for B = p max|v| max|k|, below 2^53 the product is K'v
+itself; below 2^1000 it is within (p + 3) 2^-53 B of K'v, so only a row with
+an entry that close to 0 is recomputed in Python ints; beyond that every row
+is (the images of a genericity design reach 95 bits). Only the faces that
+pass the box get exact Python-int images, for the edge minors and for the
+integer core (_meets), which decides a larger face by simplex phase 1 alone
+(lp.lp_feasible) on those images, every row carrying the same positive
+factor, so it pivots as on the rational program and hands back integer
+weights; for vertices and edges it re-decides the hit, and a disagreement
+raises. A sweep screens a whole level of the dual ball (norms: labels, a
+vertex table, each face's vertex ids into it) through
+DesignKernel.level_hits, in chunks of doubling size, projecting each vertex
+once, when the first chunk that uses it is screened; a single Face is a
+level of one face (face_intersects_rowspace). Fractions return only on a
+hit, to form the point and its z.
 """
 
 from __future__ import annotations
@@ -234,6 +239,16 @@ class Face:
     def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # (L, the vertices times L) for L the lcm of their denominators
         return clear_denominators(_materialized_vertices(self))
+
+    @functools.cached_property
+    def _level(self) -> tuple[int, _Level]:
+        # (L, the face as a sweep level of one face, its vertices times L):
+        # face_intersects_rowspace runs the level screen on it, and the
+        # level keeps its float view for the next design
+        L, ivs = self._integer_form
+        k = len(ivs)
+        one = np.array((k,), dtype=np.intp)
+        return L, _Level(((),), ivs, _LevelIndex(np.arange(k), np.array((0, k), dtype=np.intp), one, one, k))
 
     def to_json_dict(self, include_vertices: bool = False) -> dict:
         d: dict = {"kind": self.kind, "ambient_dim": self.ambient_dim, "codim": self.codim}
@@ -505,34 +520,127 @@ class _Level:
         # when a screen needs some vertex, so it has at least one row
         return np.array(self.vertices, dtype=object)
 
+    @functools.cached_property
+    def float_view(self) -> tuple[int, np.ndarray | None]:
+        # (max |entry| of the vertex table, the table in float64), for the
+        # screen's bound; no float table when the entries reach _FLOAT_BOUND.
+        # Entries within int64 skip the object table.
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(self.vertices), np.int64)
+        except OverflowError:
+            top = int(np.abs(self.table).max())
+            return top, self.table.astype(np.float64) if top < _FLOAT_BOUND else None
+        return max(int(flat.max()), -int(flat.min())), flat.reshape(len(self.vertices), -1).astype(np.float64)
 
-def _signs(images: np.ndarray) -> np.ndarray:
-    # per vertex, which kernel coordinates of its image are <= 0, then >= 0
-    return np.concatenate((images <= 0, images >= 0), axis=1)
+
+# the screen's regimes by B = p max|v| max|k| (_Images)
+_EXACT_BOUND = 2 ** 53
+_FLOAT_BOUND = 2 ** 1000
 
 
-def _screen(images: np.ndarray, signs: np.ndarray, ids: np.ndarray,
-            bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+def _grown(rows: np.ndarray | None, more: np.ndarray) -> np.ndarray:
+    return more if rows is None else np.concatenate((rows, more))
+
+
+@functools.lru_cache(maxsize=64)
+def _sign_bits(d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    # a sign code's bits for coordinates <= 0 and >= 0, and all 2d bits set
+    bits = np.array([1 << j for j in range(2 * d)], dtype=np.int64 if 2 * d < 63 else object)
+    return bits[:d], bits[d:], (1 << 2 * d) - 1
+
+
+class _Images:
+    """The kernel images K'v of a vertex table's rows, projected a prefix at
+    a time as the screen reaches them: per row its sign box packed into one
+    int (codes: bit j set when coordinate j is <= 0, bit d + j when >= 0),
+    and on demand its exact image in Python ints (exact_rows).
+
+    The regime is B's alone, for B = p max|v| max|k| over the table's
+    entries v and the kernel's integer columns k. Below 2^53 every product
+    and partial sum is an integer below 2^53, so the float64 product is K'v
+    and its rows, as ints, are the images. Below 2^1000 the float64 product
+    is within gamma_{p+2} B <= (p + 3) 2^-53 B of K'v, both conversions to
+    float counted (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1), so an entry's sign is certain where it exceeds that bound rounded
+    up, and only a row with an entry in doubt is recomputed in Python ints,
+    once. Otherwise every row is."""
+
+    def __init__(self, kernel: DesignKernel, level: _Level):
+        self.kernel, self.level = kernel, level
+        p, d = kernel.X.ncols, kernel.X.ncols - kernel.rank
+        top, floats = level.float_view
+        bound = p * top * kernel.top
+        self.floats = floats if bound < _FLOAT_BOUND and kernel.float_columns is not None else None
+        self.exact = self.floats is not None and bound < _EXACT_BOUND
+        if self.floats is not None and not self.exact:
+            doubt = -(-(p + 3) * bound >> 53)  # ceil((p + 3) 2^-53 B)
+            self.doubt = float(doubt) if float(doubt) >= doubt else math.nextafter(float(doubt), math.inf)
+        self.low, self.high, self.full = _sign_bits(d)
+        self.codes = self.small = None  # small: the images, when the product is exact
+        self.ints: list = []  # otherwise per row its exact image, once computed
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def extend(self, stop: int) -> None:
+        """Project the rows up to stop, if not yet projected."""
+        lo = self.size
+        if stop <= lo:
+            return
+        self.size = stop
+        if self.floats is None:
+            images = self.level.table[lo:stop] @ self.kernel.columns
+            self.ints += images.tolist()
+        else:
+            images = self.floats[lo:stop] @ self.kernel.float_columns
+            if self.exact:
+                self.small = _grown(self.small, images.astype(np.int64))
+            else:
+                rows: list = [None] * (stop - lo)
+                sizes = np.abs(images)
+                if sizes.min(initial=np.inf) <= self.doubt:
+                    doubt = np.flatnonzero((sizes <= self.doubt).any(axis=1))
+                    exact = self.level.table[lo + doubt] @ self.kernel.columns
+                    images[doubt] = (exact > 0).astype(np.float64) - (exact < 0)  # their exact signs
+                    for r, row in zip(doubt.tolist(), exact.tolist()):
+                        rows[r] = row
+                self.ints += rows
+        self.codes = _grown(self.codes, (images <= 0) @ self.low + (images >= 0) @ self.high)
+
+    def exact_rows(self, rows: Sequence[int]) -> list[list[int]]:
+        """The exact images K'v of the given rows, as lists of Python ints."""
+        if self.exact:
+            return self.small[rows].tolist()
+        missing = list(dict.fromkeys(r for r in rows if self.ints[r] is None))
+        if missing:
+            for r, row in zip(missing, (self.level.table[missing] @ self.kernel.columns).tolist()):
+                self.ints[r] = row
+        return [self.ints[r] for r in rows]
+
+
+def _screen(images: _Images, ids: np.ndarray, bounds: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Which faces may meet row(X): face j has the sizes[j] vertices
-    ids[bounds[j] : bounds[j + 1]], rows of images, the integer kernel
-    images of a vertex table, with signs their _signs.
+    ids[bounds[j] : bounds[j + 1]], rows of the projected images.
 
     A face without vertices is the whole ball and holds 0. Any other face
     passes only if each kernel coordinate has min <= 0 <= max over its
-    images, that is some image <= 0 and some >= 0 there: a convex
-    combination of the images is zero only then. For a vertex this is the
-    exact test (its image is zero). An edge that passes has a nonpositive
-    dot product, so it meets row(X) iff its two images are also parallel,
-    every 2x2 minor zero. Larger faces that pass still need phase 1."""
+    images, that is some image <= 0 and some >= 0 there, one OR of its
+    rows' sign codes: a convex combination of the images is zero only then.
+    For a vertex this is the exact test (its image is zero). An edge that
+    passes has a nonpositive dot product, so it meets row(X) iff its two
+    exact images are also parallel, every 2x2 minor zero in Python ints.
+    Larger faces that pass still need phase 1."""
     passed = sizes == 0
     if len(ids):
         filled = ~passed
-        box = np.logical_or.reduceat(signs[ids], bounds[:-1][filled])
-        passed[filled] = box.all(axis=1)
+        box = np.bitwise_or.reduceat(images.codes[ids], bounds[:-1][filled])
+        passed[filled] = box == images.full
         edges = passed & (sizes == 2)
         at = bounds[:-1][edges]
         if len(at):
-            a, b = images[ids[at]], images[ids[at + 1]]
+            ends = np.array(images.exact_rows(ids[np.concatenate((at, at + 1))].tolist()), dtype=object)
+            a, b = ends[:len(at)], ends[len(at):]
             passed[edges] = (a[:, :, None] * b[:, None, :] == b[:, :, None] * a[:, None, :]).all(axis=(1, 2))
     return passed
 
@@ -547,23 +655,29 @@ class DesignKernel:
 
     columns is the basis of kernel_basis(X) times scale > 0, the least common
     denominator of its entries, as exact._integer_kernel gives it, in a (p,
-    dim ker X) object array of Python ints, and rank is rk(X): the images K'v
-    of a whole vertex table are one exact numpy product, and that product is
-    the only one. Every face test screens the images first
-    (_screen: zero image, antiparallel pair, sign box) and hands only the
-    faces that pass, with their rows of the product, to the integer core
-    (_meets), which computes the hit; for a vertex or an edge the screen has
-    decided, and a disagreement raises, so each checks the other. One scale
-    for the whole basis keeps the face LP's rows a uniform multiple of the
-    rational program's, so its phase-1 pivots and its alpha stay those of
-    the Fraction basis.
+    dim ker X) object array of Python ints, top is max|k| over its entries,
+    float_columns its float64 view (none from 2^1000 on), and rank is rk(X).
+    Only the screen's images (_Images) read either form: the images K'v of
+    a vertex table are one float64 product where B = p max|v| top makes it
+    exact (B < 2^53) or its signs certain away from a (p + 3) 2^-53 B band
+    around 0 (B < 2^1000), and Python ints for the rows in that band, for
+    all rows beyond, and for the faces that pass the sign box. Every face
+    test screens the images first (_screen: zero image, antiparallel pair,
+    sign box) and hands only the faces that pass, with their exact rows, to
+    the integer core (_meets), which computes the hit; for a vertex or an
+    edge the screen has decided, and a disagreement raises, so each checks
+    the other. One scale for the whole basis keeps the face LP's rows a
+    uniform multiple of the rational program's, so its phase-1 pivots and
+    its alpha stay those of the Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
         self.X = X
         self.scale, ints = _integer_kernel(X._integer_form[1])
         self.rank = X.ncols - len(ints)
-        self.columns = np.array(ints, dtype=object).reshape(len(ints), X.ncols).T
+        self.columns = columns = np.array(ints, dtype=object).reshape(len(ints), X.ncols).T
+        self.top = max(map(abs, itertools.chain.from_iterable(ints)), default=0)
+        self.float_columns = columns.astype(np.float64) if self.top < _FLOAT_BOUND else None
 
     def level_hits(self, den: int, level: _Level,
                    cap: int | None) -> Iterator[tuple[int, RowspaceIntersection]]:
@@ -581,37 +695,25 @@ class DesignKernel:
         over = n
         if cap is not None and cap < top:
             over = int(np.argmax(sizes > max(cap, 0)))  # the zero label never refuses
-        images = signs = None  # until some chunk uses a vertex
-        have, lo, size = 0, 0, _FIRST_CHUNK
+        images = None  # until some chunk uses a vertex
+        lo, size = 0, _FIRST_CHUNK
         while lo < n:
             if lo == over:
                 _check_vertex_cap(int(sizes[lo]), cap)
             hi = min(n, over, lo + size)
-            if reach[hi - 1] > have:
-                fresh = level.table[have:reach[hi - 1]] @ self.columns
-                if have:
-                    images, signs = np.concatenate((images, fresh)), np.concatenate((signs, _signs(fresh)))
-                else:
-                    images, signs = fresh, _signs(fresh)
-                have = reach[hi - 1]
+            if reach[hi - 1]:  # some face up to hi has vertices
+                if images is None:
+                    images = _Images(self, level)
+                images.extend(reach[hi - 1])
             a = starts[lo]
-            passed = _screen(images, signs, ids[a:starts[hi]], starts[lo:hi + 1] - a, sizes[lo:hi])
+            passed = _screen(images, ids[a:starts[hi]], starts[lo:hi + 1] - a, sizes[lo:hi])
             for i in np.flatnonzero(passed).tolist():
-                face = ids[starts[lo + i]:starts[lo + i + 1]]  # none for the zero label
-                ivs = [level.vertices[k] for k in face.tolist()]
-                hit = self._confirm(den, ivs, images[face].tolist()) if ivs else _origin(self.X)
+                face = ids[starts[lo + i]:starts[lo + i + 1]].tolist()  # none for the zero label
+                ivs = [level.vertices[k] for k in face]
+                hit = self._confirm(den, ivs, images.exact_rows(face)) if ivs else _origin(self.X)
                 if hit is not None:
                     yield lo + i, hit
             lo, size = hi, 2 * size
-
-    def face_hit(self, den: int, ivs: tuple[tuple[int, ...], ...]) -> RowspaceIntersection | None:
-        """The test of one face conv(ivs / den), ivs its distinct integer
-        vertices: the same screen as a level's, on the face alone."""
-        images = np.array(ivs, dtype=object) @ self.columns
-        bounds = np.array((0, len(ivs)), dtype=np.intp)
-        if _screen(images, _signs(images), np.arange(len(ivs)), bounds, bounds[1:])[0]:
-            return self._confirm(den, ivs, images.tolist())
-        return None
 
     def _confirm(self, den: int, ivs: Sequence, images: Sequence) -> RowspaceIntersection | None:
         # a face that passed the screen: the core finds its hit, and a vertex
@@ -693,9 +795,9 @@ def face_intersects_rowspace(
     """Exact intersection test between a dual-ball face and row(X).
 
     A point s of the face lies in row(X) iff K's = 0 for a basis K of ker(X).
-    The face's integer vertices get their kernel images as one object-dtype
-    product of Python ints and go through the screen the level sweeps also
-    run (DesignKernel.level_hits), in this order: a vertex meets row(X) iff
+    The face's integer vertices are a level of one face, and go through the
+    screen the level sweeps run (DesignKernel.level_hits), its kernel images
+    exact where they decide, in this order: a vertex meets row(X) iff
     its image is zero, a segment iff its two images are parallel with a
     nonpositive dot product, and a larger face only if each kernel
     coordinate has min <= 0 <= max over its images. A face that passes goes
@@ -717,5 +819,6 @@ def face_intersects_rowspace(
     elif kernel.X is not X and kernel.X != X:
         raise ValueError("kernel belongs to another design")
     _check_vertex_cap(face.vertex_count(), cap)  # once, before any vertex is built
-    return kernel.face_hit(*face._integer_form)
+    L, level = face._level
+    return next((hit for _, hit in kernel.level_hits(L, level, None)), None)
 

@@ -34,6 +34,7 @@ from pengeom.exact import (
     clear_denominators,
     dot,
     parse_matrix_json,
+    parse_rational,
     rank,
     solve_exact,
     vec,
@@ -665,6 +666,21 @@ def test_genericity_substreams_are_stable():
     ).to_json_dict()
 
 
+def test_genericity_snap_is_the_parsed_literal():
+    # the Decimal snap of a draw is parse_rational of its 12-digit literal,
+    # over magnitudes 1e-8 to 1e14: plain literals ("0.000123456789012",
+    # "123456789012") and exponent forms ("1.23456789012e-05", "1e+13")
+    rng = random.Random(31)
+    draws = [0.0, -0.0, 1e-8, 1e14, 1e-5, 1e12, 123456789012.5, -9.99999999999e-5]
+    draws += [rng.choice((1, -1)) * 10 ** rng.uniform(-8, 14) for _ in range(100_000)]
+    forms = set()
+    for g in draws:
+        literal = f"{g:.12g}"
+        forms.add("e" in literal)
+        assert analysis_module._snap(g) == parse_rational(literal)
+    assert forms == {True, False}
+
+
 def test_genericity_validation():
     with pytest.raises(ValueError):
         genericity_experiment(2, 2, slope_norm([2, 1]), mode="bp", trials=5, seed=0)
@@ -1189,6 +1205,21 @@ def test_screen_keeps_exact_integers_beyond_64_bits():
     assert_screen_matches_per_entry_reference(X, None)
 
 
+@pytest.mark.parametrize("rows", [
+    [["1e300", 3, "-2e300"], [1, "1e300", 5]],  # kernel entries near 1e600
+    [["1e301", "-1e301", 7]],  # kernel entries near 1e301, past 2^1000 on their own
+])
+def test_screen_computes_every_image_exactly_past_the_float_range(rows):
+    # B = p max|v| max|k| reaches 2^1000 on every level, so no float product
+    # is formed and each image is a Python-int product, as at 64 bits
+    X = RationalMatrix.from_rows(rows)
+    kernel = geometry_module.DesignKernel(X)
+    for norm in (l1_norm(X.ncols), slope_norm(range(X.ncols, 0, -1))):
+        level = norms_module._dual_ball_level(norm, rank(X) + 1, None)[1]
+        assert geometry_module._Images(kernel, level).floats is None
+    assert_screen_matches_per_entry_reference(X, None)
+
+
 def _per_label_support(region, labels):
     # the analytic route's support values one label and one vertex at a time
     return [max(sum(a * b for a, b in zip(t, s)) for s in region.duals) for t in labels.tolist()]
@@ -1244,9 +1275,9 @@ def test_an_early_exit_screens_a_prefix_of_its_level(monkeypatch):
     screened = []
     real = geometry_module._screen
 
-    def counting(images, signs, ids, bounds, sizes):
+    def counting(images, ids, bounds, sizes):
         screened.append((len(sizes), len(images)))
-        return real(images, signs, ids, bounds, sizes)
+        return real(images, ids, bounds, sizes)
 
     monkeypatch.setattr(geometry_module, "_screen", counting)
     norm = slope_norm([6, 5, 4, 3, 2, 1])

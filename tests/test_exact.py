@@ -58,6 +58,24 @@ def test_parse_decimal_exact():
         parse_rational("inf")
 
 
+_LITERALS = {"7": 7, "-5/4": Fraction(-5, 4), " 1_000 ": 1000, "1.25": Fraction(5, 4),
+             ".5": Fraction(1, 2), "5.": 5, "+.5e+2": 50, "-3E-2": Fraction(-3, 100),
+             "1e1_0": 10 ** 10, "\u0661\u0662": 12}
+_NON_LITERALS = ("5 / 4", "1/2e3", "1.5/2", "5/-4", "1__0", "_1", "1 000", "0x10", "1e", ".", "inf", "5/0")
+
+
+def test_parse_rational_keeps_its_documented_grammar():
+    # each example of parse_rational's docstring, accepted or refused
+    doc = parse_rational.__doc__
+    for literal, value in _LITERALS.items():
+        assert f'"{literal}" = ' in doc
+        assert parse_rational(literal) == value
+    for literal in _NON_LITERALS:
+        assert f'"{literal}"' in doc
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(literal)
+
+
 def test_rat_rejects_float_and_bool():
     with pytest.raises(TypeError):
         rat(0.1)

@@ -1,10 +1,12 @@
 import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pengeom.norms as norms_module
@@ -500,6 +502,65 @@ def test_design_kernel_has_one_scale():
     other = RationalMatrix.from_rows([[1, 0, 0, 0]])
     with pytest.raises(ValueError):
         face_intersects_rowspace(sign_to_cube_face((1, 1, 0, 0)), other, kernel=kernel)
+
+
+@st.composite
+def scaled_images(draw):
+    """(table, columns, split): integer vertex rows and kernel columns of p
+    entries, of magnitudes from 2^0 to 2^1100 on either side, so B = p
+    max|v| max|k| falls in each of the screen's three regimes. Some rows
+    are planted on a column k, as k_b e_a - k_a e_b plus a small offset:
+    their image there is exactly zero, or a near-cancellation far below B.
+    split is where the projection stops once before the last row."""
+    p = draw(st.integers(2, 5))
+    d = draw(st.integers(1, p - 1))
+
+    def entries(bits):
+        return st.tuples(*[st.integers(-2 ** bits, 2 ** bits)] * p)
+
+    columns = draw(st.lists(entries(draw(st.integers(0, 1100))), min_size=d, max_size=d))
+    bits = draw(st.integers(0, 1100))
+    table = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            k = draw(st.sampled_from(columns))
+            a, b = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+            v = list(draw(st.just((0,) * p) | st.tuples(*[st.integers(-2, 2)] * p)))
+            v[a] += k[b]
+            v[b] -= k[a]
+            table.append(tuple(v))
+        else:
+            table.append(draw(entries(bits)))
+    return table, columns, draw(st.integers(0, len(table)))
+
+
+@settings(max_examples=200)  # a few ms each
+@given(scaled_images())
+# the exact image is 0, the float image -1: 2^60 + 1 rounds to 2^60
+@example(([(1, -1, -1)], [(2 ** 60 + 1, 2 ** 60, 1)], 0))
+# the float image has the wrong sign and exceeds 2^-53 B by a factor of 1.67
+@example(([(1188355491089274512, 1191038405886422127)],
+          [(1250671360050416330, -1247854116977762659)], 0))
+@example(([(3, -1, 2), (1, 1, 1)], [(1, 3, 0)], 1))  # B < 2^53: the float product is exact
+@example(([(-2 ** 60 - 1, -1)], [(1, 1)], 0))  # max|v| is a negative entry's
+@example(([(2 ** 1100, 1)], [(1, -2 ** 1100)], 1))  # B >= 2^1000: every row in Python ints
+# 2d = 66 sign bits: the codes are Python ints
+@example(([(1,) * 34, (-1,) + (0,) * 33], [tuple(int(i == j) for i in range(34)) for j in range(33)], 1))
+def test_float_screen_signs_are_the_exact_signs(case):
+    # the screen's sign codes and exact rows equal those of the Python-int
+    # product K'v, whichever regime B picks
+    table, columns, split = case
+    p, d = len(columns[0]), len(columns)
+    with mock.patch.object(geometry, "_integer_kernel", lambda rows: (1, columns)):
+        kernel = DesignKernel(RationalMatrix.from_rows([[1] * p]))
+    images = geometry._Images(kernel, geometry._Level((), tuple(table)))
+    images.extend(split)
+    images.extend(len(table))
+    exact = [[sum(map(operator.mul, v, k)) for k in columns] for v in table]
+    codes = [sum(1 << j for j, x in enumerate(row) if x <= 0)
+             + sum(1 << (d + j) for j, x in enumerate(row) if x >= 0) for row in exact]
+    assert images.codes.tolist() == codes
+    assert images.exact_rows(range(len(table))) == exact
 
 
 def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):

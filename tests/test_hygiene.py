@@ -297,10 +297,12 @@ LEVEL_DETOURS = ("_label_face", "dual_ball_faces", "clear_denominators", "Face",
 # from its blocks
 BLOCK_COUNT_READERS = frozenset({"geometry.Face._vertex_count"})
 
-# the screen's numpy product is the one K'v: only the level and face screens
-# read the kernel's integer columns, and the kernel keeps no second basis or
-# image memo
-KERNEL_COLUMN_READERS = frozenset({"geometry.DesignKernel.level_hits", "geometry.DesignKernel.face_hit"})
+# the screen's numpy products are the one K'v: only the screen's images
+# (geometry._Images, which the level and face screens share) read the
+# kernel's integer columns, and its float view only to pick the regime and
+# project a prefix of rows; the kernel keeps no second basis or image memo
+KERNEL_COLUMN_READERS = frozenset({"geometry._Images.extend", "geometry._Images.exact_rows"})
+KERNEL_FLOAT_READERS = frozenset({"geometry._Images.__init__", "geometry._Images.extend"})
 KERNEL_SECOND_IMAGES = frozenset({"image", "_images", "integer_basis"})
 
 # every report and CLI payload becomes JSON through one encoder: in analysis
@@ -697,9 +699,10 @@ def test_the_screen_product_is_the_only_kernel_image():
     exact = importlib.import_module("pengeom.exact")
     kernel = geometry.DesignKernel(exact.RationalMatrix.from_rows([[1, 2, 0], [0, 1, 1]]))
     assert [name for name in KERNEL_SECOND_IMAGES if hasattr(kernel, name)] == []
-    found = {site for p in SRC.glob("*.py")
-             for site in attribute_readers(p.stem, p.read_text(), "columns")}
-    assert found == KERNEL_COLUMN_READERS
+    for attr, readers in (("columns", KERNEL_COLUMN_READERS), ("float_columns", KERNEL_FLOAT_READERS)):
+        found = {site for p in SRC.glob("*.py")
+                 for site in attribute_readers(p.stem, p.read_text(), attr)}
+        assert found == readers, attr
 
 
 def test_figures_read_the_zero_region_object():
