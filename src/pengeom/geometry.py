@@ -240,16 +240,6 @@ class Face:
         # (L, the vertices times L) for L the lcm of their denominators
         return clear_denominators(_materialized_vertices(self))
 
-    @functools.cached_property
-    def _level(self) -> tuple[int, _Level]:
-        # (L, the face as a sweep level of one face, its vertices times L):
-        # face_intersects_rowspace runs the level screen on it, and the
-        # level keeps its float view for the next design
-        L, ivs = self._integer_form
-        k = len(ivs)
-        one = np.array((k,), dtype=np.intp)
-        return L, _Level(((),), ivs, _LevelIndex(np.arange(k), np.array((0, k), dtype=np.intp), one, one, k))
-
     def to_json_dict(self, include_vertices: bool = False) -> dict:
         d: dict = {"kind": self.kind, "ambient_dim": self.ambient_dim, "codim": self.codim}
         if self.kind == "box":
@@ -523,14 +513,9 @@ class _Level:
     @functools.cached_property
     def float_view(self) -> tuple[int, np.ndarray | None]:
         # (max |entry| of the vertex table, the table in float64), for the
-        # screen's bound; no float table when the entries reach _FLOAT_BOUND.
-        # Entries within int64 skip the object table.
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(self.vertices), np.int64)
-        except OverflowError:
-            top = int(np.abs(self.table).max())
-            return top, self.table.astype(np.float64) if top < _FLOAT_BOUND else None
-        return max(int(flat.max()), -int(flat.min())), flat.reshape(len(self.vertices), -1).astype(np.float64)
+        # screen's bound; no float table when the entries reach _FLOAT_BOUND
+        top = int(np.abs(self.table).max())
+        return top, self.table.astype(np.float64) if top < _FLOAT_BOUND else None
 
 
 # the screen's regimes by B = p max|v| max|k| (_Images)
@@ -540,13 +525,6 @@ _FLOAT_BOUND = 2 ** 1000
 
 def _grown(rows: np.ndarray | None, more: np.ndarray) -> np.ndarray:
     return more if rows is None else np.concatenate((rows, more))
-
-
-@functools.lru_cache(maxsize=64)
-def _sign_bits(d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    # a sign code's bits for coordinates <= 0 and >= 0, and all 2d bits set
-    bits = np.array([1 << j for j in range(2 * d)], dtype=np.int64 if 2 * d < 63 else object)
-    return bits[:d], bits[d:], (1 << 2 * d) - 1
 
 
 class _Images:
@@ -575,7 +553,8 @@ class _Images:
         if self.floats is not None and not self.exact:
             doubt = -(-(p + 3) * bound >> 53)  # ceil((p + 3) 2^-53 B)
             self.doubt = float(doubt) if float(doubt) >= doubt else math.nextafter(float(doubt), math.inf)
-        self.low, self.high, self.full = _sign_bits(d)
+        bits = np.array([1 << j for j in range(2 * d)], dtype=np.int64 if 2 * d < 63 else object)
+        self.low, self.high, self.full = bits[:d], bits[d:], (1 << 2 * d) - 1
         self.codes = self.small = None  # small: the images, when the product is exact
         self.ints: list = []  # otherwise per row its exact image, once computed
         self.size = 0
@@ -819,6 +798,9 @@ def face_intersects_rowspace(
     elif kernel.X is not X and kernel.X != X:
         raise ValueError("kernel belongs to another design")
     _check_vertex_cap(face.vertex_count(), cap)  # once, before any vertex is built
-    L, level = face._level
+    L, ivs = face._integer_form
+    k = len(ivs)
+    one = np.array((k,), dtype=np.intp)
+    level = _Level(((),), ivs, _LevelIndex(np.arange(k), np.array((0, k), dtype=np.intp), one, one, k))
     return next((hit for _, hit in kernel.level_hits(L, level, None)), None)
 
