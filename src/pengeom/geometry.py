@@ -513,9 +513,16 @@ class _Level:
     @functools.cached_property
     def float_view(self) -> tuple[int, np.ndarray | None]:
         # (max |entry| of the vertex table, the table in float64), for the
-        # screen's bound; no float table when the entries reach _FLOAT_BOUND
-        top = int(np.abs(self.table).max())
-        return top, self.table.astype(np.float64) if top < _FLOAT_BOUND else None
+        # screen's bound; no float table when the entries reach _FLOAT_BOUND.
+        # Entries within int64 are read without the object table, at about
+        # a third of its cost, and most slope questions of witness-hunt
+        # build a fresh level.
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(self.vertices), np.int64)
+        except OverflowError:
+            top = int(np.abs(self.table).max())
+            return top, self.table.astype(np.float64) if top < _FLOAT_BOUND else None
+        return max(int(flat.max()), -int(flat.min())), flat.reshape(len(self.vertices), -1).astype(np.float64)
 
 
 # the screen's regimes by B = p max|v| max|k| (_Images)
