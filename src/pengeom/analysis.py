@@ -7,8 +7,8 @@ classification, projection onto the null set, and seeded genericity
 experiments over random designs.
 
 Every sweep reads its level of the dual ball from norms._dual_ball_level:
-its labels, its integer vertex table and the index of each face's vertices
-into it, ints only, which DesignKernel.level_hits screens against row(X)
+its labels, its rank table, each face's rows in it and the weights to look
+them up, ints only, which DesignKernel.level_hits screens against row(X)
 chunk by chunk. A Face is built only for the face that row(X) meets, and is
 kept per (norm, label), so a repeated question finds its witness points
 cached. Uniqueness and its basis-pursuit analogue share one sweep over the

@@ -56,7 +56,7 @@ def _parse_rational_list(text: str | None, option: str) -> tuple[Fraction, ...] 
     items = _entries(text.split(","), f"{option} item")
     if not items:
         raise ValueError(f"empty {option} list")
-    return tuple(map(parse_rational, items))
+    return tuple(parse_rational(c, f"at {option} item {k}") for k, c in enumerate(items, 1))
 
 
 def _env_cap(family: str) -> int | None:

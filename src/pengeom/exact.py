@@ -303,10 +303,11 @@ def rowspace_preimage(M: RationalMatrix, v: Sequence) -> Vector | None:
 # text formats
 
 
-def parse_rational(token: str) -> Fraction:
+def parse_rational(token: str, where: str = "") -> Fraction:
     """The exact value of a rational literal, or ValueError("bad rational
-    literal ..."). The grammar is that of fractions.Fraction's strings,
-    within rat's length bound:
+    literal ...") naming its place where, if given ("at row 2, column 1").
+    The grammar is that of fractions.Fraction's strings, within rat's length
+    bound:
 
         literal  := space* [sign] (ratio | decimal) space*
         ratio    := digits "/" digits      (no space, point or exponent)
@@ -324,7 +325,7 @@ def parse_rational(token: str) -> Fraction:
     try:
         return rat(token)
     except (ValueError, ZeroDivisionError) as e:
-        raise ValueError(f"bad rational literal {token!r}: {e}") from None
+        raise ValueError(f"bad rational literal {token!r}{where and ' ' + where}: {e}") from None
 
 
 def _entries(cells: Sequence[str], where: str) -> list[str]:
@@ -342,7 +343,7 @@ def parse_matrix_csv(text: str) -> RationalMatrix:
     for i, record in enumerate(csv.reader(io.StringIO(text)), 1):
         cells = _entries(record, f"cell at row {i}, column")
         if cells:
-            rows.append([parse_rational(c) for c in cells])
+            rows.append([parse_rational(c, f"at row {i}, column {j}") for j, c in enumerate(cells, 1)])
     if not rows:
         raise ValueError("empty matrix")
     return RationalMatrix.from_rows(rows)
@@ -366,7 +367,7 @@ def parse_matrix_json(obj) -> RationalMatrix:
             if isinstance(c, bool) or not isinstance(c, (int, str, Fraction)):
                 raise ValueError(f"matrix entry {json.dumps(c, default=repr)} at row {i}, column {j} "
                                  "is not a rational; use an integer or a string like \"5/4\"")
-            cells.append(parse_rational(c) if isinstance(c, str) else rat(c))
+            cells.append(parse_rational(c, f"at row {i}, column {j}") if isinstance(c, str) else rat(c))
         rows.append(cells)
     return RationalMatrix.from_rows(rows)
 

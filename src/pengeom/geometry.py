@@ -43,11 +43,12 @@ integer core (_meets), which decides a larger face by simplex phase 1 alone
 factor, so it pivots as on the rational program and hands back integer
 weights; for vertices and edges it re-decides the hit, and a disagreement
 raises. A sweep screens a whole level of the dual ball (norms: labels, a
-vertex table, each face's vertex ids into it) through
-DesignKernel.level_hits, in chunks of doubling size, projecting each vertex
-once, when the first chunk that uses it is screened; a single Face is a
-level of one face (face_intersects_rowspace). Fractions return only on a
-hit, to form the point and its z.
+table of signed tie ranks, each face's rows in it, the norm's weights to
+look them up) through DesignKernel.level_hits, in chunks of doubling size,
+projecting each vertex once, when the first chunk that uses it is screened;
+a single Face is a level of one face, its own entries the lookup
+(face_intersects_rowspace). Fractions return only on a hit, to form the
+point and its z.
 """
 
 from __future__ import annotations
@@ -472,13 +473,18 @@ def sign_to_crosspolytope_face(sigma: Sequence[int]) -> Face:
 # row-space intersection
 
 
+# the screen's regimes by B = p max|v| max|k| (_Images)
+_EXACT_BOUND = 2 ** 53
+_FLOAT_BOUND = 2 ** 1000
+
+
 class _LevelIndex(NamedTuple):
-    """Where each face of a level finds its vertices in the level's vertex
-    table: face i has the sizes[i] ids ids[starts[i]:starts[i + 1]], its
+    """Where each face of a level finds its vertices in the level's rank
+    table: face i has the sizes[i] rows ids[starts[i]:starts[i + 1]], its
     vertex count (none for the zero label, whose face is the whole ball),
-    the faces up to i use the first reach[i] vertices, and top is the
-    largest size. It depends on the tie pattern alone, so the levels of
-    every norm of one pattern share it."""
+    the faces up to i use the first reach[i] rows, and top is the largest
+    size. It depends on the tie pattern alone, so the levels of every norm
+    of one pattern share it."""
 
     ids: np.ndarray     # intp
     starts: np.ndarray  # intp, one more than the faces
@@ -489,45 +495,29 @@ class _LevelIndex(NamedTuple):
 
 class _Level:
     """A dual-ball level as the sweeps read it (norms builds and caches it):
-    its labels in label order, its vertex table (each distinct integer
-    vertex once, in order of first appearance) and the index into that
-    table; a label-only level has neither. First appearance makes the
-    vertices of any prefix of the faces a prefix of the table."""
+    its labels in label order, its rank table (a row per distinct vertex, in
+    order of first appearance), the index of each face's rows into it, and
+    a lookup of integer weights, with a float64 copy below _FLOAT_BOUND. Row
+    k is the vertex lookup[ranks[k]], a negative rank counting from the end,
+    so top, the largest |weight|, is max|v|. A label-only level has no table.
+    First appearance makes the rows of a prefix of the faces a prefix."""
 
-    def __init__(self, labels: tuple, vertices: tuple = (), index: _LevelIndex | None = None):
-        self.labels = labels
-        self.vertices = vertices
-        self.index = index
+    def __init__(self, labels: tuple, ranks: np.ndarray | None = None,
+                 index: _LevelIndex | None = None, lookup: Sequence[int] = ()):
+        self.labels, self.ranks, self.index = labels, ranks, index
+        self.lookup = np.array(lookup, dtype=object)
+        self.top = max(map(abs, lookup), default=0)
+        self.float_lookup = np.array(lookup, dtype=np.float64) if self.top < _FLOAT_BOUND else None
 
     @functools.cached_property
     def label_array(self) -> np.ndarray:
         # the labels as one int64 array, for the analytic route
         return np.array(self.labels, dtype=np.int64)
 
-    @functools.cached_property
-    def table(self) -> np.ndarray:
-        # the vertex table as one object array of Python ints, read only
-        # when a screen needs some vertex, so it has at least one row
-        return np.array(self.vertices, dtype=object)
-
-    @functools.cached_property
-    def float_view(self) -> tuple[int, np.ndarray | None]:
-        # (max |entry| of the vertex table, the table in float64), for the
-        # screen's bound; no float table when the entries reach _FLOAT_BOUND.
-        # Entries within int64 are read without the object table, at about
-        # a third of its cost, and most slope questions of witness-hunt
-        # build a fresh level.
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(self.vertices), np.int64)
-        except OverflowError:
-            top = int(np.abs(self.table).max())
-            return top, self.table.astype(np.float64) if top < _FLOAT_BOUND else None
-        return max(int(flat.max()), -int(flat.min())), flat.reshape(len(self.vertices), -1).astype(np.float64)
-
-
-# the screen's regimes by B = p max|v| max|k| (_Images)
-_EXACT_BOUND = 2 ** 53
-_FLOAT_BOUND = 2 ** 1000
+    def vertex_rows(self, rows) -> np.ndarray:
+        """The integer vertices of the given table rows, Python ints in an
+        object array."""
+        return self.lookup[self.ranks[rows]]
 
 
 def _grown(rows: np.ndarray | None, more: np.ndarray) -> np.ndarray:
@@ -535,15 +525,16 @@ def _grown(rows: np.ndarray | None, more: np.ndarray) -> np.ndarray:
 
 
 class _Images:
-    """The kernel images K'v of a vertex table's rows, projected a prefix at
-    a time as the screen reaches them: per row its sign box packed into one
-    int (codes: bit j set when coordinate j is <= 0, bit d + j when >= 0),
-    and on demand its exact image in Python ints (exact_rows).
+    """The kernel images K'v of a level's table rows, projected a prefix at
+    a time as the screen reaches them, each row looked up through the
+    level's weights, their float64 copy for the product: per row its sign
+    box packed into one int (codes: bit j set when coordinate j is <= 0, bit
+    d + j when >= 0), and on demand its exact image in Python ints.
 
-    The regime is B's alone, for B = p max|v| max|k| over the table's
-    entries v and the kernel's integer columns k. Below 2^53 every product
-    and partial sum is an integer below 2^53, so the float64 product is K'v
-    and its rows, as ints, are the images. Below 2^1000 the float64 product
+    The regime is B's alone, for B = p max|v| max|k|, max|v| the level's
+    top, over the kernel's integer columns k. Below 2^53 every product and
+    partial sum is an integer below 2^53, so the float64 product is K'v and
+    its rows, as ints, are the images. Below 2^1000 the float64 product
     is within gamma_{p+2} B <= (p + 3) 2^-53 B of K'v, both conversions to
     float counted (Higham, Accuracy and Stability of Numerical Algorithms,
     3.1), so an entry's sign is certain where it exceeds that bound rounded
@@ -553,9 +544,8 @@ class _Images:
     def __init__(self, kernel: DesignKernel, level: _Level):
         self.kernel, self.level = kernel, level
         p, d = kernel.X.ncols, kernel.X.ncols - kernel.rank
-        top, floats = level.float_view
-        bound = p * top * kernel.top
-        self.floats = floats if bound < _FLOAT_BOUND and kernel.float_columns is not None else None
+        bound = p * level.top * kernel.top
+        self.floats = level.float_lookup if bound < _FLOAT_BOUND and kernel.float_columns is not None else None
         self.exact = self.floats is not None and bound < _EXACT_BOUND
         if self.floats is not None and not self.exact:
             doubt = -(-(p + 3) * bound >> 53)  # ceil((p + 3) 2^-53 B)
@@ -576,10 +566,10 @@ class _Images:
             return
         self.size = stop
         if self.floats is None:
-            images = self.level.table[lo:stop] @ self.kernel.columns
+            images = self.level.vertex_rows(slice(lo, stop)) @ self.kernel.columns
             self.ints += images.tolist()
         else:
-            images = self.floats[lo:stop] @ self.kernel.float_columns
+            images = self.floats[self.level.ranks[lo:stop]] @ self.kernel.float_columns
             if self.exact:
                 self.small = _grown(self.small, images.astype(np.int64))
             else:
@@ -587,7 +577,7 @@ class _Images:
                 sizes = np.abs(images)
                 if sizes.min(initial=np.inf) <= self.doubt:
                     doubt = np.flatnonzero((sizes <= self.doubt).any(axis=1))
-                    exact = self.level.table[lo + doubt] @ self.kernel.columns
+                    exact = self.level.vertex_rows(lo + doubt) @ self.kernel.columns
                     images[doubt] = (exact > 0).astype(np.float64) - (exact < 0)  # their exact signs
                     for r, row in zip(doubt.tolist(), exact.tolist()):
                         rows[r] = row
@@ -600,7 +590,7 @@ class _Images:
             return self.small[rows].tolist()
         missing = list(dict.fromkeys(r for r in rows if self.ints[r] is None))
         if missing:
-            for r, row in zip(missing, (self.level.table[missing] @ self.kernel.columns).tolist()):
+            for r, row in zip(missing, (self.level.vertex_rows(missing) @ self.kernel.columns).tolist()):
                 self.ints[r] = row
         return [self.ints[r] for r in rows]
 
@@ -644,7 +634,7 @@ class DesignKernel:
     dim ker X) object array of Python ints, top is max|k| over its entries,
     float_columns its float64 view (none from 2^1000 on), and rank is rk(X).
     Only the screen's images (_Images) read either form: the images K'v of
-    a vertex table are one float64 product where B = p max|v| top makes it
+    a level's rows are one float64 product where B = p max|v| top makes it
     exact (B < 2^53) or its signs certain away from a (p + 3) 2^-53 B band
     around 0 (B < 2^1000), and Python ints for the rows in that band, for
     all rows beyond, and for the faces that pass the sign box. Every face
@@ -694,9 +684,9 @@ class DesignKernel:
             a = starts[lo]
             passed = _screen(images, ids[a:starts[hi]], starts[lo:hi + 1] - a, sizes[lo:hi])
             for i in np.flatnonzero(passed).tolist():
-                face = ids[starts[lo + i]:starts[lo + i + 1]].tolist()  # none for the zero label
-                ivs = [level.vertices[k] for k in face]
-                hit = self._confirm(den, ivs, images.exact_rows(face)) if ivs else _origin(self.X)
+                rows = ids[starts[lo + i]:starts[lo + i + 1]]  # none for the zero label
+                ivs = level.vertex_rows(rows).tolist()
+                hit = self._confirm(den, ivs, images.exact_rows(rows.tolist())) if ivs else _origin(self.X)
                 if hit is not None:
                     yield lo + i, hit
             lo, size = hi, 2 * size
@@ -806,8 +796,9 @@ def face_intersects_rowspace(
         raise ValueError("kernel belongs to another design")
     _check_vertex_cap(face.vertex_count(), cap)  # once, before any vertex is built
     L, ivs = face._integer_form
-    k = len(ivs)
+    k, p = len(ivs), face.ambient_dim
     one = np.array((k,), dtype=np.intp)
-    level = _Level(((),), ivs, _LevelIndex(np.arange(k), np.array((0, k), dtype=np.intp), one, one, k))
+    index = _LevelIndex(np.arange(k), np.array((0, k), dtype=np.intp), one, one, k)
+    level = _Level(((),), np.arange(k * p).reshape(k, p), index, [x for v in ivs for x in v])
     return next((hit for _, hit in kernel.level_hits(L, level, None)), None)
 

@@ -10,13 +10,15 @@ labeled by sign vectors. Labels, codimensions, vertex counts and vertex
 order read the weights only through their ties and zeros, so a level is
 built once per label family and tie pattern C, the smallest integer weights
 with those ties and zeros (_weight_free_level), as three things
-(geometry._Level): its labels, its vertex table, each distinct integer
-vertex read off a face's blocks under C once, and the index of each face's
-vertex ids into that table, whose number is the face's vertex count.
-dual_ball_faces maps the dispatch over the labels; the sweeps' row-space
-screen reads the table with each norm's own integer weights in place of C,
-and the same labels and index (_dual_ball_level). Both are cached (64
-patterns, 64 norms); a reported face is cached per (norm, label).
+(geometry._Level): its labels, its rank table, each distinct vertex read
+off a face's blocks under C once, which is its own signed tie ranks, and
+the index of each face's rows into that table, whose number is the face's
+vertex count. dual_ball_faces maps the dispatch over the labels; the
+sweeps' row-space screen reads a norm's level (_dual_ball_level): the
+pattern's labels, index and rank table, shared, and a lookup of the norm's
+signed integer weights by rank, through which each row it projects becomes
+that norm's integer vertex. Both are cached (64 patterns, 64 norms); a
+reported face is cached per (norm, label).
 
 zero_region lists the vertices of the zero-solution region
 D = {u : ||X'u||_* <= 1}, from one double description per (design, norm),
@@ -267,13 +269,14 @@ def _tie_pattern(w: Sequence) -> tuple[int, ...]:
 def _weight_free_level(models: bool, C: tuple[int, ...], codim: int | None,
                        limit: int | None, vertices: bool = True) -> _Level:
     """The one listing of a dual-ball level: the labels of each model (or
-    sign vector) of codimension codim under the integer weights C, in label
-    order, with the level's vertex table, each distinct integer vertex read
-    off a face's blocks under C once, in order of first appearance, and the
-    index of each face's vertex ids into it; with vertices False, the labels
-    alone. The zero label's face is the whole ball, which every test decides
-    without its vertices, so it has no ids. Only limit None means the
-    default cap; 0 refuses."""
+    sign vector) of codimension codim under the tie pattern C, in label
+    order, with the level's rank table, each distinct vertex under C (its
+    own signed tie ranks, as intp, which numpy indexes without a cast) read
+    off a face's blocks once, in order of first appearance, and the index of
+    each face's rows into it; with vertices False, the labels alone. The
+    zero label's face is the whole ball, which every test decides without
+    its vertices, so it has no ids. Only limit None means the default cap;
+    0 refuses."""
     if models:  # a face's codim is at least its top level
         labels = _models(len(C), DEFAULT_MODEL_LIMIT if limit is None else limit, codim)
     else:
@@ -295,11 +298,13 @@ def _weight_free_level(models: bool, C: tuple[int, ...], codim: int | None,
                 reach.append(len(table))
     if not vertices:
         return _Level(tuple(kept))
+    ranks = np.fromiter(itertools.chain.from_iterable(table), np.intp, len(table) * len(C))
+    del table  # its vertex tuples are freed before the index arrays are formed, for a lower peak
     sizes = np.array(sizes, dtype=np.intp)
     starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.intp)
     index = _LevelIndex(np.array(ids, dtype=np.intp), starts, sizes,
                         np.array(reach, dtype=np.intp), int(sizes.max(initial=0)))
-    return _Level(tuple(kept), tuple(table), index)
+    return _Level(tuple(kept), ranks.reshape(-1, len(C)), index)
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,24 +313,21 @@ def _dual_ball_level(norm: PolytopeNorm, codim: int | None, limit: int | None,
     """(d, level): dual_ball_faces(norm, limit, codim) as labels, integer
     vertices over one denominator d and the index of each face's vertices,
     without a Face; with vertices False (a sweep that tests no face), the
-    labels alone. Each vertex of the level of norm's tie pattern C is a
-    signed permutation of C; putting norm's permutohedron weights W (times
-    their least common denominator d) in place of C gives norm's vertex, in
-    the same order, and d is each face's own denominator, since every vertex
-    holds every weight. Only the vertex table is put; the labels and the
-    index are the pattern's. The table holds only ints and tuples, and the
-    index flat integer arrays, so the tables of many norms cost the garbage
-    collector one container per level to traverse."""
+    labels alone. It shares the labels, index and rank table of the level
+    of norm's tie pattern C, and looks the ranks up in norm's permutohedron
+    weights W times their least common denominator d: lookup[c] = W's weight
+    of tie group c, lookup[-c] (from the end) its negative, lookup[0] = 0,
+    2K + 1 Python ints for K positive groups. d is each face's own
+    denominator, since every vertex holds every weight."""
     C = _tie_pattern(norm._form.weights)
     level = _weight_free_level(norm.kind == SLOPE, C, codim, limit, vertices)
     d, W, _ = norm._form.integers
-    if not vertices or (d, W) == (1, C):
+    if not vertices:
         return d, level
-    sub = {0: 0}
+    lookup = [0] * (2 * C[0] + 1)  # C[0], the largest rank, counts the positive tie groups
     for c, x in zip(C, W):
-        sub[c], sub[-c] = x, -x
-    table = tuple(tuple(map(sub.__getitem__, v)) for v in level.vertices)
-    return d, _Level(level.labels, table, level.index)
+        lookup[c], lookup[-c] = x, -x
+    return d, _Level(level.labels, level.ranks, level.index, lookup)
 
 
 @functools.lru_cache(maxsize=64)

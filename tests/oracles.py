@@ -170,10 +170,12 @@ def fraction_certificate(X: RationalMatrix, y: Sequence, b: Sequence, norm: Poly
 def level_faces(level) -> Iterator[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]]:
     """(label, vertex count, integer vertices) for each face of a dual-ball
     level, in label order: the count is the face's size in the index, and
-    the vertices the table rows its ids name, in order."""
+    the vertices the rank table rows its ids name, in order, each entry
+    looked up one rank at a time."""
     ids, starts, sizes, _, _ = level.index
     for i, label in enumerate(level.labels):
-        yield label, int(sizes[i]), tuple(level.vertices[k] for k in ids[starts[i]:starts[i + 1]].tolist())
+        rows = level.ranks[ids[starts[i]:starts[i + 1]]].tolist()
+        yield label, int(sizes[i]), tuple(tuple(level.lookup[r] for r in row) for row in rows)
 
 
 def kernel_images(kernel, vertices: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

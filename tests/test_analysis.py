@@ -1197,7 +1197,7 @@ def test_screen_keeps_exact_integers_beyond_64_bits():
         ["0.707106781187", "-1.41421356237", "0.577350269190", "2.71828182846"]])
     kernel = geometry_module.DesignKernel(X)
     d, level = norms_module._dual_ball_level(l1_norm(4), 3, None)
-    images = level.table @ kernel.columns
+    images = level.vertex_rows(np.arange(len(level.ranks))) @ kernel.columns
     assert max(abs(x) for x in images.flat) > 2 ** 63
     hits = dict(kernel.level_hits(d, level, None))
     assert any(level.index.sizes[i] == 2 for i in hits)
@@ -1205,18 +1205,22 @@ def test_screen_keeps_exact_integers_beyond_64_bits():
     assert_screen_matches_per_entry_reference(X, None)
 
 
-@pytest.mark.parametrize("rows", [
-    [["1e300", 3, "-2e300"], [1, "1e300", 5]],  # kernel entries near 1e600
-    [["1e301", "-1e301", 7]],  # kernel entries near 1e301, past 2^1000 on their own
+@pytest.mark.parametrize("rows, scale", [
+    pytest.param([["1e300", 3, "-2e300"], [1, "1e300", 5]], 1, id="rows0"),  # kernel entries near 1e600
+    pytest.param([["1e301", "-1e301", 7]], 1, id="rows1"),  # kernel entries near 1e301, past 2^1000 on their own
+    pytest.param([[1, 2, -1], [0, 1, 3]], 10 ** 301, id="weights"),  # small entries, weights past 2^1000
 ])
-def test_screen_computes_every_image_exactly_past_the_float_range(rows):
-    # B = p max|v| max|k| reaches 2^1000 on every level, so no float product
-    # is formed and each image is a Python-int product, as at 64 bits
+def test_screen_computes_every_image_exactly_past_the_float_range(rows, scale):
+    # B = p max|v| max|k| reaches 2^1000 on every level, through the kernel
+    # or through the norm's weights alone, so no float product is formed
+    # and each image is a Python-int product, as at 64 bits
     X = RationalMatrix.from_rows(rows)
     kernel = geometry_module.DesignKernel(X)
-    for norm in (l1_norm(X.ncols), slope_norm(range(X.ncols, 0, -1))):
+    for norm in (l1_norm(X.ncols, scale), slope_norm([scale * k for k in range(X.ncols, 0, -1)])):
         level = norms_module._dual_ball_level(norm, rank(X) + 1, None)[1]
         assert geometry_module._Images(kernel, level).floats is None
+        d, table = norms_module._dual_ball_level(norm, None, None)
+        assert _read(kernel.level_hits(d, table, None)) == _read(_per_entry_hits(kernel, d, table, None))
     assert_screen_matches_per_entry_reference(X, None)
 
 
@@ -1290,7 +1294,7 @@ def test_an_early_exit_screens_a_prefix_of_its_level(monkeypatch):
         _, level = norms_module._dual_ball_level(norm, 5, None)
         assert len(level.labels) == 138240
         assert 0 < sum(n for n, _ in screened) <= 2 * geometry_module._FIRST_CHUNK
-        assert max(m for _, m in screened) < len(level.vertices) // 10
+        assert max(m for _, m in screened) < len(level.ranks) // 10
     finally:  # the level holds about 75 MB
         norms_module._dual_ball_level.cache_clear()
         norms_module._weight_free_level.cache_clear()
@@ -1438,8 +1442,8 @@ def test_accessibility_tables_share_one_face_table():
 
 def test_strict_weights_share_one_weight_free_level():
     # the faces of one level depend on the weights only through their ties
-    # and zeros: two strict weight vectors at p = 4 build it once, and each
-    # keeps its own integer table
+    # and zeros: two strict weight vectors at p = 4 build it once, share its
+    # rank table, and each keeps its own integer weights
     built = norms_module._weight_free_level.cache_info
     norms_module._dual_ball_level.cache_clear()
     norms_module._weight_free_level.cache_clear()
@@ -1455,7 +1459,8 @@ def test_strict_weights_share_one_weight_free_level():
     assert [d for d, _ in tables] == [1, 2]
     assert tables[0][1].labels is tables[1][1].labels
     assert tables[0][1].index is tables[1][1].index
-    assert tables[0][1].vertices != tables[1][1].vertices
+    assert tables[0][1].ranks is tables[1][1].ranks
+    assert tables[0][1].lookup.tolist() != tables[1][1].lookup.tolist()
     # a non-unique design reports the face of its first hit label, built once
     Z = RationalMatrix.from_rows([[1, 1, 0, 0]])
     reports = [check_uniqueness(Z, norms[1]) for _ in range(2)]

@@ -380,6 +380,19 @@ def test_error_exits(capsys, matrices, tmp_path, monkeypatch):
     code, _, err = run(capsys, "uniqueness", "--matrix", str(tmp_path / "gap.csv"), "--norm", "l1")
     assert "empty cell at row 1, column 2" in err
 
+    # a bad literal is refused naming its place too: a CSV or JSON string
+    # cell by row and column, a --weights or --response item by number
+    (tmp_path / "word.json").write_text('[[1, 2], [3, "x/2"]]')
+    for argv, place in (
+            (("uniqueness", "--matrix", str(tmp_path / "abc.csv"), "--norm", "l1"), "'abc' at row 1, column 2:"),
+            (("uniqueness", "--matrix", str(tmp_path / "word.json"), "--norm", "l1"), "'x/2' at row 2, column 2:"),
+            (("uniqueness", *demo, "--norm", "slope", "--weights", "3,2,one"), "'one' at --weights item 3:"),
+            (("solve", *demo, "--norm", "l1", "--response", "1,1e"), "'1e' at --response item 2:")):
+        code, out, err = run(capsys, *argv)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 2 and out == "" and len(errors) == 1 and "Traceback" not in err, argv
+        assert errors[0].startswith(f"error: bad rational literal {place}"), argv
+
     # a literal beyond Python's integer string limit is refused in the
     # package's words before its value is built; within it, it answers
     # (the value of 1e{limit} has limit + 1 digits, and 10^-limit a

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -553,7 +554,9 @@ def test_float_screen_signs_are_the_exact_signs(case):
     p, d = len(columns[0]), len(columns)
     with mock.patch.object(geometry, "_integer_kernel", lambda rows: (1, columns)):
         kernel = DesignKernel(RationalMatrix.from_rows([[1] * p]))
-    images = geometry._Images(kernel, geometry._Level((), tuple(table)))
+    # the table as a level's rank table over a lookup of its own entries
+    ranks = np.arange(len(table) * p).reshape(len(table), p)
+    images = geometry._Images(kernel, geometry._Level((), ranks, None, [x for v in table for x in v]))
     images.extend(split)
     images.extend(len(table))
     exact = [[sum(map(operator.mul, v, k)) for k in columns] for v in table]

@@ -305,6 +305,15 @@ KERNEL_COLUMN_READERS = frozenset({"geometry._Images.extend", "geometry._Images.
 KERNEL_FLOAT_READERS = frozenset({"geometry._Images.__init__", "geometry._Images.extend"})
 KERNEL_SECOND_IMAGES = frozenset({"image", "_images", "integer_basis"})
 
+# a level's vertices are one rank table and one lookup of weights: only the
+# lookup itself (geometry._Level and norms._dual_ball_level, which shares a
+# pattern's ranks with each norm) and the screen's projection
+# (geometry._Images) read the ranks or the weights, so no reader keeps a
+# second vertex table
+LEVEL_TABLE_ATTRS = ("ranks", "lookup", "float_lookup")
+LEVEL_TABLE_READERS = frozenset({"geometry._Level.vertex_rows", "geometry._Images.__init__",
+                                 "geometry._Images.extend", "norms._dual_ball_level"})
+
 # every report and CLI payload becomes JSON through one encoder: in analysis
 # and cli only it writes a rational as a string, and besides the report base
 # only the two reports whose layout departs from their fields define
@@ -703,6 +712,12 @@ def test_the_screen_product_is_the_only_kernel_image():
         found = {site for p in SRC.glob("*.py")
                  for site in attribute_readers(p.stem, p.read_text(), attr)}
         assert found == readers, attr
+
+
+def test_a_level_reads_its_vertices_through_one_lookup():
+    found = {site for p in SRC.glob("*.py") for attr in LEVEL_TABLE_ATTRS
+             for site in attribute_readers(p.stem, p.read_text(), attr)}
+    assert found == LEVEL_TABLE_READERS
 
 
 def test_figures_read_the_zero_region_object():

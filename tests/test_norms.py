@@ -365,11 +365,15 @@ def test_dual_ball_faces_codim_matches_filtering(monkeypatch):
 
 def _level_norms():
     """l1 at scales 1 and 3/2 and sup up to p = 5; strict, tied and
-    zero-tail slope weights up to p = 4."""
+    zero-tail slope weights up to p = 4, small ones, ones whose integer
+    form passes 2^63, and one past 2^1000, so the lookup holds Python ints
+    beyond int64 and beyond the float range."""
     for p in range(1, 6):
         yield from (l1_norm(p), l1_norm(p, scale=Fraction(3, 2)), sup_norm(p))
     for w in ([Fraction(7, 2), 2, Fraction(3, 2), Fraction(1, 2)], [3, 3, 1, Fraction(1, 2)],
-              [Fraction(5, 3), 1, 0, 0]):
+              [Fraction(5, 3), 1, 0, 0],
+              [Fraction(2 ** 70, 3), 2 ** 65 + 1, 7, Fraction(1, 2)], [2 ** 64, 2 ** 64, 3, 3],
+              [2 ** 66 + 1, Fraction(1, 3), 0, 0], [10 ** 310, 10 ** 305 + 1, 10 ** 305, 1]):
         for p in range(1, 5):
             yield slope_norm(w[:p])
 
@@ -395,12 +399,13 @@ def test_dual_ball_level_is_the_face_table_in_integers():
                    [f.vertex_count() for f in faces if any(f.pattern)]
             for (label, _, ivs), face in zip(read, faces):
                 assert (d, ivs) == (face._integer_form if any(label) else (d, ()))
-            # never a Fraction or a Face
-            assert kinds((d, level.labels, level.vertices)) <= {int, tuple}
+            # never a Fraction or a Face: integer ranks looked up in Python ints
+            assert kinds((d, level.labels, tuple(level.lookup.tolist()))) <= {int, tuple}
+            assert level.ranks.dtype.kind == "i"
             # a sweep that tests no face reads the labels alone
             _, bare = norms_module._dual_ball_level(norm, codim, None, False)
             assert bare.labels == level.labels
-            assert bare.vertices == () and bare.index is None
+            assert bare.ranks is None and bare.index is None
 
 
 def test_building_a_level_builds_no_face(monkeypatch):
