@@ -65,7 +65,6 @@ from .norms import (
     _integer_primal_ball_vertices,
     _zero_region,
     l1_norm,
-    norm_value,
     slope_norm,
 )
 from .solvers import (
@@ -76,7 +75,6 @@ from .solvers import (
     _exact_check,
     _fista,
     _float_matrix,
-    kkt_certify,
 )
 
 GEOMETRIC = "geometric"
@@ -193,14 +191,17 @@ def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
         raise AssertionError("exposed vertices beyond the rank must have dependent images")
     c = vectors[0]
     top = 2 * max(map(abs, c))
-    # second in integers: coefficients top + c_i over the denominator top * den
+    # second in integers: T, the coefficients top + c_i, over top * den; the
+    # norms compare as the integer values of S and T, over e den and e top den
     coeffs = [top + t for t in c]
-    second = tuple(Fraction(sum(map(operator.mul, coeffs, col)), top * den)
-                   for col in zip(*points))
-    value = norm_value(norm, first)
-    if norm_value(norm, second) != value or first == second:
+    S = [sum(col) for col in zip(*points)]
+    T = [sum(map(operator.mul, coeffs, col)) for col in zip(*points)]
+    form = norm._form
+    value = form.integer_value(S)
+    if form.integer_value(T) != top * value or T == [top * x for x in S]:
         raise AssertionError("perturbation must preserve the norm and move the point")
-    return first, second, value
+    second = tuple(Fraction(x, top * den) for x in T)
+    return first, second, Fraction(value, form.integers[0] * den)
 
 
 def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
@@ -271,7 +272,7 @@ class AccessibilityReport(_Report):
     response_witness_bp: Vector | None = None
 
 
-def _route_sweep(X, norm, kind, route, limit, vertex_cap, lam=1):
+def _route_sweep(X, norm, route, limit, vertex_cap, lam=1):
     """One finished AccessibilityReport per labeled dual-ball face of norm,
     in label order; the route is checked first, then lam, then the shape.
 
@@ -295,6 +296,7 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap, lam=1):
     if norm.dim != X.ncols:
         raise ValueError("weight vector length does not match the matrix")
     scaled = norm if lam == 1 else l1_norm(norm.dim, scale=lam * norm.scale)  # only l1 scales
+    kind = "model" if norm.kind == SLOPE else "sign"
     kernel = DesignKernel(X)
     # the whole table as integer vertices (none for the analytic route alone),
     # kept per norm; the model or sign cap refuses here, before any work, and
@@ -327,7 +329,7 @@ def _route_sweep(X, norm, kind, route, limit, vertex_cap, lam=1):
             fit = X.matvec(point)
             if z is not None:
                 response = tuple(lam * a + b for a, b in zip(z, fit))
-                if not kkt_certify(X, response, point, scaled).passed:
+                if not _exact_check(X, response, point, scaled._form)[0].passed:
                     raise AssertionError("response witness failed certification")
             if kind == "sign":
                 response_bp = fit
@@ -350,7 +352,7 @@ def accessible_sign_vectors(
     exact and, when asked for together, are cross-checked against each other.
     The decision does not involve lam; it only scales the response witness.
     """
-    return list(_route_sweep(X, l1_norm(X.ncols), "sign", route, limit, vertex_cap, lam))
+    return list(_route_sweep(X, l1_norm(X.ncols), route, limit, vertex_cap, lam))
 
 
 def accessible_slope_models(
@@ -363,7 +365,7 @@ def accessible_slope_models(
     """Same sweep over all ordered sign/cluster models, one report per model,
     for any slope weights; under ties or zeros, models sharing a face share
     its verdict."""
-    return list(_route_sweep(X, slope_norm(weights), "model", route, limit, vertex_cap))
+    return list(_route_sweep(X, slope_norm(weights), route, limit, vertex_cap))
 
 
 # ---------------------------------------------------------------------------

@@ -38,17 +38,18 @@ itself; below 2^1000 it is within (p + 3) 2^-53 B of K'v, so only a row with
 an entry that close to 0 is recomputed in Python ints; beyond that every row
 is (the images of a genericity design reach 95 bits). Only the faces that
 pass the box get exact Python-int images, for the edge minors and for the
-integer core (_meets), which decides a larger face by simplex phase 1 alone
-(lp.lp_feasible) on those images, every row carrying the same positive
-factor, so it pivots as on the rational program and hands back integer
-weights; for vertices and edges it re-decides the hit, and a disagreement
-raises. A sweep screens a whole level of the dual ball (norms: labels, a
-table of signed tie ranks, each face's rows in it, the norm's weights to
-look them up) through DesignKernel.level_hits, in chunks of doubling size,
-projecting each vertex once, when the first chunk that uses it is screened;
-a single Face is a level of one face, its own entries the lookup
-(face_intersects_rowspace). Fractions return only on a hit, to form the
-point and its z.
+integer core (DesignKernel._weights), which decides a face from its images
+alone and answers in integer convex weights: a larger face by simplex phase
+1 alone (lp.lp_feasible), every row carrying the same positive factor, so
+it pivots as on the rational program; for vertices and edges it re-decides
+the hit, and a disagreement raises. A sweep screens a whole level of the
+dual ball (norms: labels, a table of signed tie ranks, each face's rows in
+it, the norm's weights to look them up) through DesignKernel.level_hits, in
+chunks of doubling size, projecting each vertex once, when the first chunk
+that uses it is screened; a single Face is a level of one face, its own
+entries the lookup (face_intersects_rowspace). A face's vertices are looked
+up only once its weights are found, and DesignKernel._hit forms the point
+and z of each hit, the only Fractions a face test makes.
 """
 
 from __future__ import annotations
@@ -332,19 +333,6 @@ def _materialized_vertices(face: Face) -> tuple[Vector, ...]:
     # levels and build no face); materialization is pure, so a shared cache
     # is safe
     return _block_vertices(face.blocks, face.signs)
-
-
-def _convex_zero_weights(columns: Sequence[Sequence[int]],
-                         total: int) -> tuple[int, tuple[int, ...]] | None:
-    """(d, x) with convex weights alpha = x / d, sum_i alpha_i columns[i] = 0,
-    or None when 0 is outside the hull of the columns. columns are integer
-    points times total > 0, so the rows are the coordinates in order, then
-    the sum row, total in every column, with b = (0, ..., 0, total): the
-    rational program with every row times total, on which Bland's rule takes
-    the same pivots. Phase 1 alone decides it, integers in and out."""
-    k = len(columns)
-    rows = (*zip(*columns), (total,) * k)
-    return lp_feasible(rows, (0,) * (len(rows) - 1) + (total,), k)
 
 
 def check_weights(w: Sequence) -> tuple[Fraction, ...]:
@@ -640,11 +628,13 @@ class DesignKernel:
     all rows beyond, and for the faces that pass the sign box. Every face
     test screens the images first (_screen: zero image, antiparallel pair,
     sign box) and hands only the faces that pass, with their exact rows, to
-    the integer core (_meets), which computes the hit; for a vertex or an
-    edge the screen has decided, and a disagreement raises, so each checks
-    the other. One scale for the whole basis keeps the face LP's rows a
-    uniform multiple of the rational program's, so its phase-1 pivots and
-    its alpha stay those of the Fraction basis.
+    the integer core: _weights decides the face from its images alone and
+    returns integer convex weights, and _hit, for a face whose weights were
+    found, forms the point and its z; for a vertex or an edge the screen
+    has decided, and a disagreement raises, so each checks the other. One
+    scale for the whole basis keeps the face LP's rows a uniform multiple of
+    the rational program's, so its phase-1 pivots and its weights stay those
+    of the Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
@@ -684,68 +674,58 @@ class DesignKernel:
             a = starts[lo]
             passed = _screen(images, ids[a:starts[hi]], starts[lo:hi + 1] - a, sizes[lo:hi])
             for i in np.flatnonzero(passed).tolist():
-                rows = ids[starts[lo + i]:starts[lo + i + 1]]  # none for the zero label
-                ivs = level.vertex_rows(rows).tolist()
-                hit = self._confirm(den, ivs, images.exact_rows(rows.tolist())) if ivs else _origin(self.X)
-                if hit is not None:
-                    yield lo + i, hit
+                rows = ids[starts[lo + i]:starts[lo + i + 1]]
+                if not len(rows):  # the zero label
+                    yield lo + i, _origin(self.X)
+                elif found := self._weights(images.exact_rows(rows.tolist()), den):
+                    yield lo + i, self._hit(den, level.vertex_rows(rows).tolist(), *found)
+                elif len(rows) <= 2:  # the screen decided these, so each checks the other
+                    raise AssertionError("the row-space screen and the face test disagree")
             lo, size = hi, 2 * size
 
-    def _confirm(self, den: int, ivs: Sequence, images: Sequence) -> RowspaceIntersection | None:
-        # a face that passed the screen: the core finds its hit, and a vertex
-        # or an edge, which the screen decides, must have one
-        hit = self._meets(den, ivs, images)
-        if hit is None and len(ivs) <= 2:
-            raise AssertionError("the row-space screen and the face test disagree")
-        return hit
-
-    def _meets(self, den: int, ivs: Sequence, images: Sequence) -> RowspaceIntersection | None:
-        # the integer core of every face test: the face is conv(ivs / den),
-        # and images[k] is K'ivs[k] for the kernel's integer basis K
+    def _weights(self, images: Sequence[Sequence[int]], den: int) -> tuple[int, tuple[int, ...]] | None:
+        # the integer core of every face test, on the face conv(v_k / den)
+        # with images[k] = K'v_k: convex weights (q, w), q > 0, w >= 0, sum w
+        # = q and sum w_k images[k] = 0, or None; phase 1 runs on the images
+        # and the sum row, every row times scale * den, which keeps the
+        # pivots and the weights those of the rational program
+        k = len(images)
         if self.rank == self.X.ncols:
-            point = tuple(Fraction(x, den) for x in ivs[0])
-        elif len(ivs) == 1:
-            if any(images[0]):
-                return None
-            point = tuple(Fraction(x, den) for x in ivs[0])
-        elif len(ivs) == 2:
-            alpha = _segment_weight(*images)
-            if alpha is None:
-                return None
-            # alpha a + (1 - alpha) b in integers over alpha's denominator
-            n, q = alpha.numerator, alpha.denominator
-            point = tuple(Fraction(n * x + (q - n) * y, q * den) for x, y in zip(*ivs))
-        else:
-            found = _convex_zero_weights(images, self.scale * den)
-            if found is None:
-                return None
-            d, weights = found
-            point = tuple(Fraction(sum(map(operator.mul, weights, col)), d * den) for col in zip(*ivs))
+            return 1, (1,) + (0,) * (k - 1)
+        if k == 1:
+            return None if any(images[0]) else (1, (1,))
+        if k == 2:
+            return _segment_weight(*images)
+        total = self.scale * den
+        rows = (*zip(*images), (total,) * k)
+        return lp_feasible(rows, (0,) * (len(rows) - 1) + (total,), k)
+
+    def _hit(self, den: int, ivs: Sequence[Sequence[int]], q: int, w: Sequence[int]) -> RowspaceIntersection:
+        # the point sum w_k ivs[k] / (q den) of conv(ivs / den), and its z
+        point = tuple(Fraction(sum(map(operator.mul, w, col)), q * den) for col in zip(*ivs))
         z = rowspace_preimage(self.X, point)
         if z is None:
             raise AssertionError("kernel-orthogonal point must lie in the row space")
         return RowspaceIntersection(point, z)
 
 
-def _segment_weight(ca: Sequence[int], cb: Sequence[int]) -> Fraction | None:
-    """alpha in [0, 1] with alpha*ca + (1 - alpha)*cb = 0, or None.
+def _segment_weight(ca: Sequence[int], cb: Sequence[int]) -> tuple[int, tuple[int, int]] | None:
+    """Convex weights (d, (y, -x)) over d > 0 with y ca - x cb = 0, or None.
 
     Let x, y be the entries of ca, cb at the first coordinate where they
-    differ, and d = y - x. Then alpha = y / d, which lies in [0, 1] iff y
-    lies between 0 and d, and every coordinate i vanishes iff
-    y*ca[i] == x*cb[i]. Positive rescaling of the kernel vectors or of the
-    vertices changes neither test nor alpha. Equal images meet 0 only when
-    both are zero, and then alpha = 0.
+    differ, and d = y - x (negated with the weights when negative). Then
+    alpha = y / d, which lies in [0, 1] iff y lies between 0 and d, and
+    every coordinate i vanishes iff y*ca[i] == x*cb[i]. Positive rescaling
+    of the kernel vectors or of the vertices changes neither test nor
+    alpha. Equal images meet 0 only when both are zero, and then alpha = 0.
     """
     for x, y in zip(ca, cb):
         if x != y:
             d = y - x
-            if not (0 <= y <= d or d <= y <= 0):
+            if not (0 <= y <= d or d <= y <= 0) or any(y * u != x * w for u, w in zip(ca, cb)):
                 return None
-            if any(y * u != x * w for u, w in zip(ca, cb)):
-                return None
-            return Fraction(y, d)
-    return None if any(ca) else Fraction(0)
+            return (d, (y, -x)) if d > 0 else (-d, (-y, x))
+    return None if any(ca) else (1, (0, 1))
 
 
 @dataclass(frozen=True)
@@ -772,19 +752,12 @@ def face_intersects_rowspace(
 
     A point s of the face lies in row(X) iff K's = 0 for a basis K of ker(X).
     The face's integer vertices are a level of one face, and go through the
-    screen the level sweeps run (DesignKernel.level_hits), its kernel images
-    exact where they decide, in this order: a vertex meets row(X) iff
-    its image is zero, a segment iff its two images are parallel with a
-    nonpositive dot product, and a larger face only if each kernel
-    coordinate has min <= 0 <= max over its images. A face that passes goes
-    to the integer core: a vertex or a segment has its point read off (see
-    _segment_weight), and a larger face runs phase 1 alone over the convex
-    weights alpha, on the integer images themselves, each K'v times the
-    product of the kernel's and the face's scales, and reads alpha back as
-    integers over one denominator (see _convex_zero_weights). Pass one
-    DesignKernel per design to every face of a sweep. The cap is checked
-    first. Fractions enter the point only on a hit, one per coordinate, and
-    z with X'z = point comes from exact elimination.
+    screen and the integer core the level sweeps run (DesignKernel.level_hits):
+    the core decides the face from its kernel images alone, as integer convex
+    weights (DesignKernel._weights), and Fractions enter only on a hit, in its
+    point and in z with X'z = point, from exact elimination (DesignKernel._hit).
+    Pass one DesignKernel per design to every face of a sweep. The cap is
+    checked first.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")

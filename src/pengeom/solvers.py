@@ -259,9 +259,17 @@ def _float_matrix(X) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _float_view(X: RationalMatrix) -> np.ndarray:
     # every solve, certificate and fit of one design reads the same floats
-    Xf = X.to_float_array()
+    Xf = _floats(X.rows, "design")
     Xf.flags.writeable = False
     return Xf
+
+
+def _floats(values, what: str) -> np.ndarray:
+    # a vector or rows as float64, refusing an entry beyond the float range
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{what} entry beyond the float range") from None
 
 
 @functools.lru_cache(maxsize=64)
@@ -412,7 +420,7 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
         if sol is not None:
             return sol
     Xf = _float_matrix(X)
-    yf = np.asarray([float(t) for t in y])
+    yf = _floats(y, "response")
     x = np.zeros(p) if options.x0 is None else np.asarray([float(t) for t in options.x0])
     if x.shape != (p,):
         raise ValueError("dimension mismatch")

@@ -13,7 +13,8 @@ itself never reads them.
   arithmetic, for the integer one to match.
 - level_faces reads each face of a dual-ball level through its index, and
   kernel_images computes K'v one vertex at a time in plain Python, for the
-  screen's level sweep and its one numpy product to match.
+  screen's level sweep and its one numpy product to match; core_hit runs
+  the integer core on those images, for any vertex list.
 - fraction_rref is Gauss-Jordan elimination in Fractions, and
   exposed_primal_vertices pairs a dual-ball point with every primal-ball
   vertex in Fractions, for the integer elimination, the integer kernel
@@ -184,6 +185,14 @@ def kernel_images(kernel, vertices: Sequence[Sequence[int]]) -> list[tuple[int, 
     dot product at a time."""
     _, basis = clear_denominators(kernel_basis(kernel.X))
     return [tuple(sum(a * b for a, b in zip(k, v)) for k in basis) for v in vertices]
+
+
+def core_hit(kernel, den: int, vertices: Sequence[Sequence[int]]):
+    """The integer core's hit of conv(vertices / den), or None: the face's
+    convex weights from its kernel images (DesignKernel._weights), then its
+    point and z (DesignKernel._hit), with no screen in front."""
+    found = kernel._weights(kernel_images(kernel, vertices), den)
+    return None if found is None else kernel._hit(den, vertices, *found)
 
 
 def dual_ball_projection(X: RationalMatrix, norm: PolytopeNorm, y: Sequence, near=None) -> Vector:

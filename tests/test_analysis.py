@@ -73,10 +73,10 @@ from pengeom.svg import dual_ball_figure, response_region_figure
 
 from oracles import (
     SignedPermutation,
+    core_hit,
     dual_ball_projection,
     exposed_primal_vertices,
     fraction_rref,
-    kernel_images,
     level_faces,
 )
 
@@ -1098,7 +1098,7 @@ def _per_entry_hits(kernel, d, level, cap):
             continue
         if cap is not None and count > cap:
             raise CapExceeded(f"face has {count} vertices, cap is {cap}")
-        hit = kernel._meets(d, ivs, kernel_images(kernel, ivs))
+        hit = core_hit(kernel, d, ivs)
         if hit is not None:
             yield i, hit
 
@@ -1134,8 +1134,7 @@ def assert_screen_matches_per_entry_reference(X, cap):
         hits, refusal = _read(_per_entry_hits(kernel, d, table, cap))
         assert _read(kernel.level_hits(d, table, cap)) == (hits, refusal)
         if not bp:
-            kind = "model" if norm.kind == "slope" else "sign"
-            reports, refused = _read(analysis_module._route_sweep(X, norm, kind, GEOMETRIC, None, cap))
+            reports, refused = _read(analysis_module._route_sweep(X, norm, GEOMETRIC, None, cap))
             assert refused == refusal
             if refusal is None:
                 by_index = dict(hits)
@@ -1261,7 +1260,7 @@ def test_analytic_tables_match_the_per_label_max(monkeypatch):
             for route in (ANALYTIC, BOTH):
                 out.append([r.to_json_dict() for r in accessible_sign_vectors(X, route, lam=Fraction(3, 2))])
                 out.append([r.to_json_dict() for r in analysis_module._route_sweep(
-                    X, sup_norm(p), "sign", route, None, DEFAULT_VERTEX_CAP)])
+                    X, sup_norm(p), route, None, DEFAULT_VERTEX_CAP)])
                 for kind in ("strict", "tied", "zero"):
                     weights = list(family_norm(kind, p).weights)
                     out.append([r.to_json_dict() for r in accessible_slope_models(X, weights, route)])
@@ -1481,8 +1480,7 @@ def test_three_accessibility_deciders_agree(X):
     # norm over {b : Xb = Xt}, which never reads D, is ||t||
     for family in FAMILIES[:-1]:  # l1 at scale 3/2, sup, strict, tied and zero slope weights
         norm = family_norm(family, X.ncols)
-        kind = "model" if norm.kind == "slope" else "sign"
-        sweep = functools.partial(analysis_module._route_sweep, X, norm, kind,
+        sweep = functools.partial(analysis_module._route_sweep, X, norm,
                                   limit=None, vertex_cap=DEFAULT_VERTEX_CAP)
         geometric = {r.pattern for r in sweep(route=GEOMETRIC) if r.accessible}
         analytic = {r.pattern: r.analytic_value == r.pattern_norm for r in sweep(route=ANALYTIC)}
@@ -1538,6 +1536,6 @@ def test_a_failed_response_witness_stops_the_table(table, route, monkeypatch):
     # every row with a dual witness certifies its response witness at tol 0
     # before the table answers; a failed certificate raises instead
     failed = solvers_module.Certificate((), None, None, 0, False)
-    monkeypatch.setattr(analysis_module, "kkt_certify", lambda *args: failed)
+    monkeypatch.setattr(analysis_module, "_exact_check", lambda *args: (failed, None))
     with pytest.raises(AssertionError, match="response witness failed certification"):
         table(_X23, route)

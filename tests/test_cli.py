@@ -415,6 +415,19 @@ def test_error_exits(capsys, matrices, tmp_path, monkeypatch):
             assert errors[0].startswith(f"error: bad rational literal '{literal[:20]}") and why in errors[0]
             code, out, err = run(capsys, "solve", *demo, "--norm", "l1", "--response", f"{literal},1")
             assert code == 2 and out == "" and "bad rational literal" in err, literal
+    # an entry beyond the float range is refused where the float solve
+    # would read it, naming the design or the response; 1e-400 rounds to 0
+    (tmp_path / "huge.csv").write_text("1e400,1\n2,3\n")
+    for argv, what in (
+            (("solve", *demo, "--norm", "l1", "--response", "1e400,1"), "response"),
+            (("solve", *demo, "--norm", "slope", "--weights", "3,2,1", "--response", "1e400,1"), "response"),
+            (("decompose", *demo, "--norm", "sup", "--response", "1e400,1"), "response"),
+            (("solve", "--matrix", str(tmp_path / "huge.csv"), "--norm", "l1", "--response", "1,1"), "design")):
+        code, out, err = run(capsys, *argv)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 2 and out == "" and "Traceback" not in err, argv
+        assert errors == [f"error: {what} entry beyond the float range"], argv
+    assert run(capsys, "solve", *demo, "--norm", "l1", "--response", "1e-400,1")[0] == 0
     # trailing empty cells and items are padding, read as before
     (tmp_path / "padded.csv").write_text("8,5,8,\n10,1.25,-6,,\n")
     padded = ("--matrix", str(tmp_path / "padded.csv"), "--norm", "slope", "--weights", "3,2,1,")

@@ -54,6 +54,7 @@ from pengeom.norms import (
 
 from oracles import (
     SignedPermutation,
+    core_hit,
     enumerate_exposed_faces,
     exposed_primal_vertices,
     hull_face,
@@ -420,6 +421,41 @@ def test_integer_face_test_matches_fraction_reference(X):
         assert got == expected
 
 
+@st.composite
+def integer_faces(draw):
+    """(X, den, vertices): a design of 1 to 4 columns and any rank from 0 to
+    p, and 1 to 6 integer vertices (repeats allowed) of a face over den."""
+    p = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=p, max_size=p), min_size=1, max_size=p))
+    ivs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * p), min_size=1, max_size=6))
+    return RationalMatrix.from_rows(rows), draw(st.integers(1, 3)), ivs
+
+
+@settings(max_examples=150)
+@given(integer_faces())
+@example((RationalMatrix.from_rows([[0, 0, 0]]), 2, [(1, -1, 0), (-1, 1, 2), (0, 0, -3)]))  # rank 0
+@example((RationalMatrix.from_rows([[1, 0], [1, 1]]), 1, [(2, 1), (0, 3), (1, 1)]))  # rank p
+@example((RationalMatrix.from_rows([[1, 1, 0]]), 1, [(1, 1, 0), (1, 1, 0)]))  # equal zero images
+@example((RationalMatrix.from_rows([[1, 0, 0]]), 3, [(0, 2, 1), (0, -4, -2), (5, 0, 0)]))  # an edge inside
+def test_core_weights_are_convex_and_hit_the_reference(case):
+    # the integer core decides a face from its kernel images alone: None, or
+    # integer weights w / q of a convex combination of the images that is 0,
+    # whose point and z are the Fraction reference's
+    X, den, ivs = case
+    kernel = DesignKernel(X)
+    images = kernel_images(kernel, ivs)
+    found = kernel._weights(images, den)
+    expected = reference_hull_test([vec([Fraction(x, den) for x in v]) for v in ivs], X, kernel_basis(X))
+    if found is None:
+        assert expected is None
+        return
+    q, w = found
+    assert all(type(x) is int for x in (q, *w)) and len(w) == len(ivs)
+    assert q > 0 and min(w) >= 0 and sum(w) == q
+    assert all(sum(map(operator.mul, w, col)) == 0 for col in zip(*images))
+    assert kernel._hit(den, ivs, q, w) == expected
+
+
 def region_vertex_codims(X, norm):
     """Codim of the minimal dual-ball face G(u) containing X'u, for each
     vertex u of the zero region: the subdifferential face at the sum of the
@@ -471,10 +507,10 @@ def test_integer_face_test_edge_cases():
     kernel = DesignKernel(X)
     for verts in ([vec([1, 0, 0]), vec([0, 1, 0])], [vec([1, 2, 3])]):
         d, ivs = clear_denominators(verts)
-        got = kernel._meets(d, ivs, kernel_images(kernel, ivs))
+        got = core_hit(kernel, d, ivs)
         assert got == reference_hull_test(verts, X, K)
     ivs = ((1, 2, 0), (3, 1, 0))
-    assert kernel._meets(1, ivs, kernel_images(kernel, ivs)).point == (3, 1, 0)
+    assert core_hit(kernel, 1, ivs).point == (3, 1, 0)
     # a design with no kernel takes the first vertex
     full = RationalMatrix.from_rows([[1, 0], [0, 1]])
     seg = sign_to_cube_face((1, 0), scale=Fraction(1, 3))
@@ -585,7 +621,7 @@ def test_row_space_sweeps_hand_the_lp_only_integers(monkeypatch):
     ball = model_to_face((0, 0, 0), (Fraction(7, 2), 2, Fraction(1, 2)))
     for face in enumerate_exposed_faces(ball.vertices()):
         d, ivs = clear_denominators(face.hull)
-        kernel._meets(d, ivs, kernel_images(kernel, ivs))
+        core_hit(kernel, d, ivs)
     assert 0 < model_lps < len(seen)
     for a, b, n in seen:
         assert all(type(x) is int for x in (n, *b, *(x for r in a for x in r)))
