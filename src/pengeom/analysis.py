@@ -19,7 +19,11 @@ with one X'z, by the face hit's dual vector z, both found in integers. The
 sign-vector and model accessibility tables are one route sweep, which
 finishes each row with its witnesses: a hit's z, and lam z + X t certified
 at tol 0 under lam times the norm, whose dual vector also certifies a sign
-row's basis-pursuit response X t. Classification and projection share one
+row's basis-pursuit response X t. A row is finished in integers, from the
+face hit's point and z through the response witness's numerators over one
+denominator to the certificate's integer verdict, and a table's label
+norms come from one product; Fractions are formed only for the report's
+fields. Classification and projection share one
 fit, one polished FISTA solve read once: exact on a rational design and
 response once a linear piece certifies at tol 0, the zero piece first (the
 whole zero-solution region), then the pieces of the patterns read off the
@@ -37,6 +41,7 @@ import functools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -75,6 +80,8 @@ from .solvers import (
     _exact_check,
     _fista,
     _float_matrix,
+    _split,
+    _verdict,
 )
 
 GEOMETRIC = "geometric"
@@ -86,26 +93,32 @@ class _Report:
     order, each through _json."""
 
     def to_json_dict(self) -> dict:
-        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: _json(getattr(self, f.name), f.name) for f in fields(self)}
 
 
-def _json(v):
+def _json(v, field: str | None = None):
     """The one JSON encoder of reports and CLI payloads: None, bools,
     numbers and strings as they are, tuples and lists as lists, a norm by
     its describe(), anything with to_json_dict by that dict, any other
     dataclass (a Certificate) by its fields in order, and a Fraction as
-    "p/q"."""
+    "p/q". A Fraction whose numerator or denominator has more digits than
+    sys.get_int_max_str_digits() cannot print; it is refused as a
+    ValueError naming the innermost report field that holds it."""
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     if isinstance(v, (tuple, list)):
-        return [_json(x) for x in v]
+        return [_json(x, field) for x in v]
     if isinstance(v, PolytopeNorm):
         return v.describe()
     if hasattr(v, "to_json_dict"):
         return v.to_json_dict()
     if is_dataclass(v):
         return _Report.to_json_dict(v)
-    return rat_str(v)
+    try:
+        return rat_str(v)
+    except ValueError:
+        where = f"answer field {field}" if field else "answer"
+        raise ValueError(f"{where} needs more than {sys.get_int_max_str_digits()} digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +221,12 @@ def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
     """The witness pair, certified by KKT at y = X first + hit.z; the
     objective is the one the first point's exact check forms."""
     first, second, _ = _witness_pair(X, norm, face)
-    y = tuple(a + b for a, b in zip(X.matvec(first), hit.z))
+    z = hit.z
+    y = tuple(a + b for a, b in zip(X.matvec(first), z))
     (cert, objective), (other, _) = (_exact_check(X, y, b, norm._form) for b in (first, second))
     if not (cert.passed and other.passed):
         raise AssertionError("witness failed exact certification")
-    return NonUniquenessWitness(y, first, second, objective(), hit.z)
+    return NonUniquenessWitness(y, first, second, objective(), z)
 
 
 def check_uniqueness(
@@ -248,10 +262,11 @@ def check_uniqueness_bp(
     if face is None:
         return UniquenessReport(True, r, "bp", None)
     first, second, value = _witness_pair(X, l1, face)
-    den, s = X._integer_rmatvec(hit.z)  # X'z = s / den, once for both points
+    z = hit.z
+    den, s = X._integer_rmatvec(z)  # X'z = s / den, once for both points
     if not all(_bp_certificate_at(s, den, b) for b in (first, second)):
         raise AssertionError("witness failed the shared dual certificate")
-    witness = NonUniquenessWitness(X.matvec(first), first, second, value, hit.z)
+    witness = NonUniquenessWitness(X.matvec(first), first, second, value, z)
     return UniquenessReport(False, r, "bp", None, face, witness)
 
 
@@ -287,6 +302,13 @@ def _route_sweep(X, norm, route, limit, vertex_cap, lam=1):
     norm. A sign row also holds X t, where t solves basis pursuit: the
     certificate's dual vector s = lam X'z has |s_j| <= lam, and its zero gap
     forces s_j = lam sign(t_j) on the support, the bp certificate of t by z.
+
+    A row is finished in integers: the labels' norms come from one product
+    (_NormForm.integer_values), the hit is z = Z / t' in integers, X t is R t
+    / d from X's integer rows, the response witness is its numerators over
+    one denominator, and its certificate is the integer split and verdict
+    of solvers (_split, _verdict). Fractions are formed only for the
+    report's fields.
     """
     if route not in (GEOMETRIC, ANALYTIC, BOTH):
         raise ValueError(f"unknown route {route!r}")
@@ -310,31 +332,37 @@ def _route_sweep(X, norm, route, limit, vertex_cap, lam=1):
         # over its one denominator, from one integer product
         region = _zero_region(X, norm)
         support = region.support_values(level.label_array)
-    # every label is an integer vector, so its norm is one integer sum over
-    # the weights' denominator
-    form = norm._form
-    wden = form.integers[0]
+    # every label is an integer vector, so its norm is an integer over the
+    # weights' denominator, all of them from one product
+    wden = norm._form.integers[0]
+    values = norm._form.integer_values(level.label_array)
+    d, rows, _ = X._integer_form
+    a, b = lam.numerator, lam.denominator
     for i, pattern in enumerate(level.labels):
-        pattern_norm = Fraction(form.integer_value(pattern), wden)
         hit = hits.get(i)
-        z = hit.z if hit is not None else None
         geometric_hit = hit is not None if route != ANALYTIC else None
-        analytic_value = Fraction(support[i], region.den) if route != GEOMETRIC else None
-        if route == BOTH and geometric_hit != (analytic_value == pattern_norm):
+        analytic_value = analytic_hit = None
+        if route != GEOMETRIC:  # the support value attains ||t||
+            analytic_value = Fraction(support[i], region.den)
+            analytic_hit = support[i] * wden == values[i] * region.den
+        if route == BOTH and geometric_hit != analytic_hit:
             raise AssertionError(f"route disagreement at {pattern}")
-        accessible = geometric_hit if geometric_hit is not None else analytic_value == pattern_norm
-        response = response_bp = None
+        accessible = geometric_hit if geometric_hit is not None else analytic_hit
+        z = response = response_bp = None
         if accessible:
-            point = vec(pattern)
-            fit = X.matvec(point)
-            if z is not None:
-                response = tuple(lam * a + b for a, b in zip(z, fit))
-                if not _exact_check(X, response, point, scaled._form)[0].passed:
+            fit = [sum(map(operator.mul, row, pattern)) for row in rows]  # X t = fit / d
+            if hit is not None:
+                # lam z + X t = Y / e for z = Z / t'; its residual is lam z
+                e = b * hit.t * d
+                Y = [a * d * u + b * hit.t * v for u, v in zip(hit.Z, fit)]
+                _, _, S, den = _split(X, Y, e, pattern, 1)
+                if not _verdict(S, den, pattern, scaled._form):
                     raise AssertionError("response witness failed certification")
+                z, response = hit.z, tuple(Fraction(y, e) for y in Y)
             if kind == "sign":
-                response_bp = fit
+                response_bp = tuple(Fraction(v, d) for v in fit)
         yield AccessibilityReport(pattern, kind, bool(accessible), geometric_hit, analytic_value,
-                                  pattern_norm, z, response, response_bp)
+                                  Fraction(values[i], wden), z, response, response_bp)
 
 
 def accessible_sign_vectors(

@@ -13,8 +13,11 @@ Linear systems go through a solve map, also memoized on the instance, one
 for M x = b and one for M'z = v: the same loop runs once on the integer form
 beside a multiple of the identity, pivoting in the matrix's own columns, and
 records the row operations, so each right-hand side then costs integer dot
-products and one Fraction per entry, with the solution (free variables at 0)
-and the None of eliminating that system on its own.
+products, with the solution (free variables at 0) and the None of
+eliminating that system on its own. A reader with an integer right-hand
+side gets the solution as integers over one positive denominator
+(_SolveMap.integer_solve); solve_exact and rowspace_preimage are its
+Fraction front end, one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -266,18 +269,29 @@ class _SolveMap(NamedTuple):
     d: int
     T: tuple[tuple[int, ...], ...]  # pivot rows first, then the checks
 
-    def solve(self, b: Sequence) -> Vector | None:
-        bb = vec(b)
-        if len(bb) != len(self.T):
+    def integer_solve(self, b: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+        """(D, D x) with D > 0 for the solution x of A x = b, b an integer
+        vector (free variables at 0), or None when b is outside A's column
+        space: integer dot products against T only."""
+        if len(b) != len(self.T):
             raise ValueError("dimension mismatch")
-        e, (ib,) = clear_denominators((bb,))
         r = len(self.pivots)
-        if any(sum(map(operator.mul, t, ib)) for t in self.T[r:]):
+        if any(sum(map(operator.mul, t, b)) for t in self.T[r:]):
             return None
-        x = [Fraction(0)] * self.ncols
+        sign = 1 if self.d > 0 else -1
+        x = [0] * self.ncols
         for pc, t in zip(self.pivots, self.T):
-            x[pc] = Fraction(sum(map(operator.mul, t, ib)), self.d * e)
-        return tuple(x)
+            x[pc] = sign * sum(map(operator.mul, t, b))
+        return sign * self.d, tuple(x)
+
+    def solve(self, b: Sequence) -> Vector | None:
+        # the Fraction front end of integer_solve: b = B / e in, x = X / (D e) out
+        e, (B,) = clear_denominators((vec(b),))
+        found = self.integer_solve(B)
+        if found is None:
+            return None
+        D, x = found
+        return tuple(Fraction(v, D * e) for v in x)
 
 
 def _solve_map_of(rows: Sequence[tuple[int, ...]], c: int) -> _SolveMap:

@@ -49,7 +49,9 @@ chunks of doubling size, projecting each vertex once, when the first chunk
 that uses it is screened; a single Face is a level of one face, its own
 entries the lookup (face_intersects_rowspace). A face's vertices are looked
 up only once its weights are found, and DesignKernel._hit forms the point
-and z of each hit, the only Fractions a face test makes.
+and z of each hit in integers, through the integer core of the design's
+preimage solve map (exact._SolveMap.integer_solve): a face test makes no
+Fraction, and its readers form them only for what they report.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .exact import (
     clear_denominators,
     rat,
     rat_str,
-    rowspace_preimage,
     vec,
 )
 from .lp import lp_feasible
@@ -630,11 +631,11 @@ class DesignKernel:
     sign box) and hands only the faces that pass, with their exact rows, to
     the integer core: _weights decides the face from its images alone and
     returns integer convex weights, and _hit, for a face whose weights were
-    found, forms the point and its z; for a vertex or an edge the screen
-    has decided, and a disagreement raises, so each checks the other. One
-    scale for the whole basis keeps the face LP's rows a uniform multiple of
-    the rational program's, so its phase-1 pivots and its weights stay those
-    of the Fraction basis.
+    found, forms the point and its z in integers (_Hit); for a vertex or an
+    edge the screen has decided, and a disagreement raises, so each checks
+    the other. One scale for the whole basis keeps the face LP's rows a
+    uniform multiple of the rational program's, so its phase-1 pivots and
+    its weights stay those of the Fraction basis.
     """
 
     def __init__(self, X: RationalMatrix):
@@ -646,7 +647,7 @@ class DesignKernel:
         self.float_columns = columns.astype(np.float64) if self.top < _FLOAT_BOUND else None
 
     def level_hits(self, den: int, level: _Level,
-                   cap: int | None) -> Iterator[tuple[int, RowspaceIntersection]]:
+                   cap: int | None) -> Iterator[tuple[int, _Hit]]:
         """(i, hit) for each face i of a dual-ball level (norms), vertices
         over den, that meets row(X), in level order.
 
@@ -700,13 +701,16 @@ class DesignKernel:
         rows = (*zip(*images), (total,) * k)
         return lp_feasible(rows, (0,) * (len(rows) - 1) + (total,), k)
 
-    def _hit(self, den: int, ivs: Sequence[Sequence[int]], q: int, w: Sequence[int]) -> RowspaceIntersection:
-        # the point sum w_k ivs[k] / (q den) of conv(ivs / den), and its z
-        point = tuple(Fraction(sum(map(operator.mul, w, col)), q * den) for col in zip(*ivs))
-        z = rowspace_preimage(self.X, point)
-        if z is None:
+    def _hit(self, den: int, ivs: Sequence[Sequence[int]], q: int, w: Sequence[int]) -> _Hit:
+        # the point W / (q den) of conv(ivs / den), W = sum w_k ivs[k], and
+        # its z, X'z = W / (q den), from the integer core of X's preimage
+        # solve map, which also checks that the point lies in row(X)
+        W = tuple(sum(map(operator.mul, w, col)) for col in zip(*ivs))
+        found = self.X._preimage_map.integer_solve(W)
+        if found is None:
             raise AssertionError("kernel-orthogonal point must lie in the row space")
-        return RowspaceIntersection(point, z)
+        s = q * den
+        return _Hit(s, W, found[0] * s, found[1])
 
 
 def _segment_weight(ca: Sequence[int], cb: Sequence[int]) -> tuple[int, tuple[int, int]] | None:
@@ -734,12 +738,28 @@ class RowspaceIntersection:
     z: Vector      # X'z == point
 
 
-def _origin(X: RationalMatrix) -> RowspaceIntersection:
+class _Hit(NamedTuple):
+    """A face test's hit in integers: the point W / s of the face inside
+    row(X) and its z = Z / t with X'z = W / s, s and t > 0. point and z are
+    their Fractions, formed on each read, for the readers that report them."""
+
+    s: int
+    W: tuple[int, ...]
+    t: int
+    Z: tuple[int, ...]
+
+    @property
+    def point(self) -> Vector:
+        return tuple(Fraction(x, self.s) for x in self.W)
+
+    @property
+    def z(self) -> Vector:
+        return tuple(Fraction(x, self.t) for x in self.Z)
+
+
+def _origin(X: RationalMatrix) -> _Hit:
     # a face holding 0 meets row(X) there, with z = 0
-    return RowspaceIntersection(
-        tuple(Fraction(0) for _ in range(X.ncols)),
-        tuple(Fraction(0) for _ in range(X.nrows)),
-    )
+    return _Hit(1, (0,) * X.ncols, 1, (0,) * X.nrows)
 
 
 def face_intersects_rowspace(
@@ -754,15 +774,16 @@ def face_intersects_rowspace(
     The face's integer vertices are a level of one face, and go through the
     screen and the integer core the level sweeps run (DesignKernel.level_hits):
     the core decides the face from its kernel images alone, as integer convex
-    weights (DesignKernel._weights), and Fractions enter only on a hit, in its
-    point and in z with X'z = point, from exact elimination (DesignKernel._hit).
-    Pass one DesignKernel per design to every face of a sweep. The cap is
-    checked first.
+    weights (DesignKernel._weights), and forms a hit's point and z, X'z =
+    point, in integers from exact elimination (DesignKernel._hit); Fractions
+    enter only here, in the returned intersection. Pass one DesignKernel per
+    design to every face of a sweep. The cap is checked first.
     """
     if face.ambient_dim != X.ncols:
         raise ValueError("face and matrix dimension mismatch")
     if face.contains_zero():
-        return _origin(X)
+        hit = _origin(X)
+        return RowspaceIntersection(hit.point, hit.z)
     if kernel is None:
         kernel = DesignKernel(X)
     elif kernel.X is not X and kernel.X != X:
@@ -773,5 +794,6 @@ def face_intersects_rowspace(
     one = np.array((k,), dtype=np.intp)
     index = _LevelIndex(np.arange(k), np.array((0, k), dtype=np.intp), one, one, k)
     level = _Level(((),), np.arange(k * p).reshape(k, p), index, [x for v in ivs for x in v])
-    return next((hit for _, hit in kernel.level_hits(L, level, None)), None)
+    hit = next((hit for _, hit in kernel.level_hits(L, level, None)), None)
+    return None if hit is None else RowspaceIntersection(hit.point, hit.z)
 

@@ -128,6 +128,18 @@ class _NormForm:
         _, w, _ = self.integers
         return sum(map(operator.mul, w, sorted(map(abs, x), reverse=True)))
 
+    def integer_values(self, labels: np.ndarray) -> list[int]:
+        """integer_value of each row of an integer label array, from one
+        product of the rows' sorted magnitudes by the integer weights, in
+        int64 only where the bound max|t| max|w| p < 2^62 keeps every entry
+        from overflowing, and on Python ints (object dtype) otherwise."""
+        _, w, _ = self.integers
+        mags = np.sort(np.abs(labels), axis=1)[:, ::-1]
+        exact = int(mags.max(initial=0)) * max(w) * len(w) >= 1 << 62
+        if exact:
+            return (mags.astype(object) @ np.array(w, dtype=object)).tolist()
+        return (mags @ np.array(w, dtype=np.int64)).tolist()
+
     def exact_dual_value(self, x: Sequence[int], den: int) -> Fraction:
         """The dual norm of x / den for an integer vector x and den > 0: the
         best ratio of the magnitudes' prefix sums to the weights', chosen by

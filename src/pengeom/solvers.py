@@ -32,9 +32,13 @@ doubles. Every exact certificate, basis pursuit's included, comes from one
 integer builder (_certificate) of a dual vector S / den and a point B / f:
 the dual norm and the gap come from the norm's integer weights, and
 Fractions are formed only for the fields, with the values Fraction
-arithmetic gives. The penalized check (_exact_check) splits y - Xb in
-integers once, which also gives the objective; basis pursuit hands the
-builder X'z for the gauge LP's optimal dual z.
+arithmetic gives. Its verdict is one integer test (_verdict: the dual norm
+at most 1 by prefix cross products, and a zero gap), which the
+accessibility tables run on their response witnesses without building a
+Certificate. The penalized check (_exact_check) splits y - Xb in integers
+once (_split), which also gives the objective, and the tables split their
+integer responses the same way; basis pursuit hands the builder X'z for
+the gauge LP's optimal dual z.
 
 One FISTA loop (_fista) serves solve_penalized, which never polishes, and
 the fits of analysis, which do on a rational design and response
@@ -219,21 +223,45 @@ def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certi
 def _exact_check(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm
                  ) -> tuple[Certificate, Callable[[], Fraction]]:
     """The tol-0 certificate of b for min 0.5||y - Xb||^2 + ||b|| and a
-    function that forms the objective, from one integer split: with
-    X = R / d, y = Y / e and b = B / f, the residual is r / D for
-    r = d f Y - e R B and D = d e f, the dual vector s = X'(y - Xb) is
-    R'r / (d D), and the objective is one Fraction over 2 D^2 g f, g the
-    weights' denominator. The objective is formed only when called for, so
-    kkt_certify, which returns the certificate alone, pays for none."""
-    d, rows, cols = X._integer_form
+    function that forms the objective, from one integer split (_split): the
+    objective is one Fraction over 2 D^2 g f, g the weights' denominator.
+    The objective is formed only when called for, so kkt_certify, which
+    returns the certificate alone, pays for none."""
     e, (Y,) = clear_denominators((y,))
     f, (B,) = clear_denominators((b,))
-    D = d * e * f
-    r = [d * f * t - e * sum(map(operator.mul, row, B)) for row, t in zip(rows, Y)]
+    r, D, S, den = _split(X, Y, e, B, f)
     g = form.integers[0]
-    return (_certificate([sum(map(operator.mul, c, r)) for c in cols], d * D, B, f, form),
+    return (_certificate(S, den, B, f, form),
             lambda: Fraction(g * f * sum(t * t for t in r) + 2 * D * D * form.integer_value(B),
                              2 * D * D * g * f))
+
+
+def _split(X: RationalMatrix, Y: Sequence[int], e: int, B: Sequence[int], f: int
+           ) -> tuple[list[int], int, list[int], int]:
+    """(r, D, S, den) for y = Y / e and b = B / f, all integers, e and f >
+    0: with X = R / d, the residual y - Xb is r / D for r = d f Y - e R B
+    and D = d e f, and the dual vector s = X'(y - Xb) is S / den for S =
+    R'r and den = d D."""
+    d, rows, cols = X._integer_form
+    D = d * e * f
+    r = [d * f * t - e * sum(map(operator.mul, row, B)) for row, t in zip(rows, Y)]
+    return r, D, [sum(map(operator.mul, c, r)) for c in cols], d * D
+
+
+def _verdict(S: Sequence[int], den: int, B: Sequence[int], form: _NormForm) -> bool:
+    """The tol-0 verdict on the dual vector s = S / den (den > 0) against a
+    point b = B / f, in integers: the dual norm of s is at most 1 iff each
+    prefix sum of its sorted magnitudes, times the weights' denominator g,
+    is at most den times the matching prefix sum of the integer weights,
+    and the gap <b, s> - ||b|| is zero iff g <B, S> = den g ||B||; f
+    cancels from both."""
+    g, _, prefix = form.integers
+    a = 0
+    for m, q in zip(sorted(map(abs, S), reverse=True), prefix):
+        a += m
+        if a * g > den * q:
+            return False
+    return g * sum(map(operator.mul, B, S)) == den * form.integer_value(B)
 
 
 def _certificate(S: Sequence[int], den: int, B: Sequence[int], f: int, form: _NormForm) -> Certificate:
@@ -243,11 +271,11 @@ def _certificate(S: Sequence[int], den: int, B: Sequence[int], f: int, form: _No
     weights and the gap |<b, s> - ||b||| is |g <B, S> - den g ||B||| /
     (f den g). Fractions are formed only for the fields, one per entry of
     s, one for the dual norm and one for the gap, so their values are those
-    of Fraction arithmetic."""
+    of Fraction arithmetic; the verdict is _verdict's."""
     g = form.integers[0]
     dn = form.exact_dual_value(S, den)
     gap = Fraction(abs(g * sum(map(operator.mul, B, S)) - den * form.integer_value(B)), f * den * g)
-    return Certificate(tuple(Fraction(x, den) for x in S), dn, gap, 0, dn <= 1 and not gap)
+    return Certificate(tuple(Fraction(x, den) for x in S), dn, gap, 0, _verdict(S, den, B, form))
 
 
 def _float_matrix(X) -> np.ndarray:

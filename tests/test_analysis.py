@@ -76,6 +76,7 @@ from oracles import (
     core_hit,
     dual_ball_projection,
     exposed_primal_vertices,
+    fraction_certificate,
     fraction_rref,
     level_faces,
 )
@@ -1527,15 +1528,74 @@ def test_library_entry_points_refuse_bad_shapes_and_options(call, message):
     assert str(exc.value) == message
 
 
+# past 2^63, so a design's integer rows or a norm's integer weights leave
+# int64 behind
+_BIG = 2 ** 64 + 13
+
+
+@st.composite
+def accessibility_cases(draw):
+    """(X, weights, lam): a design of n <= p <= 3 with entries k/d, |k| <=
+    3, some of them times or over _BIG, and the sign table at lam 1 or 3/2
+    (weights None) or the model table under strict, tied or zero-tail
+    weights, sometimes times _BIG."""
+    p = draw(st.integers(2, 3))
+    n = draw(st.integers(1, p))
+    factors = st.sampled_from((1, 1, 1, _BIG, Fraction(1, _BIG)))
+    X = RationalMatrix.from_rows([[draw(_SMALL) * draw(factors) for _ in range(p)] for _ in range(n)])
+    kind = draw(st.sampled_from(("sign", "strict", "tied", "zero")))
+    if kind == "sign":
+        return X, None, draw(st.sampled_from((Fraction(1), Fraction(3, 2))))
+    factor = draw(st.sampled_from((1, _BIG)))
+    return X, [w * factor for w in _SLOPE_WEIGHTS[kind][:p]], Fraction(1)
+
+
+@settings(max_examples=40)
+@given(accessibility_cases())
+@example((RationalMatrix.from_rows([[1, _BIG, -2], [Fraction(1, _BIG), 0, 3]]),
+          [3 * _BIG, 2 * _BIG, _BIG], Fraction(1)))
+def test_integer_rows_match_the_fraction_certificate(case):
+    # the integer row finish against Fraction arithmetic, both routes
+    # cross-checked: every accessible row's response witness passes the
+    # Fraction KKT certificate at tol 0 under lam times the norm, X'z has
+    # dual norm 1 and pairs with t to ||t|| (z = 0 for t = 0), and every
+    # row's norm is norm_value's
+    X, weights, lam = case
+    if weights is None:
+        norm, scaled = l1_norm(X.ncols), l1_norm(X.ncols, lam)
+        reports = accessible_sign_vectors(X, route=BOTH, lam=lam)
+    else:
+        norm = scaled = slope_norm(weights)
+        reports = accessible_slope_models(X, weights, route=BOTH)
+    columns = list(zip(*X.rows))
+    for r in reports:
+        assert r.pattern_norm == norm_value(norm, r.pattern)
+        if not r.accessible:
+            assert r.dual_witness is None and r.response_witness is None
+            continue
+        assert fraction_certificate(X, r.response_witness, r.pattern, scaled).passed
+        s = [dot(c, r.dual_witness) for c in columns]
+        assert dual_norm_value(norm, s) == (1 if any(r.pattern) else 0)
+        assert dot(r.pattern, s) == norm_value(norm, r.pattern)
+        assert r.response_witness == tuple(lam * a + b for a, b in zip(r.dual_witness, X.matvec(r.pattern)))
+
+
 @pytest.mark.parametrize("route", [GEOMETRIC, BOTH])
 @pytest.mark.parametrize("table", [
     lambda X, route: accessible_sign_vectors(X, route=route, lam=Fraction(3, 2)),
     lambda X, route: accessible_slope_models(X, [3, 2, 1], route=route),
 ], ids=["sign", "model"])
 def test_a_failed_response_witness_stops_the_table(table, route, monkeypatch):
-    # every row with a dual witness certifies its response witness at tol 0
-    # before the table answers; a failed certificate raises instead
-    failed = solvers_module.Certificate((), None, None, 0, False)
-    monkeypatch.setattr(analysis_module, "_exact_check", lambda *args: (failed, None))
+    # every row with a dual witness certifies its response witness at tol 0,
+    # by the integer verdict, before the table answers; a failed verdict
+    # raises instead
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis_module, "_verdict", lambda *args: False)
+        with pytest.raises(AssertionError, match="response witness failed certification"):
+            table(_X23, route)
+    # the real verdict refuses a response witness moved off its value: the
+    # split sees Y + e_1, so s moves by X'e_1 / e and the gap opens
+    real = analysis_module._split
+    monkeypatch.setattr(analysis_module, "_split", lambda X, Y, *rest: real(X, [Y[0] + 1, *Y[1:]], *rest))
     with pytest.raises(AssertionError, match="response witness failed certification"):
         table(_X23, route)

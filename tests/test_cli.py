@@ -415,6 +415,19 @@ def test_error_exits(capsys, matrices, tmp_path, monkeypatch):
             assert errors[0].startswith(f"error: bad rational literal '{literal[:20]}") and why in errors[0]
             code, out, err = run(capsys, "solve", *demo, "--norm", "l1", "--response", f"{literal},1")
             assert code == 2 and out == "" and "bad rational literal" in err, literal
+        # an admitted literal can give an answer that cannot print: the
+        # response witness of (1, 0, 0) on the row (10^k, 1, 1) has a
+        # numerator of 2k + 1 digits; the table is refused naming that
+        # field, while the uniqueness report of the same design prints
+        (tmp_path / "big.csv").write_text(f"1e{limit - 300},1,1\n")
+        big = ("--matrix", str(tmp_path / "big.csv"))
+        for norm in (("--norm", "l1"), ("--norm", "slope", "--weights", "3,2,1")):
+            code, out, err = run(capsys, "accessible", *big, *norm)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code == 2 and out == "" and "Traceback" not in err, norm
+            assert errors == [f"error: answer field response_witness needs more than {limit} digits"], norm
+            code, out, err = run(capsys, "uniqueness", *big, *norm)
+            assert code in (0, 1) and json.loads(out)["report"]["rank"] == 1 and "error:" not in err, norm
     # an entry beyond the float range is refused where the float solve
     # would read it, naming the design or the response; 1e-400 rounds to 0
     (tmp_path / "huge.csv").write_text("1e400,1\n2,3\n")

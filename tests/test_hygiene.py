@@ -404,21 +404,23 @@ def test_checker_flags_an_unexported_unread_public():
 
 
 def bench_imports() -> set[str]:
-    """The names the benchmark's scripts import from the package by
-    name. Those scripts change only with the benchmark, so a name they
-    import is as public as an export."""
-    return {a.name for path in BENCH_TRACER.parent.glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pengeom")
-            for a in node.names}
+    """The names the benchmark's scripts import from the package by name,
+    and those its tracer wraps by name. Those scripts change only with the
+    benchmark, so a name they import or wrap is as public as an export."""
+    wrapped = {name for _, name in assigned_literal(BENCH_TRACER.read_text(), "WRAPPED")}
+    return wrapped | {a.name for path in BENCH_TRACER.parent.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pengeom")
+                      for a in node.names}
 
 
 def test_every_public_name_is_exported_or_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     exported = assigned_literal((SRC / "__init__.py").read_text(), "__all__")
     assert exported
-    # exact.dot: the benchmark's checks import it, and nothing in the package reads it
-    assert unexported_unread_publics(sources, exported) == ["exact.dot"]
+    # exact.dot: the benchmark's checks import it; exact.rowspace_preimage:
+    # the benchmark's tracer wraps it; nothing in the package reads either
+    assert unexported_unread_publics(sources, exported) == ["exact.dot", "exact.rowspace_preimage"]
     assert unexported_unread_publics(sources, {*exported, *bench_imports()}) == []
 
 
@@ -551,9 +553,35 @@ def test_face_tests_hand_the_lp_integer_rows():
     source = (SRC / "geometry.py").read_text()
     assert imported_from(source, "lp") == GEOMETRY_LP_IMPORTS
     assert lp_constructions("geometry", source) == []
-    fraction_readers = runtime_readers("geometry", source, "Fraction")
-    assert {"geometry.DesignKernel._weights", "geometry._segment_weight"}.isdisjoint(fraction_readers)
-    assert "geometry.DesignKernel._hit" in fraction_readers
+    fraction_readers = set(runtime_readers("geometry", source, "Fraction"))
+    assert {"geometry.DesignKernel._weights", "geometry._segment_weight",
+            "geometry.DesignKernel._hit"}.isdisjoint(fraction_readers)
+    assert {"geometry._Hit.point", "geometry._Hit.z"} <= fraction_readers
+
+
+# an accessibility row is finished in integers, from the face hit to its
+# tol-0 verdict: the hit solves X'z = point through the integer core of the
+# solve map, whose only Fraction reader is the solve map's own front end,
+# and the row builds its response witness from X's integer rows and
+# certifies it by the integer verdict that every exact Certificate shares
+ROW_DETOURS = ("vec", "matvec", "rowspace_preimage", "_exact_check")
+INTEGER_SOLVE_READERS = frozenset({"exact._SolveMap.solve", "geometry.DesignKernel._hit"})
+VERDICT_READERS = frozenset({"solvers._certificate", "analysis._route_sweep"})
+
+
+def test_an_accessibility_row_is_finished_in_integers():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    detours = {site for module in ("analysis", "geometry") for name in ROW_DETOURS
+               for site in name_readers(module, sources[module], name)}
+    assert {"analysis._route_sweep", "geometry.DesignKernel._hit"}.isdisjoint(detours)
+    readers = {site for module, source in sources.items()
+               for site in name_readers(module, source, "integer_solve")}
+    assert readers == INTEGER_SOLVE_READERS
+    fraction_readers = {site for module, source in sources.items()
+                        for site in runtime_readers(module, source, "Fraction")}
+    assert readers & fraction_readers == {"exact._SolveMap.solve"}
+    assert {site for module, source in sources.items()
+            for site in name_readers(module, source, "_verdict")} == VERDICT_READERS
 
 
 def test_one_helper_clears_denominators():
