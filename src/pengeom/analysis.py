@@ -76,7 +76,7 @@ from .solvers import (
     _PATTERN_TOL,
     Solution,
     SolverOptions,
-    _bp_certificate_at,
+    _bp_norm,
     _exact_check,
     _fista,
     _float_matrix,
@@ -184,9 +184,10 @@ def _exposed_points(norm: PolytopeNorm, face: Face):
     return e // g, ints, tuple(Fraction(sum(col), e // g) for col in zip(*ints))
 
 
-def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
+def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction, tuple]:
     """Two points of one primal face with the same norm and the same fit,
-    from an intersected face F of codim rk(X) + 1, and that norm.
+    from an intersected face F of codim rk(X) + 1, that norm, and the two
+    points' integer numerators, each the point times a positive integer.
 
     The primal-ball vertices F exposes span codim F dimensions, so codim F
     independent ones P have dependent images X P, and a kernel vector c of
@@ -214,13 +215,13 @@ def _witness_pair(X, norm, face) -> tuple[Vector, Vector, Fraction]:
     if form.integer_value(T) != top * value or T == [top * x for x in S]:
         raise AssertionError("perturbation must preserve the norm and move the point")
     second = tuple(Fraction(x, top * den) for x in T)
-    return first, second, Fraction(value, form.integers[0] * den)
+    return first, second, Fraction(value, form.integers[0] * den), (S, T)
 
 
 def _penalized_witness(X, norm, face, hit) -> NonUniquenessWitness:
     """The witness pair, certified by KKT at y = X first + hit.z; the
     objective is the one the first point's exact check forms."""
-    first, second, _ = _witness_pair(X, norm, face)
+    first, second, _, _ = _witness_pair(X, norm, face)
     z = hit.z
     y = tuple(a + b for a, b in zip(X.matvec(first), z))
     (cert, objective), (other, _) = (_exact_check(X, y, b, norm._form) for b in (first, second))
@@ -257,14 +258,14 @@ def check_uniqueness_bp(
     """Equality-constrained l1 analogue of check_uniqueness: the sweep and
     the witness pair of l1_norm(p), read at y = X first, which both points
     fit exactly; the face hit's z is the dual certificate of both."""
-    l1 = l1_norm(X.ncols)
+    l1 = _bp_norm(X.ncols)
     r, face, hit = _uniqueness_sweep(X, l1, limit, vertex_cap)
     if face is None:
         return UniquenessReport(True, r, "bp", None)
-    first, second, value = _witness_pair(X, l1, face)
+    first, second, value, numerators = _witness_pair(X, l1, face)
     z = hit.z
     den, s = X._integer_rmatvec(z)  # X'z = s / den, once for both points
-    if not all(_bp_certificate_at(s, den, b) for b in (first, second)):
+    if not all(_verdict(s, den, B, l1._form) for B in numerators):
         raise AssertionError("witness failed the shared dual certificate")
     witness = NonUniquenessWitness(X.matvec(first), first, second, value, z)
     return UniquenessReport(False, r, "bp", None, face, witness)

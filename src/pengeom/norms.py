@@ -35,7 +35,8 @@ norm_value and dual_norm_value are the one copy of the norm arithmetic: a
 private _NormForm per norm pairs the sorted |x| with the same weights, or
 takes the best ratio of their prefix sums (Bogdan et al. 2015). Each norm
 caches it in its Fractions, in integers over the weights' denominator for
-integer vectors (labels, the exact certificate) and in floats for FISTA;
+integer vectors (labels, the exact certificate; _NormForm.dual_ratio, the
+one exact dual-ball test every tol-0 verdict reads) and in floats for FISTA;
 CPython converts a Fraction to float before Fraction * float and
 float / Fraction, so on the same floats the Fraction and float forms give
 the same doubles.
@@ -60,10 +61,10 @@ from .exact import (
     RationalMatrix,
     Vector,
     _eliminate,
+    _solve_map_of,
     clear_denominators,
     rat,
     rat_str,
-    solve_exact,
     vec,
 )
 from .geometry import (
@@ -129,28 +130,21 @@ class _NormForm:
         return sum(map(operator.mul, w, sorted(map(abs, x), reverse=True)))
 
     def integer_values(self, labels: np.ndarray) -> list[int]:
-        """integer_value of each row of an integer label array, from one
-        product of the rows' sorted magnitudes by the integer weights, in
-        int64 only where the bound max|t| max|w| p < 2^62 keeps every entry
-        from overflowing, and on Python ints (object dtype) otherwise."""
-        _, w, _ = self.integers
-        mags = np.sort(np.abs(labels), axis=1)[:, ::-1]
-        exact = int(mags.max(initial=0)) * max(w) * len(w) >= 1 << 62
-        if exact:
-            return (mags.astype(object) @ np.array(w, dtype=object)).tolist()
-        return (mags @ np.array(w, dtype=np.int64)).tolist()
+        """integer_value of each row of an integer label array: one product
+        of the sorted magnitudes by the integer weights (_max_products)."""
+        return _max_products(np.sort(np.abs(labels), axis=1)[:, ::-1], [self.integers[1]])
 
-    def exact_dual_value(self, x: Sequence[int], den: int) -> Fraction:
-        """The dual norm of x / den for an integer vector x and den > 0: the
-        best ratio of the magnitudes' prefix sums to the weights', chosen by
-        integer cross products, as one Fraction (for l1 and sup the ratios
-        peak at the largest magnitude and at the full sum)."""
+    def dual_ratio(self, x: Sequence[int]) -> tuple[int, int]:
+        """(a, q) with ||x||_* = a / q for an integer vector x, so x / den
+        (den > 0) is in the dual ball iff a <= q den: e times the best ratio
+        of the magnitudes' prefix sums to the integer weights', chosen by
+        integer cross products (for l1 and sup the first and the last)."""
         e, _, prefix = self.integers
         top, below = 0, 1
         for a, q in zip(itertools.accumulate(sorted(map(abs, x), reverse=True)), prefix):
             if a * below > top * q:
                 top, below = a, q
-        return Fraction(top * e, below * den)
+        return top * e, below
 
     @functools.cached_property
     def floats(self) -> _NormForm:
@@ -417,8 +411,21 @@ def unit_sphere_sign_points(norm: PolytopeNorm) -> list[tuple[tuple[int, ...], V
     return [(s, tuple(map(entries[len(s) - s.count(0) - 1].__getitem__, s))) for s in signs if any(s)]
 
 
-# label-by-vertex entries per chunk of a support-value product
-_SUPPORT_CHUNK = 1 << 18
+# label-by-vector entries per chunk of a bounded product (_max_products)
+_PRODUCT_CHUNK = 1 << 18
+
+
+def _max_products(A: np.ndarray, vectors: Sequence[Sequence[int]]) -> list[int]:
+    """max <a, v> over the integer vectors v, for each row a of an integer
+    array A: one product, a chunk of A's rows at a time, in int64 only where
+    max|A| max|v| len(v) < 2^62 keeps every entry from overflowing, and on
+    Python ints (object dtype) otherwise."""
+    top = max(abs(x) for v in vectors for x in v)
+    exact = int(np.abs(A).max(initial=0)) * top * A.shape[1] >= 1 << 62
+    V = np.array(vectors, dtype=object if exact else np.int64).T
+    A = A.astype(object) if exact else A
+    step = max(1, _PRODUCT_CHUNK // V.shape[1])
+    return [v for lo in range(0, len(A), step) for v in (A[lo:lo + step] @ V).max(axis=1).tolist()]
 
 
 class _ZeroRegion(NamedTuple):
@@ -434,16 +441,8 @@ class _ZeroRegion(NamedTuple):
 
     def support_values(self, labels: np.ndarray) -> list[int]:
         """max <t, X'u> over the vertices u, times den, for each row t of an
-        integer label array: one product of the labels by the duals, a chunk
-        of labels at a time. It runs in int64 only where the bound
-        max|t| max|den X'u| p < 2^62 keeps every entry from overflowing, and
-        on Python ints (object dtype) otherwise."""
-        top = max(abs(x) for s in self.duals for x in s)
-        exact = int(abs(labels).max()) * top * labels.shape[1] >= 1 << 62
-        S = np.array(self.duals, dtype=object if exact else np.int64).T
-        L = labels.astype(object) if exact else labels
-        step = max(1, _SUPPORT_CHUNK // S.shape[1])
-        return [v for lo in range(0, len(L), step) for v in (L[lo:lo + step] @ S).max(axis=1).tolist()]
+        integer label array, from one bounded product (_max_products)."""
+        return _max_products(labels, self.duals)
 
 
 def zero_region(X: RationalMatrix, norm: PolytopeNorm) -> tuple[Vector, ...]:
@@ -467,7 +466,8 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
     duals and tight sets its readers need.
 
     The start is the parallelotope |<a, u>| <= 1 of the first rk(X)
-    independent constraint normals a. Each further halfspace drops the
+    independent constraint normals a, whose 2^rk(X) vertices come from one
+    integer solve map of those normals. Each further halfspace drops the
     vertices beyond it and adds the point where it crosses each edge from a
     dropped vertex to a kept one. Two vertices span an edge iff no third
     vertex is tight on every constraint both are tight on (Motzkin et al.
@@ -491,16 +491,16 @@ def _zero_region(X: RationalMatrix, norm: PolytopeNorm) -> _ZeroRegion:
     normals = list(dict.fromkeys(a for a in images if any(a)))
     index = {a: k for k, a in enumerate(normals)}
     first = _eliminate(list(zip(*normals)))[1]  # the first r independent, as pivots
-    basis = RationalMatrix(tuple(normals[k] for k in first))
-    start = basis.rows + tuple(tuple(-x for x in a) for a in basis.rows)
+    basis = tuple(normals[k] for k in first)
+    start = basis + tuple(tuple(-x for x in a) for a in basis)
 
     def slacks(k):
         return [sum(map(operator.mul, normals[k], U)) - f * d for U, d in verts]
 
-    verts = []  # (U, d)
-    for t in itertools.product((f, -f), repeat=r):
-        d, (U,) = clear_denominators([solve_exact(basis, t)])
-        verts.append((U, d))
+    verts = []  # (U, d): each solution N / D of basis x = t, in lowest terms
+    for D, N in map(_solve_map_of(basis, 1).integer_solve, itertools.product((f, -f), repeat=r)):
+        g = math.gcd(D, *N)
+        verts.append((tuple(x // g for x in N), D // g))
     masks = [0] * len(verts)  # per vertex, the halfspaces so far that are tight at it
     done = {index[a] for a in start}
     for k in done:

@@ -28,27 +28,28 @@ the objective sorts nothing. The float certificate reads the norm's float
 form from norms.py, and the penalty pairs that form's weights with the
 ranked magnitudes as its value does, so every float they compute is the one
 norm_value and dual_norm_value give with the norm's Fractions on the same
-doubles. Every exact certificate, basis pursuit's included, comes from one
-integer builder (_certificate) of a dual vector S / den and a point B / f:
-the dual norm and the gap come from the norm's integer weights, and
-Fractions are formed only for the fields, with the values Fraction
-arithmetic gives. Its verdict is one integer test (_verdict: the dual norm
-at most 1 by prefix cross products, and a zero gap), which the
-accessibility tables run on their response witnesses without building a
-Certificate. The penalized check (_exact_check) splits y - Xb in integers
-once (_split), which also gives the objective, and the tables split their
-integer responses the same way; basis pursuit hands the builder X'z for
-the gauge LP's optimal dual z.
+doubles.
+
+Every exact verdict asks whether s = S / den lies in the dual ball and
+pairs with b = B / f to ||b||: the norm's one integer dual-ball test
+(norms._NormForm.dual_ratio) and one integer pairing answer it (_terms),
+read as a bool by _verdict and, with Fractions formed only for the fields,
+by _certificate, the one builder of a tol-0 Certificate. The penalized
+check (_exact_check) splits y - Xb in integers once (_split), which also
+gives the objective, as the accessibility tables split their responses
+before _verdict. Basis pursuit is the l1 case with s = X'z: solve_bp
+builds its certificate from X'z, and bp_certificate_holds at tol 0 and
+check_uniqueness_bp read _verdict on it.
 
 One FISTA loop (_fista) serves solve_penalized, which never polishes, and
 the fits of analysis, which do on a rational design and response
-(_polisher, the one place that decides that): each piece tried is a linear
-piece of the penalty, whose minimizer the reduced normal equations give
-exactly, and the first such point that certifies at tol 0 ends the loop.
-The first piece is the zero piece, b = 0, decided by an integer test of
-X'y against the dual ball before any float work; the others are named by
-the patterns read off the iterate. A fit that no piece certifies keeps its
-float answer, bit for bit.
+(_polisher, the one place that decides whether a fit polishes): each piece
+tried is a linear piece of the penalty, whose minimizer the reduced normal
+equations give exactly, and the first such point that certifies at tol 0
+ends the loop. The first piece is the zero piece, b = 0, decided by its
+verdict, the integer dual-ball test of X'y, before any float work; the
+others are named by the patterns read off the iterate. A fit that no piece
+certifies keeps its float answer, bit for bit.
 """
 
 from __future__ import annotations
@@ -203,14 +204,14 @@ class Certificate:
 def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certificate:
     """Exact when X, y, b are rational and tol = 0, in integers; float
     otherwise, where the dual norm, the gap and the verdict read the norm's
-    float form; y and b are rational when their entries are ints, Fractions
-    or literal strings."""
+    float form; y and b are rational when vec accepts them (_rational)."""
     shape = X.shape if isinstance(X, RationalMatrix) else np.shape(X)
     if (len(y), len(b)) != shape or norm.dim != len(b):
         raise ValueError("dimension mismatch")
-    if isinstance(X, RationalMatrix) and tol == 0 and all(
-            isinstance(x, (int, Fraction, str)) for x in (*y, *b)):
-        return _exact_check(X, vec(y), vec(b), norm._form)[0]
+    if isinstance(X, RationalMatrix) and tol == 0:
+        yy, bb = _rational(y), _rational(b)
+        if yy is not None and bb is not None:
+            return _exact_check(X, yy, bb, norm._form)[0]
     Xf = _float_matrix(X)
     bf = np.asarray(b, dtype=float)
     sf = Xf.T @ (np.asarray(y, dtype=float) - Xf @ bf)
@@ -218,6 +219,14 @@ def kkt_certify(X, y: Sequence, b: Sequence, norm: PolytopeNorm, tol=0) -> Certi
     dn = form.dual_value(s)
     gap = abs(float(np.dot(bf, sf)) - form.value(bf.tolist()))
     return Certificate(s, dn, gap, tol, dn <= 1 + tol and gap <= tol)
+
+
+def _rational(values: Sequence) -> Vector | None:
+    # values as Fractions if vec takes them (no bool, float or numpy scalar)
+    try:
+        return vec(values)
+    except TypeError:
+        return None
 
 
 def _exact_check(X: RationalMatrix, y: Vector, b: Vector, form: _NormForm
@@ -248,34 +257,29 @@ def _split(X: RationalMatrix, Y: Sequence[int], e: int, B: Sequence[int], f: int
     return r, D, [sum(map(operator.mul, c, r)) for c in cols], d * D
 
 
+def _terms(S: Sequence[int], den: int, B: Sequence[int], form: _NormForm) -> tuple[int, int, int]:
+    """(a, q, G) for s = S / den against b = B / f, all integers, den > 0:
+    ||s||_* = a / q by the norm's integer dual-ball test, and the gap
+    |<b, s> - ||b||| = G / (f den g), g the weights' denominator."""
+    a, q = form.dual_ratio(S)
+    g = form.integers[0]
+    return a, q * den, abs(g * sum(map(operator.mul, B, S)) - den * form.integer_value(B))
+
+
 def _verdict(S: Sequence[int], den: int, B: Sequence[int], form: _NormForm) -> bool:
-    """The tol-0 verdict on the dual vector s = S / den (den > 0) against a
-    point b = B / f, in integers: the dual norm of s is at most 1 iff each
-    prefix sum of its sorted magnitudes, times the weights' denominator g,
-    is at most den times the matching prefix sum of the integer weights,
-    and the gap <b, s> - ||b|| is zero iff g <B, S> = den g ||B||; f
-    cancels from both."""
-    g, _, prefix = form.integers
-    a = 0
-    for m, q in zip(sorted(map(abs, S), reverse=True), prefix):
-        a += m
-        if a * g > den * q:
-            return False
-    return g * sum(map(operator.mul, B, S)) == den * form.integer_value(B)
+    """The tol-0 verdict: s in the dual ball and a zero gap (_terms); f
+    cancels from both, so B may be b times any positive factor."""
+    a, q, gap = _terms(S, den, B, form)
+    return a <= q and not gap
 
 
 def _certificate(S: Sequence[int], den: int, B: Sequence[int], f: int, form: _NormForm) -> Certificate:
-    """The one builder of a tol-0 Certificate: the dual vector s = S / den
-    against the point b = B / f, all integers, den and f > 0. With g the
-    weights' denominator, the dual norm comes from the norm's integer
-    weights and the gap |<b, s> - ||b||| is |g <B, S> - den g ||B||| /
-    (f den g). Fractions are formed only for the fields, one per entry of
-    s, one for the dual norm and one for the gap, so their values are those
-    of Fraction arithmetic; the verdict is _verdict's."""
-    g = form.integers[0]
-    dn = form.exact_dual_value(S, den)
-    gap = Fraction(abs(g * sum(map(operator.mul, B, S)) - den * form.integer_value(B)), f * den * g)
-    return Certificate(tuple(Fraction(x, den) for x in S), dn, gap, 0, _verdict(S, den, B, form))
+    """The one builder of a tol-0 Certificate, f > 0, from one reading of
+    _terms: Fractions are formed only for its fields, one per entry of s,
+    the dual norm and the gap; the verdict is _verdict's."""
+    a, q, gap = _terms(S, den, B, form)
+    return Certificate(tuple(Fraction(x, den) for x in S), Fraction(a, q),
+                       Fraction(gap, f * den * form.integers[0]), 0, a <= q and not gap)
 
 
 def _float_matrix(X) -> np.ndarray:
@@ -500,13 +504,13 @@ def _fista(X, y: Sequence, norm: PolytopeNorm, options: SolverOptions, polish: b
 
 def _polisher(X, y: Sequence, norm: PolytopeNorm):
     """x -> the exact Solution on the linear piece of x's pattern, or None;
-    None itself for a float design or response, which never polish. This is
-    the one place that decides whether a fit's inputs are rational; _fista
-    has checked their shapes.
+    None itself for a float design or a response that is not rational
+    (_rational), which never polish. This is the one place that decides
+    whether a fit polishes; _fista has checked the shapes.
 
     x None names the zero piece, the one with no free column: b = 0 is the
-    minimizer iff X'y = q / (d e) lies in the dual ball, decided in
-    integers before any certificate is built; a zero piece that fails is
+    minimizer iff X'y = q / (d e) lies in the dual ball, b = 0's verdict,
+    decided before any certificate is built; a zero piece that fails is
     marked tried, so an iterate that reads as all zero is skipped, and
     every other piece has a column, its top block taking w1 > 0. On the
     piece an iterate's pattern names, the penalty is linear, w_U'c for b = Uc
@@ -521,11 +525,8 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
     minimizer on it is not unique, and the elimination would grow with p
     instead of n (on a 20x50 rational sup fit such pieces took 30 times as
     long as FISTA); those fits keep the float answer."""
-    if not isinstance(X, RationalMatrix):
-        return None
-    try:
-        yy = vec(y)
-    except TypeError:  # float response
+    yy = _rational(y) if isinstance(X, RationalMatrix) else None
+    if yy is None:
         return None
     d, _, cols = X._integer_form
     e, (Y,) = clear_denominators((yy,))
@@ -536,7 +537,7 @@ def _polisher(X, y: Sequence, norm: PolytopeNorm):
 
     def polish(x):
         if x is None:
-            if form.exact_dual_value(q, d * e) > 1:
+            if not _verdict(q, d * e, (0,) * len(q), form):
                 tried.add((0,) * len(q))
                 return None
             b = (Fraction(0),) * len(q)
@@ -632,6 +633,10 @@ def _gauge_lp(X: RationalMatrix, norm: PolytopeNorm, rhs: Vector):
     return res.value, b, tuple(f * u for u in res.dual)
 
 
+# basis pursuit's unit l1 norm, one per dimension, whose integer form is built once
+_bp_norm = functools.lru_cache(maxsize=64)(l1_norm)
+
+
 def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
     """Exact basis pursuit: min ||b||_1 s.t. Xb = y through the gauge LP of the
     l1 ball. Deterministic vertex, certified before return by the LP's own
@@ -639,7 +644,7 @@ def solve_bp(X: RationalMatrix, y: Sequence) -> Solution:
     yy = vec(y)
     if len(yy) != X.nrows:
         raise ValueError("dimension mismatch")
-    l1 = l1_norm(X.ncols)
+    l1 = _bp_norm(X.ncols)
     found = _gauge_lp(X, l1, yy)
     if found is None:
         raise ValueError("response is outside the column space of the matrix")
@@ -656,31 +661,24 @@ def bp_dual_certificate(X: RationalMatrix, b: Sequence) -> Vector | None:
     fiber, so it certifies b exactly when ||b||_1 is that least norm; None
     otherwise."""
     bb = vec(b)
-    l1 = l1_norm(X.ncols)
+    l1 = _bp_norm(X.ncols)
     value, _, z = _gauge_lp(X, l1, X.matvec(bb))
     return z if value == norm_value(l1, bb) else None
 
 
 def bp_certificate_holds(X: RationalMatrix, b: Sequence, z: Sequence, tol=0) -> bool:
+    """Does z certify b for basis pursuit: ||X'z||_inf <= 1 and (X'z)_j =
+    sign(b_j) on b's support, within tol; at tol 0, the l1 _verdict on X'z."""
     bb, zz = vec(b), vec(z)
     if len(bb) != X.ncols:
         raise ValueError("dimension mismatch")
     den, s = X._integer_rmatvec(zz)
-    return _bp_certificate_at(s, den, bb, tol)
-
-
-def _bp_certificate_at(s: Sequence, den, b: Sequence, tol=0) -> bool:
-    """Does X'z = s / den (den > 0) certify b: ||X'z||_inf <= 1 and
-    (X'z)_j = sign(b_j) on the support of b, within tol. Several points can
-    share one X'z. s and den are integers; the bounds are formed once, and
-    at tol 0 they are +-den themselves, so each entry costs comparisons
-    only."""
-    hi, lo = (den + tol * den, den - tol * den) if tol else (den, den)
-    low, high = -hi, -lo
-    if not all(low <= v <= hi for v in s):
-        return False
+    if not tol:
+        return _verdict(s, den, clear_denominators((bb,))[1][0], _bp_norm(X.ncols)._form)
+    hi, lo = den + tol * den, den - tol * den
     # within [-hi, hi], (X'z)_j is sign(b_j) within tol iff it reaches lo or -lo
-    return all(v >= lo if x > 0 else v <= high for v, x in zip(s, b) if x)
+    return all(-hi <= v <= hi for v in s) and all(v >= lo if x > 0 else v <= -lo
+                                                  for v, x in zip(s, bb) if x)
 
 
 def norm_min_subject_to(X: RationalMatrix, target: Sequence, norm: PolytopeNorm):

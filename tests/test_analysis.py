@@ -1119,8 +1119,11 @@ def _read(hits, first_only=False):
 
 
 def _bp_witness(X, face, hit):
-    first, second, value = analysis_module._witness_pair(X, l1_norm(X.ncols), face)
+    first, second, value, numerators = analysis_module._witness_pair(X, l1_norm(X.ncols), face)
     assert value == norm_value(l1_norm(X.ncols), first)
+    for point, N in zip((first, second), numerators):  # each a positive multiple of its point
+        k = next(Fraction(n) / x for n, x in zip(N, point) if x)
+        assert k > 0 and all(n == k * x for n, x in zip(N, point))
     return analysis_module.NonUniquenessWitness(X.matvec(first), first, second, value, hit.z)
 
 

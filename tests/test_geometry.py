@@ -475,7 +475,7 @@ def region_vertex_codims(X, norm):
 
 def _bp_read(X, face, hit):
     # basis pursuit reads the l1 witness pair at y = X first
-    first, second, value = _witness_pair(X, l1_norm(X.ncols), face)
+    first, second, value, _ = _witness_pair(X, l1_norm(X.ncols), face)
     assert value == sum(map(abs, first))
     return NonUniquenessWitness(X.matvec(first), first, second, sum(map(abs, first)), hit.z)
 

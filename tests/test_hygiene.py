@@ -418,9 +418,11 @@ def test_every_public_name_is_exported_or_read():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     exported = assigned_literal((SRC / "__init__.py").read_text(), "__all__")
     assert exported
-    # exact.dot: the benchmark's checks import it; exact.rowspace_preimage:
-    # the benchmark's tracer wraps it; nothing in the package reads either
-    assert unexported_unread_publics(sources, exported) == ["exact.dot", "exact.rowspace_preimage"]
+    # exact.dot: the benchmark's checks import it; exact.solve_exact: they
+    # import it and the tracer wraps it; exact.rowspace_preimage: the tracer
+    # wraps it; nothing in the package reads any of them
+    assert unexported_unread_publics(sources, exported) == [
+        "exact.dot", "exact.solve_exact", "exact.rowspace_preimage"]
     assert unexported_unread_publics(sources, {*exported, *bench_imports()}) == []
 
 
@@ -563,10 +565,17 @@ def test_face_tests_hand_the_lp_integer_rows():
 # tol-0 verdict: the hit solves X'z = point through the integer core of the
 # solve map, whose only Fraction reader is the solve map's own front end,
 # and the row builds its response witness from X's integer rows and
-# certifies it by the integer verdict that every exact Certificate shares
+# certifies it by the integer verdict that basis pursuit's tol-0 checks
+# read too; every exact Certificate reads the same integer terms. The zero
+# region solves its start vertices through the integer core as well, and
+# forms Fractions only for its finished vertices
 ROW_DETOURS = ("vec", "matvec", "rowspace_preimage", "_exact_check")
-INTEGER_SOLVE_READERS = frozenset({"exact._SolveMap.solve", "geometry.DesignKernel._hit"})
-VERDICT_READERS = frozenset({"solvers._certificate", "analysis._route_sweep"})
+INTEGER_SOLVE_READERS = frozenset({"exact._SolveMap.solve", "geometry.DesignKernel._hit",
+                                   "norms._zero_region"})
+INTEGER_SOLVE_FRACTION_READERS = frozenset({"exact._SolveMap.solve", "norms._zero_region"})
+VERDICT_READERS = frozenset({"analysis._route_sweep", "analysis.check_uniqueness_bp",
+                             "solvers.bp_certificate_holds", "solvers._polisher.polish"})
+TERMS_READERS = frozenset({"solvers._verdict", "solvers._certificate"})
 
 
 def test_an_accessibility_row_is_finished_in_integers():
@@ -579,9 +588,11 @@ def test_an_accessibility_row_is_finished_in_integers():
     assert readers == INTEGER_SOLVE_READERS
     fraction_readers = {site for module, source in sources.items()
                         for site in runtime_readers(module, source, "Fraction")}
-    assert readers & fraction_readers == {"exact._SolveMap.solve"}
+    assert readers & fraction_readers == INTEGER_SOLVE_FRACTION_READERS
     assert {site for module, source in sources.items()
             for site in name_readers(module, source, "_verdict")} == VERDICT_READERS
+    assert {site for module, source in sources.items()
+            for site in name_readers(module, source, "_terms")} == TERMS_READERS
 
 
 def test_one_helper_clears_denominators():
@@ -673,13 +684,65 @@ def test_a_fit_has_one_exact_route():
     # no response against the dual ball beside it
     source = (SRC / "analysis.py").read_text()
     assert runtime_readers("analysis", source, "Solution") == []
-    assert name_readers("analysis", source, "exact_dual_value") == []
+    assert name_readers("analysis", source, "dual_ratio") == []
+
+
+# the dual norm's loop, a prefix sum of the sorted magnitudes against the
+# weights', lives on the norm's form: dual_value on Fractions and floats,
+# dual_ratio in integers, the one exact dual-ball test, which only the
+# verdict's terms read
+PREFIX_LOOPS = frozenset({"norms._NormForm.dual_value", "norms._NormForm.dual_ratio"})
+DUAL_RATIO_READERS = frozenset({"solvers._terms"})
+
+
+def sorted_prefix_loops(module: str, source: str) -> list[str]:
+    """"module.function" of every function that sorts magnitudes (sorted,
+    sort or argsort over a call of abs) and forms prefix sums (accumulate,
+    cumsum, or += in a loop): the dual norm's prefix-ratio loop."""
+    def named(n, names):
+        return isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None)) in names
+
+    def sorts_magnitudes(n):
+        return named(n, ("sorted", "sort", "argsort")) and any(
+            getattr(c, "id", getattr(c, "attr", None)) == "abs" for c in ast.walk(n))
+
+    def prefix_sum(n):
+        return named(n, ("accumulate", "cumsum")) or isinstance(n, (ast.For, ast.While)) and any(
+            isinstance(c, ast.AugAssign) and isinstance(c.op, ast.Add) for c in ast.walk(n))
+    return sorted(set(_owners(module, source, sorts_magnitudes)) & set(_owners(module, source, prefix_sum)))
+
+
+def test_checker_flags_a_sorted_prefix_loop():
+    source = (
+        "import itertools\n"
+        "def _verdict(S, den, form):\n"
+        "    g, _, prefix = form.integers\n"
+        "    a = 0\n"
+        "    for m, q in zip(sorted(map(abs, S), reverse=True), prefix):\n"
+        "        a += m\n"
+        "        if a * g > den * q:\n"
+        "            return False\n"
+        "    return True\n"
+        "def _dual(x, w):\n"
+        "    return max(itertools.accumulate(np.sort(np.abs(x))[::-1]) / w)\n"
+        "def _value(x, w):\n"
+        "    return sum(map(operator.mul, w, sorted(map(abs, x), reverse=True)))\n"
+        "def _pool(order, d):\n"
+        "    s = 0\n"
+        "    for x in sorted(d):\n"
+        "        s += x\n"
+    )
+    assert sorted_prefix_loops("solvers", source) == ["solvers._dual", "solvers._verdict"]
 
 
 def test_norm_arithmetic_lives_in_norms():
     found = {site for p in SRC.glob("*.py") if p.stem != "norms"
              for kind in ("L1", "SUP") for site in runtime_readers(p.stem, p.read_text(), kind)}
     assert found == NORM_KIND_READERS
+    loops = {site for p in SRC.glob("*.py") for site in sorted_prefix_loops(p.stem, p.read_text())}
+    assert loops == PREFIX_LOOPS
+    readers = {site for p in SRC.glob("*.py") for site in name_readers(p.stem, p.read_text(), "dual_ratio")}
+    assert readers == DUAL_RATIO_READERS
     source = (SRC / "solvers.py").read_text()
     classes = tuple(n.name for n in ast.parse(source).body if isinstance(n, ast.ClassDef))
     assert classes == SOLVER_CLASSES
@@ -699,16 +762,16 @@ def test_one_witness_recipe_takes_the_kernel_step():
 
 
 # a sign row's tol-0 l1 certificate already certifies its bp response, so
-# the bp test is read only where a bp witness pair or point is certified;
-# both accessibility tables are one route sweep, which finishes every row
+# the bp test, the l1 verdict on X'z, is read only where a bp witness pair
+# or point is certified, beside the route sweep's own verdict; both
+# accessibility tables are one route sweep, which finishes every row
 BP_CERTIFICATE_READERS = frozenset({"analysis.check_uniqueness_bp", "solvers.bp_certificate_holds"})
 TABLE_ENTRY_POINTS = frozenset({"analysis.accessible_sign_vectors", "analysis.accessible_slope_models"})
 
 
 def test_one_sweep_finishes_every_accessibility_row():
-    found = {site for p in SRC.glob("*.py")
-             for site in name_readers(p.stem, p.read_text(), "_bp_certificate_at")}
-    assert found == BP_CERTIFICATE_READERS
+    found = {site for p in SRC.glob("*.py") for site in name_readers(p.stem, p.read_text(), "_verdict")}
+    assert found - {"analysis._route_sweep", "solvers._polisher.polish"} == BP_CERTIFICATE_READERS
     source = (SRC / "analysis.py").read_text()
     readers = {site for name in ("kkt_certify", "replace") for site in name_readers("analysis", source, name)}
     assert readers & TABLE_ENTRY_POINTS == set()

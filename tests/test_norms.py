@@ -526,13 +526,27 @@ def test_zero_region_tight_sets_name_the_minimal_faces():
 
 
 def test_zero_region_start_vertices_read_one_solve_map(monkeypatch):
-    # the 2^r start vertices solve against one basis through its solve map;
-    # the region is the same as when each is eliminated on its own
+    # the 2^r start vertices are integer solutions against one basis through
+    # one solve map; the region is the same as when each is eliminated on
+    # its own in Fractions and cleared of its denominators
     cases = list(tight_set_cases())
     built = [norms_module._zero_region.__wrapped__(X, norm) for X, norm in cases]
-    monkeypatch.setattr(norms_module, "solve_exact", solve_by_elimination)
+    maps = []
+
+    class PerSystem:
+        def __init__(self, rows, c):
+            self.M = RationalMatrix.from_rows([[Fraction(x, c) for x in r] for r in rows])
+            maps.append(self)
+
+        def integer_solve(self, b):
+            D, (N,) = clear_denominators([solve_by_elimination(self.M, b)])
+            return D, N
+
+    monkeypatch.setattr(norms_module, "_solve_map_of", PerSystem)
     for (X, norm), region in zip(cases, built):
+        maps.clear()
         assert repr(region) == repr(norms_module._zero_region.__wrapped__(X, norm))
+        assert len(maps) == (rank(X) > 0)
 
 
 def test_one_double_description_per_design_and_norm():

@@ -183,6 +183,16 @@ def test_kkt_certify_takes_the_float_route_for_float_y_or_b():
     assert kkt_certify(X, [0.5, 1.0], [0.0] * 3, l1_norm(3)).passed is False
 
 
+def test_kkt_certify_takes_the_float_route_for_bool_or_numpy_int_entries():
+    # vec refuses a bool, so a bool entry is not rational: like a numpy int,
+    # it goes the float route, with the certificate of its float array
+    X = RationalMatrix.from_rows([[1, 0], [0, 1]])
+    for y, b in (([True, 0], [0, 0]), ([1, 0], [False, 0]), (np.array([1, 0]), [0, 0])):
+        got = kkt_certify(X, y, b, l1_norm(2))
+        assert got == kkt_certify(X.to_float_array(), [1.0, 0.0], [0.0, 0.0], l1_norm(2))
+        assert got.passed and all(type(x) is float for x in got.dual_vector)
+
+
 def test_kkt_certify_rejects_wrong_lengths():
     # a longer response is not cut to X's rows, nor a norm of another
     # dimension to b's, on the exact or the float path
@@ -662,10 +672,10 @@ def test_bp_certificate_rejects_wrong_lengths():
 
 
 def test_bp_certificate_bounds_match_their_definition():
-    # the check forms its bounds once; on integer s over an integer den and
-    # on Fraction s over a Fraction den, with and without a tolerance, it
-    # decides |s_j / den| <= 1 + tol, and |s_j / den - sign(b_j)| <= tol on
-    # the support of b
+    # on X = I, so that X'z = s / den, and on X = lam I with z = s / (den
+    # lam) and b scaled by a positive mu, with and without a tolerance, the
+    # check decides |s_j / den| <= 1 + tol, and |s_j / den - sign(b_j)| <=
+    # tol on the support of b
     rng = random.Random(17)
     for _ in range(2000):
         p = rng.randint(1, 4)
@@ -675,10 +685,13 @@ def test_bp_certificate_bounds_match_their_definition():
         tol = rng.choice((0, 0, Fraction(1, 4), Fraction(1, 2)))
         want = (all(abs(Fraction(v, den)) <= 1 + tol for v in s)
                 and all(abs(Fraction(v, den) - x) <= tol for v, x in zip(s, b) if x))
-        assert solvers_module._bp_certificate_at(s, den, b, tol) == want
+        eye = [[int(i == j) for j in range(p)] for i in range(p)]
+        z = [Fraction(v, den) for v in s]
+        assert bp_certificate_holds(RationalMatrix.from_rows(eye), vec(b), z, tol) == want
         lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        scaled = [Fraction(v, den) * lam for v in s]
-        assert solvers_module._bp_certificate_at(scaled, lam, b, tol) == want
+        mu = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+        scaled = RationalMatrix.from_rows([[lam * x for x in row] for row in eye])
+        assert bp_certificate_holds(scaled, [mu * x for x in b], [v / lam for v in z], tol) == want
 
 
 def test_norm_min_l1():
